@@ -207,31 +207,25 @@ func BenchmarkCopyinCopyout(b *testing.B) {
 
 // BenchmarkEngineKChecksum isolates the host cost of IR execution
 // itself: the kernel's IR checksum over 4 KiB of kernel scratch, run
-// through RunModuleFunc under the pre-linked engine and under the
-// reference interpreter. The virtual-clock charge is identical by
-// construction (the differential tests enforce it); the host ns/op and
-// allocs/op are the engine's win.
+// through RunModuleFunc on the pre-linked engine. The engine-vs-
+// interpreter comparison lives in internal/vir (BenchmarkEngineCallLoop
+// vs BenchmarkInterpCallLoop).
 func BenchmarkEngineKChecksum(b *testing.B) {
-	for _, eng := range []kernel.EngineKind{kernel.EngineLinked, kernel.EngineReference} {
-		b.Run(eng.String(), func(b *testing.B) {
-			sys := repro.MustNewSystem(repro.VirtualGhost)
-			k := sys.Kernel
-			k.SetEngine(eng)
-			const buf = 0xffffff8000300000
-			if err := k.KMemset(buf, 0x7f, 4096); err != nil {
-				b.Fatal(err)
-			}
-			if _, err := k.KChecksum(buf, 4096); err != nil {
-				b.Fatal(err)
-			}
-			b.ReportAllocs()
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				if _, err := k.KChecksum(buf, 4096); err != nil {
-					b.Fatal(err)
-				}
-			}
-		})
+	sys := repro.MustNewSystem(repro.VirtualGhost)
+	k := sys.Kernel
+	const buf = 0xffffff8000300000
+	if err := k.KMemset(buf, 0x7f, 4096); err != nil {
+		b.Fatal(err)
+	}
+	if _, err := k.KChecksum(buf, 4096); err != nil {
+		b.Fatal(err)
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, err := k.KChecksum(buf, 4096); err != nil {
+			b.Fatal(err)
+		}
 	}
 }
 

@@ -16,7 +16,6 @@ import (
 
 func main() {
 	cpus := flag.Int("cpus", 2, "CPUs for the SMP attack vectors (stale TLB needs >= 2)")
-	hostpar := flag.Bool("hostpar", false, "run epoch user phases on concurrent host goroutines (needs -cpus > 1; identical results, less wall-clock)")
 	only := flag.String("only", "", "comma-separated attack vectors to run (default all): "+
 		strings.Join(experiments.SecurityVectorNames(), "|"))
 	snapshotFlag := flag.String("snapshot", "", "use=PATH warm-starts the attack systems from a snapshot bundle (identical verdicts; less wall-clock)")
@@ -26,12 +25,11 @@ func main() {
 		fmt.Fprintln(os.Stderr, "vgattack: -cpus must be at least 2 (the stale-TLB vector needs a remote CPU)")
 		os.Exit(2)
 	}
-	execCfg, err := kernel.ResolveExecFlags(kernel.ExecFlags{HostPar: *hostpar, CPUs: *cpus, Snapshot: *snapshotFlag, Replay: *replayFlag})
+	execCfg, err := kernel.ResolveExecFlags(kernel.ExecFlags{CPUs: *cpus, Snapshot: *snapshotFlag, Replay: *replayFlag})
 	if err != nil {
 		fmt.Fprintln(os.Stderr, "vgattack:", err)
 		os.Exit(2)
 	}
-	execCfg.Apply()
 	switch execCfg.SnapshotMode {
 	case kernel.SnapshotSave:
 		n, err := experiments.SaveSnapBundle(execCfg.SnapshotPath)

@@ -4,9 +4,7 @@
 // the run as BENCH_<date>.json (virtual overheads + host ns and host
 // allocations per experiment) so the perf trajectory is
 // machine-readable across PRs. -cpuprofile/-memprofile capture pprof
-// data for simulator-efficiency work, and -engine selects the IR
-// execution engine (pre-linked by default, reference interpreter for
-// differential measurement).
+// data for simulator-efficiency work.
 package main
 
 import (
@@ -29,14 +27,10 @@ func main() {
 	only := flag.String("only", "", "run a single experiment: "+strings.Join(experimentNames, "|"))
 	cpus := flag.Int("cpus", 8, "top of the SMP sweep for the cpu-scaling experiment (1/2/4/8 up to this)")
 	parallel := flag.Bool("parallel", false, "fan independent measurements out over host goroutines (identical results, less wall-clock)")
-	hostpar := flag.Bool("hostpar", false, "run epoch user phases on concurrent host goroutines (multi-CPU machines; identical results, less wall-clock)")
 	csvDir := flag.String("csv", "", "also write machine-readable results to this directory")
 	jsonOut := flag.Bool("json", false, "also write BENCH_<date>.json with overheads, host ns, and host allocs per experiment")
 	breakdown := flag.Bool("breakdown", false, "print per-tag cycle attribution under Table 2/3/4")
 	traceOut := flag.String("trace", "", "record tagged charge events and write a Chrome trace_event JSON file at exit")
-	engineFlag := flag.String("engine", "linked", "IR execution engine: linked|reference")
-	elideFlag := flag.String("elide", "on", "elide host work of proven-redundant checks: on|off (virtual numbers identical either way)")
-	fuseFlag := flag.String("fuse", "on", "fuse hot instruction idioms into superinstructions: on|off (virtual numbers identical either way)")
 	snapshotFlag := flag.String("snapshot", "", "save=PATH writes a post-boot snapshot bundle; use=PATH warm-starts every measurement system from one (virtual numbers identical either way)")
 	replayFlag := flag.Bool("replay", false, "serve recorded nondeterministic inputs from the snapshot image (needs -snapshot use= of a recorded image)")
 	cpuProfile := flag.String("cpuprofile", "", "write a CPU profile to this file")
@@ -48,12 +42,11 @@ func main() {
 			*only, strings.Join(experimentNames, ", "))
 		os.Exit(2)
 	}
-	execCfg, err := kernel.ResolveExecFlags(execFlags(*engineFlag, *elideFlag, *fuseFlag, *hostpar, *cpus, *snapshotFlag, *replayFlag))
+	execCfg, err := kernel.ResolveExecFlags(kernel.ExecFlags{CPUs: *cpus, Snapshot: *snapshotFlag, Replay: *replayFlag})
 	if err != nil {
 		fmt.Fprintln(os.Stderr, err)
 		os.Exit(2)
 	}
-	execCfg.Apply()
 
 	var tracer *hw.Tracer
 	if *traceOut != "" {
@@ -155,7 +148,7 @@ func main() {
 		report.Entries = append(report.Entries, experiments.BenchEntry{
 			Name: name, HostNs: ns,
 			HostAllocs: allocs, HostAllocBytes: allocBytes,
-			Metrics: metrics, HostParallel: *hostpar,
+			Metrics: metrics,
 		})
 		return &report.Entries[len(report.Entries)-1]
 	}
@@ -289,11 +282,7 @@ func main() {
 		ns, allocs, ab := timed(func() { cmp = experiments.CPUScalingCompare(sc, counts) })
 		pts := make([]experiments.CPUPoint, len(cmp))
 		for i, c := range cmp {
-			if *hostpar {
-				pts[i] = c.Parallel
-			} else {
-				pts[i] = c.Serial
-			}
+			pts[i] = c.Serial
 		}
 		fmt.Println(experiments.FormatCPUScaling(pts))
 		fmt.Println(experiments.FormatHostParallel(cmp))
@@ -312,46 +301,6 @@ func main() {
 			metrics[fmt.Sprintf("host_speedup_%dcpu", c.Serial.NumCPUs)] = c.HostSpeedup()
 		}
 		record("cpu_scaling_ghost_httpd", ns, allocs, ab, metrics)
-	}
-	if run("elide") {
-		var rep experiments.ElisionReport
-		ns, allocs, ab := timed(func() { rep = experiments.CheckElision(sc.PostmarkTxns) })
-		fmt.Println(experiments.FormatElision(rep))
-		metrics := map[string]float64{
-			"masks_elided":   float64(rep.MasksElided),
-			"cfi_elided":     float64(rep.CFIElided),
-			"host_speedup_x": rep.HostSpeedup(),
-		}
-		if rep.Enabled {
-			metrics["enabled"] = 1
-		} else {
-			metrics["enabled"] = 0
-		}
-		for name, c := range rep.Modules {
-			metrics[name+"/masks_proven"] = float64(c.Masks)
-			metrics[name+"/cfi_proven"] = float64(c.CFIs)
-		}
-		record("check_elision", ns, allocs, ab, metrics)
-	}
-	if run("fuse") {
-		var rep experiments.FusionReport
-		ns, allocs, ab := timed(func() { rep = experiments.CheckFusion(sc.PostmarkTxns) })
-		fmt.Println(experiments.FormatFusion(rep))
-		metrics := map[string]float64{
-			"sites_fused":    float64(rep.SitesFused),
-			"ic_hits":        float64(rep.ICHits),
-			"ic_misses":      float64(rep.ICMisses),
-			"host_speedup_x": rep.HostSpeedup(),
-		}
-		if rep.Enabled {
-			metrics["enabled"] = 1
-		} else {
-			metrics["enabled"] = 0
-		}
-		for name, n := range rep.Modules {
-			metrics[name+"/sites_fused"] = float64(n)
-		}
-		record("superinstruction_fusion", ns, allocs, ab, metrics)
 	}
 	if run("c10k") {
 		var cmp experiments.C10KCompare
@@ -449,23 +398,7 @@ func main() {
 }
 
 // experimentNames are the valid -only values, in run order.
-var experimentNames = []string{"t2", "t3", "t4", "f2", "f3", "f4", "t5", "sec", "cpu", "elide", "fuse", "c10k", "snap"}
-
-// execFlags assembles the shared engine-flag set for kernel validation,
-// recording which of -elide/-fuse the user passed explicitly
-// (flag.Visit only sees flags present on the command line).
-func execFlags(engine, elide, fuse string, hostpar bool, cpus int, snapshot string, replay bool) kernel.ExecFlags {
-	ef := kernel.ExecFlags{Engine: engine, Elide: elide, Fuse: fuse, HostPar: hostpar, CPUs: cpus, Snapshot: snapshot, Replay: replay}
-	flag.Visit(func(f *flag.Flag) {
-		switch f.Name {
-		case "elide":
-			ef.ElideSet = true
-		case "fuse":
-			ef.FuseSet = true
-		}
-	})
-	return ef
-}
+var experimentNames = []string{"t2", "t3", "t4", "f2", "f3", "f4", "t5", "sec", "cpu", "c10k", "snap"}
 
 var validExperiments = func() map[string]bool {
 	m := make(map[string]bool, len(experimentNames))

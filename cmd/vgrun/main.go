@@ -27,21 +27,17 @@ func main() {
 	n := flag.Int("n", 2000, "transaction/iteration count")
 	cpus := flag.Int("cpus", 1, "number of simulated CPUs")
 	hostpar := flag.Bool("hostpar", false, "run epoch user phases on concurrent host goroutines (needs -cpus > 1; identical results, less wall-clock)")
-	engineFlag := flag.String("engine", "linked", "IR execution engine: linked|reference")
-	elideFlag := flag.String("elide", "on", "elide host work of proven-redundant checks: on|off (virtual numbers identical either way)")
-	fuseFlag := flag.String("fuse", "on", "fuse hot instruction idioms into superinstructions: on|off (virtual numbers identical either way)")
 	breakdown := flag.Bool("breakdown", false, "print per-tag cycle attribution and the per-syscall profile")
 	traceOut := flag.String("trace", "", "write a Chrome trace_event JSON file of tagged charges")
 	snapshotFlag := flag.String("snapshot", "", "save=PATH records the run into a snapshot image (post-boot state + nondeterministic-input trailer); use=PATH restores one before the workload")
 	replayFlag := flag.Bool("replay", false, "serve the image's recorded nondeterministic inputs back to the workload (needs -snapshot use= of a recorded image)")
 	flag.Parse()
 
-	execCfg, err := kernel.ResolveExecFlags(execFlags(*engineFlag, *elideFlag, *fuseFlag, *hostpar, *cpus, *snapshotFlag, *replayFlag))
+	execCfg, err := kernel.ResolveExecFlags(kernel.ExecFlags{HostPar: *hostpar, CPUs: *cpus, Snapshot: *snapshotFlag, Replay: *replayFlag})
 	if err != nil {
 		fmt.Fprintln(os.Stderr, err)
 		os.Exit(2)
 	}
-	execCfg.Apply()
 
 	var tracer *hw.Tracer
 	if *traceOut != "" {
@@ -63,7 +59,7 @@ func main() {
 	}
 	cfg := hw.DefaultConfig()
 	cfg.NumCPUs = *cpus
-	sys, err := repro.NewSystemWithOptions(mode, repro.Options{Machine: cfg})
+	sys, err := repro.NewSystemWithOptions(mode, repro.Options{Machine: cfg, HostParallel: execCfg.HostPar})
 	if err != nil {
 		fmt.Fprintln(os.Stderr, err)
 		os.Exit(1)
@@ -214,20 +210,4 @@ func main() {
 func fatal(err error) {
 	fmt.Fprintln(os.Stderr, err)
 	os.Exit(1)
-}
-
-// execFlags assembles the shared engine-flag set for kernel validation,
-// recording which of -elide/-fuse the user passed explicitly
-// (flag.Visit only sees flags present on the command line).
-func execFlags(engine, elide, fuse string, hostpar bool, cpus int, snapshot string, replay bool) kernel.ExecFlags {
-	ef := kernel.ExecFlags{Engine: engine, Elide: elide, Fuse: fuse, HostPar: hostpar, CPUs: cpus, Snapshot: snapshot, Replay: replay}
-	flag.Visit(func(f *flag.Flag) {
-		switch f.Name {
-		case "elide":
-			ef.ElideSet = true
-		case "fuse":
-			ef.FuseSet = true
-		}
-	})
-	return ef
 }

@@ -16,7 +16,6 @@ import (
 	"flag"
 	"fmt"
 	"os"
-	"sort"
 	"strings"
 
 	"repro/internal/compiler"
@@ -37,8 +36,6 @@ func main() {
 		"comma-separated allowed import symbols, or 'any'")
 	mmapSyms := flag.String("mmap-syms", "mmap",
 		"comma-separated mmap-like syscall symbols (-app mode)")
-	proofs := flag.Bool("proofs", false,
-		"after an admissible check, print per-function elision proof counts (maskghost sites provably already masked, CFI checks dominated by an earlier check)")
 	flag.Parse()
 
 	if flag.NArg() == 0 {
@@ -57,7 +54,7 @@ func main() {
 
 	status := 0
 	for _, path := range flag.Args() {
-		m, diags, err := checkFile(path, cfg, *instrument, *app, splitList(*mmapSyms))
+		diags, err := checkFile(path, cfg, *instrument, *app, splitList(*mmapSyms))
 		switch {
 		case err != nil:
 			fmt.Fprintf(os.Stderr, "%s: %v\n", path, err)
@@ -71,31 +68,26 @@ func main() {
 			}
 		default:
 			fmt.Printf("%s: ok\n", path)
-			if *proofs && m != nil {
-				printProofs(m)
-			}
 		}
 	}
 	os.Exit(status)
 }
 
-// checkFile returns the checked module (as checked — instrumented when
-// -instrument is set; nil in -app mode, whose checker has no elision
-// proofs) alongside the diagnostics.
-func checkFile(path string, cfg check.Config, instrument, app bool, mmapSyms []string) (*vir.Module, []check.Diagnostic, error) {
+// checkFile parses, verifies and checks one module file.
+func checkFile(path string, cfg check.Config, instrument, app bool, mmapSyms []string) ([]check.Diagnostic, error) {
 	text, err := os.ReadFile(path)
 	if err != nil {
-		return nil, nil, err
+		return nil, err
 	}
 	m, err := vir.ParseModule(string(text))
 	if err != nil {
-		return nil, nil, err
+		return nil, err
 	}
 	if err := vir.VerifyModule(m); err != nil {
-		return nil, nil, err
+		return nil, err
 	}
 	if app {
-		return nil, check.CheckMmapMaskedModule(m, mmapSyms...), nil
+		return check.CheckMmapMaskedModule(m, mmapSyms...), nil
 	}
 	if instrument {
 		m = m.Clone()
@@ -109,27 +101,7 @@ func checkFile(path string, cfg check.Config, instrument, app bool, mmapSyms []s
 		compiler.SandboxModule(m)
 		compiler.CFIModule(m)
 	}
-	return m, check.CheckModule(m, cfg), nil
-}
-
-// printProofs runs the elision prover over an admissible module and
-// prints per-function proof counts (what the kernel's linked engine
-// would elide).
-func printProofs(m *vir.Module) {
-	proofs := check.ProveModule(m)
-	names := make([]string, 0, len(proofs))
-	for n := range proofs {
-		names = append(names, n)
-	}
-	sort.Strings(names)
-	if len(names) == 0 {
-		fmt.Println("  proofs: none (no provably redundant checks)")
-		return
-	}
-	for _, n := range names {
-		masks, cfis := proofs[n].Counts()
-		fmt.Printf("  proofs %s: masks=%d cfi=%d\n", n, masks, cfis)
-	}
+	return check.CheckModule(m, cfg), nil
 }
 
 func splitList(s string) []string {

@@ -35,6 +35,14 @@ func TestAdversarialCorpus(t *testing.T) {
 			want: nil,
 		},
 		{
+			// Redundant instrumentation — re-masks of one pointer in a
+			// loop and across a diamond, repeated cfi.callind through
+			// one target register — is still fully instrumented code.
+			file: "redundant.vir",
+			cfg:  Config{Label: 0xCF1},
+			want: nil,
+		},
+		{
 			// A mov of an unmasked register into a store address, and
 			// arithmetic on an already-masked pointer (add 0 included),
 			// both destroy the masking proof.

@@ -15,9 +15,10 @@ import (
 //   - a transfer function (how one instruction moves the state),
 //   - the worklist fixpoint over the CFG,
 //
-// — so new analyses (mask availability, dominating CFI checks,
-// ROADMAP item 3's superinstruction discovery) are a transfer function
-// and a join, not a new solver. The per-instruction facts are exposed
+// — so a new analysis is a transfer function and a join, not a new
+// solver. The admission checker's masking analysis and the
+// application-side mmap checker (appcheck.go) both run on it. The
+// per-instruction facts are exposed
 // by Replay, which streams the converged state through every block in
 // definition order: the visitor sees the exact in-fact of each
 // instruction without materializing O(instrs) state copies.
@@ -40,7 +41,7 @@ type Analysis[S any] interface {
 // Facts is the converged result of running an Analysis: one in-state
 // per basic block, plus reachability. Blocks the fixpoint never
 // reached are replayed from the entry state — conservative in both
-// directions (diagnostics still fire in dead code, proofs there claim
+// directions (diagnostics still fire in dead code, facts there claim
 // no more than the entry state supports), since "dead" is only as
 // trustworthy as the branch conditions around it.
 type Facts[S any] struct {

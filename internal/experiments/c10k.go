@@ -97,7 +97,7 @@ type cliConn struct {
 	idx     int
 	kind    int
 	file    string
-	est     bool   // connect completed (first POLLOUT seen)
+	est     bool // connect completed (first POLLOUT seen)
 	reqLeft int
 	token   string // sealed session token (connSession)
 	start   uint64 // cycles at request send

@@ -22,7 +22,7 @@ import (
 // Virtual parallelism is modeled by per-CPU busy-cycle attribution
 // (internal/kernel/epoch.go): the makespan is the busiest CPU's virtual
 // time, so spreading the same work over more CPUs raises throughput.
-// Host parallelism is real: with Kernel.SetHostParallel the epoch
+// Host parallelism is real: with repro.Options.HostParallel the epoch
 // scheduler runs the per-request user work (the AES sealing above all)
 // on concurrent host goroutines, with bit-identical virtual results —
 // CPUPoint.Fingerprint digests every deterministic output so tests and
@@ -66,10 +66,10 @@ type CPUPoint struct {
 }
 
 // CPUScaling measures ghost-webserver throughput on Virtual Ghost at
-// each CPU count in counts (nil = CPUCounts). Host parallelism follows
-// the kernel package default (vgbench/vgrun -hostpar).
+// each CPU count in counts (nil = CPUCounts), with serial epoch user
+// phases. CPUScalingCompare also runs the host-parallel sweep.
 func CPUScaling(sc Scale, counts []int) []CPUPoint {
-	return cpuScaling(sc, counts, kernel.DefaultHostParallel())
+	return cpuScaling(sc, counts, false)
 }
 
 func cpuScaling(sc Scale, counts []int, hostPar bool) []CPUPoint {

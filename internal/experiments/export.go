@@ -108,11 +108,6 @@ type BenchEntry struct {
 	HostAllocs     int64              `json:"host_allocs,omitempty"`
 	HostAllocBytes int64              `json:"host_alloc_bytes,omitempty"`
 	Metrics        map[string]float64 `json:"metrics"`
-	// HostParallel records whether epoch user phases ran on concurrent
-	// host goroutines (-hostpar). It can only change host_ns — every
-	// metric is bit-identical either way, and the cpu_scaling entry's
-	// equivalence check enforces that on every run.
-	HostParallel bool `json:"host_parallel,omitempty"`
 	// Breakdown attributes the measured virtual cycles per configuration
 	// (e.g. "null syscall/vghost") to cost tags (tag name -> cycles).
 	// Present for experiments that capture ledgers (Table 2/3/4).
@@ -125,11 +120,8 @@ type BenchEntry struct {
 //
 // v1 (implicit, reports without the field): date/scale/num_cpus/experiments.
 // v2: adds schema_version and optional per-entry breakdown maps.
-// v3: adds the check_elision entry (per-module masks_proven/cfi_proven
-// metrics, global masks_elided/cfi_elided/enabled/host_speedup_x).
-// v4: adds the superinstruction_fusion entry (global sites_fused/
-// ic_hits/ic_misses/enabled/host_speedup_x plus per-module
-// <name>/sites_fused metrics).
+// v3: adds the check_elision entry (removed in v7).
+// v4: adds the superinstruction_fusion entry (removed in v7).
 // v5: adds snapshot warm start — top-level boot_skipped_sec (host
 // seconds of boot work skipped by forking systems from a snapshot
 // bundle) and snapshot_bytes (encoded bundle size), plus the snap
@@ -138,7 +130,10 @@ type BenchEntry struct {
 // concurrent load: per-config peak_conns/requests/rps and
 // p50/p95/p99 virtual latency µs, adversary outcomes, and server-side
 // syn_drops/timeout_kills counters).
-const BenchSchemaVersion = 6
+// v7: drops the check_elision and superinstruction_fusion entries and
+// the per-entry host_parallel field (the engine knobs they reported are
+// gone: the linked engine always fuses and never elides).
+const BenchSchemaVersion = 7
 
 // BenchReport is the cross-PR perf trajectory record written by
 // `vgbench -json` as BENCH_<date>.json.

@@ -3,8 +3,6 @@ package experiments
 import (
 	"reflect"
 	"testing"
-
-	"repro/internal/kernel"
 )
 
 // These tests pin the host-parallel determinism contract: running epoch
@@ -59,14 +57,15 @@ func TestHostParallelCompare(t *testing.T) {
 }
 
 // TestHostParallelSecurityMatrix runs the full attack matrix with the
-// host-parallel default toggled on and requires row-for-row identical
-// outcomes — attacks ride the same kernels and must see the same
-// machine state regardless of host scheduling.
+// SMP vectors' machines on host-parallel epoch user phases and requires
+// row-for-row identical outcomes — attacks ride the same kernels and
+// must see the same machine state regardless of host scheduling.
 func TestHostParallelSecurityMatrix(t *testing.T) {
 	serial := SecurityMatrix()
-	old := kernel.SetDefaultHostParallel(true)
-	defer kernel.SetDefaultHostParallel(old)
-	parallel := SecurityMatrix()
+	parallel, err := securityMatrix(2, true, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
 	if !reflect.DeepEqual(serial, parallel) {
 		t.Fatalf("security matrix diverged under host parallelism:\nserial:   %+v\nparallel: %+v", serial, parallel)
 	}

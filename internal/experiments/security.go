@@ -23,40 +23,41 @@ const AgentPort = 2222
 func SecurityMatrix() []SecurityRow { return SecurityMatrixWithCPUs(2) }
 
 // securityVector is one registered attack vector: a stable selection
-// key (for `vgattack -only`) plus the function producing its row.
+// key (for `vgattack -only`) plus the function producing its row. smp
+// is the machine configuration the SMP vectors boot.
 type securityVector struct {
 	Key string
-	run func(ncpus int) SecurityRow
+	run func(smp repro.Options) SecurityRow
 }
 
 // securityVectors is the full suite, in report order. Keys are stable
 // CLI/JSON identifiers; the row's Attack field carries the display name.
 var securityVectors = []securityVector{
-	{"direct-read", func(int) SecurityRow { return rootkitRow("rootkit: direct read", attack.DirectRead) }},
-	{"sig-inject", func(int) SecurityRow { return rootkitRow("rootkit: signal inject", attack.SigInject) }},
-	{"mmu-remap", func(int) SecurityRow { return vectorRow("mmu remap", runMMURemap) }},
-	{"dma", func(int) SecurityRow { return vectorRow("dma", runDMA) }},
-	{"swap-inspect", func(int) SecurityRow { return vectorRow("swap inspect", runSwapInspect) }},
-	{"asm-module", func(int) SecurityRow {
+	{"direct-read", func(repro.Options) SecurityRow { return rootkitRow("rootkit: direct read", attack.DirectRead) }},
+	{"sig-inject", func(repro.Options) SecurityRow { return rootkitRow("rootkit: signal inject", attack.SigInject) }},
+	{"mmu-remap", func(repro.Options) SecurityRow { return vectorRow("mmu remap", runMMURemap) }},
+	{"dma", func(repro.Options) SecurityRow { return vectorRow("dma", runDMA) }},
+	{"swap-inspect", func(repro.Options) SecurityRow { return vectorRow("swap inspect", runSwapInspect) }},
+	{"asm-module", func(repro.Options) SecurityRow {
 		return vectorRow("inline-asm module", func(s *repro.System) (bool, string) {
 			r := attack.AsmModuleAttack(s.Kernel)
 			return r.Succeeded, r.Detail
 		})
 	}},
-	{"rop", func(int) SecurityRow {
+	{"rop", func(repro.Options) SecurityRow {
 		return vectorRow("kernel ROP", func(s *repro.System) (bool, string) {
 			r := attack.ROPAttack(s.Kernel, false)
 			return r.Succeeded, r.Detail
 		})
 	}},
-	{"fptr-hijack", func(int) SecurityRow {
+	{"fptr-hijack", func(repro.Options) SecurityRow {
 		return vectorRow("fptr hijack", func(s *repro.System) (bool, string) {
 			r := attack.ROPAttack(s.Kernel, true)
 			return r.Succeeded, r.Detail
 		})
 	}},
 	{"stale-tlb", staleTLBRow},
-	{"snap-tamper", func(int) SecurityRow { return vectorRow("snapshot tamper", runSnapTamper) }},
+	{"snap-tamper", func(repro.Options) SecurityRow { return vectorRow("snapshot tamper", runSnapTamper) }},
 }
 
 // SecurityVectorNames returns the valid `-only` keys, in suite order.
@@ -82,6 +83,12 @@ func SecurityMatrixWithCPUs(ncpus int) []SecurityRow {
 // vectors when keys is empty), preserving suite order. An unknown key
 // is an error that lists the valid names.
 func SecurityMatrixSelect(ncpus int, keys []string) ([]SecurityRow, error) {
+	return securityMatrix(ncpus, false, keys)
+}
+
+// securityMatrix is SecurityMatrixSelect with the SMP vectors' epoch
+// user phases optionally run on concurrent host goroutines.
+func securityMatrix(ncpus int, hostPar bool, keys []string) ([]SecurityRow, error) {
 	want := make(map[string]bool, len(keys))
 	for _, k := range keys {
 		found := false
@@ -97,23 +104,23 @@ func SecurityMatrixSelect(ncpus int, keys []string) ([]SecurityRow, error) {
 		}
 		want[k] = true
 	}
+	smp := repro.Options{Machine: hw.DefaultConfig(), HostParallel: hostPar}
+	smp.Machine.NumCPUs = ncpus
 	rows := make([]SecurityRow, 0, len(securityVectors))
 	for _, v := range securityVectors {
 		if len(want) > 0 && !want[v.Key] {
 			continue
 		}
-		rows = append(rows, v.run(ncpus))
+		rows = append(rows, v.run(smp))
 	}
 	return rows, nil
 }
 
 // staleTLBRow runs the SMP stale-TLB attack; unlike the other vectors
 // it needs a multi-CPU machine (a remote TLB to go stale).
-func staleTLBRow(ncpus int) SecurityRow {
+func staleTLBRow(smp repro.Options) SecurityRow {
 	run := func(mode repro.Mode) (bool, string) {
-		cfg := hw.DefaultConfig()
-		cfg.NumCPUs = ncpus
-		sys, err := repro.NewSystemWithOptions(mode, repro.Options{Machine: cfg})
+		sys, err := repro.NewSystemWithOptions(mode, smp)
 		if err != nil {
 			panic(err)
 		}

@@ -19,9 +19,8 @@ import (
 func bootEnginePair(t *testing.T, mode core.Mode) (*Kernel, *Kernel) {
 	t.Helper()
 	kL := bootKernel(t, mode)
-	kL.SetEngine(EngineLinked)
 	kR := bootKernel(t, mode)
-	kR.SetEngine(EngineReference)
+	kR.reference = true
 	return kL, kR
 }
 
@@ -173,5 +172,24 @@ entry:
 	}
 	if dL != dR {
 		t.Fatalf("clock divergence on panic: %d vs %d", dL, dR)
+	}
+}
+
+// TestKernelFusionStats checks that a booted kernel runs module code on
+// the fusing engine: its loop routines come out of the linker with
+// superinstructions, on every configuration.
+func TestKernelFusionStats(t *testing.T) {
+	for _, mode := range modes() {
+		k := bootKernel(t, mode)
+		const buf = 0xffffff8000100000 // kernel scratch
+		if err := k.KMemset(buf, 0x5a, 64); err != nil {
+			t.Fatalf("[%v] kmemset: %v", mode, err)
+		}
+		if _, err := k.KChecksum(buf, 64); err != nil {
+			t.Fatalf("[%v] kchecksum: %v", mode, err)
+		}
+		if st := k.engine.Fusion(); st.SitesFused == 0 {
+			t.Errorf("[%v] default-booted kernel fused no sites in its core loops", mode)
+		}
 	}
 }

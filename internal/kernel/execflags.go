@@ -5,24 +5,12 @@ import (
 	"strings"
 )
 
-// This file centralizes the validation of the engine-related
-// command-line flags shared by cmd/vgrun, cmd/vgbench and cmd/vgattack.
-// Each command used to parse and cross-check its own flags, which let
-// contradictory combinations slip through with different (or no)
-// diagnostics; ResolveExecFlags is now the single place that refuses
-// them, so every command reports the same clear error.
+// This file centralizes the validation of the execution flags shared
+// by cmd/vgrun, cmd/vgbench and cmd/vgattack, so every command refuses
+// a contradictory combination with the same clear error.
 
 // ExecFlags carries the raw flag values as the user typed them.
-// ElideSet/FuseSet record whether the flag appeared on the command line
-// at all (flag.Visit in the commands) — needed to tell "defaulted" from
-// "explicitly requested", which decides whether a combination is
-// contradictory or merely redundant.
 type ExecFlags struct {
-	Engine   string // -engine: "linked" | "reference" (empty means default)
-	Elide    string // -elide: "on" | "off" (empty means default)
-	ElideSet bool   // -elide appeared explicitly
-	Fuse     string // -fuse: "on" | "off" (empty means default)
-	FuseSet  bool   // -fuse appeared explicitly
 	HostPar  bool   // -hostpar
 	CPUs     int    // -cpus (validated against -hostpar)
 	Snapshot string // -snapshot: "save=PATH" | "use=PATH" (empty means off)
@@ -36,12 +24,9 @@ const (
 	SnapshotUse  = "use"
 )
 
-// ExecConfig is the validated execution configuration. Apply installs
-// it as the package defaults picked up by subsequently booted kernels.
+// ExecConfig is the validated execution configuration. HostPar is for
+// repro.Options.HostParallel.
 type ExecConfig struct {
-	Engine  EngineKind
-	Elide   bool
-	Fuse    bool
 	HostPar bool
 	// SnapshotMode is SnapshotOff, SnapshotSave or SnapshotUse;
 	// SnapshotPath is the image path. For SnapshotUse the image file
@@ -58,48 +43,12 @@ type ExecConfig struct {
 // ResolveExecFlags validates the flag combination and resolves it to a
 // configuration. Rejected combinations:
 //
-//   - -elide or -fuse passed explicitly with -engine=reference: the
-//     reference interpreter has no optimizing linker, so the request
-//     cannot be honoured and silently ignoring it would misreport what
-//     was measured;
 //   - -hostpar with -cpus <= 1: host-parallel phases need a multi-CPU
 //     machine;
-//   - malformed values (unknown engine names, -elide/-fuse values other
-//     than on/off).
+//   - malformed -snapshot values, an unusable use= image, and -replay
+//     without a recorded image to replay from.
 func ResolveExecFlags(f ExecFlags) (ExecConfig, error) {
-	var (
-		cfg ExecConfig
-		err error
-	)
-	if f.Engine == "" {
-		f.Engine = "linked"
-	}
-	if cfg.Engine, err = ParseEngine(f.Engine); err != nil {
-		return cfg, err
-	}
-	cfg.Elide = DefaultElision()
-	if f.Elide != "" {
-		if cfg.Elide, err = ParseElide(f.Elide); err != nil {
-			return cfg, err
-		}
-	}
-	cfg.Fuse = DefaultFusion()
-	if f.Fuse != "" {
-		if cfg.Fuse, err = ParseFuse(f.Fuse); err != nil {
-			return cfg, err
-		}
-	}
-	if cfg.Engine == EngineReference {
-		if f.ElideSet {
-			return cfg, fmt.Errorf("kernel: -elide only applies to the linked engine; drop -elide or use -engine=linked")
-		}
-		if f.FuseSet {
-			return cfg, fmt.Errorf("kernel: -fuse only applies to the linked engine; drop -fuse or use -engine=linked")
-		}
-		// Not requested, just defaulted: record the truth — the
-		// reference engine neither elides nor fuses.
-		cfg.Elide, cfg.Fuse = false, false
-	}
+	var cfg ExecConfig
 	if f.HostPar && f.CPUs <= 1 {
 		return cfg, fmt.Errorf("kernel: -hostpar needs multi-CPU machines; pass -cpus > 1")
 	}
@@ -141,13 +90,4 @@ func resolveSnapshotFlags(f ExecFlags, cfg *ExecConfig) error {
 		cfg.Replay = true
 	}
 	return nil
-}
-
-// Apply installs the configuration as the package defaults used by
-// subsequently booted kernels (SetDefaultEngine and friends).
-func (c ExecConfig) Apply() {
-	SetDefaultEngine(c.Engine)
-	SetDefaultElision(c.Elide)
-	SetDefaultFusion(c.Fuse)
-	SetDefaultHostParallel(c.HostPar)
 }

@@ -4,8 +4,6 @@ import (
 	"os"
 	"strings"
 	"testing"
-
-	"repro/internal/core"
 )
 
 func TestResolveExecFlags(t *testing.T) {
@@ -18,52 +16,17 @@ func TestResolveExecFlags(t *testing.T) {
 		{
 			name: "defaults",
 			in:   ExecFlags{CPUs: 1},
-			want: ExecConfig{Engine: EngineLinked, Elide: true, Fuse: true},
-		},
-		{
-			name: "linked with everything off",
-			in:   ExecFlags{Engine: "linked", Elide: "off", ElideSet: true, Fuse: "off", FuseSet: true, CPUs: 1},
-			want: ExecConfig{Engine: EngineLinked, Elide: false, Fuse: false},
-		},
-		{
-			name: "reference with defaulted optimizers records them off",
-			in:   ExecFlags{Engine: "reference", Elide: "on", Fuse: "on", CPUs: 1},
-			want: ExecConfig{Engine: EngineReference, Elide: false, Fuse: false},
-		},
-		{
-			name:    "explicit -elide with reference engine",
-			in:      ExecFlags{Engine: "reference", Elide: "on", ElideSet: true, CPUs: 1},
-			wantErr: "-elide only applies to the linked engine",
-		},
-		{
-			name:    "explicit -fuse with reference engine",
-			in:      ExecFlags{Engine: "reference", Fuse: "off", FuseSet: true, CPUs: 1},
-			wantErr: "-fuse only applies to the linked engine",
+			want: ExecConfig{},
 		},
 		{
 			name: "hostpar multi-cpu",
 			in:   ExecFlags{HostPar: true, CPUs: 4},
-			want: ExecConfig{Engine: EngineLinked, Elide: true, Fuse: true, HostPar: true},
+			want: ExecConfig{HostPar: true},
 		},
 		{
 			name:    "hostpar single-cpu",
 			in:      ExecFlags{HostPar: true, CPUs: 1},
 			wantErr: "-hostpar needs multi-CPU machines",
-		},
-		{
-			name:    "unknown engine",
-			in:      ExecFlags{Engine: "jit", CPUs: 1},
-			wantErr: "unknown engine",
-		},
-		{
-			name:    "malformed elide value",
-			in:      ExecFlags{Elide: "yes", ElideSet: true, CPUs: 1},
-			wantErr: "unknown elide setting",
-		},
-		{
-			name:    "malformed fuse value",
-			in:      ExecFlags{Fuse: "1", FuseSet: true, CPUs: 1},
-			wantErr: "unknown fuse setting",
 		},
 	}
 	for _, tc := range cases {
@@ -194,43 +157,4 @@ func TestResolveSnapshotFlags(t *testing.T) {
 			}
 		})
 	}
-}
-
-// TestExecConfigApply checks Apply installs (and a second Apply
-// restores) the package defaults kernels boot with.
-func TestExecConfigApply(t *testing.T) {
-	orig := ExecConfig{
-		Engine:  SetDefaultEngine(EngineLinked),
-		Elide:   DefaultElision(),
-		Fuse:    DefaultFusion(),
-		HostPar: DefaultHostParallel(),
-	}
-	SetDefaultEngine(orig.Engine)
-	defer orig.Apply()
-
-	cfg := ExecConfig{Engine: EngineReference, Elide: false, Fuse: false, HostPar: false}
-	cfg.Apply()
-	if DefaultElision() || DefaultFusion() || defaultEngine != EngineReference {
-		t.Errorf("Apply did not install defaults: elide=%v fuse=%v engine=%v",
-			DefaultElision(), DefaultFusion(), defaultEngine)
-	}
-}
-
-// TestKernelFusionStats boots a kernel and checks the fusion state is
-// visible through it: the core module's hot routines fuse sites, and
-// SetFusion(false) reports disabled.
-func TestKernelFusionStats(t *testing.T) {
-	k := bootKernel(t, core.ModeVirtualGhost)
-	st := k.FusionStats()
-	if !st.Enabled {
-		t.Error("fusion not enabled on a default-booted kernel")
-	}
-	if mf := k.ModuleFusion(); len(mf) > 0 && st.SitesFused == 0 {
-		t.Errorf("ModuleFusion reports %v but SitesFused is 0", mf)
-	}
-	k.SetFusion(false)
-	if k.FusionStats().Enabled {
-		t.Error("SetFusion(false) still reports enabled")
-	}
-	k.SetFusion(true)
 }

@@ -109,3 +109,15 @@ func TestSyscallProfile(t *testing.T) {
 		}
 	}
 }
+
+// TestEverySyscallHasAName checks that each syscall number a booted
+// kernel registers has a conventional name, so -breakdown and
+// SyscallProfile never print a bare "sys<num>" for a built-in call.
+func TestEverySyscallHasAName(t *testing.T) {
+	k := bootKernel(t, core.ModeNative)
+	for num := range k.syscalls {
+		if _, ok := syscallNames[num]; !ok {
+			t.Errorf("syscall %d has no name (prints as %s)", num, SyscallName(num))
+		}
+	}
+}

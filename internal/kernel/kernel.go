@@ -153,22 +153,16 @@ type Kernel struct {
 	// intrinsics.
 	modLogBuf []byte
 
-	// Module execution engines: the pre-linked engine (default) and the
-	// tree-walking reference interpreter, selected by engineKind. Both
-	// are per-kernel so step budgets and code caches follow the kernel's
-	// lifetime. modEnvs caches the module Env per address-space root so
+	// Module execution: the pre-linked engine, per kernel so step
+	// budgets and code caches follow the kernel's lifetime. reference
+	// routes module calls through the tree-walking reference
+	// interpreter instead; only the engine differential tests set it.
+	// modEnvs caches the module Env per address-space root so
 	// steady-state module calls allocate nothing on the host.
-	engineKind EngineKind
 	engine     *vir.Engine
+	reference  bool
 	refInterps map[vir.Env]*vir.Interp
 	modEnvs    map[hw.Frame]vir.Env
-
-	// moduleProofs records, per admitted module, how many mask/CFI
-	// instrumentation sites the admission checker proved redundant
-	// (see internal/compiler/check prove.go). The linked engine elides
-	// the host work of proven sites; the counts feed vgbench's BENCH
-	// elision report.
-	moduleProofs map[string]ProofCounts
 
 	// intrinsics is the kernel-service linkage table for module code,
 	// built once at boot (see modintr.go).
@@ -188,239 +182,9 @@ type Kernel struct {
 	sysProf map[uint64]*SyscallCycles
 }
 
-// EngineKind selects how the kernel executes module IR.
-type EngineKind int
-
-const (
-	// EngineLinked is the pre-linked engine (internal/vir/engine.go):
-	// functions are lowered once to a flat pre-resolved form.
-	EngineLinked EngineKind = iota
-	// EngineReference is the original tree-walking interpreter, kept as
-	// the semantic reference.
-	EngineReference
-)
-
-// String names the engine kind as accepted by ParseEngine.
-func (e EngineKind) String() string {
-	if e == EngineReference {
-		return "reference"
-	}
-	return "linked"
-}
-
-// ParseEngine converts a command-line engine name to an EngineKind.
-func ParseEngine(s string) (EngineKind, error) {
-	switch s {
-	case "linked":
-		return EngineLinked, nil
-	case "reference":
-		return EngineReference, nil
-	}
-	return EngineLinked, fmt.Errorf("kernel: unknown engine %q (want linked or reference)", s)
-}
-
-// defaultEngine is the engine new kernels boot with.
-var defaultEngine = EngineLinked
-
-// SetDefaultEngine changes the engine used by subsequently booted
-// kernels and returns the previous default. cmd/vgrun and cmd/vgbench
-// use it to honour their -engine flag.
-func SetDefaultEngine(e EngineKind) EngineKind {
-	old := defaultEngine
-	defaultEngine = e
-	return old
-}
-
-// SetEngine switches this kernel's module execution engine.
-func (k *Kernel) SetEngine(e EngineKind) { k.engineKind = e }
-
-// Engine reports which engine this kernel executes module IR with.
-func (k *Kernel) Engine() EngineKind { return k.engineKind }
-
-// defaultHostParallel is the host-parallelism setting new kernels boot
-// with (see SetDefaultHostParallel).
-var defaultHostParallel = false
-
-// SetDefaultHostParallel changes whether subsequently booted multi-CPU
-// kernels run their epoch user phases on concurrent host goroutines,
-// and returns the previous default. cmd/vgrun, cmd/vgbench and
-// cmd/vgattack use it to honour their -hostpar flag; like
-// SetDefaultEngine it exists so experiment helpers that boot kernels
-// internally (the security matrix, scaling sweeps) pick the mode up
-// without threading a parameter through every constructor.
-func SetDefaultHostParallel(on bool) bool {
-	old := defaultHostParallel
-	defaultHostParallel = on
-	return old
-}
-
-// DefaultHostParallel reports the current package default (what the
-// next Boot will use on a multi-CPU machine).
-func DefaultHostParallel() bool { return defaultHostParallel }
-
-// defaultElision is the proof-carrying check-elision setting new
-// kernels boot with. On by default: elision changes host work only —
-// every virtual number is bit-identical either way (the charges of a
-// proven-redundant site are still modeled).
-var defaultElision = true
-
-// SetDefaultElision changes whether subsequently booted kernels' linked
-// engines elide instrumentation sites the admission checker proved
-// redundant, and returns the previous default. cmd/vgrun and
-// cmd/vgbench use it to honour their -elide flag; off is the bisection
-// escape hatch when a host-speed regression needs to be attributed to
-// (or exonerated from) the optimizer.
-func SetDefaultElision(on bool) bool {
-	old := defaultElision
-	defaultElision = on
-	return old
-}
-
-// DefaultElision reports the current package default.
-func DefaultElision() bool { return defaultElision }
-
-// ParseElide converts a command-line -elide value ("on"|"off") to a
-// bool. A string flag rather than a bool one so misspellings are
-// refused loudly instead of silently defaulting.
-func ParseElide(s string) (bool, error) {
-	switch s {
-	case "on":
-		return true, nil
-	case "off":
-		return false, nil
-	}
-	return true, fmt.Errorf("kernel: unknown elide setting %q (want on or off)", s)
-}
-
-// SetElision switches this kernel's linked engine between eliding and
-// not eliding proven-redundant checks (flushing its linked-code cache).
-func (k *Kernel) SetElision(on bool) { k.engine.SetElide(on) }
-
-// defaultFusion is the superinstruction-fusion setting new kernels boot
-// with. On by default: like elision, fusion changes host work only —
-// fused charge lists are the exact concatenation of their constituents',
-// so every virtual number is bit-identical either way.
-var defaultFusion = true
-
-// SetDefaultFusion changes whether subsequently booted kernels' linked
-// engines fuse hot instruction idioms into superinstructions (and use
-// the monomorphic indirect-call inline caches), and returns the
-// previous default. cmd/vgrun and cmd/vgbench use it to honour their
-// -fuse flag; off is the bisection escape hatch, mirroring -elide.
-func SetDefaultFusion(on bool) bool {
-	old := defaultFusion
-	defaultFusion = on
-	return old
-}
-
-// DefaultFusion reports the current package default.
-func DefaultFusion() bool { return defaultFusion }
-
-// ParseFuse converts a command-line -fuse value ("on"|"off") to a bool.
-// A string flag rather than a bool one so misspellings are refused
-// loudly instead of silently defaulting.
-func ParseFuse(s string) (bool, error) {
-	switch s {
-	case "on":
-		return true, nil
-	case "off":
-		return false, nil
-	}
-	return true, fmt.Errorf("kernel: unknown fuse setting %q (want on or off)", s)
-}
-
-// SetFusion switches this kernel's linked engine between fusing and not
-// fusing hot idioms (flushing its linked-code cache).
-func (k *Kernel) SetFusion(on bool) { k.engine.SetFuse(on) }
-
-// FusionStats describes the kernel's superinstruction-fusion state:
-// whether the linked engine is fusing, how many idiom sites its linker
-// collapsed into superinstructions (cumulative over relinks), and the
-// monomorphic inline-cache hit/miss counts on indirect-call sites (all
-// zero when running the reference engine or -fuse=off).
-type FusionStats struct {
-	Enabled    bool
-	SitesFused uint64
-	ICHits     uint64
-	ICMisses   uint64
-}
-
-// FusionStats reports the kernel's current fusion state.
-func (k *Kernel) FusionStats() FusionStats {
-	fs := k.engine.Fusion()
-	return FusionStats{
-		Enabled:    k.engine.Fuse(),
-		SitesFused: fs.SitesFused,
-		ICHits:     fs.ICHits,
-		ICMisses:   fs.ICMisses,
-	}
-}
-
-// ModuleFusion returns, per loaded module, how many superinstruction
-// sites the engine's linker fused in that module's functions (module
-// name -> sites, cumulative over relinks, zero-count modules omitted).
-// Functions are matched by name, so modules sharing a function name
-// share its tally.
-func (k *Kernel) ModuleFusion() map[string]uint64 {
-	sites := k.engine.FuseSites()
-	out := make(map[string]uint64)
-	for _, mod := range k.modules {
-		var n uint64
-		for _, fn := range mod.fnNames {
-			n += sites[fn]
-		}
-		if n > 0 {
-			out[mod.Name] = n
-		}
-	}
-	return out
-}
-
-// ProofCounts is the per-module tally of instrumentation sites the
-// admission checker proved redundant at translation time.
-type ProofCounts struct {
-	Masks int // maskghost sites provably already-masked on all paths
-	CFIs  int // cfi.callind sites dominated by an equivalent check
-}
-
-// ModuleProofs returns the per-module proof tallies for every module
-// admitted so far (module name -> counts, zero-count modules omitted).
-func (k *Kernel) ModuleProofs() map[string]ProofCounts {
-	out := make(map[string]ProofCounts, len(k.moduleProofs))
-	for name, c := range k.moduleProofs {
-		out[name] = c
-	}
-	return out
-}
-
-// ElisionStats describes the kernel's check-elision state: whether the
-// linked engine is eliding, how many sites translation proved
-// redundant across all admitted modules, and how many sites the
-// engine's linker actually lowered to elided forms (cumulative over
-// relinks; zero when running the reference engine or -elide=off).
-type ElisionStats struct {
-	Enabled     bool
-	MasksProven int
-	CFIProven   int
-	MasksElided uint64
-	CFIElided   uint64
-}
-
-// ElisionStats reports the kernel's current elision state.
-func (k *Kernel) ElisionStats() ElisionStats {
-	st := ElisionStats{Enabled: k.engine.Elide()}
-	for _, c := range k.moduleProofs {
-		st.MasksProven += c.Masks
-		st.CFIProven += c.CFIs
-	}
-	es := k.engine.Elision()
-	st.MasksElided = es.MasksElided
-	st.CFIElided = es.CFIElided
-	return st
-}
-
 // SetHostParallel switches this kernel between serial and host-parallel
-// user phases. It only has an effect on multi-CPU machines (single-CPU
+// user phases; repro.NewSystemWithOptions applies Options.HostParallel
+// through it. It only has an effect on multi-CPU machines (single-CPU
 // kernels never run the epoch scheduler) and is safe to flip between
 // runs; every exported virtual number is identical in both modes.
 func (k *Kernel) SetHostParallel(on bool) { k.hostPar = on }
@@ -478,21 +242,16 @@ func Boot(hal core.HAL) (*Kernel, error) {
 		programs:     make(map[string]*Program),
 		planted:      make(map[uint64]PlantedFunc),
 		swappedGhost: make(map[int]map[hw.Virt][]byte),
-		engineKind:   defaultEngine,
 		engine:       vir.NewEngine(),
 		refInterps:   make(map[vir.Env]*vir.Interp),
 		modEnvs:      make(map[hw.Frame]vir.Env),
-		moduleProofs: make(map[string]ProofCounts),
 	}
-	k.engine.SetElide(defaultElision)
-	k.engine.SetFuse(defaultFusion)
 	k.cpus = make([]*cpuRun, k.M.NumCPUs())
 	for i := range k.cpus {
 		k.cpus[i] = &cpuRun{id: i}
 	}
 	k.lastCPU = len(k.cpus) - 1 // first schedStep starts at CPU 0
 	k.epochMode = len(k.cpus) > 1
-	k.hostPar = k.epochMode && defaultHostParallel
 	k.installIntrinsics()
 	hal.RegisterFrameSource(frameSource{m: k.M.Mem})
 	hal.RegisterTrapHandler(k.trapEntry)
@@ -652,10 +411,6 @@ type Module struct {
 	Name        string
 	Translation moduleTranslation
 	kernel      *Kernel
-	// fnNames lists the module's function names, recorded at load time
-	// so per-module fusion tallies (ModuleFusion) can be assembled from
-	// the engine's per-function counters.
-	fnNames []string
 	// irDigest is the SHA-256 of the module's canonical IR text,
 	// recorded at load time. The ordered (name, digest) list is the
 	// kernel's code-epoch identity: a snapshot taken on one kernel may
@@ -688,9 +443,6 @@ func (k *Kernel) LoadModule(m *vir.Module) (*Module, error) {
 	if err != nil {
 		return nil, err
 	}
-	for _, fn := range m.Funcs {
-		mod.fnNames = append(mod.fnNames, fn.Name)
-	}
 	mod.irDigest = sha256.Sum256([]byte(vir.FormatModule(m)))
 	k.modules = append(k.modules, mod)
 	return mod, nil
@@ -706,15 +458,6 @@ func (k *Kernel) admitModule(name string, tr moduleTranslation) (*Module, error)
 	}
 	if !tr.Verify() {
 		return nil, fmt.Errorf("kernel: module %q refused: translation signature mismatch", name)
-	}
-	// Record elision-proof tallies when the translation carries them
-	// (a type assertion so moduleTranslation stays minimal and fake
-	// translations in tests need not implement it).
-	if pc, ok := tr.(interface{ ProofCounts() (int, int) }); ok {
-		masks, cfis := pc.ProofCounts()
-		if masks+cfis > 0 {
-			k.moduleProofs[name] = ProofCounts{Masks: masks, CFIs: cfis}
-		}
 	}
 	return &Module{Name: name, Translation: tr, kernel: k}, nil
 }
@@ -735,7 +478,7 @@ func (k *Kernel) RunModuleFunc(mod *Module, fn string, args ...uint64) (uint64, 
 		root = k.cur.root
 	}
 	env := k.moduleEnv(root)
-	if k.engineKind == EngineReference {
+	if k.reference {
 		return k.refInterp(env).Call(f, args...)
 	}
 	return k.engine.Call(env, f, args...)

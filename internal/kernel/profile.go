@@ -73,6 +73,9 @@ var syscallNames = map[uint64]string{
 	SysLseek: "lseek", SysMkdir: "mkdir", SysRmdir: "rmdir",
 	SysStat: "stat", SysSbrk: "sbrk", SysSwapOut: "swapout",
 	SysRandom: "random", SysYield: "yield",
+	SysPollCreate: "pollcreate", SysPollCtl: "pollctl",
+	SysPollWait: "pollwait", SysNonblock: "nonblock",
+	SysSockTimeo: "socktimeo",
 }
 
 // SyscallName returns the conventional name for a syscall number, or

@@ -32,29 +32,12 @@ type Engine struct {
 	cache map[*Function]*linkedFn
 	epoch uint64
 
-	// elide enables proof-carrying check elision at link time: mask
-	// and CFI sites certified redundant by Function.Proofs lower to
-	// their host-cheap forms (charges unchanged). On by default;
-	// SetElide(false) is the bisection escape hatch.
-	elide bool
-	stats ElisionStats
-
 	// fuse enables the superinstruction fusion pass (fuse.go) and the
-	// monomorphic inline caches on indirect-call sites. On by default;
-	// SetFuse(false) is the bisection escape hatch, mirroring elide.
+	// monomorphic inline caches on indirect-call sites. Always on in
+	// production; SetFuse(false) exists for the differential tests and
+	// the fuse/no-fuse benchmark pairs.
 	fuse   bool
 	fstats FusionStats
-	// fuseSites tallies fused superinstruction sites per function name
-	// (cumulative over lowerings; feeds the kernel's per-module fusion
-	// counts).
-	fuseSites map[string]uint64
-	// profile, when installed via SetProfile, guides the fusion policy
-	// by per-function execution counts; nil means the static loop
-	// heuristic decides. profCounts retains call counts harvested from
-	// lowerings discarded by cache flushes, so Profile() spans the
-	// engine's whole life.
-	profile    map[string]uint64
-	profCounts map[string]uint64
 
 	// arena backs register frames and call argument vectors as a
 	// stack; sp is the high-water bump pointer.
@@ -65,64 +48,21 @@ type Engine struct {
 	active bool
 }
 
-// ElisionStats counts instrumentation sites the linker lowered to
-// their elided forms. Counts are cumulative over lowerings: relinking
-// after an epoch bump counts the sites again, mirroring the work the
-// linker actually did.
-type ElisionStats struct {
-	MasksElided uint64
-	CFIElided   uint64
-}
-
-// NewEngine creates an engine with the default step budget and both
-// optimizing tiers — proof-carrying elision and superinstruction
-// fusion — enabled.
+// NewEngine creates an engine with the default step budget and
+// superinstruction fusion enabled.
 func NewEngine() *Engine {
 	return &Engine{
-		MaxSteps:   50_000_000,
-		cache:      make(map[*Function]*linkedFn),
-		elide:      true,
-		fuse:       true,
-		fuseSites:  make(map[string]uint64),
-		profCounts: make(map[string]uint64),
+		MaxSteps: 50_000_000,
+		cache:    make(map[*Function]*linkedFn),
+		fuse:     true,
 	}
-}
-
-// flushCache discards every cached lowering, first folding the
-// lowerings' call counts into the retained execution profile so
-// Profile() survives epoch bumps and mode flips.
-func (e *Engine) flushCache() {
-	for fn, lf := range e.cache {
-		if lf.calls > 0 {
-			e.profCounts[fn.Name] += lf.calls
-		}
-	}
-	clear(e.cache)
 }
 
 // ResetCaches discards every cached lowering without changing any
-// setting (call counts fold into the retained profile first). Snapshot
-// restore calls it: re-linking against the restored kernel is pure
-// host-side work the virtual clock never sees, so a deterministic cold
-// start is always safe and never stale.
-func (e *Engine) ResetCaches() { e.flushCache() }
-
-// SetElide switches proof-carrying check elision on or off. Toggling
-// flushes the linked-code cache so the setting applies to everything
-// executed afterwards.
-func (e *Engine) SetElide(on bool) {
-	if e.elide == on {
-		return
-	}
-	e.elide = on
-	e.flushCache()
-}
-
-// Elide reports whether proof-carrying elision is enabled.
-func (e *Engine) Elide() bool { return e.elide }
-
-// Elision returns the cumulative elision counters.
-func (e *Engine) Elision() ElisionStats { return e.stats }
+// setting. Snapshot restore calls it: re-linking against the restored
+// kernel is pure host-side work the virtual clock never sees, so a
+// deterministic cold start is always safe and never stale.
+func (e *Engine) ResetCaches() { clear(e.cache) }
 
 // SetFuse switches superinstruction fusion and the indirect-call inline
 // caches on or off. Toggling flushes the linked-code cache so the
@@ -132,52 +72,12 @@ func (e *Engine) SetFuse(on bool) {
 		return
 	}
 	e.fuse = on
-	e.flushCache()
+	clear(e.cache)
 }
-
-// Fuse reports whether superinstruction fusion is enabled.
-func (e *Engine) Fuse() bool { return e.fuse }
 
 // Fusion returns the cumulative fusion counters: superinstruction
 // sites fused by the linker and inline-cache hits/misses.
 func (e *Engine) Fusion() FusionStats { return e.fstats }
-
-// FuseSites returns a copy of the per-function fused-site tallies
-// (function name -> superinstruction sites, cumulative over lowerings).
-func (e *Engine) FuseSites() map[string]uint64 {
-	out := make(map[string]uint64, len(e.fuseSites))
-	for name, n := range e.fuseSites {
-		out[name] = n
-	}
-	return out
-}
-
-// SetProfile installs (or, with nil, removes) an execution-count
-// profile guiding the fusion policy: functions at or above
-// FuseHotThreshold get the aggressive pass, everything else stays
-// unfused. The linked-code cache is flushed so the policy applies to
-// the next lowering of every function. A typical feedback loop harvests
-// Profile() from a run and installs it for the next.
-func (e *Engine) SetProfile(p map[string]uint64) {
-	e.profile = p
-	e.flushCache()
-}
-
-// Profile returns per-function execution counts observed by this
-// engine: frame entries per function name, including lowerings already
-// discarded by cache flushes.
-func (e *Engine) Profile() map[string]uint64 {
-	out := make(map[string]uint64, len(e.profCounts)+len(e.cache))
-	for name, n := range e.profCounts {
-		out[name] = n
-	}
-	for fn, lf := range e.cache {
-		if lf.calls > 0 {
-			out[fn.Name] += lf.calls
-		}
-	}
-	return out
-}
 
 // Call runs fn with the given arguments against env and returns its
 // return value. A re-entrant Call (a host intrinsic invoking module
@@ -186,7 +86,7 @@ func (e *Engine) Profile() map[string]uint64 {
 func (e *Engine) Call(env Env, fn *Function, args ...uint64) (uint64, error) {
 	if ce, ok := env.(CodeEpochs); ok {
 		if ep := ce.CodeEpoch(); ep != e.epoch {
-			e.flushCache()
+			clear(e.cache)
 			e.epoch = ep
 		}
 	}
@@ -251,7 +151,6 @@ func (e *Engine) run(env Env, clk *hw.Clock, lf *linkedFn, args []uint64, depth 
 	if len(args) != lf.fn.NParams {
 		return 0, fmt.Errorf("vir: %s wants %d args, got %d", lf.fn.Name, lf.fn.NParams, len(args))
 	}
-	lf.calls++ // execution-count profile (guides fusion; see Profile)
 	regs := e.carve(lf.fn.NRegs)
 	// Parameters overwrite the frame's head; only the remainder needs
 	// zeroing (the arena hands out dirty memory).
@@ -318,10 +217,6 @@ func (e *Engine) run(env Env, clk *hw.Clock, lf *linkedFn, args []uint64, depth 
 			}
 		case OpMaskGhost:
 			regs[in.dst] = MaskAddress(lval(regs, in.a))
-		case opMaskElided:
-			// Proven redundant: operand b already holds the masked
-			// value (charges unchanged, batched at the segment head).
-			regs[in.dst] = lval(regs, in.b)
 		case opFuncAddrImm:
 			regs[in.dst] = in.imm
 		case OpCFILabel:
@@ -517,11 +412,8 @@ func (e *Engine) run(env Env, clk *hw.Clock, lf *linkedFn, args []uint64, depth 
 			overridden = true
 			regs[in.dst] = 0
 
-		case OpCallInd, OpCFICallInd, opCFICallIndElided:
+		case OpCallInd, OpCFICallInd:
 			target := lval(regs, in.a)
-			// opCFICallIndElided carries the same charges but skips
-			// the host-side check its dominating predecessor already
-			// performed on this exact value.
 			if in.op == OpCFICallInd {
 				if err := cfiCheck(env, lf.fn.Name, target); err != nil {
 					return 0, err
@@ -695,8 +587,6 @@ func pureEval(regs []uint64, in *linkedInstr) {
 		}
 	case OpMaskGhost:
 		regs[in.dst] = MaskAddress(lval(regs, in.a))
-	case opMaskElided:
-		regs[in.dst] = lval(regs, in.b)
 	case opFuncAddrImm:
 		regs[in.dst] = in.imm
 	case OpCFILabel:

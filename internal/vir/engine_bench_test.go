@@ -78,161 +78,11 @@ func TestEngineTracingDisabledZeroAlloc(t *testing.T) {
 	}
 }
 
-// benchMaskSource is a mask-heavy loop: three memory ops per iteration
-// through the same pointer, so two of the three maskghost sites are
-// provably redundant — the shape the check prover certifies for
-// link-time elision.
-const benchMaskSource = `module bm
-func hot(2 params) {
-entry:
-  %r2 = mov 0x0
-  br loop
-loop:
-  %r3 = cmplt %r2, %r1
-  condbr %r3, body, done
-body:
-  %r4 = maskghost %r0
-  store8 [%r4], %r2
-  %r5 = maskghost %r0
-  %r6 = load8 [%r5]
-  %r7 = maskghost %r0
-  store8 [%r7], %r6
-  %r8 = add %r2, 0x1
-  %r2 = mov %r8
-  br loop
-done:
-  ret 0x0
-}
-`
-
-// benchMaskFn parses the mask-heavy loop and attaches the elision
-// certificate by hand — exactly what check.ProveFunction emits for
-// this code (the check package sits above vir and cannot be imported
-// here; prove_test.go in that package pins the equivalence).
-func benchMaskFn(b *testing.B) (*memEnv, *Function) {
-	b.Helper()
-	m, err := ParseModule(benchMaskSource)
-	if err != nil {
-		b.Fatal(err)
-	}
-	fn := m.Funcs[0]
-	proofs := &CheckProofs{}
-	proofs.AddMask("body", 2, 4)
-	proofs.AddMask("body", 4, 4)
-	fn.Proofs = proofs
-	env := newMemEnv()
-	env.addFunc(fn)
-	return env, fn
-}
-
-// BenchmarkEngineMaskLoopElide measures the linked engine on the
-// mask-heavy loop with proof-carrying elision on; compare with
-// BenchmarkEngineMaskLoopNoElide for the same code with the proofs
-// ignored. Virtual cycles are identical in both (the elided lowering
-// keeps the modeled charges); only host work differs.
-func BenchmarkEngineMaskLoopElide(b *testing.B)   { benchMaskLoop(b, true) }
-func BenchmarkEngineMaskLoopNoElide(b *testing.B) { benchMaskLoop(b, false) }
-
-func benchMaskLoop(b *testing.B, elide bool) {
-	env, fn := benchMaskFn(b)
-	eng := NewEngine()
-	eng.SetElide(elide)
-	if _, err := eng.Call(env, fn, 0x2000, 1000); err != nil {
-		b.Fatal(err)
-	}
-	if st := eng.Elision(); elide && st.MasksElided == 0 {
-		b.Fatal("elision enabled but nothing elided")
-	}
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := eng.Call(env, fn, 0x2000, 1000); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
-// benchCFISource hammers indirect calls through an unchanged target
-// register: three of the four cfi.callind checks per iteration are
-// dominated by the first. Eliding a CFI check saves real host work
-// (a range check plus a map lookup plus a flag test), unlike a mask —
-// this is where proof-carrying elision pays.
-const benchCFISource = `module bc
-func leaf(1 params) {
-entry:
-  ret %r0
-}
-func hot(1 params) {
-entry:
-  %r1 = funcaddr leaf
-  %r2 = mov 0x0
-  br loop
-loop:
-  %r3 = cmplt %r2, %r0
-  condbr %r3, body, done
-body:
-  %r4 = cfi.callind %r1(%r2)
-  %r5 = cfi.callind %r1(%r4)
-  %r6 = cfi.callind %r1(%r5)
-  %r7 = cfi.callind %r1(%r6)
-  %r8 = add %r2, 0x1
-  %r2 = mov %r8
-  br loop
-done:
-  ret 0x0
-}
-`
-
-// BenchmarkEngineCFILoopElide / NoElide: the linked engine on the
-// indirect-call loop with the dominance certificate honoured vs
-// ignored. Virtual cycles are identical; only the host-side re-checks
-// disappear.
-func BenchmarkEngineCFILoopElide(b *testing.B)   { benchCFILoop(b, true) }
-func BenchmarkEngineCFILoopNoElide(b *testing.B) { benchCFILoop(b, false) }
-
-func benchCFILoop(b *testing.B, elide bool) {
-	m, err := ParseModule(benchCFISource)
-	if err != nil {
-		b.Fatal(err)
-	}
-	env := newMemEnv()
-	var fn *Function
-	for _, g := range m.Funcs {
-		g.Labeled = true // parsed text lacks the translator's flag
-		env.addFunc(g)
-		if g.Name == "hot" {
-			fn = g
-		}
-	}
-	proofs := &CheckProofs{}
-	proofs.AddCFIDominated("body", 1)
-	proofs.AddCFIDominated("body", 2)
-	proofs.AddCFIDominated("body", 3)
-	fn.Proofs = proofs
-
-	eng := NewEngine()
-	eng.SetElide(elide)
-	if _, err := eng.Call(env, fn, 1000); err != nil {
-		b.Fatal(err)
-	}
-	if st := eng.Elision(); elide && st.CFIElided == 0 {
-		b.Fatal("elision enabled but nothing elided")
-	}
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := eng.Call(env, fn, 1000); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
 // benchFuseSource is a checksum-style loop built entirely of fusable
 // idioms: per iteration a cmp+condbr head, four const+ALU pairs, and an
 // add+br back-edge — every dispatch collapses into a superinstruction
 // when fusion is on (the BenchmarkEngineKChecksum-class shape; the
-// mask-pair win rides the MaskLoop benchmarks above, the inline-cache
-// win the ICLoop pair below).
+// inline-cache win rides the ICLoop pair below).
 const benchFuseSource = `module bf
 func hot(2 params) {
 entry:

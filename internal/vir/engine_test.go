@@ -689,10 +689,8 @@ func FuzzEngineDifferential(f *testing.F) {
 		"module io\nfunc drv(0 params) {\nentry:\n  %r0 = portin 0x60\n  portout 0x61, %r0\n  %r1 = funcaddr drv\n  %r2 = callind %r1(%r0)\n  ret %r2\n}\n",
 		"module c\nfunc rec(1 params) {\nentry:\n  %r1 = call rec(%r0)\n  ret %r1\n}\n",
 		"module s\nfunc spin(0 params) {\nentry:\n  br entry\n}\n",
-		// Redundant re-masks and a dominated indirect re-check: the
-		// shapes the check prover elides (fuzzed here with Proofs nil,
-		// i.e. the plain lowering; check's FuzzElisionDifferential
-		// covers the elided lowering).
+		// Redundant re-masks and a repeated indirect call through one
+		// unchanged target register.
 		"module r\nfunc h(1 params) {\nentry:\n  cfi.label 0xcf1\n  %r1 = maskghost %r0\n  store8 [%r1], 0x1\n  %r2 = maskghost %r0\n  %r3 = load8 [%r2]\n  %r4 = funcaddr h2\n  %r5 = cfi.callind %r4(%r3)\n  %r6 = cfi.callind %r4(%r5)\n  cfi.ret %r6\n}\nfunc h2(1 params) {\nentry:\n  cfi.label 0xcf1\n  cfi.ret %r0\n}\n",
 		// Fusable idioms in a hot (back-edged) function: cmp+condbr,
 		// add+br back-edge, const+ALU, and the call+ret pair — the
@@ -704,56 +702,80 @@ func FuzzEngineDifferential(f *testing.F) {
 	for _, s := range seeds {
 		f.Add(s)
 	}
+	// Admission-checker corpus modules: in-loop and diamond re-masks,
+	// repeated cfi.callind through one target, and mov/arithmetic on
+	// masked pointers.
+	for _, name := range []string{"redundant.vir", "clean.vir", "launder_mov.vir"} {
+		text, err := os.ReadFile(filepath.Join("../compiler/check/testdata", name))
+		if err != nil {
+			f.Fatal(err)
+		}
+		f.Add(string(text))
+	}
 	f.Fuzz(func(t *testing.T, text string) {
 		m, err := ParseModule(text)
 		if err != nil {
 			return
 		}
-		for _, fn := range m.Funcs {
-			if VerifyFunction(fn) != nil || fn.NParams > 2 || fn.NRegs > 1<<16 {
-				continue
-			}
-			fn := fn
-			args := []uint64{0x2000, 5}[:fn.NParams]
-
-			runFuzz := func(engine string) (diffOutcome, error) {
-				env := newMemEnv()
-				mc := m.Clone()
-				for _, g := range mc.Funcs {
-					env.addFunc(g)
-				}
-				stubIntrinsics(env)
-				target := mc.Func(fn.Name)
-				var (
-					ret  uint64
-					rerr error
-				)
-				if engine == "reference" {
-					ip := NewInterp(env)
-					ip.MaxSteps = 20_000
-					ret, rerr = ip.Call(target, args...)
-				} else {
-					eng := NewEngine()
-					eng.SetFuse(engine != "linked-nofuse")
-					eng.MaxSteps = 20_000
-					ret, rerr = eng.Call(env, target, args...)
-				}
-				return outcome(ret, rerr, env), rerr
-			}
-			ref, rerr := runFuzz("reference")
-			for _, engine := range []string{"linked", "linked-nofuse"} {
-				got, eerr := runFuzz(engine)
-				if got.ret != ref.ret || got.errStr != ref.errStr || got.cycles != ref.cycles {
-					t.Fatalf("engines diverge on %s (%s):\n  reference: ret=%#x err=%q cycles=%d\n  linked:    ret=%#x err=%q cycles=%d\nmodule:\n%s",
-						fn.Name, engine, ref.ret, ref.errStr, ref.cycles, got.ret, got.errStr, got.cycles, text)
-				}
-				if !reflect.DeepEqual(got.mem, ref.mem) || !reflect.DeepEqual(got.ports, ref.ports) {
-					t.Fatalf("engines diverge on %s (%s) state\nmodule:\n%s", fn.Name, engine, text)
-				}
-				if errors.Is(rerr, ErrStepLimit) != errors.Is(eerr, ErrStepLimit) {
-					t.Fatalf("ErrStepLimit identity diverges on %s (%s)\nmodule:\n%s", fn.Name, engine, text)
-				}
-			}
+		// Each function runs twice: as parsed, and with every function
+		// labeled the way the loader marks translated code, so
+		// cfi.callind and cfi.ret also take their success paths.
+		for _, labeled := range []bool{false, true} {
+			fuzzEngineDiff(t, m, text, labeled)
 		}
 	})
+}
+
+// fuzzEngineDiff is one FuzzEngineDifferential pass over m.
+func fuzzEngineDiff(t *testing.T, m *Module, text string, labeled bool) {
+	t.Helper()
+	for _, fn := range m.Funcs {
+		if VerifyFunction(fn) != nil || fn.NParams > 2 || fn.NRegs > 1<<16 {
+			continue
+		}
+		fn := fn
+		args := []uint64{0x2000, 5}[:fn.NParams]
+
+		runFuzz := func(engine string) (diffOutcome, error) {
+			env := newMemEnv()
+			mc := m.Clone()
+			for _, g := range mc.Funcs {
+				if labeled {
+					g.Labeled = true
+				}
+				env.addFunc(g)
+			}
+			stubIntrinsics(env)
+			target := mc.Func(fn.Name)
+			var (
+				ret  uint64
+				rerr error
+			)
+			if engine == "reference" {
+				ip := NewInterp(env)
+				ip.MaxSteps = 20_000
+				ret, rerr = ip.Call(target, args...)
+			} else {
+				eng := NewEngine()
+				eng.SetFuse(engine != "linked-nofuse")
+				eng.MaxSteps = 20_000
+				ret, rerr = eng.Call(env, target, args...)
+			}
+			return outcome(ret, rerr, env), rerr
+		}
+		ref, rerr := runFuzz("reference")
+		for _, engine := range []string{"linked", "linked-nofuse"} {
+			got, eerr := runFuzz(engine)
+			if got.ret != ref.ret || got.errStr != ref.errStr || got.cycles != ref.cycles {
+				t.Fatalf("engines diverge on %s (%s, labeled=%v):\n  reference: ret=%#x err=%q cycles=%d\n  linked:    ret=%#x err=%q cycles=%d\nmodule:\n%s",
+					fn.Name, engine, labeled, ref.ret, ref.errStr, ref.cycles, got.ret, got.errStr, got.cycles, text)
+			}
+			if !reflect.DeepEqual(got.mem, ref.mem) || !reflect.DeepEqual(got.ports, ref.ports) {
+				t.Fatalf("engines diverge on %s (%s, labeled=%v) state\nmodule:\n%s", fn.Name, engine, labeled, text)
+			}
+			if errors.Is(rerr, ErrStepLimit) != errors.Is(eerr, ErrStepLimit) {
+				t.Fatalf("ErrStepLimit identity diverges on %s (%s, labeled=%v)\nmodule:\n%s", fn.Name, engine, labeled, text)
+			}
+		}
+	}
 }

@@ -1,9 +1,8 @@
 package vir
 
 // This file is the superinstruction fusion pass of the pre-linked
-// engine — the second optimizing tier ROADMAP item 3 asks for, built on
-// the same contract as proof-carrying elision (link.go): host work may
-// shrink, but the virtual clock and every other observable must stay
+// engine. Its contract is the linker's (link.go): host work may shrink,
+// but the virtual clock and every other observable must stay
 // bit-identical to the reference interpreter.
 //
 // The pass runs between lowering (link pass 2) and segment accounting
@@ -37,15 +36,10 @@ package vir
 //     the segment head and the handler performs the ret's step check
 //     and charge on the way out (engine.go).
 //
-// Fusion is profile-guided. When the engine carries an execution-count
-// profile (SetProfile — e.g. harvested from a previous run via
-// Profile), a function gets the aggressive pass iff its observed call
-// count reaches FuseHotThreshold. Without a profile the policy falls
-// back to a static loop-depth heuristic: any function with a branch
-// back to an earlier block (loop depth >= 1) is presumed hot. Cold
-// functions skip the pass — they pay one dispatch per instruction
-// exactly as before, keeping link time and code shape simple where it
-// cannot pay off.
+// Only functions with a loop get the pass: a branch back to the same or
+// an earlier block (loop depth >= 1) marks a function hot. Cold
+// functions pay one dispatch per instruction, keeping link time and
+// code shape simple where fusion cannot pay off.
 
 // Fused pseudo-opcodes. They continue the linker's internal range
 // (link.go) and never appear in IR.
@@ -79,13 +73,10 @@ const (
 	opFusedCallRet
 )
 
-// FuseHotThreshold is the execution count at which a profiled function
-// is considered hot enough for the aggressive fusion pass.
-const FuseHotThreshold = 32
-
 // FusionStats counts the fusion tier's work: superinstruction sites the
-// linker fused (cumulative over lowerings, like ElisionStats) and
-// monomorphic inline-cache hits/misses on indirect-call sites.
+// linker fused (cumulative over lowerings: relinking after an epoch
+// bump counts the sites again) and monomorphic inline-cache hits/misses
+// on indirect-call sites.
 type FusionStats struct {
 	SitesFused uint64
 	ICHits     uint64
@@ -112,9 +103,9 @@ func isCmp(op Opcode) bool {
 	return false
 }
 
-// hasBackEdge is the static hotness heuristic used when no execution
-// profile is installed: a branch from a block to itself or an earlier
-// block means a loop, and loops are where saved dispatches multiply.
+// hasBackEdge is the fusion policy's hotness test: a branch from a
+// block to itself or an earlier block means a loop, and loops are where
+// saved dispatches multiply.
 func hasBackEdge(fn *Function) bool {
 	index := make(map[string]int, len(fn.Blocks))
 	for i, b := range fn.Blocks {
@@ -136,19 +127,6 @@ func hasBackEdge(fn *Function) bool {
 		}
 	}
 	return false
-}
-
-// shouldFuse decides whether fn gets the aggressive fusion pass: the
-// installed execution-count profile when one exists, the static
-// loop-depth heuristic otherwise.
-func (e *Engine) shouldFuse(fn *Function) bool {
-	if !e.fuse {
-		return false
-	}
-	if e.profile != nil {
-		return e.profile[fn.Name] >= FuseHotThreshold
-	}
-	return hasBackEdge(fn)
 }
 
 // fusePair builds the superinstruction for the idiom (a, b), or returns
@@ -216,7 +194,6 @@ func concatCharges(a, b []tagCharge) []tagCharge {
 // untouched.
 func (e *Engine) fusePass(lf *linkedFn, isStart []bool) {
 	code := lf.code
-	n := 0
 	for i := 0; i+1 < len(code); i++ {
 		if isStart[i+1] {
 			continue
@@ -227,12 +204,8 @@ func (e *Engine) fusePass(lf *linkedFn, isStart []bool) {
 		}
 		code[i] = fi
 		code[i+1] = linkedInstr{op: opFusedGap}
-		n++
+		e.fstats.SitesFused++
 		i++ // the consumed slot cannot start another pair
-	}
-	if n > 0 {
-		e.fstats.SitesFused += uint64(n)
-		e.fuseSites[lf.fn.Name] += uint64(n)
 	}
 }
 

@@ -11,8 +11,8 @@ import (
 // caches (fuse.go). The differential harness (runDiff) already runs
 // every diff test with fusion on AND off against the reference
 // interpreter; this file pins the pass's mechanics: which idioms fuse,
-// exact cycle counts when the step budget lands mid-idiom, inline-cache
-// hit/miss/invalidation behavior, and the profile-guided policy.
+// exact cycle counts when the step budget lands mid-idiom, and
+// inline-cache hit/miss/invalidation behavior.
 
 // fuseAllIdiomsSource contains every fusable idiom exactly once per
 // location: cmp+condbr (head), const+ALU, mask+store, mask+load,
@@ -82,7 +82,14 @@ func TestFusionPatterns(t *testing.T) {
 	if _, err := eng.Call(env, fn, 5); err != nil {
 		t.Fatal(err)
 	}
-	sites := eng.FuseSites()
+	sites := make(map[string]int)
+	for f, lf := range eng.cache {
+		for i := range lf.code {
+			if len(lf.code[i].fused) > 0 {
+				sites[f.Name]++
+			}
+		}
+	}
 	if sites["hot"] != 6 {
 		t.Errorf("hot fused %d sites, want 6 (cmp+br, const+mul, mask+store, mask+load, add+br, call+ret)", sites["hot"])
 	}
@@ -130,13 +137,16 @@ func TestFusedGapSegmentInvariants(t *testing.T) {
 	}
 }
 
-// TestFusionStepLimitExactCycles is the satellite exact-cycle check for
-// the step-limit slow path at fused sites: a straight-line function of
-// five 1-cycle ALU steps (two of them fused const+ALU pairs) and a
-// 4-cycle ret. For every budget m that expires mid-code — including
-// budgets landing exactly in the middle of a fused idiom — both engines
-// and the reference must charge exactly m cycles; with the budget
-// sufficient, exactly the full 5*CostALU + CostCall.
+// TestFusionStepLimitExactCycles is the exact-cycle check for the
+// step-limit slow path at fused sites: a function of five 1-cycle ALU
+// steps (two of them fused const+ALU pairs) and a 4-cycle ret. For
+// every budget m that expires mid-code — including budgets landing
+// exactly in the middle of a fused idiom — both engines and the
+// reference must charge exactly m cycles; with the budget sufficient,
+// exactly the full 5*CostALU + CostCall. An unreachable self-loop block
+// gives the function the back edge that makes the linker fuse it; it
+// never runs, so the cycle arithmetic is that of the straight-line
+// entry block.
 func TestFusionStepLimitExactCycles(t *testing.T) {
 	build := func() *Function {
 		return &Function{Name: "sl", NParams: 0, NRegs: 5, Blocks: []*Block{
@@ -147,6 +157,9 @@ func TestFusionStepLimitExactCycles(t *testing.T) {
 				{Op: OpConst, Dst: 3, Imm: 4}, // fuses with the mul
 				{Op: OpMul, Dst: 4, A: R(2), B: R(3)},
 				{Op: OpRet, A: R(4)},
+			}},
+			{Name: "spin", Instrs: []Instr{
+				{Op: OpBr, Blk1: "spin"},
 			}},
 		}}
 	}
@@ -161,14 +174,11 @@ func TestFusionStepLimitExactCycles(t *testing.T) {
 		ip.MaxSteps = m
 		rv, rerr := ip.Call(refFn)
 
-		// Engine, fusion forced on via an installed profile (the
-		// function is straight-line, so the static heuristic alone
-		// would leave it cold).
+		// Engine, fusion on.
 		engEnv := newMemEnv()
 		engFn := build()
 		engEnv.addFunc(engFn)
 		eng := NewEngine()
-		eng.SetProfile(map[string]uint64{"sl": FuseHotThreshold})
 		eng.MaxSteps = m
 		ev, eerr := eng.Call(engEnv, engFn)
 
@@ -319,63 +329,6 @@ func TestInlineCachePolymorphicSite(t *testing.T) {
 	}
 	if st := eng.Fusion(); st.ICHits != 0 || st.ICMisses != 10 {
 		t.Errorf("alternating targets: hits=%d misses=%d, want 0 and 10", st.ICHits, st.ICMisses)
-	}
-}
-
-// TestProfileGuidedFusion pins the policy: a straight-line function is
-// cold under the static heuristic, becomes hot when an installed
-// profile says it runs often, and Profile() harvests the counts that
-// close that feedback loop — surviving cache flushes.
-func TestProfileGuidedFusion(t *testing.T) {
-	env := newMemEnv()
-	f := &Function{Name: "sl2", NParams: 0, NRegs: 4, Blocks: []*Block{
-		{Name: "entry", Instrs: []Instr{
-			{Op: OpConst, Dst: 0, Imm: 7},
-			{Op: OpAdd, Dst: 1, A: R(0), B: Imm(1)},
-			{Op: OpConst, Dst: 2, Imm: 3},
-			{Op: OpMul, Dst: 3, A: R(1), B: R(2)},
-			{Op: OpRet, A: R(3)},
-		}},
-	}}
-	env.addFunc(f)
-
-	eng := NewEngine()
-	const runs = 40
-	for i := 0; i < runs; i++ {
-		if _, err := eng.Call(env, f); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if n := eng.FuseSites()["sl2"]; n != 0 {
-		t.Errorf("static heuristic fused a straight-line function: %d sites", n)
-	}
-
-	p := eng.Profile()
-	if p["sl2"] != runs {
-		t.Errorf("Profile()[sl2] = %d, want %d", p["sl2"], runs)
-	}
-
-	// Feed the harvested profile back: now it is hot.
-	eng.SetProfile(p)
-	if _, err := eng.Call(env, f); err != nil {
-		t.Fatal(err)
-	}
-	if n := eng.FuseSites()["sl2"]; n != 2 {
-		t.Errorf("profiled relink fused %d sites, want 2", n)
-	}
-	// The profile survives the flush SetProfile performed.
-	if p2 := eng.Profile(); p2["sl2"] < runs {
-		t.Errorf("Profile() lost flushed counts: %d < %d", p2["sl2"], runs)
-	}
-
-	// A below-threshold profile keeps it cold.
-	eng2 := NewEngine()
-	eng2.SetProfile(map[string]uint64{"sl2": FuseHotThreshold - 1})
-	if _, err := eng2.Call(env, f); err != nil {
-		t.Fatal(err)
-	}
-	if n := eng2.FuseSites()["sl2"]; n != 0 {
-		t.Errorf("below-threshold profile still fused %d sites", n)
 	}
 }
 

@@ -167,13 +167,6 @@ type Function struct {
 	Sandboxed  bool
 	MmapMasked bool
 	Translated bool
-
-	// Proofs is the admission checker's elision certificate for this
-	// exact instruction stream (see proofs.go); nil when nothing was
-	// proven or the function never went through admission. Clone drops
-	// it deliberately: clones exist to be transformed, and a proof is
-	// only valid for the instruction stream it was computed on.
-	Proofs *CheckProofs
 }
 
 // Entry returns the entry block.

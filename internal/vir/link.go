@@ -63,17 +63,6 @@ const (
 	// opUnimpl: an opcode the linker does not know; reproduces the
 	// reference "unimplemented opcode" error at execution time.
 	opUnimpl
-	// opMaskElided: an OpMaskGhost the admission checker proved
-	// redundant (Function.Proofs): register b already holds the masked
-	// value, so the host work collapses to a register copy. The
-	// modeled charge is unchanged — virtual cycles are charged for the
-	// mask the virtual machine still "executes".
-	opMaskElided
-	// opCFICallIndElided: an OpCFICallInd whose target provably passed
-	// an equivalent CFI check earlier on all paths. Identical to
-	// OpCFICallInd minus the host-side cfiCheck call; charges
-	// unchanged.
-	opCFICallIndElided
 )
 
 // linkedInstr is one lowered instruction. Branch targets are code
@@ -130,14 +119,10 @@ type tagCharge struct {
 	n   uint64
 }
 
-// linkedFn is a function lowered to a flat code array. calls counts
-// frame entries since this lowering — the raw material of the
-// execution-count profile that guides fusion (Engine.Profile folds the
-// counts of flushed lowerings into its retained profile).
+// linkedFn is a function lowered to a flat code array.
 type linkedFn struct {
-	fn    *Function
-	code  []linkedInstr
-	calls uint64
+	fn   *Function
+	code []linkedInstr
 }
 
 // Shared per-opcode charge slices: every linkedInstr of a given shape
@@ -166,7 +151,7 @@ func instrCharges(op Opcode) []tagCharge {
 		OpShl, OpShr, OpCmpEQ, OpCmpNE, OpCmpLT, OpCmpGE, OpSelect,
 		opFuncAddrImm:
 		return chargeALU
-	case OpMaskGhost, opMaskElided:
+	case OpMaskGhost:
 		return chargeMask
 	case OpCFILabel:
 		return chargeLabel
@@ -174,7 +159,7 @@ func instrCharges(op Opcode) []tagCharge {
 		return chargeBranch
 	case OpCall, opCallIntrinsic, opCorruptReturn, OpCallInd, OpRet:
 		return chargeCall
-	case OpCFICallInd, opCFICallIndElided, OpCFIRet:
+	case OpCFICallInd, OpCFIRet:
 		return chargeCFICall
 	}
 	return nil
@@ -188,7 +173,7 @@ func endsSegment(op Opcode) bool {
 	switch op {
 	case OpConst, OpMov, OpAdd, OpSub, OpMul, OpAnd, OpOr, OpXor,
 		OpShl, OpShr, OpCmpEQ, OpCmpNE, OpCmpLT, OpCmpGE, OpSelect,
-		OpMaskGhost, opMaskElided, OpCFILabel, opFuncAddrImm,
+		OpMaskGhost, OpCFILabel, opFuncAddrImm,
 		opFusedConstALU:
 		return false
 	}
@@ -234,15 +219,14 @@ func (e *Engine) link(env Env, fn *Function) *linkedFn {
 		}
 	}
 
-	// Pass 2.5: superinstruction fusion, when the profile (or the loop
-	// heuristic) marks the function hot. Runs before segment accounting
-	// so fused charge lists and step weights batch exactly like their
-	// constituents would have.
+	// Pass 2.5: superinstruction fusion of functions with a loop.
+	// Runs before segment accounting so fused charge lists and step
+	// weights batch exactly like their constituents would have.
 	isStart := make([]bool, len(lf.code))
 	for _, b := range fn.Blocks {
 		isStart[starts[b.Name]] = true
 	}
-	if e.shouldFuse(fn) {
+	if e.fuse && hasBackEdge(fn) {
 		e.fusePass(lf, isStart)
 	}
 
@@ -327,29 +311,9 @@ func (e *Engine) lower(env Env, fn *Function, b *Block, idx int, starts map[stri
 			li.op = opFuncAddrImm
 			li.imm = addr
 		}
-	case OpMaskGhost:
-		// Proof-carrying elision: when the admission checker proved a
-		// register already holds the masked value on every path, the
-		// mask collapses to a copy from it (operand b). Charges stay
-		// those of the mask — the virtual machine still executes it.
-		if e.elide {
-			if p, ok := fn.Proofs.MaskAt(b.Name, idx); ok {
-				li.op = opMaskElided
-				li.b = R(p.CopyFrom)
-				e.stats.MasksElided++
-			}
-		}
-	case OpCFICallInd:
-		// Dominated CFI check: the target value already passed an
-		// identical check on every path, so the host-side re-check is
-		// skipped. Charges stay those of the checked call.
-		if e.elide && fn.Proofs.CFIDominatedAt(b.Name, idx) {
-			li.op = opCFICallIndElided
-			e.stats.CFIElided++
-		}
 	case OpConst, OpMov, OpAdd, OpSub, OpMul, OpAnd, OpOr, OpXor,
 		OpShl, OpShr, OpCmpEQ, OpCmpNE, OpCmpLT, OpCmpGE, OpSelect,
-		OpLoad, OpStore, OpMemcpy, OpCallInd,
+		OpLoad, OpStore, OpMemcpy, OpCallInd, OpCFICallInd, OpMaskGhost,
 		OpRet, OpCFIRet, OpPortIn, OpPortOut, OpCFILabel:
 		// Lowered as-is.
 	default:
