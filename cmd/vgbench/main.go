@@ -13,13 +13,11 @@ import (
 	"os"
 	"runtime"
 	"runtime/pprof"
+	"slices"
 	"strings"
 	"time"
 
-	"repro"
 	"repro/internal/experiments"
-	"repro/internal/hw"
-	"repro/internal/kernel"
 )
 
 func main() {
@@ -30,30 +28,14 @@ func main() {
 	csvDir := flag.String("csv", "", "also write machine-readable results to this directory")
 	jsonOut := flag.Bool("json", false, "also write BENCH_<date>.json with overheads, host ns, and host allocs per experiment")
 	breakdown := flag.Bool("breakdown", false, "print per-tag cycle attribution under Table 2/3/4")
-	traceOut := flag.String("trace", "", "record tagged charge events and write a Chrome trace_event JSON file at exit")
-	snapshotFlag := flag.String("snapshot", "", "save=PATH writes a post-boot snapshot bundle; use=PATH warm-starts every measurement system from one (virtual numbers identical either way)")
-	replayFlag := flag.Bool("replay", false, "serve recorded nondeterministic inputs from the snapshot image (needs -snapshot use= of a recorded image)")
 	cpuProfile := flag.String("cpuprofile", "", "write a CPU profile to this file")
 	memProfile := flag.String("memprofile", "", "write an allocation profile to this file at exit")
 	flag.Parse()
 
-	if *only != "" && !validExperiments[*only] {
+	if *only != "" && !slices.Contains(experimentNames, *only) {
 		fmt.Fprintf(os.Stderr, "unknown experiment %q (valid: %s)\n",
 			*only, strings.Join(experimentNames, ", "))
 		os.Exit(2)
-	}
-	execCfg, err := kernel.ResolveExecFlags(kernel.ExecFlags{CPUs: *cpus, Snapshot: *snapshotFlag, Replay: *replayFlag})
-	if err != nil {
-		fmt.Fprintln(os.Stderr, err)
-		os.Exit(2)
-	}
-
-	var tracer *hw.Tracer
-	if *traceOut != "" {
-		// Every system the experiments boot attaches the default tracer,
-		// so the trace spans all measurements of the run.
-		tracer = hw.NewTracer(hw.DefaultTraceCapacity)
-		hw.SetDefaultTracer(tracer)
 	}
 
 	if *cpuProfile != "" {
@@ -94,44 +76,6 @@ func main() {
 		HostCPUs:      runtime.NumCPU(),
 	}
 
-	// -snapshot save= writes a post-boot bundle and keeps measuring (a
-	// save run's numbers double as the cold baseline). -snapshot use=
-	// loads one and warm-starts every default-configuration measurement
-	// system from it; virtual numbers are bit-identical either way, so
-	// only the skipped host boot time changes, and that is measured and
-	// reported rather than silently absorbed.
-	var warm *experiments.WarmStart
-	coldBootSec := 0.0
-	switch execCfg.SnapshotMode {
-	case kernel.SnapshotSave:
-		n, err := experiments.SaveSnapBundle(execCfg.SnapshotPath)
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "snapshot save: %v\n", err)
-			os.Exit(1)
-		}
-		report.SnapshotBytes = n
-		fmt.Printf("wrote snapshot bundle %s (+.vg, +.shadow): %d bytes\n", execCfg.SnapshotPath, n)
-	case kernel.SnapshotUse:
-		// Price one cold boot per configuration first: the per-boot host
-		// cost is what each warm fork skips.
-		modes := []repro.Mode{repro.Native, repro.VirtualGhost, repro.Shadow}
-		start := time.Now()
-		for _, m := range modes {
-			if _, err := repro.NewSystem(m); err != nil {
-				fmt.Fprintf(os.Stderr, "boot probe: %v\n", err)
-				os.Exit(1)
-			}
-		}
-		coldBootSec = time.Since(start).Seconds() / float64(len(modes))
-		w, err := experiments.UseSnapBundle(execCfg.SnapshotPath)
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "snapshot use: %v\n", err)
-			os.Exit(1)
-		}
-		w.Install()
-		warm = w
-		report.SnapshotBytes = w.Bytes()
-	}
 	// timed runs one experiment and captures its host cost: wall clock
 	// plus allocation count/bytes (MemStats deltas, so they include
 	// everything the simulator allocated while producing the result).
@@ -350,11 +294,6 @@ func main() {
 		}
 		record("snapshot_differential", ns, allocs, ab, metrics)
 	}
-	if warm != nil {
-		report.BootSkippedSec = coldBootSec * float64(warm.TotalServed())
-		fmt.Printf("warm start: %d systems forked from %s; ~%.2fs of host boot time skipped (%.4fs/boot)\n",
-			warm.TotalServed(), execCfg.SnapshotPath, report.BootSkippedSec, coldBootSec)
-	}
 	if *jsonOut {
 		path := "BENCH_" + report.Date + ".json"
 		if err := experiments.WriteBenchJSON(path, report); err != nil {
@@ -362,24 +301,6 @@ func main() {
 			os.Exit(1)
 		}
 		fmt.Printf("wrote %s\n", path)
-	}
-
-	if tracer != nil {
-		f, err := os.Create(*traceOut)
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "trace: %v\n", err)
-			os.Exit(1)
-		}
-		if err := tracer.WriteChromeTrace(f); err != nil {
-			fmt.Fprintf(os.Stderr, "trace: %v\n", err)
-			os.Exit(1)
-		}
-		if err := f.Close(); err != nil {
-			fmt.Fprintf(os.Stderr, "trace: %v\n", err)
-			os.Exit(1)
-		}
-		fmt.Printf("wrote %s (%d events kept, %d dropped)\n",
-			*traceOut, len(tracer.Events()), tracer.Dropped())
 	}
 
 	if *memProfile != "" {
@@ -399,14 +320,6 @@ func main() {
 
 // experimentNames are the valid -only values, in run order.
 var experimentNames = []string{"t2", "t3", "t4", "f2", "f3", "f4", "t5", "sec", "cpu", "c10k", "snap"}
-
-var validExperiments = func() map[string]bool {
-	m := make(map[string]bool, len(experimentNames))
-	for _, n := range experimentNames {
-		m[n] = true
-	}
-	return m
-}()
 
 // fileRateBreakdowns builds the JSON breakdown map for a Table 3/4 run.
 func fileRateBreakdowns(op string, rows []experiments.FileRateRow) map[string]map[string]uint64 {

@@ -8,7 +8,8 @@
 // The suite enforces the source-level discipline behind the
 // bit-identical-numbers contract: tagged cycle accounting only
 // (rawadvance), no host time or host randomness in the simulation core
-// (nodeterm), and no map-order-dependent output (maprange).
+// (nodeterm), no map-order-dependent output (maprange), and no writes
+// to package-level variables outside init (globalwrite).
 package main
 
 import (

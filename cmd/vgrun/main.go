@@ -10,6 +10,7 @@ import (
 	"flag"
 	"fmt"
 	"os"
+	"strings"
 
 	"repro"
 	"repro/internal/apps/lmbench"
@@ -33,16 +34,10 @@ func main() {
 	replayFlag := flag.Bool("replay", false, "serve the image's recorded nondeterministic inputs back to the workload (needs -snapshot use= of a recorded image)")
 	flag.Parse()
 
-	execCfg, err := kernel.ResolveExecFlags(kernel.ExecFlags{HostPar: *hostpar, CPUs: *cpus, Snapshot: *snapshotFlag, Replay: *replayFlag})
+	plan, err := checkFlags(*cpus, *hostpar, *snapshotFlag, *replayFlag)
 	if err != nil {
 		fmt.Fprintln(os.Stderr, err)
 		os.Exit(2)
-	}
-
-	var tracer *hw.Tracer
-	if *traceOut != "" {
-		tracer = hw.NewTracer(hw.DefaultTraceCapacity)
-		hw.SetDefaultTracer(tracer)
 	}
 
 	var mode repro.Mode
@@ -59,7 +54,7 @@ func main() {
 	}
 	cfg := hw.DefaultConfig()
 	cfg.NumCPUs = *cpus
-	sys, err := repro.NewSystemWithOptions(mode, repro.Options{Machine: cfg, HostParallel: execCfg.HostPar})
+	sys, err := repro.NewSystemWithOptions(mode, repro.Options{Machine: cfg, HostParallel: *hostpar})
 	if err != nil {
 		fmt.Fprintln(os.Stderr, err)
 		os.Exit(1)
@@ -76,29 +71,31 @@ func main() {
 		recorder *snapshot.Recorder
 		replayer *snapshot.Replayer
 		saveImg  *snapshot.Image
-		recImage *snapshot.Image
 	)
-	switch execCfg.SnapshotMode {
-	case kernel.SnapshotSave:
+	switch {
+	case plan.save != "":
 		img, err := snapshot.Capture(sys)
 		if err != nil {
 			fatal(err)
 		}
 		saveImg = img
 		recorder = snapshot.StartRecording(sys)
-	case kernel.SnapshotUse:
-		img, err := snapshot.Load(execCfg.SnapshotPath)
-		if err != nil {
+	case plan.image != nil:
+		if err := snapshot.Restore(sys, plan.image); err != nil {
 			fatal(err)
 		}
-		if err := snapshot.Restore(sys, img); err != nil {
-			fatal(err)
+		fmt.Printf("restored %s at %d cycles\n", plan.use, k.M.Clock.Cycles())
+		if plan.replay {
+			replayer = snapshot.StartReplay(sys, plan.image.Record)
 		}
-		fmt.Printf("restored %s at %d cycles\n", execCfg.SnapshotPath, k.M.Clock.Cycles())
-		if execCfg.Replay {
-			recImage = img
-			replayer = snapshot.StartReplay(sys, img.Record)
-		}
+	}
+
+	// The tracer attaches after boot (and any restore), so the trace
+	// covers exactly the workload whose virtual time is printed below.
+	var tracer *hw.Tracer
+	if *traceOut != "" {
+		tracer = hw.NewTracer(hw.DefaultTraceCapacity)
+		sys.Machine.Clock.AttachTracer(tracer)
 	}
 
 	start := k.M.Clock.Cycles()
@@ -147,7 +144,7 @@ func main() {
 	if replayer != nil {
 		replayer.Pump()
 		rngLeft, netLeft := replayer.Remaining()
-		rec := recImage.Record
+		rec := plan.image.Record
 		fmt.Printf("replay: served %d/%d rng draws, %d/%d net events\n",
 			len(rec.RNGDraws)-rngLeft, len(rec.RNGDraws),
 			len(rec.NetEvents)-netLeft, len(rec.NetEvents))
@@ -159,11 +156,11 @@ func main() {
 		if err != nil {
 			fatal(err)
 		}
-		if err := os.WriteFile(execCfg.SnapshotPath, data, 0o644); err != nil {
+		if err := os.WriteFile(plan.save, data, 0o644); err != nil {
 			fatal(err)
 		}
 		fmt.Printf("wrote recorded snapshot %s (%d bytes; %d rng draws, %d net events)\n",
-			execCfg.SnapshotPath, len(data), len(saveImg.Record.RNGDraws), len(saveImg.Record.NetEvents))
+			plan.save, len(data), len(saveImg.Record.RNGDraws), len(saveImg.Record.NetEvents))
 	}
 
 	fmt.Printf("mode=%v cpus=%d virtual time=%.3f ms syscalls=%d\n",
@@ -210,4 +207,48 @@ func main() {
 func fatal(err error) {
 	fmt.Fprintln(os.Stderr, err)
 	os.Exit(1)
+}
+
+// runPlan is vgrun's validated -snapshot/-replay request.
+type runPlan struct {
+	save   string          // -snapshot save=PATH: record the run into PATH
+	use    string          // -snapshot use=PATH: restore PATH before the workload
+	image  *snapshot.Image // the use= image, loaded and verified
+	replay bool            // serve image.Record back to the workload
+}
+
+// checkFlags refuses a contradictory flag combination before anything
+// boots; main exits 2 on its error. A use= image is loaded here, once,
+// so a missing, corrupt or version-mismatched file fails at flag time
+// and -replay can check that the image carries a record trailer.
+func checkFlags(cpus int, hostpar bool, snap string, replay bool) (runPlan, error) {
+	var plan runPlan
+	if hostpar && cpus <= 1 {
+		return plan, fmt.Errorf("vgrun: -hostpar needs multi-CPU machines; pass -cpus > 1")
+	}
+	if snap != "" {
+		verb, path, ok := strings.Cut(snap, "=")
+		if !ok || path == "" || (verb != "save" && verb != "use") {
+			return plan, fmt.Errorf("vgrun: -snapshot wants save=PATH or use=PATH, got %q", snap)
+		}
+		if verb == "save" {
+			plan.save = path
+		} else {
+			img, err := snapshot.Load(path)
+			if err != nil {
+				return plan, fmt.Errorf("vgrun: -snapshot use=%s: unusable image: %v", path, err)
+			}
+			plan.use, plan.image = path, img
+		}
+	}
+	if replay {
+		if plan.image == nil {
+			return plan, fmt.Errorf("vgrun: -replay needs an image to replay from; pass -snapshot use=PATH")
+		}
+		if plan.image.Record == nil {
+			return plan, fmt.Errorf("vgrun: -replay needs a recorded image, and %s carries no record trailer", plan.use)
+		}
+		plan.replay = true
+	}
+	return plan, nil
 }

@@ -48,17 +48,8 @@ func FullScale() Scale {
 		C10KConns: 10000, C10KRequests: 2}
 }
 
-// newSystem produces a ready-to-measure default-configuration system.
-// With a warm source installed (SetWarmSource, snap.go) the system is
-// forked from a post-boot snapshot image instead of booted; restored
-// machines are bit-identical to freshly booted ones, so every virtual
-// number is unchanged and only host boot time is skipped.
+// newSystem boots a ready-to-measure default-configuration system.
 func newSystem(mode repro.Mode) *repro.System {
-	if warm := currentWarmSource(); warm != nil {
-		if s := warm(mode); s != nil {
-			return s
-		}
-	}
 	s, err := repro.NewSystem(mode)
 	if err != nil {
 		panic(fmt.Sprintf("experiments: boot %v: %v", mode, err))

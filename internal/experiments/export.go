@@ -122,10 +122,9 @@ type BenchEntry struct {
 // v2: adds schema_version and optional per-entry breakdown maps.
 // v3: adds the check_elision entry (removed in v7).
 // v4: adds the superinstruction_fusion entry (removed in v7).
-// v5: adds snapshot warm start — top-level boot_skipped_sec (host
-// seconds of boot work skipped by forking systems from a snapshot
-// bundle) and snapshot_bytes (encoded bundle size), plus the snap
-// entry (per-config cold/warm/image cycles and bit-identical flag).
+// v5: adds snapshot warm start — top-level boot_skipped_sec and
+// snapshot_bytes (both removed in v8) — plus the snap entry (per-config
+// cold/warm/image cycles and bit-identical flag).
 // v6: adds the c10k_eventd entry (event-driven web service under
 // concurrent load: per-config peak_conns/requests/rps and
 // p50/p95/p99 virtual latency µs, adversary outcomes, and server-side
@@ -133,7 +132,9 @@ type BenchEntry struct {
 // v7: drops the check_elision and superinstruction_fusion entries and
 // the per-entry host_parallel field (the engine knobs they reported are
 // gone: the linked engine always fuses and never elides).
-const BenchSchemaVersion = 7
+// v8: drops boot_skipped_sec and snapshot_bytes (snapshot warm start is
+// gone: a fork from an image cost as much host time as a cold boot).
+const BenchSchemaVersion = 8
 
 // BenchReport is the cross-PR perf trajectory record written by
 // `vgbench -json` as BENCH_<date>.json.
@@ -146,15 +147,8 @@ type BenchReport struct {
 	// HostCPUs is runtime.NumCPU() on the measuring machine — the hard
 	// ceiling on any host_speedup_* metric (one host core caps every
 	// host speedup at ~1x regardless of virtual CPU count).
-	HostCPUs int `json:"host_cpus,omitempty"`
-	// BootSkippedSec is the host time saved by warm-starting measurement
-	// systems from a snapshot bundle (-snapshot use=PATH): cold boots
-	// avoided × measured per-boot host cost. Virtual-clock metrics are
-	// unaffected by warm start — restored machines are bit-identical.
-	BootSkippedSec float64 `json:"boot_skipped_sec,omitempty"`
-	// SnapshotBytes is the encoded size of the bundle used or saved.
-	SnapshotBytes int          `json:"snapshot_bytes,omitempty"`
-	Entries       []BenchEntry `json:"experiments"`
+	HostCPUs int          `json:"host_cpus,omitempty"`
+	Entries  []BenchEntry `json:"experiments"`
 }
 
 // BreakdownMap converts a measurement ledger to the JSON breakdown

@@ -46,7 +46,9 @@ func goldenScale() Scale {
 	return Scale{LMBenchIters: 20, FileCount: 20, HTTPRequests: 2, SSHRuns: 1, PostmarkTxns: 100}
 }
 
-func collectGolden() map[string]goldenEntry {
+// collectGolden runs the pinned measurements, each on a fresh system
+// from boot.
+func collectGolden(boot func(repro.Mode) *repro.System) map[string]goldenEntry {
 	sc := goldenScale()
 	iters := sc.LMBenchIters
 	benches := []struct {
@@ -74,7 +76,7 @@ func collectGolden() map[string]goldenEntry {
 	got := make(map[string]goldenEntry)
 	for _, m := range modes {
 		for _, b := range benches {
-			s := newSystem(m.mode)
+			s := boot(m.mode)
 			v := b.run(s.Kernel)
 			got[fmt.Sprintf("t2/%s/%s", m.name, b.name)] = goldenEntry{
 				Value:  v,
@@ -86,7 +88,7 @@ func collectGolden() map[string]goldenEntry {
 	// execution engine, so they pin the engine's cost accounting with
 	// no syscall machinery around it.
 	for _, m := range modes[:2] {
-		s := newSystem(m.mode)
+		s := boot(m.mode)
 		k := s.Kernel
 		const buf = 0xffffff8000200000
 		c0 := s.Machine.Clock.Cycles()
@@ -110,7 +112,7 @@ func collectGolden() map[string]goldenEntry {
 }
 
 func TestGoldenCycles(t *testing.T) {
-	got := collectGolden()
+	got := collectGolden(newSystem)
 
 	if *updateGolden {
 		if err := os.MkdirAll(filepath.Dir(goldenPath), 0o755); err != nil {
@@ -127,6 +129,13 @@ func TestGoldenCycles(t *testing.T) {
 		return
 	}
 
+	compareGolden(t, got)
+}
+
+// compareGolden requires got to hold exactly the golden file's entries,
+// each with the pinned value and cumulative cycle count.
+func compareGolden(t *testing.T, got map[string]goldenEntry) {
+	t.Helper()
 	data, err := os.ReadFile(goldenPath)
 	if err != nil {
 		t.Fatalf("missing golden file (run with -update to create): %v", err)

@@ -5,8 +5,6 @@ import (
 	"fmt"
 	"sort"
 	"strings"
-	"sync"
-	"sync/atomic"
 
 	"repro"
 	"repro/internal/apps/lmbench"
@@ -17,141 +15,7 @@ import (
 
 // This file is the experiments-harness side of the snapshot subsystem
 // (internal/snapshot, DESIGN.md §18): the cold-vs-warm differential
-// experiment, the warm-start source that lets every measurement fork
-// from a post-boot image instead of booting, and the tampered-snapshot
-// security vector.
-
-// --- warm start --------------------------------------------------------
-
-// WarmSource produces a ready-to-measure system for a mode, or nil to
-// fall back to a cold boot. It must be safe for concurrent calls
-// (Scale.Parallel measurements fan out over host goroutines).
-type WarmSource func(mode repro.Mode) *repro.System
-
-// warmSource holds the installed WarmSource (nil when cold-booting).
-var warmSource atomic.Value // of WarmSource
-
-// SetWarmSource installs (or, with nil, removes) the warm-start hook
-// consulted by every default-configuration system the experiments boot.
-// Restored systems are bit-identical to freshly booted ones — the
-// snapshot round-trip differential asserts it — so every virtual number
-// an experiment reports is unchanged; only host boot time is skipped.
-func SetWarmSource(fn WarmSource) {
-	warmSource.Store(fn)
-}
-
-func currentWarmSource() WarmSource {
-	fn, _ := warmSource.Load().(WarmSource)
-	return fn
-}
-
-// SnapBundlePaths maps each configuration to its image path under one
-// user-supplied base path (the native image takes the base itself, so
-// `-snapshot use=PATH` probes a real image file).
-func SnapBundlePaths(base string) map[repro.Mode]string {
-	return map[repro.Mode]string{
-		repro.Native:       base,
-		repro.VirtualGhost: base + ".vg",
-		repro.Shadow:       base + ".shadow",
-	}
-}
-
-// SaveSnapBundle boots each configuration to its post-boot quiescent
-// point and writes one image per mode, returning the total encoded
-// size.
-func SaveSnapBundle(base string) (int, error) {
-	total := 0
-	for _, mode := range []repro.Mode{repro.Native, repro.VirtualGhost, repro.Shadow} {
-		sys, err := repro.NewSystem(mode)
-		if err != nil {
-			return 0, err
-		}
-		_, n, err := snapshot.Save(sys, SnapBundlePaths(base)[mode])
-		if err != nil {
-			return 0, err
-		}
-		total += n
-	}
-	return total, nil
-}
-
-// WarmStart is a loaded snapshot bundle acting as a WarmSource: each
-// system it serves is forked from the mode's image with copy-on-write
-// page sharing, so parallel measurements share one machine's worth of
-// boot-state pages.
-type WarmStart struct {
-	images map[repro.Mode]*snapshot.Image
-	bytes  int
-
-	mu     sync.Mutex
-	served map[repro.Mode]int
-}
-
-// UseSnapBundle loads a bundle written by SaveSnapBundle.
-func UseSnapBundle(base string) (*WarmStart, error) {
-	ws := &WarmStart{
-		images: make(map[repro.Mode]*snapshot.Image),
-		served: make(map[repro.Mode]int),
-	}
-	for mode, path := range SnapBundlePaths(base) {
-		img, err := snapshot.Load(path)
-		if err != nil {
-			return nil, err
-		}
-		if img.Mode != mode {
-			return nil, fmt.Errorf("experiments: %s holds a %v image, want %v", path, img.Mode, mode)
-		}
-		ws.images[mode] = img
-		data, err := snapshot.Encode(img)
-		if err != nil {
-			return nil, err
-		}
-		ws.bytes += len(data)
-	}
-	return ws, nil
-}
-
-// Install registers the bundle as the experiments' warm source.
-func (w *WarmStart) Install() { SetWarmSource(w.Serve) }
-
-// Serve forks a fresh system from the mode's image.
-func (w *WarmStart) Serve(mode repro.Mode) *repro.System {
-	img, ok := w.images[mode]
-	if !ok {
-		return nil
-	}
-	sys, err := snapshot.Fork(img, repro.Options{})
-	if err != nil {
-		panic(fmt.Sprintf("experiments: warm fork %v: %v", mode, err))
-	}
-	w.mu.Lock()
-	w.served[mode]++
-	w.mu.Unlock()
-	return sys
-}
-
-// Bytes is the bundle's total encoded size.
-func (w *WarmStart) Bytes() int { return w.bytes }
-
-// Served reports how many warm systems were handed out, by mode.
-func (w *WarmStart) Served() map[repro.Mode]int {
-	w.mu.Lock()
-	defer w.mu.Unlock()
-	out := make(map[repro.Mode]int, len(w.served))
-	for m, n := range w.served {
-		out[m] = n
-	}
-	return out
-}
-
-// TotalServed sums Served over modes.
-func (w *WarmStart) TotalServed() int {
-	n := 0
-	for _, c := range w.Served() {
-		n += c
-	}
-	return n
-}
+// experiment and the tampered-snapshot security vector.
 
 // --- cold-vs-warm differential ----------------------------------------
 
@@ -163,7 +27,7 @@ type SnapRow struct {
 	ColdCycles uint64
 	WarmCycles uint64
 	// ImageCycles is the virtual clock frozen into the image — the work
-	// a warm start does not redo.
+	// a fork does not redo.
 	ImageCycles uint64
 	ImageBytes  int
 	SealedPages int
@@ -197,11 +61,11 @@ func SnapDifferential() []SnapRow {
 	}
 	rows := make([]SnapRow, len(modes))
 	for i, m := range modes {
-		cold := newColdSystem(m.mode)
+		cold := newSystem(m.mode)
 		snapWorkload(cold.Kernel)
 		coldState := mustEncode(cold)
 
-		src := newColdSystem(m.mode)
+		src := newSystem(m.mode)
 		img, err := snapshot.Capture(src)
 		if err != nil {
 			panic(fmt.Sprintf("experiments: snap capture %s: %v", m.name, err))
@@ -228,16 +92,6 @@ func SnapDifferential() []SnapRow {
 		}
 	}
 	return rows
-}
-
-// newColdSystem boots a system bypassing any installed warm source (the
-// differential must compare against a genuine cold boot).
-func newColdSystem(mode repro.Mode) *repro.System {
-	s, err := repro.NewSystem(mode)
-	if err != nil {
-		panic(fmt.Sprintf("experiments: boot %v: %v", mode, err))
-	}
-	return s
 }
 
 func mustEncode(sys *repro.System) []byte {
@@ -354,5 +208,5 @@ func tamperRestore(mode repro.Mode, img *snapshot.Image) error {
 	if err != nil {
 		return err
 	}
-	return snapshot.Restore(newColdSystem(mode), img2)
+	return snapshot.Restore(newSystem(mode), img2)
 }

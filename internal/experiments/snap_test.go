@@ -1,57 +1,39 @@
 package experiments
 
 import (
-	"encoding/json"
-	"os"
-	"path/filepath"
 	"strings"
 	"testing"
 
 	"repro"
+	"repro/internal/snapshot"
 )
 
-// TestGoldenWarmEquivalence is the strongest warm-start claim made
-// executable: with every golden-suite system forked from a snapshot
-// bundle instead of booted, each pinned measurement — value AND
-// cumulative cycle counter, boot included — must equal the checked-in
-// golden file bit for bit. Warm start changes host time only.
-func TestGoldenWarmEquivalence(t *testing.T) {
-	base := filepath.Join(t.TempDir(), "warm.vgsnap")
-	if _, err := SaveSnapBundle(base); err != nil {
-		t.Fatal(err)
-	}
-	ws, err := UseSnapBundle(base)
-	if err != nil {
-		t.Fatal(err)
-	}
-	ws.Install()
-	defer SetWarmSource(nil)
-
-	got := collectGolden()
-
-	if ws.TotalServed() == 0 {
-		t.Fatal("warm source installed but no system was served from it")
-	}
-
-	data, err := os.ReadFile(goldenPath)
-	if err != nil {
-		t.Fatalf("missing golden file: %v", err)
-	}
-	var want map[string]goldenEntry
-	if err := json.Unmarshal(data, &want); err != nil {
-		t.Fatalf("bad golden file: %v", err)
-	}
-	for n, w := range want {
-		g, ok := got[n]
-		if !ok {
-			t.Errorf("%s: missing from warm run", n)
-			continue
+// TestGoldenForkEquivalence runs the golden suite with every system
+// forked from a post-boot image of its mode instead of booted: each
+// pinned measurement — value AND cumulative cycle counter, boot
+// included — must equal the checked-in golden file bit for bit.
+func TestGoldenForkEquivalence(t *testing.T) {
+	images := make(map[repro.Mode]*snapshot.Image)
+	for _, mode := range []repro.Mode{repro.Native, repro.VirtualGhost, repro.Shadow} {
+		img, err := snapshot.Capture(newSystem(mode))
+		if err != nil {
+			t.Fatal(err)
 		}
-		if g != w {
-			t.Errorf("%s: warm start moved the virtual clock:\n  golden: value=%v cycles=%d\n  warm:   value=%v cycles=%d",
-				n, w.Value, w.Cycles, g.Value, g.Cycles)
-		}
+		images[mode] = img
 	}
+	forks := 0
+	got := collectGolden(func(mode repro.Mode) *repro.System {
+		sys, err := snapshot.Fork(images[mode], repro.Options{})
+		if err != nil {
+			t.Fatalf("fork %v: %v", mode, err)
+		}
+		forks++
+		return sys
+	})
+	if forks == 0 {
+		t.Fatal("no system was forked from an image")
+	}
+	compareGolden(t, got)
 }
 
 // TestSnapDifferential runs the cold-vs-warm differential on all three
@@ -114,13 +96,4 @@ func TestSnapTamperInMatrix(t *testing.T) {
 		}
 	}
 	t.Fatal("snap-tamper missing from SecurityVectorNames")
-}
-
-// TestWarmStartWrongMode checks the warm source declines modes its
-// bundle lacks, falling back to a cold boot rather than panicking.
-func TestWarmStartWrongMode(t *testing.T) {
-	ws := &WarmStart{}
-	if s := ws.Serve(repro.Native); s != nil {
-		t.Fatal("empty bundle served a system")
-	}
 }

@@ -141,9 +141,6 @@ func NewMachineWith(cfg MachineConfig, clock *Clock) *Machine {
 	}
 	mem.SetStaleCheck(m.staleTranslationCheck)
 	clock.EnsureCPUs(cfg.NumCPUs)
-	if t := DefaultTracer(); t != nil {
-		clock.AttachTracer(t)
-	}
 	return m
 }
 

@@ -20,7 +20,7 @@ import (
 
 // MachineSnap is the full serializable hardware state of one machine.
 // Field order and JSON names are part of the image format; changing
-// them requires a snapshot version bump (kernel.SnapshotImageVersion).
+// them requires an image version bump (internal/snapshot).
 type MachineSnap struct {
 	NumCPUs    int `json:"num_cpus"`
 	MemFrames  int `json:"mem_frames"`

@@ -37,7 +37,7 @@ type Tracer struct {
 	total uint64 // events ever recorded, including overwritten ones
 }
 
-// DefaultTraceCapacity is the ring size used by the CLI -trace flags.
+// DefaultTraceCapacity is the ring size used by vgrun -trace.
 const DefaultTraceCapacity = 1 << 16
 
 // NewTracer returns a tracer whose ring holds the most recent capacity
@@ -202,29 +202,4 @@ func (t *Tracer) mergeShardRings(shards []clockShard) {
 	for _, ev := range all {
 		t.record(ev)
 	}
-}
-
-// defaultTracer is attached to every subsequently constructed machine's
-// clock. It exists for the CLI -trace flags: vgbench boots its systems
-// deep inside the experiments package, so the tracer has to travel via
-// package state rather than a parameter thread.
-var (
-	defaultTracerMu sync.Mutex
-	defaultTracer   *Tracer
-)
-
-// SetDefaultTracer installs (or, with nil, removes) the tracer that new
-// machines attach at construction. Machines already built are
-// unaffected.
-func SetDefaultTracer(t *Tracer) {
-	defaultTracerMu.Lock()
-	defaultTracer = t
-	defaultTracerMu.Unlock()
-}
-
-// DefaultTracer returns the tracer new machines will attach, or nil.
-func DefaultTracer() *Tracer {
-	defaultTracerMu.Lock()
-	defer defaultTracerMu.Unlock()
-	return defaultTracer
 }

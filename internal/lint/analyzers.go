@@ -2,6 +2,7 @@ package lint
 
 import (
 	"go/ast"
+	"go/token"
 	"go/types"
 	"path/filepath"
 	"strings"
@@ -21,6 +22,9 @@ import (
 //   - maprange: printed/formatted output never iterates a map
 //     directly, so transcripts and exported artifacts are stable
 //     across runs.
+//   - globalwrite: no package-level variable is written after
+//     initialisation, so a machine's configuration is exactly what its
+//     options say, never a default some earlier caller left behind.
 
 // deterministicCore is the Match set for the determinism analyzers:
 // the hardware model, the kernel, and the IR executors. Experiments
@@ -38,7 +42,7 @@ func deterministicCore(pkgPath string) bool {
 // Analyzers returns the repository's analyzer suite in reporting
 // order.
 func Analyzers() []*analysis.Analyzer {
-	return []*analysis.Analyzer{RawAdvance, NoDeterm, MapRange}
+	return []*analysis.Analyzer{RawAdvance, NoDeterm, MapRange, GlobalWrite}
 }
 
 // RawAdvance forbids calls to the untagged clock entry points
@@ -188,4 +192,99 @@ var MapRange = &analysis.Analyzer{
 		}
 		return nil
 	},
+}
+
+// GlobalWrite forbids writing a package-level variable in any function
+// but init, so a machine is configured only through repro.Options and
+// never by a default an earlier caller left behind. It reports
+// assignments and ++/-- to such a variable, also through a field, an
+// index or a pointer, and pointer-receiver method calls on one, which
+// take its address (atomic.Value.Store, sync.Mutex.Lock). perfbench/,
+// a module of its own whose yardstick is process-wide by design, is
+// left out.
+var GlobalWrite = &analysis.Analyzer{
+	Name:      "globalwrite",
+	Doc:       "forbid writes to package-level variables outside init",
+	Match:     func(p string) bool { return p != "repro/perfbench" && !strings.HasPrefix(p, "repro/perfbench/") },
+	NeedTypes: true,
+	Run: func(pass *analysis.Pass) error {
+		report := func(e ast.Expr, what string) {
+			if v := globalRoot(pass.TypesInfo, e); v != nil {
+				pass.Reportf(e.Pos(), "%s package-level variable %s outside init", what, v.Name())
+			}
+		}
+		for _, file := range pass.Files {
+			for _, decl := range file.Decls {
+				fn, ok := decl.(*ast.FuncDecl)
+				if !ok || fn.Body == nil || (fn.Recv == nil && fn.Name.Name == "init") {
+					continue
+				}
+				ast.Inspect(fn.Body, func(n ast.Node) bool {
+					switch n := n.(type) {
+					case *ast.AssignStmt:
+						for _, lhs := range n.Lhs {
+							if n.Tok != token.DEFINE {
+								report(lhs, "assignment to")
+							}
+						}
+					case *ast.IncDecStmt:
+						report(n.X, n.Tok.String()+" of")
+					case *ast.CallExpr:
+						if sel, ok := n.Fun.(*ast.SelectorExpr); ok && takesAddress(pass.TypesInfo.Selections[sel]) {
+							report(sel.X, sel.Sel.Name+" call on")
+						}
+					}
+					return true
+				})
+			}
+		}
+		return nil
+	},
+}
+
+// takesAddress reports whether s selects a pointer-receiver method
+// through a non-pointer operand, so that calling it passes the
+// operand's address.
+func takesAddress(s *types.Selection) bool {
+	if s == nil || s.Kind() != types.MethodVal {
+		return false
+	}
+	_, ptrRecv := s.Obj().Type().(*types.Signature).Recv().Type().(*types.Pointer)
+	_, ptrX := s.Recv().Underlying().(*types.Pointer)
+	return ptrRecv && !ptrX
+}
+
+// globalRoot returns the package-level variable a write to e lands in
+// or goes through once fields, indices, slicing, dereferences and
+// parentheses are stripped, or nil.
+func globalRoot(info *types.Info, e ast.Expr) *types.Var {
+	for {
+		switch x := e.(type) {
+		case *ast.ParenExpr:
+			e = x.X
+		case *ast.IndexExpr:
+			e = x.X
+		case *ast.SliceExpr:
+			e = x.X
+		case *ast.StarExpr:
+			e = x.X
+		case *ast.SelectorExpr:
+			if v, ok := info.Uses[x.Sel].(*types.Var); ok && !v.IsField() {
+				return pkgLevel(v) // pkg.V, another package's variable
+			}
+			e = x.X
+		case *ast.Ident:
+			v, _ := info.Uses[x].(*types.Var)
+			return pkgLevel(v)
+		default:
+			return nil
+		}
+	}
+}
+
+func pkgLevel(v *types.Var) *types.Var {
+	if v == nil || v.Pkg() == nil || v.Parent() != v.Pkg().Scope() {
+		return nil
+	}
+	return v
 }

@@ -39,7 +39,12 @@ func (f Finding) String() string {
 // skipped, as are _test.go files: the analyzers police production
 // code, and tests legitimately simulate time or print fixtures.
 func Run(root string, analyzers []*analysis.Analyzer) ([]Finding, error) {
-	modPath := modulePath(root)
+	fset := token.NewFileSet()
+	imp := &moduleImporter{
+		fset: fset, root: root, modPath: modulePath(root),
+		std:  importer.ForCompiler(fset, "source", nil),
+		pkgs: make(map[string]*types.Package),
+	}
 	var findings []Finding
 	err := filepath.Walk(root, func(path string, info os.FileInfo, err error) error {
 		if err != nil {
@@ -52,7 +57,7 @@ func Run(root string, analyzers []*analysis.Analyzer) ([]Finding, error) {
 		if path != root && (name == ".git" || name == "testdata" || name == "vendor" || strings.HasPrefix(name, ".")) {
 			return filepath.SkipDir
 		}
-		fs, err := runDir(root, modPath, path, analyzers)
+		fs, err := runDir(imp, path, analyzers)
 		if err != nil {
 			return err
 		}
@@ -76,9 +81,10 @@ func Run(root string, analyzers []*analysis.Analyzer) ([]Finding, error) {
 }
 
 // runDir applies the applicable analyzers to the single package
-// directory dir.
-func runDir(root, modPath, dir string, analyzers []*analysis.Analyzer) ([]Finding, error) {
-	pkgPath := dirPkgPath(root, modPath, dir)
+// directory dir, type-checking through imp when one asks for types.
+func runDir(imp *moduleImporter, dir string, analyzers []*analysis.Analyzer) ([]Finding, error) {
+	fset := imp.fset
+	pkgPath := dirPkgPath(imp.root, imp.modPath, dir)
 	var applicable []*analysis.Analyzer
 	needTypes := false
 	for _, a := range analyzers {
@@ -91,35 +97,21 @@ func runDir(root, modPath, dir string, analyzers []*analysis.Analyzer) ([]Findin
 		return nil, nil
 	}
 
-	entries, err := os.ReadDir(dir)
-	if err != nil {
+	files, err := parseDir(fset, dir)
+	if err != nil || len(files) == 0 {
 		return nil, err
-	}
-	fset := token.NewFileSet()
-	var files []*ast.File
-	for _, e := range entries {
-		if e.IsDir() || !strings.HasSuffix(e.Name(), ".go") || strings.HasSuffix(e.Name(), "_test.go") {
-			continue
-		}
-		f, err := parser.ParseFile(fset, filepath.Join(dir, e.Name()), nil, parser.ParseComments)
-		if err != nil {
-			return nil, fmt.Errorf("lint: parse %s: %w", filepath.Join(dir, e.Name()), err)
-		}
-		files = append(files, f)
-	}
-	if len(files) == 0 {
-		return nil, nil
 	}
 
 	var pkg *types.Package
 	var info *types.Info
 	if needTypes {
 		info = &types.Info{
-			Types: make(map[ast.Expr]types.TypeAndValue),
-			Defs:  make(map[*ast.Ident]types.Object),
-			Uses:  make(map[*ast.Ident]types.Object),
+			Types:      make(map[ast.Expr]types.TypeAndValue),
+			Defs:       make(map[*ast.Ident]types.Object),
+			Uses:       make(map[*ast.Ident]types.Object),
+			Selections: make(map[*ast.SelectorExpr]*types.Selection),
 		}
-		conf := types.Config{Importer: importer.ForCompiler(fset, "source", nil)}
+		conf := types.Config{Importer: imp}
 		pkg, err = conf.Check(pkgPath, fset, files, info)
 		if err != nil {
 			return nil, fmt.Errorf("lint: type-check %s: %w", pkgPath, err)
@@ -153,6 +145,57 @@ func runDir(root, modPath, dir string, analyzers []*analysis.Analyzer) ([]Findin
 		}
 	}
 	return findings, nil
+}
+
+// parseDir parses the non-test Go files of one package directory.
+func parseDir(fset *token.FileSet, dir string) ([]*ast.File, error) {
+	entries, err := os.ReadDir(dir)
+	if err != nil {
+		return nil, err
+	}
+	var files []*ast.File
+	for _, e := range entries {
+		if e.IsDir() || !strings.HasSuffix(e.Name(), ".go") || strings.HasSuffix(e.Name(), "_test.go") {
+			continue
+		}
+		f, err := parser.ParseFile(fset, filepath.Join(dir, e.Name()), nil, parser.ParseComments)
+		if err != nil {
+			return nil, fmt.Errorf("lint: parse %s: %w", filepath.Join(dir, e.Name()), err)
+		}
+		files = append(files, f)
+	}
+	return files, nil
+}
+
+// moduleImporter type-checks the linted module's own packages from
+// source, each once per run, and hands every other import (the standard
+// library) to the source importer. Resolving module paths by directory
+// keeps the go command out of the loop: go/build would run `go list`
+// for every import of every package.
+type moduleImporter struct {
+	fset          *token.FileSet
+	root, modPath string
+	std           types.Importer
+	pkgs          map[string]*types.Package
+}
+
+func (m *moduleImporter) Import(path string) (*types.Package, error) {
+	if pkg, ok := m.pkgs[path]; ok {
+		return pkg, nil
+	}
+	if m.modPath == "" || (path != m.modPath && !strings.HasPrefix(path, m.modPath+"/")) {
+		return m.std.Import(path)
+	}
+	files, err := parseDir(m.fset, filepath.Join(m.root, filepath.FromSlash(strings.TrimPrefix(path, m.modPath))))
+	if err != nil {
+		return nil, err
+	}
+	pkg, err := (&types.Config{Importer: m}).Check(path, m.fset, files, nil)
+	if err != nil {
+		return nil, err
+	}
+	m.pkgs[path] = pkg
+	return pkg, nil
 }
 
 // dirPkgPath maps a directory under root to its import path.

@@ -22,3 +22,10 @@ func Bad(c *Clock, m map[string]int) int {
 	}
 	return n + rand.Int() + int(t.Unix())
 }
+
+// sink is package state: init may set it, Set may not.
+var sink int
+
+func init() { sink = 1 }
+
+func Set(n int) { sink = n }

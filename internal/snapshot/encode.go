@@ -2,21 +2,17 @@ package snapshot
 
 import (
 	"crypto/sha256"
+	"encoding/binary"
 	"encoding/json"
 	"errors"
 	"fmt"
 	"os"
-
-	"repro"
-	"repro/internal/kernel"
 )
 
 // Image file layout:
 //
 //	magic(8) | version(4 LE) | flags(4 LE) | payload | sha256(32)
 //
-// The header constants live in the kernel package (snapshotmeta.go) so
-// flag validation can probe image files without importing this package.
 // The payload is the Image struct as JSON: Go's encoder emits struct
 // fields in declaration order and sorts map keys, and every set-valued
 // field is sorted at capture, so equal machine states produce
@@ -32,10 +28,26 @@ import (
 // TPM-rooted key, core.SnapshotSealer), which a re-checksummed image
 // cannot forge.
 
+const (
+	// imageMagic is the 8-byte file signature. The \r\n catches images
+	// mangled by text-mode transfers, like PNG's.
+	imageMagic = "VGSNAP\r\n"
+	// imageVersion is the current image format version. Bump on any
+	// change to the header, section layout, or payload encoding.
+	// v2: KernelSnap.NextPort folded into a NetSnap section (port range,
+	// receive-window default, net counters, timer-id cursor); NICSnap
+	// gained per-port drop counters.
+	imageVersion = 2
+	// headerSize is the fixed header length: magic | version | flags.
+	headerSize = 16
+	// flagRecorded marks an image carrying a record-replay trailer.
+	flagRecorded = 1 << 0
+
+	checksumSize = sha256.Size
+)
+
 // ErrCorruptImage reports a checksum mismatch or truncation.
 var ErrCorruptImage = errors.New("snapshot: image corrupt (checksum mismatch or truncated)")
-
-const checksumSize = sha256.Size
 
 // Encode serializes an image into the versioned, checksummed file
 // format.
@@ -46,14 +58,12 @@ func Encode(img *Image) ([]byte, error) {
 	}
 	var flags uint32
 	if img.Record != nil {
-		flags |= kernel.SnapshotFlagRecorded
+		flags |= flagRecorded
 	}
-	hdr := kernel.PutSnapshotHeader(kernel.SnapshotHeader{
-		Version: kernel.SnapshotImageVersion,
-		Flags:   flags,
-	})
-	out := make([]byte, 0, len(hdr)+len(payload)+checksumSize)
-	out = append(out, hdr[:]...)
+	out := make([]byte, headerSize, headerSize+len(payload)+checksumSize)
+	copy(out, imageMagic)
+	binary.LittleEndian.PutUint32(out[8:12], imageVersion)
+	binary.LittleEndian.PutUint32(out[12:16], flags)
 	out = append(out, payload...)
 	sum := sha256.Sum256(out)
 	return append(out, sum[:]...), nil
@@ -63,42 +73,39 @@ func Encode(img *Image) ([]byte, error) {
 // whole prefix before anything else — a flipped bit anywhere in the
 // file, or a truncated file, is rejected here, never half-applied.
 func Decode(data []byte) (*Image, error) {
-	if len(data) < kernel.SnapshotHeaderSize+checksumSize {
+	if len(data) < headerSize+checksumSize {
 		return nil, fmt.Errorf("%w: %d bytes", ErrCorruptImage, len(data))
 	}
 	body, sum := data[:len(data)-checksumSize], data[len(data)-checksumSize:]
 	if sha256.Sum256(body) != [checksumSize]byte(sum) {
 		return nil, ErrCorruptImage
 	}
-	hdr, err := kernel.ParseSnapshotHeader(body)
+	flags, err := parseHeader(body)
 	if err != nil {
 		return nil, fmt.Errorf("snapshot: %w", err)
 	}
 	img := &Image{}
-	if err := json.Unmarshal(body[kernel.SnapshotHeaderSize:], img); err != nil {
+	if err := json.Unmarshal(body[headerSize:], img); err != nil {
 		return nil, fmt.Errorf("snapshot: payload: %w", err)
 	}
-	if hdr.Recorded() != (img.Record != nil) {
-		return nil, fmt.Errorf("snapshot: header recorded flag %v but trailer presence %v", hdr.Recorded(), img.Record != nil)
+	if recorded := flags&flagRecorded != 0; recorded != (img.Record != nil) {
+		return nil, fmt.Errorf("snapshot: header recorded flag %v but trailer presence %v", recorded, img.Record != nil)
 	}
 	return img, nil
 }
 
-// Save captures sys and writes the encoded image to path, returning the
-// image and its encoded size.
-func Save(sys *repro.System, path string) (*Image, int, error) {
-	img, err := Capture(sys)
-	if err != nil {
-		return nil, 0, err
+// parseHeader validates the fixed header at the front of b, which must
+// hold at least headerSize bytes — the magic must match and the version
+// must be exactly imageVersion (there are no compatible older versions)
+// — and returns its flags word.
+func parseHeader(b []byte) (uint32, error) {
+	if string(b[:8]) != imageMagic {
+		return 0, fmt.Errorf("bad magic %q: not a snapshot image", b[:8])
 	}
-	data, err := Encode(img)
-	if err != nil {
-		return nil, 0, err
+	if v := binary.LittleEndian.Uint32(b[8:12]); v != imageVersion {
+		return 0, fmt.Errorf("image version %d, this build reads version %d", v, imageVersion)
 	}
-	if err := os.WriteFile(path, data, 0o644); err != nil {
-		return nil, 0, fmt.Errorf("snapshot: write %s: %w", path, err)
-	}
-	return img, len(data), nil
+	return binary.LittleEndian.Uint32(b[12:16]), nil
 }
 
 // Load reads and decodes an image file.

@@ -7,9 +7,8 @@
 // structure is plain data, so the machine is a serializable value. A
 // restored machine's subsequent execution is bit-identical to the
 // uninterrupted run — asserted against golden_cycles.json and the
-// differential suite — which is what makes warm-start benchmarking
-// (skip boot, keep every virtual number) and fork-from-snapshot fan-out
-// sound.
+// differential suite — which is what makes fork-from-snapshot fan-out
+// and record-replay sound.
 //
 // Three operations:
 //
@@ -42,8 +41,8 @@ import (
 
 // Image is one machine's decoded snapshot. The JSON encoding of this
 // struct (wrapped in the checksummed envelope, encode.go) is the image
-// payload; field names are part of the format and changes require a
-// kernel.SnapshotImageVersion bump.
+// payload; field names are part of the format and changes require an
+// imageVersion bump (encode.go).
 //
 // For Virtual Ghost machines, frames the OS must never read — ghost
 // memory and SVA-internal frames — do not appear in Machine.Mem.Pages;

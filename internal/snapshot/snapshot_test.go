@@ -356,8 +356,8 @@ func TestCorruptImageRejected(t *testing.T) {
 		t.Fatalf("pristine image rejected: %v", err)
 	}
 
-	truncs := []int{0, 1, kernel.SnapshotHeaderSize - 1, kernel.SnapshotHeaderSize,
-		kernel.SnapshotHeaderSize + checksumSize, len(data) / 2, len(data) - checksumSize, len(data) - 1}
+	truncs := []int{0, 1, headerSize - 1, headerSize,
+		headerSize + checksumSize, len(data) / 2, len(data) - checksumSize, len(data) - 1}
 	for _, n := range truncs {
 		if _, err := Decode(data[:n]); !errors.Is(err, ErrCorruptImage) {
 			t.Errorf("truncation to %d bytes: got %v, want ErrCorruptImage", n, err)
@@ -365,10 +365,10 @@ func TestCorruptImageRejected(t *testing.T) {
 	}
 
 	idx := map[int]bool{len(data) - 1: true, len(data) - checksumSize: true}
-	for i := 0; i < kernel.SnapshotHeaderSize; i++ {
+	for i := 0; i < headerSize; i++ {
 		idx[i] = true
 	}
-	for i := kernel.SnapshotHeaderSize; i < len(data); i += 251 {
+	for i := headerSize; i < len(data); i += 251 {
 		idx[i] = true
 	}
 	for i := range idx {
@@ -385,7 +385,7 @@ func TestCorruptImageRejected(t *testing.T) {
 func TestVersionMismatch(t *testing.T) {
 	data := fingerprint(t, newSys(t, core.ModeNative, 1, false))
 	body := append([]byte(nil), data[:len(data)-checksumSize]...)
-	body[8] = byte(kernel.SnapshotImageVersion + 1) // version field, LE
+	body[8] = byte(imageVersion + 1) // version field, LE
 	sum := sha256.Sum256(body)
 	bad := append(body, sum[:]...)
 	_, err := Decode(bad)
@@ -483,11 +483,11 @@ func TestRecordedImageRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	hdr, err := kernel.ParseSnapshotHeader(data)
+	flags, err := parseHeader(data)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !hdr.Recorded() {
+	if flags&flagRecorded == 0 {
 		t.Fatal("recorded image missing header flag")
 	}
 	img2, err := Decode(data)
