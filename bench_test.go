@@ -190,6 +190,7 @@ func BenchmarkCopyinCopyout(b *testing.B) {
 	for i := range buf {
 		buf[i] = byte(i)
 	}
+	in := make([]byte, len(buf))
 	va := base + 123 // unaligned, so chunks straddle page boundaries
 	b.SetBytes(int64(2 * len(buf)))
 	b.ResetTimer()
@@ -197,7 +198,7 @@ func BenchmarkCopyinCopyout(b *testing.B) {
 		if err := h.Copyout(root, va, buf); err != nil {
 			b.Fatal(err)
 		}
-		if _, err := h.Copyin(root, va, len(buf)); err != nil {
+		if err := h.Copyin(root, va, in); err != nil {
 			b.Fatal(err)
 		}
 	}

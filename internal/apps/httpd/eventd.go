@@ -139,9 +139,15 @@ func EventServerMain(cfg EventServerConfig) func(p *kernel.Proc) {
 			}
 		}
 
-		// respond queues a reply and attempts an immediate send.
+		// respond queues a reply and attempts an immediate send. Every
+		// caller passes a slice it has just built, so an idle
+		// connection takes it as its output buffer without a copy.
 		respond := func(fd int, c *evConn, b []byte, thenClose bool) {
-			c.out = append(c.out, b...)
+			if len(c.out) == 0 {
+				c.out = b
+			} else {
+				c.out = append(c.out, b...)
+			}
 			if thenClose {
 				c.dead = true
 			}

@@ -544,8 +544,8 @@ func TestCopyinMasksGhostPointers(t *testing.T) {
 	f := vm.threads[1].ghost[hw.GhostBase]
 	b, _ := m.Mem.FrameBytes(f)
 	copy(b, []byte("ghost-contents"))
-	got, err := vm.Copyin(root, hw.GhostBase, 14)
-	if err != nil {
+	got := make([]byte, 14)
+	if err := vm.Copyin(root, hw.GhostBase, got); err != nil {
 		t.Fatal(err)
 	}
 	if bytes.Equal(got, []byte("ghost-contents")) {

@@ -94,7 +94,8 @@ func TestCopyinObservesRemap(t *testing.T) {
 	f1 := mapUser(t, h, m, root, va, hw.PTEUser|hw.PTEWrite)
 	b1, _ := m.Mem.FrameBytes(f1)
 	copy(b1, []byte("first"))
-	got, err := h.Copyin(root, va, 5)
+	got := make([]byte, 5)
+	err := h.Copyin(root, va, got)
 	if err != nil || !bytes.Equal(got, []byte("first")) {
 		t.Fatalf("Copyin of first mapping: %q err=%v", got, err)
 	}
@@ -102,7 +103,7 @@ func TestCopyinObservesRemap(t *testing.T) {
 	if err := h.UnmapPage(root, va); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := h.Copyin(root, va, 5); err == nil {
+	if err := h.Copyin(root, va, got); err == nil {
 		t.Fatal("Copyin after unmap succeeded: stale cached translation")
 	}
 
@@ -115,7 +116,7 @@ func TestCopyinObservesRemap(t *testing.T) {
 	if err := h.MapPage(root, va, f2, hw.PTEUser|hw.PTEWrite); err != nil {
 		t.Fatal(err)
 	}
-	got, err = h.Copyin(root, va, 5)
+	err = h.Copyin(root, va, got)
 	if err != nil || !bytes.Equal(got, []byte("other")) {
 		t.Fatalf("Copyin after remap: %q err=%v, want %q", got, err, "other")
 	}
@@ -194,8 +195,8 @@ func TestCopyinCopyoutRoundTripLarge(t *testing.T) {
 	if err := h.Copyout(root, va, data); err != nil {
 		t.Fatal(err)
 	}
-	got, err := h.Copyin(root, va, len(data))
-	if err != nil {
+	got := make([]byte, len(data))
+	if err := h.Copyin(root, va, got); err != nil {
 		t.Fatal(err)
 	}
 	if !bytes.Equal(got, data) {

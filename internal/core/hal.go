@@ -231,7 +231,9 @@ type HAL interface {
 	// reach whatever the MMU maps.
 	KLoad(root hw.Frame, va hw.Virt, size int) (uint64, error)
 	KStore(root hw.Frame, va hw.Virt, size int, v uint64) error
-	Copyin(root hw.Frame, va hw.Virt, n int) ([]byte, error)
+	// Copyin fills dst from user memory at va; the kernel owns dst,
+	// so a copy allocates nothing on the host.
+	Copyin(root hw.Frame, va hw.Virt, dst []byte) error
 	Copyout(root hw.Frame, va hw.Virt, b []byte) error
 
 	// CurrentThread is maintained by the kernel scheduler.

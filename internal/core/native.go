@@ -424,25 +424,23 @@ func (h *NativeHAL) KStore(rootF hw.Frame, va hw.Virt, size int, v uint64) error
 	return h.m.Mem.WriteLE(p, size, v)
 }
 
-// Copyin copies from user space without masking.
-func (h *NativeHAL) Copyin(rootF hw.Frame, va hw.Virt, n int) ([]byte, error) {
-	h.BlockCopyCost(n)
-	out := make([]byte, n)
-	pos := 0
-	for n > 0 {
-		chunk := min(n, int(hw.PageSize-(va&(hw.PageSize-1))))
+// Copyin copies len(dst) bytes from user space into dst without
+// masking.
+func (h *NativeHAL) Copyin(rootF hw.Frame, va hw.Virt, dst []byte) error {
+	h.BlockCopyCost(len(dst))
+	for len(dst) > 0 {
+		chunk := min(len(dst), int(hw.PageSize-(va&(hw.PageSize-1))))
 		p, err := h.translateIn(rootF, va, hw.AccRead)
 		if err != nil {
-			return nil, err
+			return err
 		}
-		if err := h.m.Mem.ReadPhysInto(p, out[pos:pos+chunk]); err != nil {
-			return nil, err
+		if err := h.m.Mem.ReadPhysInto(p, dst[:chunk]); err != nil {
+			return err
 		}
-		pos += chunk
 		va += hw.Virt(chunk)
-		n -= chunk
+		dst = dst[chunk:]
 	}
-	return out, nil
+	return nil
 }
 
 // Copyout copies to user space without masking.

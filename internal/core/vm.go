@@ -356,35 +356,32 @@ func (vm *VM) KStore(root hw.Frame, va hw.Virt, size int, v uint64) error {
 	return vm.m.Mem.WriteLE(p, size, v)
 }
 
-// Copyin copies n bytes from user space into the kernel (instrumented
-// memcpy: one mask on the source pointer, block-copy cost).
-func (vm *VM) Copyin(root hw.Frame, va hw.Virt, n int) ([]byte, error) {
-	vm.BlockCopyCost(n)
+// Copyin copies len(dst) bytes from user space into the kernel buffer
+// dst (instrumented memcpy: one mask on the source pointer, block-copy
+// cost).
+func (vm *VM) Copyin(root hw.Frame, va hw.Virt, dst []byte) error {
+	vm.BlockCopyCost(len(dst))
 	va = hw.Virt(vir.MaskAddress(uint64(va)))
-	out := make([]byte, n)
-	pos := 0
-	for n > 0 {
+	for len(dst) > 0 {
 		if hw.IsKernel(va) {
-			chunk := min(n, hw.PageSize)
-			vm.scratch.read(va, out[pos:pos+chunk])
-			pos += chunk
+			chunk := min(len(dst), hw.PageSize)
+			vm.scratch.read(va, dst[:chunk])
 			va += hw.Virt(chunk)
-			n -= chunk
+			dst = dst[chunk:]
 			continue
 		}
-		chunk := min(n, int(hw.PageSize-(va&(hw.PageSize-1))))
+		chunk := min(len(dst), int(hw.PageSize-(va&(hw.PageSize-1))))
 		p, err := vm.translateIn(root, va, hw.AccRead)
 		if err != nil {
-			return nil, err
+			return err
 		}
-		if err := vm.m.Mem.ReadPhysInto(p, out[pos:pos+chunk]); err != nil {
-			return nil, err
+		if err := vm.m.Mem.ReadPhysInto(p, dst[:chunk]); err != nil {
+			return err
 		}
-		pos += chunk
 		va += hw.Virt(chunk)
-		n -= chunk
+		dst = dst[chunk:]
 	}
-	return out, nil
+	return nil
 }
 
 // Copyout copies kernel bytes to user space (instrumented memcpy).

@@ -48,9 +48,8 @@ type NIC struct {
 	bytesSent      uint64
 	bytesReceived  uint64
 	packetsDropped uint64
-	// portLimit caps each port's queue length; overflow drops the
-	// packet and charges the port's drop counter.
-	portLimit int
+	// portDrops counts, per port, packets dropped because the port's
+	// queue already held defaultPortLimit packets.
 	portDrops map[uint16]uint64
 
 	// recvTap, when set, observes every packet accepted into rx — the
@@ -96,7 +95,6 @@ func NewNIC(clock *Clock) *NIC {
 		portDrops:     make(map[uint16]uint64),
 		latencyCycles: nicLatencyCycles,
 		perByteCycles: nicPerByteCycles,
-		portLimit:     defaultPortLimit,
 	}
 }
 
@@ -114,16 +112,11 @@ func (n *NIC) Peer() *NIC { return n.peer }
 func (n *NIC) SetOwner(o any) { n.owner = o }
 func (n *NIC) Owner() any     { return n.owner }
 
-// SetPortLimit changes the per-port queue cap (test hook and kernel
-// tuning knob).
-func (n *NIC) SetPortLimit(limit int) { n.portLimit = limit }
-
-// PortLimit reports the per-port queue cap.
-func (n *NIC) PortLimit() int { return n.portLimit }
-
 // Send transmits a packet to the peer, charging latency + serialization
 // time. Oversized payloads are rejected by the caller (the kernel's
-// network stack segments to MTU).
+// network stack segments to MTU). The payload is handed over, not
+// copied: the peer queues it as is, so the caller must not touch it
+// afterwards (the kernel builds a fresh payload for every frame).
 func (n *NIC) Send(p Packet) {
 	n.clock.Charge(TagNet, n.latencyCycles+uint64(float64(len(p.Payload))*n.perByteCycles))
 	n.bytesSent += uint64(len(p.Payload))
@@ -134,24 +127,24 @@ func (n *NIC) Send(p Packet) {
 	n.peer.deliver(p)
 }
 
+// deliver queues p, taking ownership of its payload.
 func (n *NIC) deliver(p Packet) {
 	q := n.rxq[p.Port]
-	if len(q) >= n.portLimit {
+	if len(q) >= defaultPortLimit {
 		n.packetsDropped++
 		n.portDrops[p.Port]++
 		return
 	}
 	n.bytesReceived += uint64(len(p.Payload))
-	cp := Packet{Port: p.Port, Payload: append([]byte(nil), p.Payload...)}
 	if len(q) == 0 {
 		n.insertPort(p.Port)
 	}
-	n.rxq[p.Port] = append(q, rxPacket{pkt: cp, seq: n.nextSeq})
+	n.rxq[p.Port] = append(q, rxPacket{pkt: p, seq: n.nextSeq})
 	n.nextSeq++
 	n.rxCount++
-	n.queuedBytes[p.Port] += uint64(len(cp.Payload))
+	n.queuedBytes[p.Port] += uint64(len(p.Payload))
 	if n.recvTap != nil {
-		n.recvTap(cp)
+		n.recvTap(p)
 	}
 }
 
@@ -175,10 +168,12 @@ func (n *NIC) removePort(port uint16) {
 // by the record layer.
 func (n *NIC) SetRecvTap(fn func(Packet)) { n.recvTap = fn }
 
-// Inject delivers a packet into the receive queue as if it had arrived
-// from the wire, charging nothing — the replay layer's re-enactment of
-// a recorded external arrival.
-func (n *NIC) Inject(p Packet) { n.deliver(p) }
+// Inject delivers a copy of a packet into the receive queue as if it
+// had arrived from the wire, charging nothing — the replay layer's
+// re-enactment of a recorded external arrival.
+func (n *NIC) Inject(p Packet) {
+	n.deliver(Packet{Port: p.Port, Payload: append([]byte(nil), p.Payload...)})
+}
 
 // Receive dequeues the next packet destined for port in arrival order.
 // It reports ok=false if none is queued. O(1) amortized: a map lookup

@@ -5,10 +5,14 @@ import "fmt"
 // FileOps is the vnode-style interface every file-like object
 // implements: regular files, pipes, sockets, and devices.
 type FileOps interface {
-	// ReadAt reads up to len(b) bytes at offset off (offset ignored by
-	// non-seekable objects). It returns 0, nil at end of file and
-	// blocks (via p) when no data is available on a blocking object.
-	ReadAt(p *Proc, b []byte, off int64) (int, error)
+	// Read reads up to n bytes at offset off (offset ignored by
+	// non-seekable objects) and returns the bytes it produced: empty at
+	// end of file. It blocks (via p) when no data is available on a
+	// blocking object. The slice is a view into kernel memory (a
+	// per-kernel scratch buffer, a pipe buffer, or a received segment)
+	// and stays valid only until the next read on this kernel; the
+	// caller copies it out at once.
+	Read(p *Proc, n int, off int64) ([]byte, error)
 	// WriteAt writes b at off.
 	WriteAt(p *Proc, b []byte, off int64) (int, error)
 	// Size returns the current size, if meaningful.
@@ -33,21 +37,26 @@ type FileDesc struct {
 // it exactly once via errno().
 func (p *Proc) allocFD(ops FileOps, seekable bool) (int, uint64) {
 	d := &FileDesc{Ops: ops, Refs: 1, Seekable: seekable}
+	fd := -1
 	// Slots below fdHint are all occupied, so this scan touches only
 	// slots freed since the last alloc (amortized O(1)).
 	for i := p.fdHint; i < len(p.fds); i++ {
 		if p.fds[i] == nil {
-			p.fds[i] = d
-			p.fdHint = i + 1
-			return i, 0
+			fd = i
+			break
 		}
 	}
-	if len(p.fds) >= maxFDs {
-		return -1, EMFILE
+	if fd < 0 {
+		if len(p.fds) >= maxFDs {
+			return -1, EMFILE
+		}
+		fd = len(p.fds)
+		p.fds = append(p.fds, nil)
 	}
-	p.fds = append(p.fds, d)
-	p.fdHint = len(p.fds)
-	return len(p.fds) - 1, 0
+	p.fds[fd] = d
+	p.fdHint = fd + 1
+	p.fdChanged(fd, nil, ops)
+	return fd, 0
 }
 
 // fd fetches a descriptor; the errno result follows allocFD's
@@ -69,6 +78,7 @@ func (p *Proc) closeFD(k *Kernel, n int) uint64 {
 	if n < p.fdHint {
 		p.fdHint = n
 	}
+	p.fdChanged(n, d.Ops, nil)
 	d.Refs--
 	if d.Refs == 0 {
 		if err := d.Ops.Close(k); err != nil {
@@ -76,6 +86,14 @@ func (p *Proc) closeFD(k *Kernel, n int) uint64 {
 		}
 	}
 	return 0
+}
+
+// fdChanged reports that slot n of p's table went from old to cur
+// (either may be nil) to every poll set p owns.
+func (p *Proc) fdChanged(n int, old, cur FileOps) {
+	for _, ps := range p.pollSets {
+		ps.retarget(n, old, cur)
+	}
 }
 
 // closeAllFDs releases every descriptor at exit.
@@ -92,7 +110,7 @@ func (p *Proc) closeAllFDs(k *Kernel) {
 // consoleFile is /dev/console: writes append to the machine console.
 type consoleFile struct{ k *Kernel }
 
-func (c *consoleFile) ReadAt(p *Proc, b []byte, off int64) (int, error) { return 0, nil }
+func (c *consoleFile) Read(p *Proc, n int, off int64) ([]byte, error) { return nil, nil }
 func (c *consoleFile) WriteAt(p *Proc, b []byte, off int64) (int, error) {
 	c.k.Console().Printf("%s", string(b))
 	return len(b), nil
@@ -104,7 +122,7 @@ func (c *consoleFile) Close(k *Kernel) error { return nil }
 // nullFile is /dev/null.
 type nullFile struct{}
 
-func (nullFile) ReadAt(p *Proc, b []byte, off int64) (int, error)  { return 0, nil }
+func (nullFile) Read(p *Proc, n int, off int64) ([]byte, error)    { return nil, nil }
 func (nullFile) WriteAt(p *Proc, b []byte, off int64) (int, error) { return len(b), nil }
 func (nullFile) Size() int64                                       { return 0 }
 func (nullFile) Ready() bool                                       { return false }
@@ -115,7 +133,13 @@ func (nullFile) Close(k *Kernel) error                             { return nil 
 // the VM's trusted instruction instead.
 type randomFile struct{ k *Kernel }
 
-func (r *randomFile) ReadAt(p *Proc, b []byte, off int64) (int, error) {
+// maxRandomRead caps one /dev/random read. Larger requests return a
+// short count, as Linux does for large /dev/urandom reads, so the
+// request length never sizes a host buffer.
+const maxRandomRead = 64 << 10
+
+func (r *randomFile) Read(p *Proc, n int, off int64) ([]byte, error) {
+	b := r.k.readScratch(min(n, maxRandomRead))
 	for i := range b {
 		var v uint64
 		if r.k.devRandomHook != nil {
@@ -125,7 +149,7 @@ func (r *randomFile) ReadAt(p *Proc, b []byte, off int64) (int, error) {
 		}
 		b[i] = byte(v)
 	}
-	return len(b), nil
+	return b, nil
 }
 func (r *randomFile) WriteAt(p *Proc, b []byte, off int64) (int, error) {
 	return 0, fmt.Errorf("read-only")

@@ -180,6 +180,15 @@ type Kernel struct {
 	stats Stats
 	// sysProf is the per-syscall cycle histogram (see profile.go).
 	sysProf map[uint64]*SyscallCycles
+
+	// readBuf is the scratch that file, socket and /dev/random reads
+	// fill and return as a view (FileOps.Read); sysRead copies the view
+	// out before anything else reads. Reads size it by the data they
+	// produce, never by the request: a file read is clamped to the
+	// file (at most MaxFileSize), a socket read to the bytes buffered
+	// (at most the receive window), a /dev/random read to
+	// maxRandomRead.
+	readBuf []byte
 }
 
 // SetHostParallel switches this kernel between serial and host-parallel

@@ -254,11 +254,20 @@ func (k *Kernel) resolveFault(p *Proc, va hw.Virt) bool {
 	return true
 }
 
+// copyinKeep is the most copyin scratch a process keeps between calls;
+// a larger copy gets a buffer of its own for that call only.
+const copyinKeep = 64 << 10
+
 // copyin is the kernel's fault-tolerant copy from user space: like the
 // real copyin, it services demand-paging faults on the user buffer.
+// The bytes land in p's copyin scratch and stay valid until p's next
+// copyin. The scratch is per process, not per kernel, because a write
+// that blocks (a full pipe, a closed send window) still holds its
+// bytes while other processes enter the kernel.
 func (k *Kernel) copyin(p *Proc, va hw.Virt, n int) ([]byte, error) {
+	b := p.copyinScratch(n)
 	for tries := 0; ; tries++ {
-		b, err := k.HAL.Copyin(p.root, va, n)
+		err := k.HAL.Copyin(p.root, va, b)
 		if err == nil {
 			return b, nil
 		}
@@ -267,6 +276,18 @@ func (k *Kernel) copyin(p *Proc, va hw.Virt, n int) ([]byte, error) {
 			return nil, err
 		}
 	}
+}
+
+// copyinScratch returns an n-byte buffer for copyin: p's scratch,
+// grown geometrically up to copyinKeep, or a one-off buffer beyond.
+func (p *Proc) copyinScratch(n int) []byte {
+	if n > copyinKeep {
+		return make([]byte, n)
+	}
+	if cap(p.inBuf) < n {
+		p.inBuf = make([]byte, min(max(n, 2*cap(p.inBuf)), copyinKeep))
+	}
+	return p.inBuf[:n]
 }
 
 // copyout is the fault-tolerant copy to user space.

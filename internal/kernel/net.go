@@ -1,7 +1,8 @@
 package kernel
 
 import (
-	"sort"
+	"math/bits"
+	"slices"
 
 	"repro/internal/core"
 	"repro/internal/hw"
@@ -77,8 +78,14 @@ type Conn struct {
 	// destination port): POLLERR, and blocking connect returns
 	// ECONNREFUSED.
 	refused bool
-	rx      []byte
-	// rxWindow caps len(rx) + bytes queued for this port in the NIC.
+	// rxq holds the data of delivered segments not yet read, oldest
+	// first from rxHead on, and rxLen counts its bytes. The segments
+	// are the NIC's payloads, kept as delivered; Recv gathers from
+	// them.
+	rxq    [][]byte
+	rxHead int
+	rxLen  int
+	// rxWindow caps rxLen + bytes queued for this port in the NIC.
 	rxWindow int
 	// idleTimeout, when non-zero, auto-closes the connection after
 	// that many cycles without receive activity (keep-alive kill). The
@@ -86,13 +93,55 @@ type Conn struct {
 	idleTimeout uint64
 	idleTimer   timerID
 	connTimer   timerID
+	// sock is the socket wrapping this connection, nil until one
+	// attaches; every state change that can make it ready wakes it.
+	sock *Socket
 }
 
-// LocalPort returns the connection's local port (tests and stats).
-func (c *Conn) LocalPort() uint16 { return c.local }
+// pushRx queues one delivered segment's data. A full queue first
+// reuses its consumed prefix when that is at least half of it, so a
+// reader that never quite catches up does not grow it without bound.
+func (c *Conn) pushRx(data []byte) {
+	if len(c.rxq) == cap(c.rxq) && 2*c.rxHead >= len(c.rxq) {
+		n := copy(c.rxq, c.rxq[c.rxHead:])
+		clear(c.rxq[n:])
+		c.rxq, c.rxHead = c.rxq[:n], 0
+	}
+	c.rxq = append(c.rxq, data)
+	c.rxLen += len(data)
+}
 
-// Established reports the handshake state (nonblocking connect).
-func (c *Conn) Established() bool { return c.established }
+// takeRx removes the first n <= rxLen buffered bytes from a non-empty
+// queue. A read inside the head segment returns a view of it; one that
+// spans segments gathers them into the kernel's read scratch.
+func (c *Conn) takeRx(k *Kernel, n int) []byte {
+	c.rxLen -= n
+	if head := c.rxq[c.rxHead]; n <= len(head) {
+		c.consumeHead(n)
+		return head[:n]
+	}
+	out := k.readScratch(n)
+	for got := 0; got < n; {
+		m := copy(out[got:], c.rxq[c.rxHead])
+		c.consumeHead(m)
+		got += m
+	}
+	return out
+}
+
+// consumeHead drops n bytes from the head segment, popping it once
+// empty; an emptied queue rewinds so its array is reused.
+func (c *Conn) consumeHead(n int) {
+	if n < len(c.rxq[c.rxHead]) {
+		c.rxq[c.rxHead] = c.rxq[c.rxHead][n:]
+		return
+	}
+	c.rxq[c.rxHead] = nil
+	c.rxHead++
+	if c.rxHead == len(c.rxq) {
+		c.rxq, c.rxHead = c.rxq[:0], 0
+	}
+}
 
 // backlogEntry is one pending SYN on a listener.
 type backlogEntry struct {
@@ -110,6 +159,8 @@ type Listener struct {
 	// the admission-control behavior the C10K harness measures.
 	maxBacklog int
 	synDrops   uint64
+	// sock is the listening socket, woken when the backlog grows.
+	sock *Socket
 }
 
 // SynDrops reports how many SYNs this listener's backlog cap dropped.
@@ -265,11 +316,35 @@ func (ns *NetStack) sendRoom(c *Conn) int {
 	if !ok || rc.remote != c.local {
 		return maxSegment
 	}
-	room := rc.rxWindow - len(rc.rx)
+	room := rc.rxWindow - rc.rxLen
 	if !c.remoteIsLocal {
 		room -= int(ps.nic.QueuedBytes(c.remote))
 	}
 	return room
+}
+
+// wakeSenders wakes every connection whose sendRoom reads rc — the
+// sender at the other end, on this stack for loopback or on the linked
+// one — after rc's window opened: a read, a drained frame, or rc's
+// removal.
+func (ns *NetStack) wakeSenders(rc *Conn) {
+	if sc, ok := ns.conns[rc.remote]; ok && sc.remoteIsLocal {
+		sc.sock.wake()
+	}
+	if p := ns.nic.Peer(); p != nil {
+		if ps, ok := p.Owner().(*NetStack); ok {
+			if sc, ok := ps.conns[rc.remote]; ok && !sc.remoteIsLocal {
+				sc.sock.wake()
+			}
+		}
+	}
+}
+
+// dropConn releases c's local port. A sender that read c's window now
+// sees none, so it is woken.
+func (ns *NetStack) dropConn(c *Conn) {
+	delete(ns.conns, c.local)
+	ns.wakeSenders(c)
 }
 
 // Poll is the receive-interrupt stand-in the schedulers call between
@@ -297,8 +372,9 @@ func (ns *NetStack) Poll() {
 // keep charging the sender's view of the window).
 func (ns *NetStack) drainPort(port uint16) {
 	for {
-		if c, ok := ns.conns[port]; ok {
-			if n := ns.nic.PeekPayloadLen(port); n > netHdrSize && len(c.rx)+(n-netHdrSize) > c.rxWindow {
+		c, hasConn := ns.conns[port]
+		if hasConn {
+			if n := ns.nic.PeekPayloadLen(port); n > netHdrSize && c.rxLen+(n-netHdrSize) > c.rxWindow {
 				return
 			}
 		}
@@ -306,12 +382,14 @@ func (ns *NetStack) drainPort(port uint16) {
 		if !ok {
 			return
 		}
+		if hasConn {
+			ns.wakeSenders(c) // the frame left c's NIC queue
+		}
 		// Late frames — addressed to a port with neither a connection
 		// nor a listener — are drained and counted but not charged: the
 		// pre-refactor stack never processed them at all (they rotted in
 		// the NIC queue), and the legacy experiments' calibrated cycle
 		// totals must not move because teardown races are now accounted.
-		_, hasConn := ns.conns[port]
 		_, hasListener := ns.listeners[port]
 		if hasConn || hasListener {
 			ns.k.HAL.KAccess(workNetPerPacket)
@@ -333,7 +411,7 @@ func (ns *NetStack) deliverable() bool {
 		if !ok {
 			return true // listener, or a late frame a drain will drop
 		}
-		if n := ns.nic.PeekPayloadLen(port); n <= netHdrSize || len(c.rx)+(n-netHdrSize) <= c.rxWindow {
+		if n := ns.nic.PeekPayloadLen(port); n <= netHdrSize || c.rxLen+(n-netHdrSize) <= c.rxWindow {
 			return true
 		}
 	}
@@ -366,6 +444,7 @@ func (ns *NetStack) handlePacket(port uint16, pl []byte, fromLocal bool) {
 			return
 		}
 		l.backlog = append(l.backlog, backlogEntry{srcPort: src, local: fromLocal})
+		l.sock.wake()
 	case pktSYNACK:
 		if c, ok := ns.conns[port]; ok {
 			c.established = true
@@ -374,6 +453,7 @@ func (ns *NetStack) handlePacket(port uint16, pl []byte, fromLocal bool) {
 				ns.wheel.cancel(c.connTimer)
 				c.connTimer = 0
 			}
+			c.sock.wake()
 		}
 	case pktRST:
 		if c, ok := ns.conns[port]; ok && !c.established && !c.closed {
@@ -382,6 +462,7 @@ func (ns *NetStack) handlePacket(port uint16, pl []byte, fromLocal bool) {
 				ns.wheel.cancel(c.connTimer)
 				c.connTimer = 0
 			}
+			c.sock.wake()
 		}
 	case pktDATA:
 		c, ok := ns.conns[port]
@@ -392,7 +473,10 @@ func (ns *NetStack) handlePacket(port uint16, pl []byte, fromLocal bool) {
 			ns.stats.LateDataDrops++
 			return
 		}
-		c.rx = append(c.rx, data...)
+		if len(data) > 0 {
+			c.pushRx(data)
+		}
+		c.sock.wake()
 		ns.touch(c)
 	case pktFIN:
 		c, ok := ns.conns[port]
@@ -401,6 +485,7 @@ func (ns *NetStack) handlePacket(port uint16, pl []byte, fromLocal bool) {
 			return
 		}
 		c.peerClosed = true
+		c.sock.wake()
 		ns.touch(c)
 	}
 }
@@ -460,6 +545,7 @@ func (ns *NetStack) Connect(p *Proc, dst uint16, toPeer bool, nonblock bool, tim
 			c.connTimer = 0
 			if !c.established && !c.closed {
 				c.timedOut = true
+				c.sock.wake()
 			}
 		})
 	}
@@ -469,11 +555,11 @@ func (ns *NetStack) Connect(p *Proc, dst uint16, toPeer bool, nonblock bool, tim
 	}
 	p.block(func() bool { ns.Poll(); return c.established || c.timedOut || c.refused })
 	if c.refused {
-		delete(ns.conns, c.local)
+		ns.dropConn(c)
 		return nil, ECONNREFUSED
 	}
 	if c.timedOut {
-		delete(ns.conns, c.local)
+		ns.dropConn(c)
 		return nil, ETIMEDOUT
 	}
 	return c, 0
@@ -546,25 +632,24 @@ func (ns *NetStack) Send(p *Proc, c *Conn, data []byte, nonblock bool) (int, uin
 // closes (then 0 = EOF). Buffered data is always drained before EOF is
 // reported, even after the peer's FIN. Nonblocking mode returns EAGAIN
 // instead of blocking.
+//
+// The result is a view (a received segment or the kernel's read
+// scratch) valid until the next read on this kernel.
 func (ns *NetStack) Recv(p *Proc, c *Conn, max int, nonblock bool) ([]byte, uint64) {
-	if len(c.rx) == 0 && nonblock {
+	if c.rxLen == 0 && nonblock {
 		ns.Poll()
-		if len(c.rx) == 0 && !c.peerClosed && !c.closed {
+		if c.rxLen == 0 && !c.peerClosed && !c.closed {
 			return nil, EAGAIN
 		}
 	}
 	if !nonblock {
-		p.block(func() bool { ns.Poll(); return len(c.rx) > 0 || c.peerClosed || c.closed })
+		p.block(func() bool { ns.Poll(); return c.rxLen > 0 || c.peerClosed || c.closed })
 	}
-	if len(c.rx) == 0 {
+	if c.rxLen == 0 {
 		return nil, 0 // EOF
 	}
-	n := len(c.rx)
-	if n > max {
-		n = max
-	}
-	out := c.rx[:n]
-	c.rx = c.rx[n:]
+	out := c.takeRx(ns.k, min(c.rxLen, max))
+	ns.wakeSenders(c)
 	return out, 0
 }
 
@@ -584,7 +669,8 @@ func (ns *NetStack) CloseConn(c *Conn) {
 		c.connTimer = 0
 	}
 	ns.send(pktFIN, c.local, c.remote, nil, c.remoteIsLocal)
-	delete(ns.conns, c.local)
+	ns.dropConn(c)
+	c.sock.wake()
 }
 
 // --- socket file objects & syscalls ---------------------------------------
@@ -600,18 +686,37 @@ type Socket struct {
 	// connect = connect timeout; on a connected socket it becomes the
 	// idle auto-close timeout directly).
 	timeo uint64
+	// watchers are the (poll set, member fd) pairs that name this
+	// socket in their owner's table.
+	watchers []pollWatch
 }
 
-func (s *Socket) ReadAt(p *Proc, b []byte, off int64) (int, error) {
+// pollWatch is one poll set membership naming a socket.
+type pollWatch struct {
+	ps *PollSet
+	fd int
+}
+
+// wake marks the socket as a candidate in every poll set that names
+// it. Nil-safe: a connection without a socket has no one to wake.
+func (s *Socket) wake() {
+	if s == nil {
+		return
+	}
+	for _, w := range s.watchers {
+		w.ps.mark(w.fd)
+	}
+}
+
+func (s *Socket) Read(p *Proc, n int, off int64) ([]byte, error) {
 	if s.conn == nil {
-		return 0, ErrNotReadable
+		return nil, ErrNotReadable
 	}
-	data, e := s.ns.Recv(p, s.conn, len(b), s.nonblock)
+	data, e := s.ns.Recv(p, s.conn, n, s.nonblock)
 	if e != 0 {
-		return 0, errnoError{e, "recv would block"}
+		return nil, errnoError{e, "recv would block"}
 	}
-	copy(b, data)
-	return len(data), nil
+	return data, nil
 }
 
 func (s *Socket) WriteAt(p *Proc, b []byte, off int64) (int, error) {
@@ -641,7 +746,7 @@ func (s *Socket) Ready() bool {
 	}
 	if s.conn != nil {
 		s.ns.Poll()
-		return len(s.conn.rx) > 0 || s.conn.peerClosed || s.conn.closed
+		return s.conn.rxLen > 0 || s.conn.peerClosed || s.conn.closed
 	}
 	return false
 }
@@ -689,7 +794,7 @@ func sysBind(k *Kernel, p *Proc, ic core.IContext) uint64 {
 	if _, used := k.Net.listeners[port]; used {
 		return errno(EEXIST)
 	}
-	s.listener = &Listener{port: port}
+	s.listener = &Listener{port: port, sock: s}
 	return 0
 }
 
@@ -727,6 +832,7 @@ func sysAccept(k *Kernel, p *Proc, ic core.IContext) uint64 {
 		return errno(e)
 	}
 	ns := &Socket{ns: k.Net, conn: conn, nonblock: s.nonblock}
+	conn.sock = ns
 	if s.timeo != 0 {
 		k.Net.SetIdleTimeout(conn, s.timeo)
 	}
@@ -754,6 +860,8 @@ func sysConnect(k *Kernel, p *Proc, ic core.IContext) uint64 {
 		return errno(e)
 	}
 	s.conn = conn
+	conn.sock = s
+	s.wake() // the socket now reports conn's state
 	return 0
 }
 
@@ -825,50 +933,129 @@ const (
 
 // PollSet is the kernel object behind sysPollCreate: a set of member
 // socket fds with per-fd interest masks. Readiness is level-triggered
-// and computed on demand by scanning members in ascending fd order —
-// there is no per-packet bookkeeping, so the structure serializes
-// trivially and wakeups stay deterministic.
+// and computed from connection state at wait time. A candidate bitmap
+// keeps the host cost of a wait proportional to what changed rather
+// than to the member count; the virtual charge is O(ready) either way.
 type PollSet struct {
-	ns  *NetStack
-	fds []int // ascending
-	// interest maps member fd -> event mask. Iteration always goes
-	// through the sorted fds slice, never the map.
+	ns *NetStack
+	// interest maps member fd -> event mask. Membership is by number in
+	// the owner's table, resolved at wait time: a closed member reports
+	// POLLERR, a reused number reports whatever it names now.
 	interest map[int]uint32
+	// cand is the candidate bitmap over member fds. Invariant: every
+	// member whose readiness is non-zero has its bit set; extra bits
+	// are allowed. Bits are set by interest edits (sysPollCtl), by
+	// state changes of a socket that names this set in its watchers,
+	// and by changes of the owner's table at a member fd (retarget). A
+	// walk clears the bit of each candidate it finds not ready.
+	cand []uint64
 	// owner is the creating process: member fds index its table. A
 	// poll set is private to its creator (not meaningfully inherited
 	// across fork).
 	owner *Proc
 }
 
-func (ps *PollSet) ReadAt(p *Proc, b []byte, off int64) (int, error)  { return 0, ErrNotReadable }
+func (ps *PollSet) Read(p *Proc, n int, off int64) ([]byte, error)    { return nil, ErrNotReadable }
 func (ps *PollSet) WriteAt(p *Proc, b []byte, off int64) (int, error) { return 0, ErrNotWritable }
 func (ps *PollSet) Size() int64                                       { return 0 }
 
 // Ready reports whether any member is ready (select-on-pollset).
 func (ps *PollSet) Ready() bool {
 	ps.ns.Poll()
-	for _, fd := range ps.fds {
-		if ps.readiness(ps.owner, fd) != 0 {
-			return true
+	_, _, ok := ps.next(0)
+	return ok
+}
+
+// Close drops the set from its owner's list and its memberships from
+// the sockets that carry them.
+func (ps *PollSet) Close(k *Kernel) error {
+	o := ps.owner
+	o.pollSets = slices.DeleteFunc(o.pollSets, func(x *PollSet) bool { return x == ps })
+	for fd := range ps.interest {
+		if s, e := sockOf(o, fd); e == 0 {
+			s.unwatch(ps, fd)
 		}
 	}
-	return false
+	return nil
 }
 
-func (ps *PollSet) Close(k *Kernel) error { return nil }
-
-type pollMember struct {
-	fd     int
-	events uint32
+// mark sets fd's candidate bit.
+func (ps *PollSet) mark(fd int) {
+	w := fd / 64
+	if w >= len(ps.cand) {
+		ps.cand = append(ps.cand, make([]uint64, w+1-len(ps.cand))...)
+	}
+	ps.cand[w] |= 1 << (fd % 64)
 }
 
-// readiness computes fd's level-triggered event set, masked by the
-// registered interest (POLLHUP and POLLERR always report).
-func (ps *PollSet) readiness(p *Proc, fd int) uint32 {
-	if p == nil {
+// next returns the lowest candidate fd >= from whose readiness is
+// non-zero, clearing the bit of every candidate it passes that is not
+// ready. By the cand invariant, repeated calls visit exactly the ready
+// members a scan of every member in fd order would.
+func (ps *PollSet) next(from int) (fd int, ev uint32, ok bool) {
+	for w := from / 64; w < len(ps.cand); w++ {
+		word := ps.cand[w]
+		if w == from/64 {
+			word &^= 1<<(from%64) - 1
+		}
+		for ; word != 0; word &= word - 1 {
+			b := bits.TrailingZeros64(word)
+			fd := w*64 + b
+			if ev := ps.readiness(fd); ev != 0 {
+				return fd, ev, true
+			}
+			ps.cand[w] &^= 1 << b
+		}
+	}
+	return 0, 0, false
+}
+
+// collect returns up to maxev ready members, in ascending fd order,
+// as the (fd uint32, events uint32) pairs sysPollWait copies out.
+func (ps *PollSet) collect(maxev int) []byte {
+	var out []byte
+	for fd, ev, ok := ps.next(0); ok; fd, ev, ok = ps.next(fd + 1) {
+		out = append(out,
+			byte(fd), byte(fd>>8), byte(fd>>16), byte(fd>>24),
+			byte(ev), byte(ev>>8), byte(ev>>16), byte(ev>>24))
+		if len(out)/8 == maxev {
+			break
+		}
+	}
+	return out
+}
+
+// retarget follows a change of the owner's slot n from old to cur
+// (either may be nil). A member there must be rechecked, and the
+// membership moves to the socket the number now names.
+func (ps *PollSet) retarget(n int, old, cur FileOps) {
+	if _, member := ps.interest[n]; !member {
+		return
+	}
+	ps.mark(n)
+	if s, ok := old.(*Socket); ok {
+		s.unwatch(ps, n)
+	}
+	if s, ok := cur.(*Socket); ok {
+		s.watchers = append(s.watchers, pollWatch{ps, n})
+	}
+}
+
+// unwatch removes the membership (ps, fd) from s.
+func (s *Socket) unwatch(ps *PollSet, fd int) {
+	s.watchers = slices.DeleteFunc(s.watchers, func(w pollWatch) bool { return w.ps == ps && w.fd == fd })
+}
+
+// readiness computes member fd's level-triggered event set, masked by
+// its interest (POLLHUP and POLLERR always report); 0 for a
+// non-member. POLLOUT, and the send-window lookup behind it, is
+// computed only when the interest asks for it.
+func (ps *PollSet) readiness(fd int) uint32 {
+	interest, member := ps.interest[fd]
+	if !member {
 		return 0
 	}
-	d, e := p.fd(fd)
+	d, e := ps.owner.fd(fd)
 	if e != 0 {
 		return POLLERR
 	}
@@ -885,26 +1072,28 @@ func (ps *PollSet) readiness(p *Proc, fd int) uint32 {
 		if c.timedOut || c.refused {
 			ev |= POLLERR
 		}
-		if len(c.rx) > 0 || c.peerClosed || c.closed {
+		if c.rxLen > 0 || c.peerClosed || c.closed {
 			ev |= POLLIN
 		}
 		if c.peerClosed || c.closed {
 			ev |= POLLHUP
 		}
-		if c.established && !c.peerClosed && !c.closed && ps.ns.sendRoom(c) > 0 {
+		if interest&POLLOUT != 0 && c.established && !c.peerClosed && !c.closed && ps.ns.sendRoom(c) > 0 {
 			ev |= POLLOUT
 		}
 	}
-	return ev & (ps.interest[fd] | POLLHUP | POLLERR)
+	return ev & (interest | POLLHUP | POLLERR)
 }
 
 // sysPollCreate allocates an empty poll set and returns its fd.
 func sysPollCreate(k *Kernel, p *Proc, ic core.IContext) uint64 {
 	k.HAL.KAccess(workPollCreate)
-	fd, e := p.allocFD(&PollSet{ns: k.Net, interest: make(map[int]uint32), owner: p}, false)
+	ps := &PollSet{ns: k.Net, interest: make(map[int]uint32), owner: p}
+	fd, e := p.allocFD(ps, false)
 	if e != 0 {
 		return errno(e)
 	}
+	p.pollSets = append(p.pollSets, ps)
 	return uint64(fd)
 }
 
@@ -922,7 +1111,8 @@ func pollSetOf(p *Proc, fd int) (*PollSet, uint64) {
 
 // sysPollCtl edits a poll set: arg0 poll fd, arg1 op (add/mod/del),
 // arg2 member socket fd, arg3 interest mask. Errnos follow epoll:
-// EEXIST on duplicate add, ENOENT on mod/del of a non-member.
+// EEXIST on duplicate add, ENOENT on mod/del of a non-member. Member
+// numbers name sockets in the poll set's owner's table.
 func sysPollCtl(k *Kernel, p *Proc, ic core.IContext) uint64 {
 	ps, e := pollSetOf(p, int(ic.Arg(0)))
 	if e != 0 {
@@ -932,7 +1122,8 @@ func sysPollCtl(k *Kernel, p *Proc, ic core.IContext) uint64 {
 	op := int(ic.Arg(1))
 	fd := int(ic.Arg(2))
 	events := uint32(ic.Arg(3))
-	if _, se := sockOf(p, fd); se != 0 && op != PollCtlDel {
+	s, se := sockOf(ps.owner, fd)
+	if se != 0 && op != PollCtlDel {
 		return errno(se)
 	}
 	_, member := ps.interest[fd]
@@ -941,23 +1132,23 @@ func sysPollCtl(k *Kernel, p *Proc, ic core.IContext) uint64 {
 		if member {
 			return errno(EEXIST)
 		}
-		i := sort.SearchInts(ps.fds, fd)
-		ps.fds = append(ps.fds, 0)
-		copy(ps.fds[i+1:], ps.fds[i:])
-		ps.fds[i] = fd
 		ps.interest[fd] = events
+		s.watchers = append(s.watchers, pollWatch{ps, fd})
+		ps.mark(fd)
 	case PollCtlMod:
 		if !member {
 			return errno(ENOENT)
 		}
 		ps.interest[fd] = events
+		ps.mark(fd)
 	case PollCtlDel:
 		if !member {
 			return errno(ENOENT)
 		}
-		i := sort.SearchInts(ps.fds, fd)
-		ps.fds = append(ps.fds[:i], ps.fds[i+1:]...)
 		delete(ps.interest, fd)
+		if se == 0 {
+			s.unwatch(ps, fd)
+		}
 	default:
 		return errno(EINVAL)
 	}
@@ -970,7 +1161,8 @@ func sysPollCtl(k *Kernel, p *Proc, ic core.IContext) uint64 {
 // count, 0 on timeout. Level-triggered: members still ready on the
 // next call report again. Results are written in ascending fd order.
 // The charge is workPollWaitBase + workPollPerEvent per reported event
-// — O(ready), not O(members), the epoll cost shape.
+// — O(ready), not O(members), the epoll cost shape; the candidate
+// walk (PollSet.next) makes the host cost follow it.
 func sysPollWait(k *Kernel, p *Proc, ic core.IContext) uint64 {
 	ps, e := pollSetOf(p, int(ic.Arg(0)))
 	if e != 0 {
@@ -983,21 +1175,9 @@ func sysPollWait(k *Kernel, p *Proc, ic core.IContext) uint64 {
 	if maxev <= 0 {
 		return errno(EINVAL)
 	}
-	collect := func() []pollMember {
-		var out []pollMember
-		for _, fd := range ps.fds {
-			if ev := ps.readiness(p, fd); ev != 0 {
-				out = append(out, pollMember{fd: fd, events: ev})
-				if len(out) == maxev {
-					break
-				}
-			}
-		}
-		return out
-	}
 	k.Net.Poll()
-	ready := collect()
-	if len(ready) == 0 {
+	out := ps.collect(maxev)
+	if len(out) == 0 {
 		expired := false
 		var tid timerID
 		if timeout != 0 {
@@ -1008,30 +1188,21 @@ func sysPollWait(k *Kernel, p *Proc, ic core.IContext) uint64 {
 			if expired {
 				return true
 			}
-			for _, fd := range ps.fds {
-				if ps.readiness(p, fd) != 0 {
-					return true
-				}
-			}
-			return false
+			_, _, ok := ps.next(0)
+			return ok
 		})
 		if tid != 0 && !expired {
 			k.Net.wheel.cancel(tid)
 		}
-		ready = collect()
-		if len(ready) == 0 {
+		out = ps.collect(maxev)
+		if len(out) == 0 {
 			return 0 // timeout
 		}
 	}
-	k.HAL.KAccess(len(ready) * workPollPerEvent)
-	out := make([]byte, 0, len(ready)*8)
-	for _, m := range ready {
-		out = append(out,
-			byte(m.fd), byte(m.fd>>8), byte(m.fd>>16), byte(m.fd>>24),
-			byte(m.events), byte(m.events>>8), byte(m.events>>16), byte(m.events>>24))
-	}
+	n := len(out) / 8
+	k.HAL.KAccess(n * workPollPerEvent)
 	if err := k.copyout(p, hw.Virt(buf), out); err != nil {
 		return errno(EFAULT)
 	}
-	return uint64(len(ready))
+	return uint64(n)
 }

@@ -38,8 +38,8 @@ func TestPollDrainsPortsInSortedOrder(t *testing.T) {
 	var ids []timerID
 	for _, port := range ports {
 		c := server.Net.conns[port]
-		if string(c.rx) != "x" {
-			t.Fatalf("port %d rx = %q", port, c.rx)
+		if got := c.takeRx(server, c.rxLen); string(got) != "x" {
+			t.Fatalf("port %d rx = %q", port, got)
 		}
 		ids = append(ids, c.idleTimer)
 	}

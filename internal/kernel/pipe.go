@@ -22,16 +22,17 @@ func NewPipe() (FileOps, FileOps) {
 	return &pipeRead{p}, &pipeWrite{p}
 }
 
-func (r *pipeRead) ReadAt(proc *Proc, b []byte, off int64) (int, error) {
+// Read returns a view of the pipe buffer's first n bytes. Writers
+// only append past the view, so it stays intact until sysRead copies
+// it out.
+func (r *pipeRead) Read(proc *Proc, n int, off int64) ([]byte, error) {
 	p := r.p
 	// Block until data arrives or every writer is gone.
 	proc.block(func() bool { return len(p.buf) > 0 || p.writers == 0 })
-	if len(p.buf) == 0 {
-		return 0, nil // EOF
-	}
-	n := copy(b, p.buf)
+	n = min(n, len(p.buf))
+	out := p.buf[:n]
 	p.buf = p.buf[n:]
-	return n, nil
+	return out, nil
 }
 
 func (r *pipeRead) WriteAt(proc *Proc, b []byte, off int64) (int, error) {
@@ -45,8 +46,8 @@ func (r *pipeRead) Close(k *Kernel) error {
 	return nil
 }
 
-func (w *pipeWrite) ReadAt(proc *Proc, b []byte, off int64) (int, error) {
-	return 0, ErrNotReadable
+func (w *pipeWrite) Read(proc *Proc, n int, off int64) ([]byte, error) {
+	return nil, ErrNotReadable
 }
 
 func (w *pipeWrite) WriteAt(proc *Proc, b []byte, off int64) (int, error) {

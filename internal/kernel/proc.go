@@ -138,6 +138,12 @@ type Proc struct {
 	// instead of scanning the table per open.
 	fds    []*FileDesc
 	fdHint int
+	// pollSets are the poll sets this process created: their members
+	// are numbers in this table, so allocFD and closeFD report every
+	// change of a slot to them.
+	pollSets []*PollSet
+	// inBuf is the copyin scratch (see Kernel.copyin).
+	inBuf []byte
 
 	// signals (kernel side)
 	sigHandlers map[int]uint64

@@ -21,8 +21,8 @@ type fsFile struct {
 	ino uint32
 }
 
-func (f *fsFile) ReadAt(p *Proc, b []byte, off int64) (int, error) {
-	return f.fs.ReadAt(f.ino, b, off)
+func (f *fsFile) Read(p *Proc, n int, off int64) ([]byte, error) {
+	return f.fs.read(f.ino, n, off)
 }
 
 func (f *fsFile) WriteAt(p *Proc, b []byte, off int64) (int, error) {
@@ -123,10 +123,11 @@ func sysClose(k *Kernel, p *Proc, ic core.IContext) uint64 {
 	return 0
 }
 
-// sysRead implements read(fd, buf, n): the kernel reads into its own
-// buffer and copies out through the instrumented accessors, so a buffer
-// pointer aimed at ghost memory lands harmlessly in kernel space under
-// Virtual Ghost.
+// sysRead implements read(fd, buf, n): the file object returns a view
+// of the bytes it produced and the kernel copies them out through the
+// instrumented accessors, so a buffer pointer aimed at ghost memory
+// lands harmlessly in kernel space under Virtual Ghost. The view is
+// sized by the data, never by n alone.
 func sysRead(k *Kernel, p *Proc, ic core.IContext) uint64 {
 	d, e := p.fd(int(ic.Arg(0)))
 	if e != 0 {
@@ -137,21 +138,30 @@ func sysRead(k *Kernel, p *Proc, ic core.IContext) uint64 {
 		return errno(EINVAL)
 	}
 	k.HAL.KAccess(workReadWriteBase)
-	buf := make([]byte, n)
 	k.HAL.OnIndirectCall(1) // fo_read through the file-ops table
-	got, err := d.Ops.ReadAt(p, buf, d.Off)
+	data, err := d.Ops.Read(p, n, d.Off)
 	if err != nil {
 		return errno(errnoOf(err))
 	}
-	if got > 0 {
-		if err := k.copyout(p, hw.Virt(ic.Arg(1)), buf[:got]); err != nil {
+	if len(data) > 0 {
+		if err := k.copyout(p, hw.Virt(ic.Arg(1)), data); err != nil {
 			return errno(EFAULT)
 		}
 	}
 	if d.Seekable {
-		d.Off += int64(got)
+		d.Off += int64(len(data))
 	}
-	return uint64(got)
+	return uint64(len(data))
+}
+
+// readScratch returns the kernel's read scratch resized to n bytes,
+// growing it geometrically. Callers pass a length already bounded by
+// the data available.
+func (k *Kernel) readScratch(n int) []byte {
+	if cap(k.readBuf) < n {
+		k.readBuf = make([]byte, max(n, 2*cap(k.readBuf)))
+	}
+	return k.readBuf[:n]
 }
 
 // sysWrite implements write(fd, buf, n).

@@ -2,10 +2,12 @@ package kernel
 
 import (
 	"bytes"
+	"runtime"
 	"testing"
 
 	"repro/internal/core"
 	"repro/internal/hw"
+	"repro/internal/shadow"
 )
 
 func TestDevices(t *testing.T) {
@@ -241,5 +243,145 @@ func TestOutOfMemoryKillsGracefully(t *testing.T) {
 	k.RunUntilIdle()
 	if !survived {
 		t.Errorf("kernel unusable after OOM kill")
+	}
+}
+
+// TestHugeReadSizedByData: a read's host buffer is sized by the data
+// the descriptor returns, never by the request. read and recv asking
+// for 2^30, 2^40 and 2^63-1 bytes of a 5-byte file, a socket with 5
+// bytes buffered and a pipe holding 5 bytes each return those 5 bytes,
+// in every mode, and a 2^30-byte request allocates well under 1 MiB on
+// the host (it used to allocate the full GiB; 2^40 killed the process).
+func TestHugeReadSizedByData(t *testing.T) {
+	hals := []struct {
+		name string
+		new  func(m *hw.Machine) (core.HAL, error)
+	}{
+		{"native", func(m *hw.Machine) (core.HAL, error) { return core.NewNativeHAL(m) }},
+		{"vghost", func(m *hw.Machine) (core.HAL, error) { return core.NewVM(m) }},
+		{"shadow", func(m *hw.Machine) (core.HAL, error) { return shadow.New(m) }},
+	}
+	for _, h := range hals {
+		t.Run(h.name, func(t *testing.T) {
+			hal, err := h.new(hw.NewMachine(hw.DefaultConfig()))
+			if err != nil {
+				t.Fatal(err)
+			}
+			k, err := Boot(hal)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !k.WriteKernelFile("/five", []byte("hello")) {
+				t.Fatal("seed file")
+			}
+			done := false
+			if _, err := k.Spawn("reader", func(p *Proc) {
+				defer func() { done = true }()
+				buf := p.Alloc(64)
+				msg := p.PushString("hello")
+				ffd := p.Syscall(SysOpen, p.PushString("/five"), ORdOnly)
+				lfd := p.Syscall(SysSocket)
+				p.Syscall(SysBind, lfd, 9100)
+				p.Syscall(SysListen, lfd)
+				cfd := p.Syscall(SysSocket)
+				p.Syscall(SysNonblock, cfd, 1) // one process plays both ends
+				p.Syscall(SysConnect, cfd, 9100, LocalHost)
+				afd := p.Syscall(SysAccept, lfd)
+				fds := p.Alloc(8)
+				p.Syscall(SysPipe, fds)
+				rfd, wfd := p.Load(fds, 4), p.Load(fds+4, 4)
+				sources := []struct {
+					name string
+					fd   uint64
+					fill func()
+				}{
+					{"file", ffd, func() { p.Syscall(SysLseek, ffd, 0, 0) }},
+					{"socket", afd, func() { p.Syscall(SysSendTo, cfd, msg, 5) }},
+					{"pipe", rfd, func() { p.Syscall(SysWrite, wfd, msg, 5) }},
+				}
+				for _, n := range []uint64{1 << 30, 1 << 40, 1<<63 - 1} {
+					for _, src := range sources {
+						for _, call := range []uint64{SysRead, SysRecv} {
+							src.fill()
+							var before, after runtime.MemStats
+							runtime.ReadMemStats(&before)
+							got := p.Syscall(call, src.fd, buf, n)
+							runtime.ReadMemStats(&after)
+							if got != 5 || string(p.Read(buf, 5)) != "hello" {
+								t.Errorf("%s syscall %d n=%#x = %d, want 5 bytes of hello", src.name, call, n, int64(got))
+							}
+							if alloc := after.TotalAlloc - before.TotalAlloc; n == 1<<30 && alloc >= 1<<20 {
+								t.Errorf("%s syscall %d n=2^30 allocated %d host bytes", src.name, call, alloc)
+							}
+						}
+					}
+				}
+			}); err != nil {
+				t.Fatal(err)
+			}
+			k.RunUntilIdle()
+			if !done {
+				t.Fatal("reader stalled")
+			}
+		})
+	}
+}
+
+// TestBlockedWriteKeepsItsBytes: a write that blocks on a full pipe
+// resumes with its own bytes even though another process wrote through
+// the kernel while it waited — the copyin scratch a write holds across
+// a block belongs to its process, not to the kernel.
+func TestBlockedWriteKeepsItsBytes(t *testing.T) {
+	k := bootKernel(t, core.ModeNative)
+	const first, second = 48 << 10, 48 << 10
+	pattern := make([]byte, second)
+	for i := range pattern {
+		pattern[i] = byte(i % 251)
+	}
+	var got []byte
+	done := false
+	if _, err := k.Spawn("reader", func(p *Proc) {
+		defer func() { done = true }()
+		fds := p.Alloc(8)
+		p.Syscall(SysPipe, fds)
+		rfd, wfd := p.Load(fds, 4), p.Load(fds+4, 4)
+		pid := p.Fork(func(c *Proc) {
+			buf := c.Alloc(first)
+			c.Write(buf, bytes.Repeat([]byte{'a'}, first))
+			c.Syscall(SysWrite, wfd, buf, first) // fits the 64 KiB pipe
+			c.Write(buf, pattern)
+			c.Syscall(SysWrite, wfd, buf, second) // blocks part-way
+			c.Syscall(SysExit, 0)
+		})
+		for k.procs[pid].state != procBlocked {
+			p.Syscall(SysYield)
+		}
+		// Another write through the kernel while the writer waits.
+		nul := p.Syscall(SysOpen, p.PushString("/dev/null"), OWrOnly)
+		junk := p.Alloc(second)
+		p.Write(junk, bytes.Repeat([]byte{'z'}, second))
+		p.Syscall(SysWrite, nul, junk, second)
+		rbuf := p.Alloc(16 << 10)
+		for len(got) < first+second {
+			n := p.Syscall(SysRead, rfd, rbuf, 16<<10)
+			if _, bad := IsErr(n); bad || n == 0 {
+				break
+			}
+			got = append(got, p.Read(rbuf, int(n))...)
+		}
+	}); err != nil {
+		t.Fatal(err)
+	}
+	k.RunUntilIdle()
+	if !done {
+		t.Fatal("reader stalled")
+	}
+	want := append(bytes.Repeat([]byte{'a'}, first), pattern...)
+	if !bytes.Equal(got, want) {
+		i := 0
+		for i < len(got) && i < len(want) && got[i] == want[i] {
+			i++
+		}
+		t.Fatalf("pipe carried %d bytes, first difference at %d of %d", len(got), i, len(want))
 	}
 }

@@ -47,11 +47,17 @@ type timerWheel struct {
 	// overflow holds entries beyond the top level's horizon, sorted by
 	// (expiry, id); advance pops due entries straight off its head.
 	overflow []wheelEntry
-	// live holds armed-not-yet-fired ids; dead marks cancelled ids
-	// whose entries are reaped lazily when their slot is processed.
-	live    map[timerID]struct{}
+	// live maps each armed-not-yet-fired id to its expiry; dead marks
+	// cancelled ids whose entries are reaped lazily when their slot is
+	// processed.
+	live    map[timerID]uint64
 	dead    map[timerID]struct{}
 	pending int
+	// minExp caches the earliest live expiry while minValid. after
+	// lowers it; cancelling the entry at the minimum, or any firing,
+	// invalidates it, and the next nextExpiry rescans live.
+	minExp   uint64
+	minValid bool
 	// slotEntries counts entries physically stored in slots (live or
 	// lazily dead, excluding overflow). When it is zero, advance can
 	// jump the cursor without walking ticks.
@@ -62,7 +68,7 @@ type timerWheel struct {
 func newTimerWheel(now uint64) *timerWheel {
 	return &timerWheel{
 		curTick: now / wheelGranularity,
-		live:    make(map[timerID]struct{}),
+		live:    make(map[timerID]uint64),
 		dead:    make(map[timerID]struct{}),
 		nextID:  1,
 	}
@@ -77,8 +83,12 @@ func (w *timerWheel) after(now, delay uint64, fn func()) timerID {
 	}
 	id := w.nextID
 	w.nextID++
-	w.live[id] = struct{}{}
-	w.insert(wheelEntry{id: id, expiry: now + delay, fn: fn})
+	exp := now + delay
+	w.live[id] = exp
+	if w.minValid && exp < w.minExp {
+		w.minExp = exp
+	}
+	w.insert(wheelEntry{id: id, expiry: exp, fn: fn})
 	w.pending++
 	return id
 }
@@ -86,8 +96,12 @@ func (w *timerWheel) after(now, delay uint64, fn func()) timerID {
 // cancel disarms a timer. It reports whether the id was still armed
 // (false for already-fired, already-cancelled, or invalid ids).
 func (w *timerWheel) cancel(id timerID) bool {
-	if _, ok := w.live[id]; !ok {
+	exp, ok := w.live[id]
+	if !ok {
 		return false
+	}
+	if exp == w.minExp {
+		w.minValid = false
 	}
 	delete(w.live, id)
 	w.dead[id] = struct{}{}
@@ -206,6 +220,7 @@ func (w *timerWheel) advance(now uint64) int {
 	if len(due) == 0 {
 		return 0
 	}
+	w.minValid = false
 	sort.Slice(due, func(i, j int) bool {
 		if due[i].expiry != due[j].expiry {
 			return due[i].expiry < due[j].expiry
@@ -246,36 +261,24 @@ func (w *timerWheel) cascade() {
 }
 
 // nextExpiry returns the earliest live expiry and whether one exists.
-// O(levels × slots + queued entries) scan — called only on the idle
-// path, never per packet.
+// It answers from the cached minimum; only after the cache was
+// invalidated does it rescan the live entries, so an idle pass over
+// thousands of armed timers costs O(1) until one is cancelled at the
+// minimum or fires.
 func (w *timerWheel) nextExpiry() (uint64, bool) {
-	if w.pending == 0 {
+	if len(w.live) == 0 {
 		return 0, false
 	}
-	var best uint64
-	found := false
-	for lvl := 0; lvl < wheelLevels; lvl++ {
-		for idx := 0; idx < wheelSlots; idx++ {
-			for _, e := range w.slots[lvl][idx] {
-				if _, gone := w.dead[e.id]; gone {
-					continue
-				}
-				if !found || e.expiry < best {
-					best, found = e.expiry, true
-				}
+	if !w.minValid {
+		first := true
+		for _, exp := range w.live {
+			if first || exp < w.minExp {
+				w.minExp, first = exp, false
 			}
 		}
+		w.minValid = true
 	}
-	for _, e := range w.overflow {
-		if _, gone := w.dead[e.id]; gone {
-			continue
-		}
-		if !found || e.expiry < best {
-			best, found = e.expiry, true
-		}
-		break // sorted: the first live entry is the overflow minimum
-	}
-	return best, found
+	return w.minExp, true
 }
 
 // pendingCount reports how many timers are armed and not cancelled.

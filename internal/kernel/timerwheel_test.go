@@ -1,6 +1,7 @@
 package kernel
 
 import (
+	"math/rand"
 	"testing"
 )
 
@@ -126,5 +127,98 @@ func TestWheelZeroDelayFiresNextAdvance(t *testing.T) {
 	fireLog(w, 1000, 0, &log, 1)
 	if n := w.advance(1000 + wheelGranularity); n != 1 {
 		t.Fatalf("zero-delay timer: fired %d", n)
+	}
+}
+
+// TestWheelNextExpiryMatchesScan drives the wheel with random arms,
+// cancels and advances (near and far delays, overflow entries, big
+// jumps, handlers that re-arm) and checks after every operation that
+// the cached nextExpiry equals a scan of the live entries the test
+// tracks itself, and that each advance fires exactly the due ones.
+func TestWheelNextExpiryMatchesScan(t *testing.T) {
+	for seed := int64(1); seed <= 8; seed++ {
+		rng := rand.New(rand.NewSource(seed))
+		now := uint64(rng.Intn(1 << 20))
+		w := newTimerWheel(now)
+		live := make(map[timerID]uint64)
+		var ids []timerID
+		delay := func() uint64 {
+			switch rng.Intn(8) {
+			case 0:
+				return uint64(rng.Intn(wheelGranularity))
+			case 1:
+				return uint64(rng.Int63n(1 << 40)) // past the top level: overflow
+			case 2, 3:
+				return uint64(rng.Intn(64 * 64 * wheelGranularity))
+			}
+			return uint64(rng.Intn(64 * wheelGranularity))
+		}
+		var arm func()
+		arm = func() {
+			d := delay()
+			if d == 0 {
+				d = 1
+			}
+			var id timerID
+			reArm := rng.Intn(4) == 0
+			id = w.after(now, d, func() {
+				if _, ok := live[id]; !ok {
+					t.Fatalf("seed %d: timer %d fired but is not live", seed, id)
+				}
+				delete(live, id)
+				if reArm {
+					arm()
+				}
+			})
+			live[id] = now + d
+			ids = append(ids, id)
+		}
+		for step := 0; step < 3000; step++ {
+			switch r := rng.Intn(10); {
+			case r < 4:
+				arm()
+			case r < 6 && len(ids) > 0:
+				id := ids[rng.Intn(len(ids))]
+				_, want := live[id]
+				if got := w.cancel(id); got != want {
+					t.Fatalf("seed %d step %d: cancel(%d) = %v, want %v", seed, step, id, got, want)
+				}
+				delete(live, id)
+			default:
+				// Mostly small steps; sometimes the idle path's skip
+				// straight to the earliest expiry.
+				now += uint64(rng.Intn(5 * wheelGranularity))
+				if next, ok := w.nextExpiry(); ok && next > now && next-now < 1<<30 && rng.Intn(8) == 0 {
+					now = next + uint64(rng.Intn(wheelGranularity))
+				}
+				due := 0
+				for _, exp := range live {
+					if exp <= now {
+						due++
+					}
+				}
+				before := len(live)
+				fired := w.advance(now)
+				// Handlers may re-arm; entries armed during the
+				// advance fire on a later one.
+				if fired != due || before-fired > len(live) {
+					t.Fatalf("seed %d step %d: advance fired %d, %d were due", seed, step, fired, due)
+				}
+			}
+			var min uint64
+			found := false
+			for _, exp := range live {
+				if !found || exp < min {
+					min, found = exp, true
+				}
+			}
+			got, ok := w.nextExpiry()
+			if ok != found || got != min {
+				t.Fatalf("seed %d step %d: nextExpiry = %d,%v, scan = %d,%v", seed, step, got, ok, min, found)
+			}
+			if w.pendingCount() != len(live) {
+				t.Fatalf("seed %d step %d: %d pending, %d live", seed, step, w.pendingCount(), len(live))
+			}
+		}
 	}
 }

@@ -365,22 +365,53 @@ func (fs *FS) blockOf(ino uint32, in *inode, fileBlk int, alloc bool) (uint32, e
 
 // --- file data I/O --------------------------------------------------------
 
-// ReadAt reads up to len(b) bytes of file ino at offset off.
+// ReadAt reads up to len(b) bytes of file ino at offset off into b.
+// The mmap fault path uses it; descriptor reads use read.
 func (fs *FS) ReadAt(ino uint32, b []byte, off int64) (int, error) {
-	in, err := fs.readInode(ino)
-	if err != nil {
+	in, n, err := fs.readExtent(ino, len(b), off)
+	if in == nil {
 		return 0, err
 	}
+	return fs.readBlocks(ino, in, b[:n], off)
+}
+
+// read returns up to n bytes of file ino at offset off as a view of
+// the kernel's read scratch. The scratch grows only to the length
+// clamped to the file size, so n alone never sizes a host buffer.
+func (fs *FS) read(ino uint32, n int, off int64) ([]byte, error) {
+	in, n, err := fs.readExtent(ino, n, off)
+	if in == nil {
+		return nil, err
+	}
+	b := fs.k.readScratch(n)
+	got, err := fs.readBlocks(ino, in, b, off)
+	return b[:got], err
+}
+
+// readExtent loads ino and clamps an n-byte read at off to the file
+// size. A nil inode means there is nothing to read: an error, or off
+// at or past end of file.
+func (fs *FS) readExtent(ino uint32, n int, off int64) (*inode, int, error) {
+	in, err := fs.readInode(ino)
+	if err != nil {
+		return nil, 0, err
+	}
 	if in.Mode == modeFree {
-		return 0, ErrNotFound
+		return nil, 0, ErrNotFound
 	}
 	if off >= in.Size {
-		return 0, nil
+		return nil, 0, nil
 	}
-	n := len(b)
 	if int64(n) > in.Size-off {
 		n = int(in.Size - off)
 	}
+	return in, n, nil
+}
+
+// readBlocks fills b with file data from off, block by block through
+// the buffer cache (holes read as zeros).
+func (fs *FS) readBlocks(ino uint32, in *inode, b []byte, off int64) (int, error) {
+	n := len(b)
 	fs.k.HAL.KAccess(workReadWritePerPage * (n/hw.BlockSize + 1))
 	read := 0
 	for read < n {
@@ -396,9 +427,7 @@ func (fs *FS) ReadAt(ino uint32, b []byte, off int64) (int, error) {
 		}
 		if blk == 0 {
 			// Hole: zeros.
-			for i := 0; i < chunk; i++ {
-				b[read+i] = 0
-			}
+			clear(b[read : read+chunk])
 		} else if err := fs.cache.ReadPartial(int(blk), bo, chunk, b[read:read+chunk]); err != nil {
 			return read, err
 		}

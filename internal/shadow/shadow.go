@@ -106,19 +106,18 @@ func (h *HAL) LoadAddressSpace(root hw.Frame) error {
 // Copyin decrypts (and re-verifies) each shadowed application page the
 // kernel reads; protected (ghost-partition) sources come back as
 // ciphertext.
-func (h *HAL) Copyin(root hw.Frame, va hw.Virt, n int) ([]byte, error) {
-	pages := n/hw.PageSize + 1
+func (h *HAL) Copyin(root hw.Frame, va hw.Virt, dst []byte) error {
+	pages := len(dst)/hw.PageSize + 1
 	h.m.Clock.Charge(hw.TagCrypt, uint64(pages)*CostShadowPage)
-	b, err := h.NativeHAL.Copyin(root, va, n)
-	if err != nil {
-		return nil, err
+	if err := h.NativeHAL.Copyin(root, va, dst); err != nil {
+		return err
 	}
 	if hw.IsGhost(va) {
-		for i := range b {
-			b[i] ^= byte(h.pageKeystream(va+hw.Virt(i)) >> uint(8*(i%8)))
+		for i := range dst {
+			dst[i] ^= byte(h.pageKeystream(va+hw.Virt(i)) >> uint(8*(i%8)))
 		}
 	}
-	return b, nil
+	return nil
 }
 
 // Copyout re-encrypts and re-hashes each page the kernel writes.

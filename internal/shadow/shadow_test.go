@@ -83,7 +83,7 @@ func TestCopyinPaysPerPageShadowing(t *testing.T) {
 		t.Fatal(err)
 	}
 	before := m.Clock.Cycles()
-	if _, err := h.Copyin(root, 0x400000, 100); err != nil {
+	if err := h.Copyin(root, 0x400000, make([]byte, 100)); err != nil {
 		t.Fatal(err)
 	}
 	if m.Clock.Cycles()-before < CostShadowPage {
@@ -144,8 +144,8 @@ func TestShadowReadsAreCiphertext(t *testing.T) {
 	if v == plain {
 		t.Errorf("shadow kernel read returned plaintext")
 	}
-	blob, err := h.Copyin(root, hw.GhostBase, 16)
-	if err != nil {
+	blob := make([]byte, 16)
+	if err := h.Copyin(root, hw.GhostBase, blob); err != nil {
 		t.Fatal(err)
 	}
 	if string(blob) == "plaintext-secret" {
