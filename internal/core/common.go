@@ -38,10 +38,19 @@ type threadState struct {
 	id   ThreadID
 	root hw.Frame // address-space root, recorded on first use
 
-	// ic is the live interrupt context (most recent trap frame).
-	ic *hw.TrapFrame
+	// ic is the thread's Interrupt Context: the state its latest trap
+	// saved, or that fork or a snapshot put there. Under Virtual Ghost
+	// it is VM internal memory; natively it stands for the kernel
+	// stack. It is the only copy: a thread has at most one trap in
+	// flight, because only its own user context raises traps and a
+	// blocked handler parks the thread.
+	ic hw.TrapFrame
+	// hasIC records that ic holds a context.
+	hasIC bool
+	// handle is the kernel's IContext on ic, made once by the HAL.
+	handle IContext
 	// icStack holds contexts saved around signal delivery.
-	icStack []*hw.TrapFrame
+	icStack []hw.TrapFrame
 
 	// pending is the handler pushed by IPushFunction, consumed by the
 	// return-to-user path.

@@ -40,9 +40,3 @@ type nativeIC struct{ baseIC }
 func (ic *nativeIC) RawFrame() *hw.TrapFrame { return ic.tf }
 
 var _ RawFramer = (*nativeIC)(nil)
-
-// cloneFrame deep-copies a trap frame.
-func cloneFrame(tf *hw.TrapFrame) *hw.TrapFrame {
-	cp := *tf
-	return &cp
-}

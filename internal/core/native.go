@@ -39,18 +39,29 @@ func NewNativeHAL(m *hw.Machine) (*NativeHAL, error) {
 // Mode identifies the baseline configuration.
 func (h *NativeHAL) Mode() Mode { return ModeNative }
 
-// onTrap hands the raw trap frame straight to the kernel: no Interrupt
-// Context copy, no register zeroing. A rootkit holding the kernel's
-// trap path can read and rewrite everything.
+// onTrap hands the raw trap frame straight to the kernel: no register
+// zeroing, and the frame stays on the kernel stack. A rootkit holding
+// the kernel's trap path can read and rewrite everything.
 func (h *NativeHAL) onTrap(tf *hw.TrapFrame) {
-	tid := h.currentTID()
-	ts := h.thread(tid)
-	ts.ic = tf
+	ts := h.thread(h.currentTID())
+	// The thread's kernel-stack frame, not the CPU's entry slot: the
+	// handler may block while other threads trap on this CPU.
+	ts.ic = *tf
+	ts.hasIC = true
 	if h.handler == nil {
 		panic("core: trap with no kernel handler registered")
 	}
-	h.handler(&nativeIC{baseIC{tf: tf, tid: tid}}, tf.Kind, tf.Info)
-	h.m.Cur().ReturnFromTrap(tf)
+	h.handler(h.icHandle(ts), ts.ic.Kind, ts.ic.Info)
+	h.m.Cur().ReturnFromTrap(&ts.ic)
+}
+
+// icHandle returns the kernel's handle on the thread's frame, made on
+// first use.
+func (h *NativeHAL) icHandle(ts *threadState) IContext {
+	if ts.handle == nil {
+		ts.handle = &nativeIC{baseIC{tf: &ts.ic, tid: ts.id}}
+	}
+	return ts.handle
 }
 
 // Syscall enters the kernel.
@@ -251,8 +262,9 @@ func (h *NativeHAL) NewState(parent IContext, child ThreadID) (IContext, error) 
 		return nil, fmt.Errorf("core: native NewState needs a native context")
 	}
 	cts := h.thread(child)
-	cts.ic = cloneFrame(rf.RawFrame())
-	return &nativeIC{baseIC{tf: cts.ic, tid: child}}, nil
+	cts.ic = *rf.RawFrame()
+	cts.hasIC = true
+	return h.icHandle(cts), nil
 }
 
 // ReinitIContext resets the context with no validation of the entry.
@@ -298,10 +310,10 @@ func (h *NativeHAL) SaveIC(t ThreadID) error {
 	if err != nil {
 		return err
 	}
-	if ts.ic == nil {
+	if !ts.hasIC {
 		return fmt.Errorf("core: thread %d has no interrupt context", t)
 	}
-	ts.icStack = append(ts.icStack, cloneFrame(ts.ic))
+	ts.icStack = append(ts.icStack, ts.ic)
 	return nil
 }
 
@@ -314,9 +326,8 @@ func (h *NativeHAL) LoadIC(t ThreadID) error {
 	if len(ts.icStack) == 0 {
 		return fmt.Errorf("core: thread %d has no saved context", t)
 	}
-	top := ts.icStack[len(ts.icStack)-1]
+	ts.ic = ts.icStack[len(ts.icStack)-1]
 	ts.icStack = ts.icStack[:len(ts.icStack)-1]
-	*ts.ic = *top
 	return nil
 }
 

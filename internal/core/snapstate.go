@@ -114,13 +114,12 @@ func (h *halCommon) captureCommon() *HALSnap {
 			AppKey:      append([]byte(nil), ts.appKey...),
 			BinName:     ts.binName,
 		}
-		if ts.ic != nil {
-			ic := *ts.ic
+		if ts.hasIC {
+			ic := ts.ic
 			t.IC = &ic
 		}
 		for _, f := range ts.icStack {
-			cp := *f
-			t.ICStack = append(t.ICStack, &cp)
+			t.ICStack = append(t.ICStack, &f)
 		}
 		for a, ok := range ts.permitted {
 			if ok {
@@ -163,12 +162,10 @@ func (h *halCommon) applyCommon(s *HALSnap) error {
 			binName:     t.BinName,
 		}
 		if t.IC != nil {
-			ic := *t.IC
-			ts.ic = &ic
+			ts.ic, ts.hasIC = *t.IC, true
 		}
 		for _, f := range t.ICStack {
-			cp := *f
-			ts.icStack = append(ts.icStack, &cp)
+			ts.icStack = append(ts.icStack, *f)
 		}
 		for _, a := range t.Permitted {
 			ts.permitted[a] = true

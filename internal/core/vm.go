@@ -146,19 +146,26 @@ func (vm *VM) Mode() Mode { return ModeVirtualGhost }
 func (vm *VM) onTrap(tf *hw.TrapFrame) {
 	clk := vm.m.Clock
 	clk.Charge(hw.TagICSave, hw.CostICSave)
-	tid := vm.currentTID()
-	ts := vm.thread(tid)
-	saved := cloneFrame(tf) // the copy in VM internal memory
-	ts.ic = saved
+	ts := vm.thread(vm.currentTID())
+	ts.ic = *tf // the copy in VM internal memory
+	ts.hasIC = true
 	clk.Charge(hw.TagICSave, hw.CostICZero)
-	vm.m.Cur().Regs.Zero(tf.Kind == hw.TrapSyscall)
+	vm.m.Cur().Regs.Zero(ts.ic.Kind == hw.TrapSyscall)
 	if vm.handler == nil {
 		panic("core: trap with no kernel handler registered")
 	}
-	ic := &vgIC{baseIC{tf: saved, tid: tid}}
-	vm.handler(ic, tf.Kind, tf.Info)
+	vm.handler(vm.icHandle(ts), ts.ic.Kind, ts.ic.Info)
 	// Return to the interrupted program from the protected copy.
-	vm.m.Cur().ReturnFromTrap(saved)
+	vm.m.Cur().ReturnFromTrap(&ts.ic)
+}
+
+// icHandle returns the kernel's handle on the thread's Interrupt
+// Context, made on first use.
+func (vm *VM) icHandle(ts *threadState) IContext {
+	if ts.handle == nil {
+		ts.handle = &vgIC{baseIC{tf: &ts.ic, tid: ts.id}}
+	}
+	return ts.handle
 }
 
 // Syscall enters the kernel from user mode.

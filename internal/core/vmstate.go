@@ -22,8 +22,9 @@ func (vm *VM) NewState(parent IContext, child ThreadID) (IContext, error) {
 	}
 	vm.m.Clock.Charge(hw.TagICSave, hw.CostICSave)
 	cts := vm.thread(child)
-	cts.ic = cloneFrame(p.tf)
-	return &vgIC{baseIC{tf: cts.ic, tid: child}}, nil
+	cts.ic = *p.tf
+	cts.hasIC = true
+	return vm.icHandle(cts), nil
 }
 
 // ReinitIContext reinitializes a context for a freshly loaded program
@@ -119,11 +120,11 @@ func (vm *VM) SaveIC(t ThreadID) error {
 	if err != nil {
 		return err
 	}
-	if ts.ic == nil {
+	if !ts.hasIC {
 		return fmt.Errorf("core: thread %d has no interrupt context to save", t)
 	}
 	vm.m.Clock.Charge(hw.TagICSave, hw.CostICSave)
-	ts.icStack = append(ts.icStack, cloneFrame(ts.ic))
+	ts.icStack = append(ts.icStack, ts.ic)
 	return nil
 }
 
@@ -138,9 +139,8 @@ func (vm *VM) LoadIC(t ThreadID) error {
 		return fmt.Errorf("core: thread %d has no saved interrupt context", t)
 	}
 	vm.m.Clock.Charge(hw.TagICSave, hw.CostICSave)
-	top := ts.icStack[len(ts.icStack)-1]
+	ts.ic = ts.icStack[len(ts.icStack)-1]
 	ts.icStack = ts.icStack[:len(ts.icStack)-1]
-	*ts.ic = *top
 	return nil
 }
 

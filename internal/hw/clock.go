@@ -12,8 +12,6 @@
 // modelled by the cost constants in this file.
 package hw
 
-import "fmt"
-
 // Frequency is the nominal clock rate used to convert virtual cycles to
 // seconds. It matches the paper's testbed (Intel i7-3770 at 3.4 GHz) so
 // that native-column latencies land in the same order of magnitude as
@@ -325,17 +323,6 @@ func (c *Clock) ShardCycles(cpu int) uint64 {
 	return c.shards[cpu].cycles
 }
 
-// CyclesOn returns CPU cpu's view of the current time: during a shard
-// phase, the phase origin plus the CPU's own accumulated cycles
-// (monotonic per CPU, independent of its siblings); otherwise the
-// global cycle counter.
-func (c *Clock) CyclesOn(cpu int) uint64 {
-	if c.sharding && cpu >= 0 && cpu < len(c.shards) {
-		return c.shardBase + c.shards[cpu].cycles
-	}
-	return c.cycles
-}
-
 // SetShardContext stamps CPU cpu's shard trace events with a process
 // id and context word. The scheduler sets it during the serial
 // schedule phase, before user segments run. Costs no virtual cycles.
@@ -436,8 +423,3 @@ func Seconds(cycles uint64) float64 { return float64(cycles) / Frequency }
 
 // Micros converts a cycle count to microseconds.
 func Micros(cycles uint64) float64 { return Seconds(cycles) * 1e6 }
-
-// FormatMicros renders a cycle count as microseconds for table output.
-func FormatMicros(cycles uint64) string {
-	return fmt.Sprintf("%.3g", Micros(cycles))
-}

@@ -140,6 +140,12 @@ type CPU struct {
 	// path (the SVA VM under Virtual Ghost, the kernel natively).
 	trapHandler func(*TrapFrame)
 
+	// entry is the hardware save area Trap fills: the IST stack when
+	// ISTTarget is set, the kernel stack otherwise. The next trap on
+	// this CPU overwrites it, so the handler copies it out before
+	// anything else can trap here.
+	entry TrapFrame
+
 	// ipi is the CPU's interrupt line: pending inter-processor
 	// interrupts queued by Machine.SendIPI, drained (and charged) by
 	// Machine.DrainIPIs when the scheduler next steps this CPU.
@@ -152,14 +158,17 @@ func NewCPU(mmu *MMU, clock *Clock) *CPU {
 }
 
 // SetTrapHandler installs the software entry point invoked on traps.
+// The frame it receives is the CPU's entry slot, valid until the next
+// trap on this CPU.
 func (c *CPU) SetTrapHandler(h func(*TrapFrame)) { c.trapHandler = h }
 
 // Trap simulates the hardware trap sequence: it charges the entry cost,
-// snapshots the register file into a TrapFrame, switches to supervisor
-// mode (loading the IST stack if configured), and calls the handler.
+// saves the register file into the CPU's entry slot, switches to
+// supervisor mode (loading the IST stack if configured), and calls the
+// handler with the slot.
 func (c *CPU) Trap(kind TrapKind, info uint64) {
 	c.Clock.Charge(TagTrap, CostTrapEntry)
-	tf := &TrapFrame{Regs: c.Regs, Kind: kind, Info: info}
+	c.entry = TrapFrame{Regs: c.Regs, Kind: kind, Info: info}
 	c.Regs.Priv = Supervisor
 	if c.ISTTarget != 0 {
 		c.Regs.RSP = c.ISTTarget
@@ -167,7 +176,7 @@ func (c *CPU) Trap(kind TrapKind, info uint64) {
 	if c.trapHandler == nil {
 		panic("hw: trap with no handler installed")
 	}
-	c.trapHandler(tf)
+	c.trapHandler(&c.entry)
 }
 
 // ReturnFromTrap simulates iret: it charges the exit cost and reloads

@@ -100,7 +100,7 @@ func (k *Kernel) WriteKernelFile(path string, data []byte) bool {
 	if err != nil {
 		return false
 	}
-	if err := k.FS.truncate(ino, in); err != nil {
+	if err := k.FS.truncate(ino, &in); err != nil {
 		return false
 	}
 	_, err = k.FS.WriteAt(ino, data, 0)

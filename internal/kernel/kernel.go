@@ -399,20 +399,11 @@ func (k *Kernel) PlantCode(addr uint64, fn PlantedFunc) {
 	k.planted[addr] = fn
 }
 
-// PlantedAt looks up injected code.
-func (k *Kernel) PlantedAt(addr uint64) (PlantedFunc, bool) {
-	fn, ok := k.planted[addr]
-	return fn, ok
-}
-
 // Console is a shortcut to the machine console.
 func (k *Kernel) Console() *hw.Console { return k.M.Console }
 
 // Stats returns a copy of the kernel counters.
 func (k *Kernel) Stats() Stats { return k.stats }
-
-// Current returns the currently scheduled process (nil if none).
-func (k *Kernel) Current() *Proc { return k.cur }
 
 // Module is a loaded kernel module: its translation plus the
 // interpreter environment it executes in.

@@ -91,7 +91,7 @@ func sysOpen(k *Kernel, p *Proc, ic core.IContext) uint64 {
 		if ierr != nil {
 			return errno(EFAULT)
 		}
-		if err := k.FS.truncate(ino, in); err != nil {
+		if err := k.FS.truncate(ino, &in); err != nil {
 			return errno(errnoOf(err))
 		}
 	}

@@ -7,7 +7,6 @@ import (
 
 	"repro/internal/core"
 	"repro/internal/hw"
-	"repro/internal/shadow"
 )
 
 func TestDevices(t *testing.T) {
@@ -253,78 +252,60 @@ func TestOutOfMemoryKillsGracefully(t *testing.T) {
 // in every mode, and a 2^30-byte request allocates well under 1 MiB on
 // the host (it used to allocate the full GiB; 2^40 killed the process).
 func TestHugeReadSizedByData(t *testing.T) {
-	hals := []struct {
-		name string
-		new  func(m *hw.Machine) (core.HAL, error)
-	}{
-		{"native", func(m *hw.Machine) (core.HAL, error) { return core.NewNativeHAL(m) }},
-		{"vghost", func(m *hw.Machine) (core.HAL, error) { return core.NewVM(m) }},
-		{"shadow", func(m *hw.Machine) (core.HAL, error) { return shadow.New(m) }},
-	}
-	for _, h := range hals {
-		t.Run(h.name, func(t *testing.T) {
-			hal, err := h.new(hw.NewMachine(hw.DefaultConfig()))
-			if err != nil {
-				t.Fatal(err)
+	forEachHAL(t, func(t *testing.T, k *Kernel) {
+		if !k.WriteKernelFile("/five", []byte("hello")) {
+			t.Fatal("seed file")
+		}
+		done := false
+		if _, err := k.Spawn("reader", func(p *Proc) {
+			defer func() { done = true }()
+			buf := p.Alloc(64)
+			msg := p.PushString("hello")
+			ffd := p.Syscall(SysOpen, p.PushString("/five"), ORdOnly)
+			lfd := p.Syscall(SysSocket)
+			p.Syscall(SysBind, lfd, 9100)
+			p.Syscall(SysListen, lfd)
+			cfd := p.Syscall(SysSocket)
+			p.Syscall(SysNonblock, cfd, 1) // one process plays both ends
+			p.Syscall(SysConnect, cfd, 9100, LocalHost)
+			afd := p.Syscall(SysAccept, lfd)
+			fds := p.Alloc(8)
+			p.Syscall(SysPipe, fds)
+			rfd, wfd := p.Load(fds, 4), p.Load(fds+4, 4)
+			sources := []struct {
+				name string
+				fd   uint64
+				fill func()
+			}{
+				{"file", ffd, func() { p.Syscall(SysLseek, ffd, 0, 0) }},
+				{"socket", afd, func() { p.Syscall(SysSendTo, cfd, msg, 5) }},
+				{"pipe", rfd, func() { p.Syscall(SysWrite, wfd, msg, 5) }},
 			}
-			k, err := Boot(hal)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if !k.WriteKernelFile("/five", []byte("hello")) {
-				t.Fatal("seed file")
-			}
-			done := false
-			if _, err := k.Spawn("reader", func(p *Proc) {
-				defer func() { done = true }()
-				buf := p.Alloc(64)
-				msg := p.PushString("hello")
-				ffd := p.Syscall(SysOpen, p.PushString("/five"), ORdOnly)
-				lfd := p.Syscall(SysSocket)
-				p.Syscall(SysBind, lfd, 9100)
-				p.Syscall(SysListen, lfd)
-				cfd := p.Syscall(SysSocket)
-				p.Syscall(SysNonblock, cfd, 1) // one process plays both ends
-				p.Syscall(SysConnect, cfd, 9100, LocalHost)
-				afd := p.Syscall(SysAccept, lfd)
-				fds := p.Alloc(8)
-				p.Syscall(SysPipe, fds)
-				rfd, wfd := p.Load(fds, 4), p.Load(fds+4, 4)
-				sources := []struct {
-					name string
-					fd   uint64
-					fill func()
-				}{
-					{"file", ffd, func() { p.Syscall(SysLseek, ffd, 0, 0) }},
-					{"socket", afd, func() { p.Syscall(SysSendTo, cfd, msg, 5) }},
-					{"pipe", rfd, func() { p.Syscall(SysWrite, wfd, msg, 5) }},
-				}
-				for _, n := range []uint64{1 << 30, 1 << 40, 1<<63 - 1} {
-					for _, src := range sources {
-						for _, call := range []uint64{SysRead, SysRecv} {
-							src.fill()
-							var before, after runtime.MemStats
-							runtime.ReadMemStats(&before)
-							got := p.Syscall(call, src.fd, buf, n)
-							runtime.ReadMemStats(&after)
-							if got != 5 || string(p.Read(buf, 5)) != "hello" {
-								t.Errorf("%s syscall %d n=%#x = %d, want 5 bytes of hello", src.name, call, n, int64(got))
-							}
-							if alloc := after.TotalAlloc - before.TotalAlloc; n == 1<<30 && alloc >= 1<<20 {
-								t.Errorf("%s syscall %d n=2^30 allocated %d host bytes", src.name, call, alloc)
-							}
+			for _, n := range []uint64{1 << 30, 1 << 40, 1<<63 - 1} {
+				for _, src := range sources {
+					for _, call := range []uint64{SysRead, SysRecv} {
+						src.fill()
+						var before, after runtime.MemStats
+						runtime.ReadMemStats(&before)
+						got := p.Syscall(call, src.fd, buf, n)
+						runtime.ReadMemStats(&after)
+						if got != 5 || string(p.Read(buf, 5)) != "hello" {
+							t.Errorf("%s syscall %d n=%#x = %d, want 5 bytes of hello", src.name, call, n, int64(got))
+						}
+						if alloc := after.TotalAlloc - before.TotalAlloc; n == 1<<30 && alloc >= 1<<20 {
+							t.Errorf("%s syscall %d n=2^30 allocated %d host bytes", src.name, call, alloc)
 						}
 					}
 				}
-			}); err != nil {
-				t.Fatal(err)
 			}
-			k.RunUntilIdle()
-			if !done {
-				t.Fatal("reader stalled")
-			}
-		})
-	}
+		}); err != nil {
+			t.Fatal(err)
+		}
+		k.RunUntilIdle()
+		if !done {
+			t.Fatal("reader stalled")
+		}
+	})
 }
 
 // TestBlockedWriteKeepsItsBytes: a write that blocks on a full pipe

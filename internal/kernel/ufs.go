@@ -265,17 +265,17 @@ func (fs *FS) inodeLoc(ino uint32) (blk, off int) {
 	return fs.inodeStart + int(ino)/inodesPerBlock, (int(ino) % inodesPerBlock) * inodeSize
 }
 
-func (fs *FS) readInode(ino uint32) (*inode, error) {
+func (fs *FS) readInode(ino uint32) (inode, error) {
 	if ino == 0 || int(ino) >= fs.ninodes {
-		return nil, fmt.Errorf("ufs: bad inode %d", ino)
+		return inode{}, fmt.Errorf("ufs: bad inode %d", ino)
 	}
 	blk, off := fs.inodeLoc(ino)
 	b, err := fs.cache.get(blk)
 	if err != nil {
-		return nil, err
+		return inode{}, err
 	}
 	d := b.data[off : off+inodeSize]
-	in := &inode{
+	in := inode{
 		Mode:  uint16(d[0]) | uint16(d[1])<<8,
 		Nlink: uint16(d[2]) | uint16(d[3])<<8,
 		Size:  int64(getU64(d[8:])),
@@ -368,44 +368,45 @@ func (fs *FS) blockOf(ino uint32, in *inode, fileBlk int, alloc bool) (uint32, e
 // ReadAt reads up to len(b) bytes of file ino at offset off into b.
 // The mmap fault path uses it; descriptor reads use read.
 func (fs *FS) ReadAt(ino uint32, b []byte, off int64) (int, error) {
-	in, n, err := fs.readExtent(ino, len(b), off)
-	if in == nil {
+	in, n, ok, err := fs.readExtent(ino, len(b), off)
+	if !ok {
 		return 0, err
 	}
-	return fs.readBlocks(ino, in, b[:n], off)
+	return fs.readBlocks(ino, &in, b[:n], off)
 }
 
 // read returns up to n bytes of file ino at offset off as a view of
 // the kernel's read scratch. The scratch grows only to the length
 // clamped to the file size, so n alone never sizes a host buffer.
 func (fs *FS) read(ino uint32, n int, off int64) ([]byte, error) {
-	in, n, err := fs.readExtent(ino, n, off)
-	if in == nil {
+	in, n, ok, err := fs.readExtent(ino, n, off)
+	if !ok {
 		return nil, err
 	}
 	b := fs.k.readScratch(n)
-	got, err := fs.readBlocks(ino, in, b, off)
+	got, err := fs.readBlocks(ino, &in, b, off)
 	return b[:got], err
 }
 
 // readExtent loads ino and clamps an n-byte read at off to the file
-// size. A nil inode means there is nothing to read: an error, or off
-// at or past end of file.
-func (fs *FS) readExtent(ino uint32, n int, off int64) (*inode, int, error) {
+// size. ok is false when there is nothing to read: an error, or off at
+// or past end of file. A zero-length read inside the file is ok, and
+// still pays readBlocks' per-page charge.
+func (fs *FS) readExtent(ino uint32, n int, off int64) (inode, int, bool, error) {
 	in, err := fs.readInode(ino)
 	if err != nil {
-		return nil, 0, err
+		return inode{}, 0, false, err
 	}
 	if in.Mode == modeFree {
-		return nil, 0, ErrNotFound
+		return inode{}, 0, false, ErrNotFound
 	}
 	if off >= in.Size {
-		return nil, 0, nil
+		return inode{}, 0, false, nil
 	}
 	if int64(n) > in.Size-off {
 		n = int(in.Size - off)
 	}
-	return in, n, nil
+	return in, n, true, nil
 }
 
 // readBlocks fills b with file data from off, block by block through
@@ -457,7 +458,7 @@ func (fs *FS) WriteAt(ino uint32, b []byte, off int64) (int, error) {
 		if chunk > len(b)-written {
 			chunk = len(b) - written
 		}
-		blk, err := fs.blockOf(ino, in, fb, true)
+		blk, err := fs.blockOf(ino, &in, fb, true)
 		if err != nil {
 			return written, err
 		}
@@ -468,7 +469,7 @@ func (fs *FS) WriteAt(ino uint32, b []byte, off int64) (int, error) {
 	}
 	if off+int64(written) > in.Size {
 		in.Size = off + int64(written)
-		if err := fs.writeInode(ino, in); err != nil {
+		if err := fs.writeInode(ino, &in); err != nil {
 			return written, err
 		}
 	}
@@ -509,20 +510,15 @@ func (fs *FS) truncate(ino uint32, in *inode) error {
 
 // --- directories -----------------------------------------------------------
 
-// dirent is one directory entry slot.
-type dirent struct {
-	Ino  uint32
-	Name string
-}
-
-// dirScan iterates a directory's entries, calling fn with each live
-// entry's slot index; fn returning true stops the scan. The scan reads
-// the directory block-wise through the buffer cache (64 entries per
-// block), so its cost is per-block, not per-entry — the same complexity
-// class as UFS dirhash probing.
-func (fs *FS) dirScan(dirIno uint32, din *inode, fn func(slot int, e dirent) bool) error {
-	slots := int(din.Size) / direntSize
-	for fb := 0; fb*direntsPerBlk < slots; fb++ {
+// dirScan reads a directory block by block through the buffer cache
+// (64 entries per block), calling fn with each block's first slot index
+// and its slot bytes, cut at the directory's size; fn returning true
+// stops the scan. The bytes are a view of the cached block, valid
+// until the next buffer-cache call. The cost is per block, not per
+// entry — the same complexity class as UFS dirhash probing.
+func (fs *FS) dirScan(dirIno uint32, din *inode, fn func(first int, slots []byte) bool) error {
+	nslots := int(din.Size) / direntSize
+	for fb := 0; fb*direntsPerBlk < nslots; fb++ {
 		fs.k.HAL.KAccess(workBufCacheHit)
 		blk, err := fs.blockOf(dirIno, din, fb, false)
 		if err != nil {
@@ -535,26 +531,20 @@ func (fs *FS) dirScan(dirIno uint32, din *inode, fn func(slot int, e dirent) boo
 		if err != nil {
 			return err
 		}
-		for i := 0; i < direntsPerBlk; i++ {
-			s := fb*direntsPerBlk + i
-			if s >= slots {
-				break
-			}
-			d := b.data[i*direntSize : (i+1)*direntSize]
-			ino := getU32(d[0:])
-			if ino == 0 {
-				continue
-			}
-			nl := int(d[4])
-			if nl > maxNameLen {
-				nl = maxNameLen
-			}
-			if fn(s, dirent{Ino: ino, Name: string(d[8 : 8+nl])}) {
-				return nil
-			}
+		first := fb * direntsPerBlk
+		n := min(direntsPerBlk, nslots-first)
+		if fn(first, b.data[:n*direntSize]) {
+			return nil
 		}
 	}
 	return nil
+}
+
+// direntAt decodes slot i of dirScan's slot bytes: the entry's inode
+// (0 for a free slot) and its name, a view into the bytes.
+func direntAt(slots []byte, i int) (uint32, []byte) {
+	d := slots[i*direntSize : (i+1)*direntSize]
+	return getU32(d), d[8 : 8+min(int(d[4]), maxNameLen)]
 }
 
 // dirLookup finds name in the directory.
@@ -575,10 +565,13 @@ func (fs *FS) dirLookup(dirIno uint32, name string) (uint32, int, error) {
 	}
 	found := uint32(0)
 	slot := -1
-	err = fs.dirScan(dirIno, din, func(s int, e dirent) bool {
-		if e.Name == name {
-			found, slot = e.Ino, s
-			return true
+	err = fs.dirScan(dirIno, &din, func(first int, slots []byte) bool {
+		for i := range len(slots) / direntSize {
+			// The conversion in a comparison does not allocate.
+			if ino, nm := direntAt(slots, i); ino != 0 && string(nm) == name {
+				found, slot = ino, first+i
+				return true
+			}
 		}
 		return false
 	})
@@ -610,7 +603,7 @@ func (fs *FS) dirInsert(dirIno uint32, name string, ino uint32) error {
 		if s%direntsPerBlk == 0 {
 			fs.k.HAL.KAccess(workBufCacheHit)
 		}
-		blk, err := fs.blockOf(dirIno, din, s/direntsPerBlk, false)
+		blk, err := fs.blockOf(dirIno, &din, s/direntsPerBlk, false)
 		if err != nil {
 			return err
 		}
@@ -659,9 +652,14 @@ func (fs *FS) dirEmpty(dirIno uint32) (bool, error) {
 		return false, err
 	}
 	empty := true
-	err = fs.dirScan(dirIno, din, func(s int, e dirent) bool {
-		empty = false
-		return true
+	err = fs.dirScan(dirIno, &din, func(_ int, slots []byte) bool {
+		for i := range len(slots) / direntSize {
+			if ino, _ := direntAt(slots, i); ino != 0 {
+				empty = false
+				return true
+			}
+		}
+		return false
 	})
 	return empty, err
 }
@@ -808,16 +806,16 @@ func (fs *FS) Unlink(path string, rmdir bool) error {
 	}
 	in.Nlink--
 	if in.Nlink == 0 {
-		if err := fs.truncate(ino, in); err != nil {
+		if err := fs.truncate(ino, &in); err != nil {
 			return err
 		}
 		in.Mode = modeFree
-		if err := fs.writeInode(ino, in); err != nil {
+		if err := fs.writeInode(ino, &in); err != nil {
 			return err
 		}
 		return fs.freeInode(ino)
 	}
-	return fs.writeInode(ino, in)
+	return fs.writeInode(ino, &in)
 }
 
 // Stat describes an inode.
@@ -846,8 +844,12 @@ func (fs *FS) ReadDir(path string) ([]string, error) {
 		return nil, ErrNotDir
 	}
 	var names []string
-	err = fs.dirScan(ino, din, func(s int, e dirent) bool {
-		names = append(names, e.Name)
+	err = fs.dirScan(ino, &din, func(_ int, slots []byte) bool {
+		for i := range len(slots) / direntSize {
+			if child, nm := direntAt(slots, i); child != 0 {
+				names = append(names, string(nm))
+			}
+		}
 		return false
 	})
 	return names, err

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"errors"
 	"fmt"
+	"strings"
 	"testing"
 	"testing/quick"
 
@@ -426,5 +427,79 @@ func TestDiskErrorDuringSyscall(t *testing.T) {
 	}
 	if readOK != 7 {
 		t.Errorf("second read = %d", int64(readOK))
+	}
+}
+
+// TestDirLookupColdNameCache drives dirScan's match path, which the
+// name cache otherwise answers: names spread over four directory
+// blocks, names that are prefixes of one another, a maximal 56-byte
+// name beside its 55-byte prefix, and freed slots between live ones.
+func TestDirLookupColdNameCache(t *testing.T) {
+	_, fs := bootFS(t)
+	long := strings.Repeat("n", maxNameLen)
+	names := []string{"a", "ab", "abc", long, long[:maxNameLen-1]}
+	for i := 0; i < 200; i++ {
+		names = append(names, fmt.Sprintf("f%03d", i))
+	}
+	if blocks := (len(names) + direntsPerBlk - 1) / direntsPerBlk; blocks < 3 {
+		t.Fatalf("names fill %d directory blocks, want at least 3", blocks)
+	}
+	inos := make(map[string]uint32, len(names))
+	for _, n := range names {
+		ino, err := fs.Create("/" + n)
+		if err != nil {
+			t.Fatalf("create %q: %v", n, err)
+		}
+		inos[n] = ino
+	}
+	var live, gone []string
+	for i, n := range names {
+		if i%3 == 0 {
+			if err := fs.Unlink("/"+n, false); err != nil {
+				t.Fatalf("unlink %q: %v", n, err)
+			}
+			gone = append(gone, n)
+		} else {
+			live = append(live, n)
+		}
+	}
+	// "a" and the 56-byte name are gone; "ab", "abc" and the 55-byte
+	// prefix stay live.
+	clear(fs.namecache)
+	for _, n := range live {
+		if got, err := fs.Lookup("/" + n); err != nil || got != inos[n] {
+			t.Errorf("lookup %q = %d, %v; want inode %d", n, got, err, inos[n])
+		}
+	}
+	never := []string{"abcd", "f", "f00", "f1", long[:maxNameLen-2]}
+	for _, n := range append(gone, never...) {
+		if got, err := fs.Lookup("/" + n); !errors.Is(err, ErrNotFound) {
+			t.Errorf("lookup %q = %d, %v; want ErrNotFound", n, got, err)
+		}
+	}
+	clear(fs.namecache)
+	listed, err := fs.ReadDir("/")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if strings.Join(listed, "/") != strings.Join(live, "/") {
+		t.Errorf("readdir = %q\nwant %q", listed, live)
+	}
+
+	if _, err := fs.Mkdir("/sub"); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := fs.Create("/sub/only"); err != nil {
+		t.Fatal(err)
+	}
+	if err := fs.Unlink("/sub", true); !errors.Is(err, ErrNotEmpty) {
+		t.Errorf("rmdir with a live entry: %v, want ErrNotEmpty", err)
+	}
+	if err := fs.Unlink("/sub/only", false); err != nil {
+		t.Fatal(err)
+	}
+	clear(fs.namecache)
+	if err := fs.Unlink("/sub", true); err != nil {
+		t.Errorf("rmdir of a directory whose only entry was unlinked: %v", err)
 	}
 }

@@ -40,15 +40,6 @@ func (b *Builder) NewBlock(name string) *Block {
 	return blk
 }
 
-// SetBlock moves the insertion point to an existing block.
-func (b *Builder) SetBlock(name string) {
-	blk := b.fn.FindBlock(name)
-	if blk == nil {
-		panic(fmt.Sprintf("vir: no block %q", name))
-	}
-	b.cur = blk
-}
-
 func (b *Builder) newReg() int {
 	r := b.fn.NRegs
 	b.fn.NRegs++
