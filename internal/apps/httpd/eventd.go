@@ -19,6 +19,7 @@ package httpd
 import (
 	"encoding/hex"
 	"fmt"
+	"slices"
 	"sort"
 	"strings"
 
@@ -154,6 +155,17 @@ func EventServerMain(cfg EventServerConfig) func(p *kernel.Proc) {
 			flush(fd, c)
 		}
 
+		// appendIO appends the first n bytes of ioBuf to b, copying them
+		// from user memory straight into b's tail. n is a syscall's
+		// return value, which the OS controls, so it is capped at the
+		// buffer's length: no OS-reported size sizes a host buffer.
+		appendIO := func(b []byte, n uint64) []byte {
+			k := int(min(n, chunk))
+			b = slices.Grow(b, k)[:len(b)+k]
+			p.ReadInto(ioBuf, b[len(b)-k:])
+			return b
+		}
+
 		serve := func(path string) []byte {
 			pathPtr := p.PushString(path)
 			ffd := p.Syscall(kernel.SysOpen, pathPtr, kernel.ORdOnly)
@@ -169,7 +181,7 @@ func EventServerMain(cfg EventServerConfig) func(p *kernel.Proc) {
 				if _, bad := kernel.IsErr(n); bad || n == 0 {
 					break
 				}
-				resp = append(resp, p.Read(ioBuf, int(n))...)
+				resp = appendIO(resp, n)
 			}
 			p.Syscall(kernel.SysClose, ffd)
 			return resp
@@ -228,7 +240,7 @@ func EventServerMain(cfg EventServerConfig) func(p *kernel.Proc) {
 				}
 				return
 			}
-			c.in = append(c.in, p.Read(ioBuf, int(ret))...)
+			c.in = appendIO(c.in, ret)
 			for !c.dead {
 				nl := -1
 				for i, b := range c.in {

@@ -2,10 +2,13 @@ package httpd
 
 import (
 	"bytes"
+	"fmt"
+	"runtime"
 	"strings"
 	"testing"
 
 	"repro"
+	"repro/internal/core"
 	"repro/internal/kernel"
 )
 
@@ -181,5 +184,74 @@ func TestEventServerIdleKill(t *testing.T) {
 	}
 	if got := sys.Kernel.Net.Stats().TimeoutKills; got != 1 {
 		t.Errorf("TimeoutKills = %d, want 1", got)
+	}
+}
+
+// TestEventServerIgnoresStatSize: the size stat reports is the OS's
+// word, and a hostile OS may lie. With stat interposed to report 2^40
+// bytes, a GET still gets the file's real bytes (under the lying
+// status line), the server survives to serve QUIT, and the request
+// allocates under 1 MiB on the host: no OS-reported size sizes a host
+// buffer.
+func TestEventServerIgnoresStatSize(t *testing.T) {
+	const lie = 1 << 40
+	sys := bootOne(t, repro.Native)
+	payload := make([]byte, 10_000)
+	sys.Machine.RNG.Fill(payload)
+	sys.Kernel.WriteKernelFile("/a.bin", payload)
+	var stat kernel.SyscallHandler
+	stat = sys.Kernel.SetSyscallHandler(kernel.SysStat, func(k *kernel.Kernel, p *kernel.Proc, ic core.IContext) uint64 {
+		ret := stat(k, p, ic)
+		if ret == 0 {
+			p.Store(ic.Arg(1), 8, lie)
+		}
+		return ret
+	})
+	if _, err := sys.Kernel.Spawn("eventd", EventServerMain(EventServerConfig{AppKey: make([]byte, 32)})); err != nil {
+		t.Fatal(err)
+	}
+	var reply []byte
+	var alloc uint64
+	done := false
+	if _, err := sys.Kernel.Spawn("client", func(p *kernel.Proc) {
+		defer func() { done = true }()
+		fd, ok := EventDial(p, EventPort, false)
+		if !ok {
+			return
+		}
+		req := p.PushString("GET /a.bin\n")
+		buf := p.Alloc(chunk)
+		var ms runtime.MemStats
+		runtime.ReadMemStats(&ms)
+		before := ms.TotalAlloc
+		p.Syscall(kernel.SysSendTo, fd, req, 11)
+		head := fmt.Sprintf("200 %d\n", lie)
+		for len(reply) < len(head)+len(payload) {
+			n := p.Syscall(kernel.SysRecv, fd, buf, chunk)
+			if _, bad := kernel.IsErr(n); bad || n == 0 {
+				break
+			}
+			reply = append(reply, p.Read(buf, int(n))...)
+		}
+		runtime.ReadMemStats(&ms)
+		alloc = ms.TotalAlloc - before
+		p.Syscall(kernel.SysClose, fd)
+		StopEventServer(p, EventPort, false)
+	}); err != nil {
+		t.Fatal(err)
+	}
+	sys.Kernel.RunUntilIdle()
+	if !done {
+		t.Fatal("client stalled")
+	}
+	want := append([]byte(fmt.Sprintf("200 %d\n", lie)), payload...)
+	if !bytes.Equal(reply, want) {
+		t.Fatalf("reply is %d bytes starting %q, want the file under %q", len(reply), reply[:min(len(reply), 24)], want[:20])
+	}
+	if alloc >= 1<<20 {
+		t.Errorf("the GET allocated %d host bytes, want under 1 MiB", alloc)
+	}
+	if n := sys.Kernel.NumLive(); n != 0 {
+		t.Errorf("%d processes still alive after QUIT", n)
 	}
 }

@@ -237,24 +237,33 @@ func (c *CPU) CopyToVirt(v Virt, b []byte) error {
 	return nil
 }
 
-// CopyFromVirt copies n bytes out of the virtual address space.
+// CopyFromVirt copies n bytes out of the virtual address space into a
+// fresh slice.
 func (c *CPU) CopyFromVirt(v Virt, n int) ([]byte, error) {
-	c.Clock.ChargeOn(c.ID, TagMemAccess, CostMemAccess)
-	c.Clock.ChargeBytesOn(c.ID, TagMemAccess, n, CostBcopyPerByte)
 	out := make([]byte, n)
-	pos := 0
-	for n > 0 {
-		chunk := min(n, int(PageSize-(v&(PageSize-1))))
-		p, err := c.MMU.Translate(v, AccRead, c.Regs.Priv == User)
-		if err != nil {
-			return nil, err
-		}
-		if err := c.MMU.mem.ReadPhysInto(p, out[pos:pos+chunk]); err != nil {
-			return nil, err
-		}
-		pos += chunk
-		v += Virt(chunk)
-		n -= chunk
+	if err := c.CopyFromVirtInto(v, out); err != nil {
+		return nil, err
 	}
 	return out, nil
+}
+
+// CopyFromVirtInto copies len(dst) bytes out of the virtual address
+// space into dst, page by page, charging block-copy costs — exactly
+// what CopyFromVirt charges for the same length.
+func (c *CPU) CopyFromVirtInto(v Virt, dst []byte) error {
+	c.Clock.ChargeOn(c.ID, TagMemAccess, CostMemAccess)
+	c.Clock.ChargeBytesOn(c.ID, TagMemAccess, len(dst), CostBcopyPerByte)
+	for len(dst) > 0 {
+		chunk := min(len(dst), int(PageSize-(v&(PageSize-1))))
+		p, err := c.MMU.Translate(v, AccRead, c.Regs.Priv == User)
+		if err != nil {
+			return err
+		}
+		if err := c.MMU.mem.ReadPhysInto(p, dst[:chunk]); err != nil {
+			return err
+		}
+		v += Virt(chunk)
+		dst = dst[chunk:]
+	}
+	return nil
 }

@@ -1,6 +1,10 @@
 package hw
 
-import "sort"
+import (
+	"cmp"
+	"math/bits"
+	"slices"
+)
 
 // NIC models a gigabit Ethernet interface as a pair of packet queues
 // with a per-packet latency and a serialization (bandwidth) cost. The
@@ -9,27 +13,22 @@ import "sort"
 // reproducing the paper's "negligible reduction for large files" shape.
 //
 // Receive-side buffering is indexed by destination port: each port gets
-// its own bounded queue, so a stack serving tens of thousands of
-// connections dequeues in O(1) instead of scanning one shared ring.
-// The set of ports with pending packets is kept sorted — that list is
-// the NIC's "descriptor ring", and draining it in port order is what
-// keeps multi-port delivery deterministic under -hostpar.
+// its own bounded queue in a port-indexed table, so a stack serving
+// tens of thousands of connections dequeues in O(1) instead of scanning
+// one shared ring. The set of ports with pending packets is a bitmap —
+// the NIC's "descriptor ring" — walked in ascending port order, which
+// is what keeps multi-port delivery deterministic under -hostpar.
 //
 // Like the disk, the wire is untrusted: the peer helper methods expose
 // everything in flight, which is why ghosting applications encrypt
 // network payloads.
 type NIC struct {
 	clock *Clock
-	// rxq holds the per-port receive queues: packets delivered to this
-	// NIC and not yet read, keyed by destination port. rxPorts mirrors
-	// the non-empty keys in sorted order; rxCount is the total queued
-	// packet count across ports.
-	rxq     map[uint16][]rxPacket
-	rxPorts []uint16
+	// rx is the per-port receive state, allocated with the first frame
+	// delivered: the NICs a boot creates and never uses cost one nil
+	// pointer. rxCount is the total queued packet count across ports.
+	rx      *rxTable
 	rxCount int
-	// queuedBytes tracks queued payload bytes per port — the receive
-	// window math in the kernel charges senders against it.
-	queuedBytes map[uint16]uint64
 	// nextSeq stamps packets in arrival order across all ports, so
 	// Snoop and snapshot images preserve the global arrival sequence
 	// even though storage is per-port.
@@ -48,9 +47,6 @@ type NIC struct {
 	bytesSent      uint64
 	bytesReceived  uint64
 	packetsDropped uint64
-	// portDrops counts, per port, packets dropped because the port's
-	// queue already held defaultPortLimit packets.
-	portDrops map[uint16]uint64
 
 	// recvTap, when set, observes every packet accepted into rx — the
 	// record layer's view of external input arriving on the wire. Pure
@@ -90,9 +86,6 @@ const defaultPortLimit = 4096
 func NewNIC(clock *Clock) *NIC {
 	return &NIC{
 		clock:         clock,
-		rxq:           make(map[uint16][]rxPacket),
-		queuedBytes:   make(map[uint16]uint64),
-		portDrops:     make(map[uint16]uint64),
 		latencyCycles: nicLatencyCycles,
 		perByteCycles: nicPerByteCycles,
 	}
@@ -127,40 +120,87 @@ func (n *NIC) Send(p Packet) {
 	n.peer.deliver(p)
 }
 
+// rxTable is a NIC's receive state: per-port queues in pages of 256
+// ports, each page allocated when one of its ports first gets a frame,
+// and the set of ports with a queued frame as a bitmap with a one-bit-
+// per-word summary, so insert and remove are O(1) and an ascending walk
+// skips empty words 64 at a time.
+type rxTable struct {
+	pages [1 << 16 / rxPagePorts]*[rxPagePorts]portRx
+	// pend has bit p set iff port p has a queued frame; sum has bit w
+	// set iff pend[w] != 0.
+	pend [1 << 16 / 64]uint64
+	sum  [1 << 16 / 64 / 64]uint64
+}
+
+const rxPagePorts = 256
+
+// portRx is one port's receive state: its queued frames from q[head]
+// on, their payload bytes, and the frames the port's cap dropped.
+type portRx struct {
+	q     []rxPacket
+	head  int
+	bytes uint64
+	drops uint64
+}
+
+// port returns port's state, nil if its page was never allocated.
+func (n *NIC) port(port uint16) *portRx {
+	if n.rx == nil {
+		return nil
+	}
+	if pg := n.rx.pages[port/rxPagePorts]; pg != nil {
+		return &pg[port%rxPagePorts]
+	}
+	return nil
+}
+
+// portState returns port's state, allocating the table and its page
+// on first use.
+func (n *NIC) portState(port uint16) *portRx {
+	if n.rx == nil {
+		n.rx = new(rxTable)
+	}
+	pg := n.rx.pages[port/rxPagePorts]
+	if pg == nil {
+		pg = new([rxPagePorts]portRx)
+		n.rx.pages[port/rxPagePorts] = pg
+	}
+	return &pg[port%rxPagePorts]
+}
+
+// push appends a frame to port's queue, marking the port pending when
+// the queue was empty. A full array first reuses its consumed prefix
+// when that is at least half of it, so a port that is never quite
+// drained does not grow its array without bound.
+func (n *NIC) push(port uint16, s *portRx, e rxPacket) {
+	if s.head == len(s.q) {
+		w := port / 64
+		n.rx.pend[w] |= 1 << (port % 64)
+		n.rx.sum[w/64] |= 1 << (w % 64)
+	} else if len(s.q) == cap(s.q) && 2*s.head >= len(s.q) {
+		k := copy(s.q, s.q[s.head:])
+		clear(s.q[k:])
+		s.q, s.head = s.q[:k], 0
+	}
+	s.q = append(s.q, e)
+	s.bytes += uint64(len(e.pkt.Payload))
+	n.rxCount++
+}
+
 // deliver queues p, taking ownership of its payload.
 func (n *NIC) deliver(p Packet) {
-	q := n.rxq[p.Port]
-	if len(q) >= defaultPortLimit {
+	s := n.portState(p.Port)
+	if len(s.q)-s.head >= defaultPortLimit {
 		n.packetsDropped++
-		n.portDrops[p.Port]++
+		s.drops++
 		return
 	}
 	n.bytesReceived += uint64(len(p.Payload))
-	if len(q) == 0 {
-		n.insertPort(p.Port)
-	}
-	n.rxq[p.Port] = append(q, rxPacket{pkt: p, seq: n.nextSeq})
+	n.push(p.Port, s, rxPacket{pkt: p, seq: n.nextSeq})
 	n.nextSeq++
-	n.rxCount++
-	n.queuedBytes[p.Port] += uint64(len(p.Payload))
 	if n.recvTap != nil {
 		n.recvTap(p)
-	}
-}
-
-// insertPort adds port to the sorted pending list (not already present).
-func (n *NIC) insertPort(port uint16) {
-	i := sort.Search(len(n.rxPorts), func(i int) bool { return n.rxPorts[i] >= port })
-	n.rxPorts = append(n.rxPorts, 0)
-	copy(n.rxPorts[i+1:], n.rxPorts[i:])
-	n.rxPorts[i] = port
-}
-
-// removePort drops port from the sorted pending list.
-func (n *NIC) removePort(port uint16) {
-	i := sort.Search(len(n.rxPorts), func(i int) bool { return n.rxPorts[i] >= port })
-	if i < len(n.rxPorts) && n.rxPorts[i] == port {
-		n.rxPorts = append(n.rxPorts[:i], n.rxPorts[i+1:]...)
 	}
 }
 
@@ -176,26 +216,28 @@ func (n *NIC) Inject(p Packet) {
 }
 
 // Receive dequeues the next packet destined for port in arrival order.
-// It reports ok=false if none is queued. O(1) amortized: a map lookup
-// plus a head pop.
+// It reports ok=false if none is queued. O(1): a table index plus a
+// head pop. A drained queue releases its array and leaves the pending
+// set.
 func (n *NIC) Receive(port uint16) (Packet, bool) {
-	q := n.rxq[port]
-	if len(q) == 0 {
+	s := n.port(port)
+	if s == nil || s.head == len(s.q) {
 		return Packet{}, false
 	}
-	head := q[0]
-	if len(q) == 1 {
-		delete(n.rxq, port)
-		n.removePort(port)
-	} else {
-		n.rxq[port] = q[1:]
+	head := s.q[s.head].pkt
+	s.q[s.head] = rxPacket{}
+	s.head++
+	if s.head == len(s.q) {
+		s.q, s.head = nil, 0
+		w := port / 64
+		n.rx.pend[w] &^= 1 << (port % 64)
+		if n.rx.pend[w] == 0 {
+			n.rx.sum[w/64] &^= 1 << (w % 64)
+		}
 	}
 	n.rxCount--
-	n.queuedBytes[port] -= uint64(len(head.pkt.Payload))
-	if n.queuedBytes[port] == 0 {
-		delete(n.queuedBytes, port)
-	}
-	return head.pkt, true
+	s.bytes -= uint64(len(head.Payload))
+	return head, true
 }
 
 // PeekPayloadLen reports the payload length of the head packet queued
@@ -203,35 +245,65 @@ func (n *NIC) Receive(port uint16) (Packet, bool) {
 // check uses it to decide whether the head frame fits without
 // dequeuing it.
 func (n *NIC) PeekPayloadLen(port uint16) int {
-	q := n.rxq[port]
-	if len(q) == 0 {
+	s := n.port(port)
+	if s == nil || s.head == len(s.q) {
 		return -1
 	}
-	return len(q[0].pkt.Payload)
+	return len(s.q[s.head].pkt.Payload)
 }
 
 // Pending reports how many packets are queued for port.
-func (n *NIC) Pending(port uint16) int { return len(n.rxq[port]) }
+func (n *NIC) Pending(port uint16) int {
+	if s := n.port(port); s != nil {
+		return len(s.q) - s.head
+	}
+	return 0
+}
 
 // HasPending reports whether any packet is queued on any port — the
 // interrupt line the kernel checks instead of scanning every socket.
 func (n *NIC) HasPending() bool { return n.rxCount > 0 }
 
-// PendingPorts returns the ports with at least one queued packet, in
-// ascending order. The returned slice is a copy; callers may drain
-// while iterating it.
-func (n *NIC) PendingPorts() []uint16 {
-	return append([]uint16(nil), n.rxPorts...)
+// NextPendingPort returns the lowest port >= from with at least one
+// queued packet, and ok=false if there is none. It reads the pending
+// bitmap in place, skipping empty words through the summary; ascending
+// calls from the last port returned plus one walk the pending set in
+// port order.
+func (n *NIC) NextPendingPort(from int) (port uint16, ok bool) {
+	if n.rxCount == 0 || from >= 1<<16 {
+		return 0, false
+	}
+	w := from / 64
+	if word := n.rx.pend[w] &^ (1<<(from%64) - 1); word != 0 {
+		return uint16(w*64 + bits.TrailingZeros64(word)), true
+	}
+	for w++; w < len(n.rx.pend); w = (w/64 + 1) * 64 {
+		if sw := n.rx.sum[w/64] &^ (1<<(w%64) - 1); sw != 0 {
+			w = w/64*64 + bits.TrailingZeros64(sw)
+			return uint16(w*64 + bits.TrailingZeros64(n.rx.pend[w])), true
+		}
+	}
+	return 0, false
 }
 
 // QueuedBytes reports the payload bytes currently queued for port —
 // in-flight data the receiver has not yet consumed, which the sender's
 // window math counts against the receive window.
-func (n *NIC) QueuedBytes(port uint16) uint64 { return n.queuedBytes[port] }
+func (n *NIC) QueuedBytes(port uint16) uint64 {
+	if s := n.port(port); s != nil {
+		return s.bytes
+	}
+	return 0
+}
 
 // PortDrops reports how many packets addressed to port were dropped by
 // the per-port queue limit.
-func (n *NIC) PortDrops(port uint16) uint64 { return n.portDrops[port] }
+func (n *NIC) PortDrops(port uint16) uint64 {
+	if s := n.port(port); s != nil {
+		return s.drops
+	}
+	return 0
+}
 
 // Stats returns cumulative byte counters.
 func (n *NIC) Stats() (sent, received, dropped uint64) {
@@ -243,10 +315,11 @@ func (n *NIC) Stats() (sent, received, dropped uint64) {
 // tests.
 func (n *NIC) Snoop() []Packet {
 	all := make([]rxPacket, 0, n.rxCount)
-	for _, port := range n.rxPorts {
-		all = append(all, n.rxq[port]...)
+	for port, ok := n.NextPendingPort(0); ok; port, ok = n.NextPendingPort(int(port) + 1) {
+		s := n.port(port)
+		all = append(all, s.q[s.head:]...)
 	}
-	sort.Slice(all, func(i, j int) bool { return all[i].seq < all[j].seq })
+	slices.SortFunc(all, func(a, b rxPacket) int { return cmp.Compare(a.seq, b.seq) })
 	out := make([]Packet, len(all))
 	for i, p := range all {
 		out[i] = Packet{Port: p.pkt.Port, Payload: append([]byte(nil), p.pkt.Payload...)}

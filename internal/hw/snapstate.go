@@ -347,37 +347,37 @@ func (n *NIC) captureSnap() NICSnap {
 	// Snoop returns copies in global arrival order — exactly the wire
 	// state the image must preserve.
 	s.RX = n.Snoop()
-	for port, d := range n.portDrops {
-		s.PortDrops = append(s.PortDrops, PortDropSnap{Port: port, Drops: d})
+	if n.rx != nil {
+		for pi, pg := range n.rx.pages {
+			if pg == nil {
+				continue
+			}
+			for i := range pg {
+				if d := pg[i].drops; d != 0 {
+					s.PortDrops = append(s.PortDrops, PortDropSnap{Port: uint16(pi*rxPagePorts + i), Drops: d})
+				}
+			}
+		}
 	}
-	sort.Slice(s.PortDrops, func(i, j int) bool { return s.PortDrops[i].Port < s.PortDrops[j].Port })
 	return s
 }
 
 func (n *NIC) applySnap(s *NICSnap) {
-	clear(n.rxq)
-	clear(n.queuedBytes)
-	clear(n.portDrops)
-	n.rxPorts = n.rxPorts[:0]
+	n.rx = nil
 	n.rxCount = 0
 	n.nextSeq = 0
 	// Requeue in arrival order; seq numbers regenerate identically
 	// because delivery order is the serialized order.
 	for _, p := range s.RX {
 		cp := Packet{Port: p.Port, Payload: append([]byte(nil), p.Payload...)}
-		if len(n.rxq[cp.Port]) == 0 {
-			n.insertPort(cp.Port)
-		}
-		n.rxq[cp.Port] = append(n.rxq[cp.Port], rxPacket{pkt: cp, seq: n.nextSeq})
+		n.push(cp.Port, n.portState(cp.Port), rxPacket{pkt: cp, seq: n.nextSeq})
 		n.nextSeq++
-		n.rxCount++
-		n.queuedBytes[cp.Port] += uint64(len(cp.Payload))
 	}
 	n.bytesSent = s.BytesSent
 	n.bytesReceived = s.BytesReceived
 	n.packetsDropped = s.PacketsDropped
 	for _, pd := range s.PortDrops {
-		n.portDrops[pd.Port] = pd.Drops
+		n.portState(pd.Port).drops = pd.Drops
 	}
 }
 

@@ -136,15 +136,10 @@ func (k *Kernel) freePageTables(root hw.Frame) {
 
 func (k *Kernel) freePTLevel(table hw.Frame, level int) {
 	if level > 0 {
-		for i := uint64(0); i < 512; i++ {
-			e, err := k.M.MMU.ReadPTE(table, i)
-			if err != nil {
-				continue
-			}
-			if e.Present() {
-				k.freePTLevel(e.Frame(), level-1)
-			}
-		}
+		// A table frame outside RAM has no entries to follow.
+		_ = k.M.MMU.VisitPresentPTEs(table, func(e hw.PTE) {
+			k.freePTLevel(e.Frame(), level-1)
+		})
 	}
 	// Level-0 entries point at data frames (freed by
 	// releaseUserMemory), so only the table frames themselves are

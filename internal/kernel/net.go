@@ -184,12 +184,60 @@ type NetStats struct {
 	TimerFires uint64
 }
 
+// portTable maps a port to a *T: pages of 256 ports, each allocated
+// when one of its ports is first set, plus a count of the ports set.
+// A lookup is two indexes; a stack that never opens a port allocates
+// nothing.
+type portTable[T any] struct {
+	pages []*[256]*T
+	n     int
+}
+
+// get returns the entry at port, nil if none.
+func (t *portTable[T]) get(port uint16) *T {
+	if int(port/256) < len(t.pages) {
+		if pg := t.pages[port/256]; pg != nil {
+			return pg[port%256]
+		}
+	}
+	return nil
+}
+
+// set makes v (non-nil) the entry at port.
+func (t *portTable[T]) set(port uint16, v *T) {
+	if t.pages == nil {
+		t.pages = make([]*[256]*T, 256)
+	}
+	pg := t.pages[port/256]
+	if pg == nil {
+		pg = new([256]*T)
+		t.pages[port/256] = pg
+	}
+	if pg[port%256] == nil {
+		t.n++
+	}
+	pg[port%256] = v
+}
+
+// del removes the entry at port, if any.
+func (t *portTable[T]) del(port uint16) {
+	if int(port/256) < len(t.pages) {
+		if pg := t.pages[port/256]; pg != nil && pg[port%256] != nil {
+			pg[port%256] = nil
+			t.n--
+		}
+	}
+}
+
 // NetStack is one kernel's transport state.
 type NetStack struct {
 	k         *Kernel
 	nic       *hw.NIC
-	listeners map[uint16]*Listener
-	conns     map[uint16]*Conn // keyed by local port
+	listeners portTable[Listener]
+	conns     portTable[Conn] // keyed by local port
+	// pollPorts is Poll's snapshot of the NIC's pending ports, reused
+	// across calls.
+	pollPorts []uint16
 	nextPort  uint16
 	portLo    uint16
 	portHi    uint16
@@ -204,8 +252,6 @@ func NewNetStack(k *Kernel) *NetStack {
 	ns := &NetStack{
 		k:         k,
 		nic:       k.M.NIC,
-		listeners: make(map[uint16]*Listener),
-		conns:     make(map[uint16]*Conn),
 		nextPort:  defaultPortLo,
 		portLo:    defaultPortLo,
 		portHi:    defaultPortHi,
@@ -223,7 +269,7 @@ func NewNetStack(k *Kernel) *NetStack {
 func (ns *NetStack) Stats() NetStats { return ns.stats }
 
 // NumConns reports currently-open connections (load tracking).
-func (ns *NetStack) NumConns() int { return len(ns.conns) }
+func (ns *NetStack) NumConns() int { return ns.conns.n }
 
 // TimersPending reports armed wheel timers (quiescence checks).
 func (ns *NetStack) TimersPending() int { return ns.wheel.pendingCount() }
@@ -256,10 +302,7 @@ func (ns *NetStack) allocPort() (uint16, uint64) {
 		if ns.nextPort < ns.portLo || ns.nextPort > ns.portHi || ns.nextPort == 0 {
 			ns.nextPort = ns.portLo
 		}
-		if _, used := ns.conns[p]; used {
-			continue
-		}
-		if _, used := ns.listeners[p]; used {
+		if ns.conns.get(p) != nil || ns.listeners.get(p) != nil {
 			continue
 		}
 		return p, 0
@@ -312,8 +355,8 @@ func (ns *NetStack) sendRoom(c *Conn) int {
 	if ps == nil {
 		return maxSegment
 	}
-	rc, ok := ps.conns[c.remote]
-	if !ok || rc.remote != c.local {
+	rc := ps.conns.get(c.remote)
+	if rc == nil || rc.remote != c.local {
 		return maxSegment
 	}
 	room := rc.rxWindow - rc.rxLen
@@ -328,12 +371,12 @@ func (ns *NetStack) sendRoom(c *Conn) int {
 // one — after rc's window opened: a read, a drained frame, or rc's
 // removal.
 func (ns *NetStack) wakeSenders(rc *Conn) {
-	if sc, ok := ns.conns[rc.remote]; ok && sc.remoteIsLocal {
+	if sc := ns.conns.get(rc.remote); sc != nil && sc.remoteIsLocal {
 		sc.sock.wake()
 	}
 	if p := ns.nic.Peer(); p != nil {
 		if ps, ok := p.Owner().(*NetStack); ok {
-			if sc, ok := ps.conns[rc.remote]; ok && !sc.remoteIsLocal {
+			if sc := ps.conns.get(rc.remote); sc != nil && !sc.remoteIsLocal {
 				sc.sock.wake()
 			}
 		}
@@ -343,17 +386,25 @@ func (ns *NetStack) wakeSenders(rc *Conn) {
 // dropConn releases c's local port. A sender that read c's window now
 // sees none, so it is woken.
 func (ns *NetStack) dropConn(c *Conn) {
-	delete(ns.conns, c.local)
+	ns.conns.del(c.local)
 	ns.wakeSenders(c)
 }
 
 // Poll is the receive-interrupt stand-in the schedulers call between
 // dispatches. It is O(1) when nothing is pending: one flag check on
 // the NIC plus the wheel's armed count. With work it fires due timers
-// and drains pending ports in ascending port order.
+// and drains pending ports in ascending port order. The drain walks a
+// snapshot of the pending set taken before it starts: a NIC connected
+// to itself receives frames while its ports drain, and a port that
+// only turned pending then waits for the next Poll.
 func (ns *NetStack) Poll() {
 	if ns.nic.HasPending() {
-		for _, port := range ns.nic.PendingPorts() {
+		ports := ns.pollPorts[:0]
+		for port, ok := ns.nic.NextPendingPort(0); ok; port, ok = ns.nic.NextPendingPort(int(port) + 1) {
+			ports = append(ports, port)
+		}
+		ns.pollPorts = ports
+		for _, port := range ports {
 			ns.drainPort(port)
 		}
 	}
@@ -372,7 +423,8 @@ func (ns *NetStack) Poll() {
 // keep charging the sender's view of the window).
 func (ns *NetStack) drainPort(port uint16) {
 	for {
-		c, hasConn := ns.conns[port]
+		c := ns.conns.get(port)
+		hasConn := c != nil
 		if hasConn {
 			if n := ns.nic.PeekPayloadLen(port); n > netHdrSize && c.rxLen+(n-netHdrSize) > c.rxWindow {
 				return
@@ -390,8 +442,7 @@ func (ns *NetStack) drainPort(port uint16) {
 		// pre-refactor stack never processed them at all (they rotted in
 		// the NIC queue), and the legacy experiments' calibrated cycle
 		// totals must not move because teardown races are now accounted.
-		_, hasListener := ns.listeners[port]
-		if hasConn || hasListener {
+		if hasConn || ns.listeners.get(port) != nil {
 			ns.k.HAL.KAccess(workNetPerPacket)
 		}
 		ns.handlePacket(port, pkt.Payload, false)
@@ -406,9 +457,9 @@ func (ns *NetStack) deliverable() bool {
 	if !ns.nic.HasPending() {
 		return false
 	}
-	for _, port := range ns.nic.PendingPorts() {
-		c, ok := ns.conns[port]
-		if !ok {
+	for port, ok := ns.nic.NextPendingPort(0); ok; port, ok = ns.nic.NextPendingPort(int(port) + 1) {
+		c := ns.conns.get(port)
+		if c == nil {
 			return true // listener, or a late frame a drain will drop
 		}
 		if n := ns.nic.PeekPayloadLen(port); n <= netHdrSize || c.rxLen+(n-netHdrSize) <= c.rxWindow {
@@ -432,8 +483,8 @@ func (ns *NetStack) handlePacket(port uint16, pl []byte, fromLocal bool) {
 	data := pl[netHdrSize:]
 	switch typ {
 	case pktSYN:
-		l, ok := ns.listeners[port]
-		if !ok {
+		l := ns.listeners.get(port)
+		if l == nil {
 			ns.stats.RefusedSyns++
 			ns.send(pktRST, port, src, nil, fromLocal)
 			return
@@ -446,7 +497,7 @@ func (ns *NetStack) handlePacket(port uint16, pl []byte, fromLocal bool) {
 		l.backlog = append(l.backlog, backlogEntry{srcPort: src, local: fromLocal})
 		l.sock.wake()
 	case pktSYNACK:
-		if c, ok := ns.conns[port]; ok {
+		if c := ns.conns.get(port); c != nil {
 			c.established = true
 			c.remote = src
 			if c.connTimer != 0 {
@@ -456,7 +507,7 @@ func (ns *NetStack) handlePacket(port uint16, pl []byte, fromLocal bool) {
 			c.sock.wake()
 		}
 	case pktRST:
-		if c, ok := ns.conns[port]; ok && !c.established && !c.closed {
+		if c := ns.conns.get(port); c != nil && !c.established && !c.closed {
 			c.refused = true
 			if c.connTimer != 0 {
 				ns.wheel.cancel(c.connTimer)
@@ -465,8 +516,8 @@ func (ns *NetStack) handlePacket(port uint16, pl []byte, fromLocal bool) {
 			c.sock.wake()
 		}
 	case pktDATA:
-		c, ok := ns.conns[port]
-		if !ok {
+		c := ns.conns.get(port)
+		if c == nil {
 			// The FIN race: data in flight when the local side closed
 			// and released the port. Dropped — but accounted, not
 			// silent.
@@ -479,8 +530,8 @@ func (ns *NetStack) handlePacket(port uint16, pl []byte, fromLocal bool) {
 		c.sock.wake()
 		ns.touch(c)
 	case pktFIN:
-		c, ok := ns.conns[port]
-		if !ok {
+		c := ns.conns.get(port)
+		if c == nil {
 			ns.stats.LateFinDrops++
 			return
 		}
@@ -539,7 +590,7 @@ func (ns *NetStack) Connect(p *Proc, dst uint16, toPeer bool, nonblock bool, tim
 		return nil, e
 	}
 	c := &Conn{local: local, remote: dst, remoteIsLocal: !toPeer, rxWindow: ns.defWindow}
-	ns.conns[local] = c
+	ns.conns.set(local, c)
 	if timeout != 0 {
 		c.connTimer = ns.wheel.after(ns.k.M.Clock.Cycles(), timeout, func() {
 			c.connTimer = 0
@@ -583,7 +634,7 @@ func (ns *NetStack) Accept(p *Proc, l *Listener, nonblock bool) (*Conn, uint64) 
 		return nil, errn
 	}
 	c := &Conn{local: local, remote: e.srcPort, remoteIsLocal: e.local, established: true, rxWindow: ns.defWindow}
-	ns.conns[local] = c
+	ns.conns.set(local, c)
 	ns.send(pktSYNACK, local, e.srcPort, nil, e.local)
 	return c, 0
 }
@@ -756,7 +807,7 @@ func (s *Socket) Close(k *Kernel) error {
 		s.ns.CloseConn(s.conn)
 	}
 	if s.listener != nil {
-		delete(s.ns.listeners, s.listener.port)
+		s.ns.listeners.del(s.listener.port)
 	}
 	return nil
 }
@@ -791,7 +842,7 @@ func sysBind(k *Kernel, p *Proc, ic core.IContext) uint64 {
 	}
 	k.HAL.KAccess(workSocket)
 	port := uint16(ic.Arg(1))
-	if _, used := k.Net.listeners[port]; used {
+	if k.Net.listeners.get(port) != nil {
 		return errno(EEXIST)
 	}
 	s.listener = &Listener{port: port, sock: s}
@@ -811,7 +862,7 @@ func sysListen(k *Kernel, p *Proc, ic core.IContext) uint64 {
 	}
 	k.HAL.KAccess(workSocket)
 	s.listener.maxBacklog = int(ic.Arg(1))
-	k.Net.listeners[s.listener.port] = s.listener
+	k.Net.listeners.set(s.listener.port, s.listener)
 	return 0
 }
 

@@ -29,7 +29,7 @@ func TestPollDrainsPortsInSortedOrder(t *testing.T) {
 	ports := []uint16{7000, 7001, 7002}
 	for _, port := range ports {
 		c := &Conn{local: port, remote: 9999, established: true, rxWindow: 1 << 20, idleTimeout: 1 << 30}
-		server.Net.conns[port] = c
+		server.Net.conns.set(port, c)
 	}
 	for _, port := range []uint16{7002, 7000, 7001} {
 		client.M.NIC.Send(hw.Packet{Port: port, Payload: mkFrame(pktDATA, 9999, port, []byte{'x'})})
@@ -37,7 +37,7 @@ func TestPollDrainsPortsInSortedOrder(t *testing.T) {
 	server.Net.Poll()
 	var ids []timerID
 	for _, port := range ports {
-		c := server.Net.conns[port]
+		c := server.Net.conns.get(port)
 		if got := c.takeRx(server, c.rxLen); string(got) != "x" {
 			t.Fatalf("port %d rx = %q", port, got)
 		}

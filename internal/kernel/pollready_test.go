@@ -76,7 +76,7 @@ func readyListWalk(t *testing.T, seed int64, steps int) {
 	kA.Net.SetRecvWindow(3000)
 	kB.Net.SetRecvWindow(3000)
 	lB := &Listener{port: 9300}
-	kB.Net.listeners[lB.port] = lB
+	kB.Net.listeners.set(lB.port, lB)
 	var bConns []*Conn
 	done := false
 	completed := 0

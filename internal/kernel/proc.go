@@ -604,6 +604,15 @@ func (p *Proc) Read(va uint64, n int) []byte {
 	return out
 }
 
+// ReadInto copies len(dst) bytes from user memory into dst: Read
+// without the allocation, with the same charges. A fault restarts the
+// copy, as it does for Read.
+func (p *Proc) ReadInto(va uint64, dst []byte) {
+	p.faultingAccess(func() error {
+		return p.cpuHW().CopyFromVirtInto(hw.Virt(va), dst)
+	})
+}
+
 // Write copies bytes into user memory.
 func (p *Proc) Write(va uint64, b []byte) {
 	p.faultingAccess(func() error {

@@ -2,6 +2,7 @@ package kernel
 
 import (
 	"bytes"
+	"fmt"
 	"testing"
 
 	"repro/internal/core"
@@ -358,4 +359,121 @@ func TestNestedSignalDelivery(t *testing.T) {
 			t.Fatalf("order = %v, want %v", order, want)
 		}
 	}
+}
+
+// TestExitReturnsEveryFrame: processes that fork and exit, or fork and
+// exec an installed program, hand back every frame — user pages and
+// every level of their page tables — so the free count after each
+// round of them equals the count after the first round, which has paid
+// for whatever the kernel keeps.
+func TestExitReturnsEveryFrame(t *testing.T) {
+	forEachHAL(t, func(t *testing.T, k *Kernel) {
+		if _, err := k.InstallTrustedProgram("/bin/true", nil, func(p *Proc) { p.Exit(0) }); err != nil {
+			t.Fatal(err)
+		}
+		var free []int
+		done := false
+		if _, err := k.Spawn("parent", func(p *Proc) {
+			defer func() { done = true }()
+			// One status word, touched now: the parent's own pages stay
+			// put across the rounds.
+			status := p.Alloc(8)
+			p.Store(status, 8, 0)
+			for round := 0; round < 4; round++ {
+				for i := 0; i < 20; i++ {
+					p.Fork(func(c *Proc) { c.Exit(0) })
+					p.Syscall(SysWait4, status)
+				}
+				for i := 0; i < 20; i++ {
+					p.Fork(func(c *Proc) {
+						_ = c.Exec("/bin/true")
+						c.Exit(1)
+					})
+					p.Syscall(SysWait4, status)
+				}
+				free = append(free, k.M.Mem.FreeFrames())
+			}
+		}); err != nil {
+			t.Fatal(err)
+		}
+		k.RunUntilIdle()
+		if !done || len(free) != 4 {
+			t.Fatalf("parent stalled after %d rounds", len(free))
+		}
+		for round, n := range free[1:] {
+			if n != free[0] {
+				t.Errorf("free frames after round %d: %d, after round 0: %d", round+1, n, free[0])
+			}
+		}
+	})
+}
+
+// TestReadIntoChargesLikeRead: Proc.ReadInto copies the same bytes as
+// Proc.Read and charges the same cycles to the same tags, for copies
+// within a page, across pages, and starting on a page that
+// demand-faults on first touch (the fault restarts the copy).
+func TestReadIntoChargesLikeRead(t *testing.T) {
+	forEachHAL(t, func(t *testing.T, k *Kernel) {
+		var fails []string
+		done := false
+		if _, err := k.Spawn("reader", func(p *Proc) {
+			defer func() { done = true }()
+			// region returns an address 100 bytes into fresh page-aligned
+			// heap with room for n bytes, and the bytes it holds. A cold
+			// region's first page is left untouched.
+			region := func(n int, cold bool) (uint64, []byte) {
+				const off = 100
+				p.Alloc(int(-p.Alloc(0) & (hw.PageSize - 1)))
+				va := p.Alloc((off+n+hw.PageSize-1)/hw.PageSize*hw.PageSize) + off
+				want := make([]byte, n)
+				for i := range want {
+					want[i] = byte(i*7 + n)
+				}
+				start := 0
+				if cold {
+					start = min(n, hw.PageSize-off)
+					clear(want[:start])
+				}
+				if start < n {
+					p.Write(va+uint64(start), want[start:])
+				}
+				return va, want
+			}
+			clk := k.M.Clock
+			for _, n := range []int{1, 4096, 4097, 40_000} {
+				var warm uint64
+				for _, cold := range []bool{false, true} {
+					va1, want := region(n, cold)
+					va2, _ := region(n, cold)
+					c0, l0 := clk.Cycles(), clk.Ledger()
+					got := p.Read(va1, n)
+					c1, l1 := clk.Cycles(), clk.Ledger()
+					into := make([]byte, n)
+					p.ReadInto(va2, into)
+					c2, l2 := clk.Cycles(), clk.Ledger()
+					if !bytes.Equal(got, want) || !bytes.Equal(into, want) {
+						fails = append(fails, fmt.Sprintf("n=%d cold=%v: bytes differ", n, cold))
+					}
+					if c1-c0 != c2-c1 || l1.Sub(l0) != l2.Sub(l1) {
+						fails = append(fails, fmt.Sprintf("n=%d cold=%v: Read charged %d cycles %v, ReadInto %d %v",
+							n, cold, c1-c0, l1.Sub(l0), c2-c1, l2.Sub(l1)))
+					}
+					if !cold {
+						warm = c1 - c0
+					} else if c1-c0 <= warm {
+						fails = append(fails, fmt.Sprintf("n=%d: the cold copy charged %d cycles, no more than the warm %d: no fault", n, c1-c0, warm))
+					}
+				}
+			}
+		}); err != nil {
+			t.Fatal(err)
+		}
+		k.RunUntilIdle()
+		if !done {
+			t.Fatal("reader stalled")
+		}
+		for _, f := range fails {
+			t.Error(f)
+		}
+	})
 }

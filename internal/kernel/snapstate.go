@@ -145,10 +145,10 @@ func (k *Kernel) checkQuiescent() error {
 			return fmt.Errorf("%w: CPU %d still has scheduler work", ErrNotQuiescent, c.id)
 		}
 	}
-	if n := len(k.Net.conns); n > 0 {
+	if n := k.Net.conns.n; n > 0 {
 		return fmt.Errorf("%w: %d network connections open", ErrNotQuiescent, n)
 	}
-	if n := len(k.Net.listeners); n > 0 {
+	if n := k.Net.listeners.n; n > 0 {
 		return fmt.Errorf("%w: %d listeners open", ErrNotQuiescent, n)
 	}
 	if n := k.Net.wheel.pendingCount(); n > 0 {
@@ -281,8 +281,8 @@ func (k *Kernel) ApplyKernelSnap(s *KernelSnap) error {
 		}
 		per[hw.Virt(sg.VA)] = append([]byte(nil), sg.Blob...)
 	}
-	clear(k.Net.conns)
-	clear(k.Net.listeners)
+	k.Net.conns = portTable[Conn]{}
+	k.Net.listeners = portTable[Listener]{}
 	k.Net.nextPort = s.Net.NextPort
 	k.Net.portLo = s.Net.PortLo
 	k.Net.portHi = s.Net.PortHi

@@ -1,6 +1,9 @@
 package kernel
 
-import "sort"
+import (
+	"math/bits"
+	"sort"
+)
 
 // This file is the hierarchical timer wheel driving every network
 // timeout (DESIGN.md §19): poll-wait timeouts, per-connection idle
@@ -12,9 +15,13 @@ import "sort"
 // covers one tick of wheelGranularity cycles; each higher level covers
 // wheelSlots times the span of the one below. Entries beyond the top
 // level's horizon wait in a sorted overflow list and fire straight
-// from there. Advancing the wheel steps tick by tick, cascading a
-// higher-level slot down whenever the cursor crosses its boundary —
-// the classic O(1)-amortized scheme.
+// from there. Advancing the wheel moves the cursor tick by tick,
+// cascading a higher-level slot down whenever the cursor crosses its
+// boundary — the classic O(1)-amortized scheme — except that it jumps
+// over ticks where that step would do nothing: one occupancy word per
+// level marks the non-empty slots, so the cursor goes straight to the
+// next occupied level-0 slot or the next multiple of wheelSlots ticks,
+// whichever comes first.
 //
 // Determinism: due entries fire in (expiry, id) order, where id is a
 // monotonic arm sequence number. Two timers armed for the same instant
@@ -44,6 +51,9 @@ type timerWheel struct {
 	// fired.
 	curTick uint64
 	slots   [wheelLevels][wheelSlots][]wheelEntry
+	// occ has bit i of occ[lvl] set iff slots[lvl][i] is non-empty
+	// (live or lazily dead entries).
+	occ [wheelLevels]uint64
 	// overflow holds entries beyond the top level's horizon, sorted by
 	// (expiry, id); advance pops due entries straight off its head.
 	overflow []wheelEntry
@@ -58,11 +68,7 @@ type timerWheel struct {
 	// invalidates it, and the next nextExpiry rescans live.
 	minExp   uint64
 	minValid bool
-	// slotEntries counts entries physically stored in slots (live or
-	// lazily dead, excluding overflow). When it is zero, advance can
-	// jump the cursor without walking ticks.
-	slotEntries int
-	nextID      timerID
+	nextID   timerID
 }
 
 func newTimerWheel(now uint64) *timerWheel {
@@ -124,7 +130,7 @@ func (w *timerWheel) insert(e wheelEntry) {
 		if delta < span {
 			idx := (tick / width) % wheelSlots
 			w.slots[lvl][idx] = append(w.slots[lvl][idx], e)
-			w.slotEntries++
+			w.occ[lvl] |= 1 << idx
 			return
 		}
 		width = span
@@ -170,7 +176,8 @@ func (w *timerWheel) advance(now uint64) int {
 	// filterCur sweeps the cursor's own slot: entries there can be due
 	// within the current tick (zero-delay arms land here).
 	filterCur := func() {
-		slot := &w.slots[0][w.curTick%wheelSlots]
+		idx := w.curTick % wheelSlots
+		slot := &w.slots[0][idx]
 		if len(*slot) == 0 {
 			return
 		}
@@ -180,27 +187,30 @@ func (w *timerWheel) advance(now uint64) int {
 				keep = append(keep, e)
 			}
 		}
-		w.slotEntries -= len(*slot) - len(keep)
 		*slot = keep
+		if len(keep) == 0 {
+			w.occ[0] &^= 1 << idx
+		}
 	}
 	filterCur()
 	for w.curTick < targetTick {
-		if w.slotEntries == 0 {
+		if w.occ == [wheelLevels]uint64{} {
 			// Everything armed lives in the overflow list: no slot can
 			// fire or cascade, so the cursor jumps straight to the
-			// target instead of walking (possibly millions of) ticks.
+			// target.
 			w.curTick = targetTick
 			break
 		}
-		w.curTick++
+		w.curTick = w.nextStop(targetTick)
 		w.cascade()
-		slot := &w.slots[0][w.curTick%wheelSlots]
+		idx := w.curTick % wheelSlots
+		slot := &w.slots[0][idx]
 		if len(*slot) == 0 {
 			continue
 		}
 		entries := *slot
 		*slot = nil
-		w.slotEntries -= len(entries)
+		w.occ[0] &^= 1 << idx
 		for _, e := range entries {
 			if !collect(e) {
 				// Not yet due (a handler re-armed into the in-progress
@@ -234,6 +244,22 @@ func (w *timerWheel) advance(now uint64) int {
 	return len(due)
 }
 
+// nextStop returns the first tick after the cursor, and at most
+// target, at which a step of the cursor can do anything: the next tick
+// whose level-0 slot is occupied, or the next multiple of wheelSlots,
+// where cascade may pull entries down. Tick t steps onto slot
+// t%wheelSlots, so the slots after the cursor's index are, in order,
+// the ticks up to that boundary. Every tick skipped has an empty
+// level-0 slot and is no boundary: stepping onto it changes nothing.
+func (w *timerWheel) nextStop(target uint64) uint64 {
+	cur := w.curTick % wheelSlots
+	next := w.curTick - cur + wheelSlots
+	if later := w.occ[0] &^ (uint64(2)<<cur - 1); later != 0 {
+		next = w.curTick - cur + uint64(bits.TrailingZeros64(later))
+	}
+	return min(next, target)
+}
+
 // cascade pulls the next higher-level slot down whenever the cursor
 // crosses that level's boundary, re-distributing its entries into the
 // finer levels below.
@@ -247,7 +273,7 @@ func (w *timerWheel) cascade() {
 		entries := w.slots[lvl][idx]
 		if len(entries) != 0 {
 			w.slots[lvl][idx] = nil
-			w.slotEntries -= len(entries)
+			w.occ[lvl] &^= 1 << idx
 			for _, e := range entries {
 				if _, gone := w.dead[e.id]; gone {
 					delete(w.dead, e.id)

@@ -1,7 +1,9 @@
 package kernel
 
 import (
+	"cmp"
 	"math/rand"
+	"slices"
 	"testing"
 )
 
@@ -218,6 +220,133 @@ func TestWheelNextExpiryMatchesScan(t *testing.T) {
 			}
 			if w.pendingCount() != len(live) {
 				t.Fatalf("seed %d step %d: %d pending, %d live", seed, step, w.pendingCount(), len(live))
+			}
+		}
+	}
+}
+
+// checkOccupancy verifies the wheel's occupancy words: bit i of
+// occ[lvl] is set exactly when slots[lvl][i] holds an entry.
+func checkOccupancy(t *testing.T, step int, w *timerWheel) {
+	t.Helper()
+	for lvl := range w.slots {
+		for i, slot := range w.slots[lvl] {
+			if set := w.occ[lvl]&(1<<i) != 0; set != (len(slot) > 0) {
+				t.Fatalf("step %d: level %d slot %d: occupancy bit %v with %d entries", step, lvl, i, set, len(slot))
+			}
+		}
+	}
+}
+
+// TestWheelMatchesModel drives the wheel and a sorted list of armed
+// timers with the same seeded operations — arms with delays from zero
+// to past the top level's horizon, cancels, advances in small steps and
+// in jumps onto and across level boundaries, and handlers that arm new
+// timers, some already due — and demands the exact fire sequence of the
+// model, which fires every timer due at an advance in (expiry, id)
+// order. After every operation the occupancy words must mark exactly the
+// non-empty slots.
+func TestWheelMatchesModel(t *testing.T) {
+	type armed struct {
+		id     timerID
+		expiry uint64
+	}
+	horizon := uint64(wheelSlots * wheelSlots * wheelSlots * wheelSlots * wheelGranularity)
+	for seed := int64(1); seed <= 6; seed++ {
+		rng := rand.New(rand.NewSource(seed))
+		now := uint64(rng.Int63n(1 << 28))
+		w := newTimerWheel(now)
+		var model []armed // live timers, in arm order
+		var ids []timerID
+		var fired []timerID
+		delay := func() uint64 {
+			span := []uint64{1, wheelGranularity, 64 * wheelGranularity, 64 * 64 * wheelGranularity,
+				64 * 64 * 64 * wheelGranularity, horizon, 8 * horizon}[rng.Intn(7)]
+			if rng.Intn(6) == 0 {
+				return 0
+			}
+			return uint64(rng.Int63n(int64(span))) + span/2
+		}
+		var arm func(base uint64)
+		arm = func(base uint64) {
+			d := delay()
+			var id timerID
+			reArm := rng.Intn(4) == 0
+			id = w.after(base, d, func() {
+				fired = append(fired, id)
+				if reArm {
+					// The handler arms from the advance's time or
+					// earlier, so its timer may already be due: it fires
+					// on the next advance, as the model expects.
+					arm(now - min(now, uint64(rng.Intn(3*wheelGranularity))))
+				}
+			})
+			model = append(model, armed{id, base + max(d, 1)})
+			ids = append(ids, id)
+		}
+		for step := 0; step < 2000; step++ {
+			switch r := rng.Intn(10); {
+			case r < 4:
+				arm(now)
+			case r < 5 && len(ids) > 0:
+				id := ids[rng.Intn(len(ids))]
+				i := slices.IndexFunc(model, func(a armed) bool { return a.id == id })
+				if got := w.cancel(id); got != (i >= 0) {
+					t.Fatalf("seed %d step %d: cancel(%d) = %v, model has it: %v", seed, step, id, got, i >= 0)
+				}
+				if i >= 0 {
+					model = slices.Delete(model, i, i+1)
+				}
+			default:
+				tick := now / wheelGranularity
+				switch r := rng.Intn(20); {
+				case r < 7: // within the tick or a few ticks on
+					now += uint64(rng.Intn(4 * wheelGranularity))
+				case r < 12: // up to a level-0 revolution
+					now += uint64(rng.Intn(64 * wheelGranularity))
+				case r < 19: // onto, or one tick either side of, a boundary
+					width := []uint64{64, 64 * 64, 64 * 64 * 64}[rng.Intn(3)]
+					tick = (tick/width+1)*width + uint64(rng.Intn(3)) - 1
+					now = max(now, tick*wheelGranularity+uint64(rng.Intn(wheelGranularity)))
+				default: // far: up to past the horizon
+					now += uint64(rng.Int63n(int64(2 * horizon)))
+				}
+				var want []armed
+				model = slices.DeleteFunc(model, func(a armed) bool {
+					if a.expiry <= now {
+						want = append(want, a)
+						return true
+					}
+					return false
+				})
+				slices.SortFunc(want, func(a, b armed) int {
+					if c := cmp.Compare(a.expiry, b.expiry); c != 0 {
+						return c
+					}
+					return cmp.Compare(a.id, b.id)
+				})
+				fired = fired[:0]
+				if n := w.advance(now); n != len(want) {
+					t.Fatalf("seed %d step %d: advance(%d) fired %d, model %d", seed, step, now, n, len(want))
+				}
+				for i, a := range want {
+					if fired[i] != a.id {
+						t.Fatalf("seed %d step %d: fire %d is timer %d, model %d (expiry %d)", seed, step, i, fired[i], a.id, a.expiry)
+					}
+				}
+			}
+			checkOccupancy(t, step, w)
+			if w.pendingCount() != len(model) {
+				t.Fatalf("seed %d step %d: %d pending, model %d", seed, step, w.pendingCount(), len(model))
+			}
+			next, ok := w.nextExpiry()
+			if ok != (len(model) > 0) {
+				t.Fatalf("seed %d step %d: nextExpiry ok=%v with %d armed", seed, step, ok, len(model))
+			}
+			for _, a := range model {
+				if a.expiry < next {
+					t.Fatalf("seed %d step %d: nextExpiry %d, timer %d expires at %d", seed, step, next, a.id, a.expiry)
+				}
 			}
 		}
 	}
