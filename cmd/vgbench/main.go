@@ -218,21 +218,11 @@ func main() {
 				counts = append(counts, n)
 			}
 		}
-		// The sweep always runs both scheduling modes: CPUScalingCompare
-		// panics if any virtual number differs between them, so every
-		// vgbench run re-proves the host-parallel determinism contract
-		// while producing the host-speedup numbers.
-		var cmp []experiments.CPUComparePoint
-		ns, allocs, ab := timed(func() { cmp = experiments.CPUScalingCompare(sc, counts) })
-		pts := make([]experiments.CPUPoint, len(cmp))
-		for i, c := range cmp {
-			pts[i] = c.Serial
-		}
+		var pts []experiments.CPUPoint
+		ns, allocs, ab := timed(func() { pts = experiments.CPUScaling(sc, counts) })
 		fmt.Println(experiments.FormatCPUScaling(pts))
-		fmt.Println(experiments.FormatHostParallel(cmp))
 		if *csvDir != "" {
 			export(experiments.ExportCPUScaling(*csvDir, pts))
-			export(experiments.ExportHostParallel(*csvDir, cmp))
 		}
 		metrics := make(map[string]float64)
 		for _, p := range pts {
@@ -240,9 +230,6 @@ func main() {
 			for c, u := range p.Utilization {
 				metrics[fmt.Sprintf("util_%dcpu_cpu%d", p.NumCPUs, c)] = u
 			}
-		}
-		for _, c := range cmp {
-			metrics[fmt.Sprintf("host_speedup_%dcpu", c.Serial.NumCPUs)] = c.HostSpeedup()
 		}
 		record("cpu_scaling_ghost_httpd", ns, allocs, ab, metrics)
 	}

@@ -27,14 +27,13 @@ func main() {
 	app := flag.String("app", "hello", "workload: hello|keygen|postmark|lmbench")
 	n := flag.Int("n", 2000, "transaction/iteration count")
 	cpus := flag.Int("cpus", 1, "number of simulated CPUs")
-	hostpar := flag.Bool("hostpar", false, "run epoch user phases on concurrent host goroutines (needs -cpus > 1; identical results, less wall-clock)")
 	breakdown := flag.Bool("breakdown", false, "print per-tag cycle attribution and the per-syscall profile")
 	traceOut := flag.String("trace", "", "write a Chrome trace_event JSON file of tagged charges")
 	snapshotFlag := flag.String("snapshot", "", "save=PATH records the run into a snapshot image (post-boot state + nondeterministic-input trailer); use=PATH restores one before the workload")
 	replayFlag := flag.Bool("replay", false, "serve the image's recorded nondeterministic inputs back to the workload (needs -snapshot use= of a recorded image)")
 	flag.Parse()
 
-	plan, err := checkFlags(*cpus, *hostpar, *snapshotFlag, *replayFlag)
+	plan, err := checkFlags(*snapshotFlag, *replayFlag)
 	if err != nil {
 		fmt.Fprintln(os.Stderr, err)
 		os.Exit(2)
@@ -54,7 +53,7 @@ func main() {
 	}
 	cfg := hw.DefaultConfig()
 	cfg.NumCPUs = *cpus
-	sys, err := repro.NewSystemWithOptions(mode, repro.Options{Machine: cfg, HostParallel: *hostpar})
+	sys, err := repro.NewSystemWithOptions(mode, repro.Options{Machine: cfg})
 	if err != nil {
 		fmt.Fprintln(os.Stderr, err)
 		os.Exit(1)
@@ -221,11 +220,8 @@ type runPlan struct {
 // boots; main exits 2 on its error. A use= image is loaded here, once,
 // so a missing, corrupt or version-mismatched file fails at flag time
 // and -replay can check that the image carries a record trailer.
-func checkFlags(cpus int, hostpar bool, snap string, replay bool) (runPlan, error) {
+func checkFlags(snap string, replay bool) (runPlan, error) {
 	var plan runPlan
-	if hostpar && cpus <= 1 {
-		return plan, fmt.Errorf("vgrun: -hostpar needs multi-CPU machines; pass -cpus > 1")
-	}
 	if snap != "" {
 		verb, path, ok := strings.Cut(snap, "=")
 		if !ok || path == "" || (verb != "save" && verb != "use") {

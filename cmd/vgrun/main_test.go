@@ -11,36 +11,6 @@ import (
 	"repro/internal/snapshot"
 )
 
-func TestCheckFlagsHostPar(t *testing.T) {
-	cases := []struct {
-		name    string
-		cpus    int
-		hostpar bool
-		wantErr string // substring of the expected error; empty = success
-	}{
-		{name: "defaults", cpus: 1},
-		{name: "hostpar multi-cpu", cpus: 4, hostpar: true},
-		{name: "hostpar single-cpu", cpus: 1, hostpar: true, wantErr: "-hostpar needs multi-CPU machines"},
-	}
-	for _, tc := range cases {
-		t.Run(tc.name, func(t *testing.T) {
-			plan, err := checkFlags(tc.cpus, tc.hostpar, "", false)
-			if tc.wantErr != "" {
-				if err == nil || !strings.Contains(err.Error(), tc.wantErr) {
-					t.Fatalf("want error containing %q, got %v", tc.wantErr, err)
-				}
-				return
-			}
-			if err != nil {
-				t.Fatal(err)
-			}
-			if plan != (runPlan{}) {
-				t.Errorf("got %+v, want an empty plan", plan)
-			}
-		})
-	}
-}
-
 // writeImages encodes a booted machine's image into dir four ways: as
 // is, with a record trailer, cut in half, and with its version field
 // bumped under a recomputed checksum (so only the version check can
@@ -117,7 +87,7 @@ func TestCheckFlagsSnapshot(t *testing.T) {
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
-			plan, err := checkFlags(1, false, tc.snap, tc.replay)
+			plan, err := checkFlags(tc.snap, tc.replay)
 			if tc.wantErr != "" {
 				if err == nil || !strings.Contains(err.Error(), tc.wantErr) {
 					t.Fatalf("want error containing %q, got %v", tc.wantErr, err)

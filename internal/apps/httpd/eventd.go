@@ -118,11 +118,15 @@ func EventServerMain(cfg EventServerConfig) func(p *kernel.Proc) {
 				}
 				p.Write(ioBuf, c.out[:n])
 				ret := p.Syscall(kernel.SysSendTo, uint64(fd), ioBuf, uint64(n))
-				if e, bad := kernel.IsErr(ret); bad {
-					if e == kernel.EAGAIN {
-						break
-					}
-					c.dead = true // peer gone; nothing left to deliver
+				if e, bad := kernel.IsErr(ret); bad && e == kernel.EAGAIN {
+					break
+				}
+				if ret > uint64(n) {
+					// The peer is gone, or the OS reported more bytes
+					// sent than it was handed (an errno, read as
+					// unsigned, is above any length): nothing more can
+					// be delivered in order, so drop the connection.
+					c.dead = true
 					c.out = nil
 					break
 				}
@@ -350,7 +354,9 @@ func EventDial(p *kernel.Proc, port uint16, remote bool) (uint64, bool) {
 }
 
 // EventRequest sends one request line and reads one reply (status line
-// plus body for 200 replies). It assumes a blocking socket.
+// plus body for 200 replies). It assumes a blocking socket. A recv
+// count above the buffer it was given is the OS lying, and fails the
+// request like an error does.
 func EventRequest(p *kernel.Proc, fd uint64, line string) (status string, body []byte, ok bool) {
 	msg := p.PushString(line + "\n")
 	if ret := p.Syscall(kernel.SysSendTo, fd, msg, uint64(len(line)+1)); ret != uint64(len(line)+1) {
@@ -360,7 +366,7 @@ func EventRequest(p *kernel.Proc, fd uint64, line string) (status string, body [
 	var acc []byte
 	for {
 		n := p.Syscall(kernel.SysRecv, fd, buf, chunk)
-		if _, bad := kernel.IsErr(n); bad || n == 0 {
+		if _, bad := kernel.IsErr(n); bad || n == 0 || n > chunk {
 			return "", nil, false
 		}
 		acc = append(acc, p.Read(buf, int(n))...)
@@ -377,7 +383,7 @@ func EventRequest(p *kernel.Proc, fd uint64, line string) (status string, body [
 		fmt.Sscanf(status, "200 %d", &want)
 		for uint64(len(rest)) < want {
 			n := p.Syscall(kernel.SysRecv, fd, buf, chunk)
-			if _, bad := kernel.IsErr(n); bad || n == 0 {
+			if _, bad := kernel.IsErr(n); bad || n == 0 || n > chunk {
 				return status, rest, false
 			}
 			rest = append(rest, p.Read(buf, int(n))...)

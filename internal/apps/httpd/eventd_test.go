@@ -255,3 +255,60 @@ func TestEventServerIgnoresStatSize(t *testing.T) {
 		t.Errorf("%d processes still alive after QUIT", n)
 	}
 }
+
+// TestEventServerSurvivesInflatedReturns: a hostile OS reports more
+// bytes than a call was handed. With eventd's sendto and the client's
+// recv each inflated by 1,000, the server drops the connection instead
+// of slicing past its output buffer, the client's request fails
+// cleanly instead of reading past its receive buffer, and QUIT still
+// stops the server.
+func TestEventServerSurvivesInflatedReturns(t *testing.T) {
+	const extra = 1000
+	sys := bootOne(t, repro.Native)
+	payload := make([]byte, 40_000)
+	sys.Machine.RNG.Fill(payload)
+	sys.Kernel.WriteKernelFile("/a.bin", payload)
+	server, err := sys.Kernel.Spawn("eventd", EventServerMain(EventServerConfig{AppKey: make([]byte, 32)}))
+	if err != nil {
+		t.Fatal(err)
+	}
+	var client *kernel.Proc
+	inflate := func(num uint64, who func(p *kernel.Proc) bool) {
+		var orig kernel.SyscallHandler
+		orig = sys.Kernel.SetSyscallHandler(num, func(k *kernel.Kernel, p *kernel.Proc, ic core.IContext) uint64 {
+			ret := orig(k, p, ic)
+			if _, bad := kernel.IsErr(ret); bad || ret == 0 || !who(p) {
+				return ret
+			}
+			return ret + extra
+		})
+	}
+	inflate(kernel.SysSendTo, func(p *kernel.Proc) bool { return p == server })
+	inflate(kernel.SysRecv, func(p *kernel.Proc) bool { return p == client })
+	ok := true
+	done := false
+	client, err = sys.Kernel.Spawn("client", func(p *kernel.Proc) {
+		defer func() { done = true }()
+		fd, dialed := EventDial(p, EventPort, false)
+		if !dialed {
+			t.Error("dial failed")
+			return
+		}
+		_, _, ok = EventRequest(p, fd, "GET /a.bin")
+		p.Syscall(kernel.SysClose, fd)
+		StopEventServer(p, EventPort, false)
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	sys.Kernel.RunUntilIdle()
+	if !done {
+		t.Fatal("client stalled")
+	}
+	if ok {
+		t.Error("request over inflated returns reported ok=true")
+	}
+	if n := sys.Kernel.NumLive(); n != 0 {
+		t.Errorf("%d processes still alive after QUIT", n)
+	}
+}

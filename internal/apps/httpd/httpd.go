@@ -47,6 +47,12 @@ func ServerMain(p *kernel.Proc) {
 		// Request parsing, logging, and header formatting are
 		// application CPU, identical on every kernel configuration.
 		p.Compute(requestUserCycles)
+		if n > 256 {
+			// An errno (above any length, read as unsigned) or a count
+			// above the buffer: drop the connection.
+			p.Syscall(kernel.SysClose, cfd)
+			continue
+		}
 		req := strings.TrimSpace(string(p.Read(reqBuf, int(n))))
 		if req == "QUIT" {
 			p.Syscall(kernel.SysClose, cfd)
@@ -109,7 +115,7 @@ func ClientMain(p *kernel.Proc, path string, requests int, out *BenchResult) {
 		p.Syscall(kernel.SysSendTo, fd, req, uint64(len("GET "+path)))
 		// Read the header line then the body until EOF.
 		n := p.Syscall(kernel.SysRecv, fd, buf, chunk)
-		if _, bad := kernel.IsErr(n); bad || n == 0 {
+		if _, bad := kernel.IsErr(n); bad || n == 0 || n > chunk {
 			out.Failures++
 			p.Syscall(kernel.SysClose, fd)
 			continue

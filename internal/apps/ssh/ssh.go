@@ -29,6 +29,11 @@ const (
 const SSHPort = 22
 
 // transferChunk is the per-read unit of bulk transfers.
+//
+// Every read in this file checks the count the OS returned against the
+// length it asked for before copying that many bytes out. The count is
+// the OS's word, and an errno, read as unsigned, is above any length,
+// so the one comparison rejects errors and inflated counts alike.
 const transferChunk = 32 * 1024
 
 // cryptCost charges the SSH transport cipher for n bytes on p's clock.
@@ -127,6 +132,10 @@ func AgentMain(port uint16, st *AgentState) func(p *kernel.Proc) {
 			// "executes the attack as the victim process reads data
 			// from a file descriptor").
 			n := p.Syscall(kernel.SysRead, cfd, reqBuf, 256)
+			if n > 256 {
+				p.Syscall(kernel.SysClose, cfd)
+				continue
+			}
 			req := string(p.Read(reqBuf, int(n)))
 			if strings.HasPrefix(req, "QUIT") {
 				p.Syscall(kernel.SysClose, cfd)
@@ -165,8 +174,9 @@ func ServerMain(p *kernel.Proc) {
 	var authorized []byte
 	if _, bad := kernel.IsErr(afd); !bad {
 		tmp := p.Alloc(64)
-		n := p.Syscall(kernel.SysRead, afd, tmp, 64)
-		authorized = p.Read(tmp, int(n))
+		if n := p.Syscall(kernel.SysRead, afd, tmp, 64); n <= 64 {
+			authorized = p.Read(tmp, int(n))
+		}
 		p.Syscall(kernel.SysClose, afd)
 	}
 	sfd := p.Syscall(kernel.SysSocket)
@@ -194,7 +204,7 @@ func serveSession(p *kernel.Proc, cfd uint64, buf uint64, authorized []byte) boo
 	ch := p.PushString(challenge)
 	p.Syscall(kernel.SysSendTo, cfd, ch, uint64(len(challenge)))
 	n := p.Syscall(kernel.SysRecv, cfd, buf, transferChunk)
-	if _, bad := kernel.IsErr(n); bad || n == 0 {
+	if n == 0 || n > transferChunk {
 		return true
 	}
 	resp := p.Read(buf, int(n))
@@ -212,6 +222,9 @@ func serveSession(p *kernel.Proc, cfd uint64, buf uint64, authorized []byte) boo
 	p.Syscall(kernel.SysSendTo, cfd, ok, 2)
 	// Command phase.
 	n = p.Syscall(kernel.SysRecv, cfd, buf, transferChunk)
+	if n > transferChunk {
+		return true
+	}
 	cmd := string(p.Read(buf, int(n)))
 	if strings.HasPrefix(cmd, "QUIT") {
 		return false
@@ -289,8 +302,9 @@ func ClientMain(ghosting bool, path string, out *TransferResult) func(p *kernel.
 			fd := p.Syscall(kernel.SysOpen, pp, kernel.ORdOnly)
 			if _, bad := kernel.IsErr(fd); !bad {
 				tmp := p.Alloc(128)
-				n := p.Syscall(kernel.SysRead, fd, tmp, 128)
-				priv = ed25519.PrivateKey(p.Read(tmp, int(n)))
+				if n := p.Syscall(kernel.SysRead, fd, tmp, 128); n <= 128 {
+					priv = ed25519.PrivateKey(p.Read(tmp, int(n)))
+				}
 				p.Syscall(kernel.SysClose, fd)
 			}
 		}
@@ -299,6 +313,9 @@ func ClientMain(ghosting bool, path string, out *TransferResult) func(p *kernel.
 		buf := p.Alloc(transferChunk)
 		// Receive the challenge, sign it, send the signature.
 		n := p.Syscall(kernel.SysRecv, fd, buf, transferChunk)
+		if n > transferChunk {
+			p.Exit(1)
+		}
 		challenge := p.Read(buf, int(n))
 		if len(priv) != ed25519.PrivateKeySize {
 			p.Exit(1)
@@ -308,7 +325,7 @@ func ClientMain(ghosting bool, path string, out *TransferResult) func(p *kernel.
 		p.Write(sp, sig)
 		p.Syscall(kernel.SysSendTo, fd, sp, uint64(len(sig)))
 		n = p.Syscall(kernel.SysRecv, fd, buf, transferChunk)
-		if string(p.Read(buf, int(n))) != "OK" {
+		if n > transferChunk || string(p.Read(buf, int(n))) != "OK" {
 			p.Exit(1)
 		}
 		out.AuthOK = true
@@ -327,7 +344,7 @@ func ClientMain(ghosting bool, path string, out *TransferResult) func(p *kernel.
 		headerDone := false
 		for {
 			n := p.Syscall(kernel.SysRecv, fd, buf, transferChunk)
-			if _, bad := kernel.IsErr(n); bad || n == 0 {
+			if n == 0 || n > transferChunk {
 				break
 			}
 			data := p.Read(buf, int(n))
@@ -391,6 +408,9 @@ func ClientViaAgent(agentPort uint16, path string, out *TransferResult) func(p *
 		// Receive the challenge and forward it to the agent for
 		// signing over the local socket.
 		n := p.Syscall(kernel.SysRecv, fd, buf, transferChunk)
+		if n > transferChunk {
+			return
+		}
 		challenge := p.Read(buf, int(n))
 		afd := p.Syscall(kernel.SysSocket)
 		if ret := p.Syscall(kernel.SysConnect, afd, uint64(agentPort), kernel.LocalHost); ret != 0 {
@@ -399,7 +419,10 @@ func ClientViaAgent(agentPort uint16, path string, out *TransferResult) func(p *
 		req := p.PushString("SIGN " + string(challenge))
 		p.Syscall(kernel.SysSendTo, afd, req, uint64(5+len(challenge)))
 		an := p.Syscall(kernel.SysRecv, afd, buf, transferChunk)
-		sig := p.Read(buf, int(an))
+		var sig []byte
+		if an <= transferChunk {
+			sig = p.Read(buf, int(an))
+		}
 		p.Syscall(kernel.SysClose, afd)
 		if len(sig) != ed25519.SignatureSize {
 			return
@@ -408,7 +431,7 @@ func ClientViaAgent(agentPort uint16, path string, out *TransferResult) func(p *
 		p.Write(sp, sig)
 		p.Syscall(kernel.SysSendTo, fd, sp, uint64(len(sig)))
 		n = p.Syscall(kernel.SysRecv, fd, buf, transferChunk)
-		if string(p.Read(buf, int(n))) != "OK" {
+		if n > transferChunk || string(p.Read(buf, int(n))) != "OK" {
 			return
 		}
 		out.AuthOK = true
@@ -420,7 +443,7 @@ func ClientViaAgent(agentPort uint16, path string, out *TransferResult) func(p *
 		headerDone := false
 		for {
 			n := p.Syscall(kernel.SysRecv, fd, buf, transferChunk)
-			if _, bad := kernel.IsErr(n); bad || n == 0 {
+			if n == 0 || n > transferChunk {
 				break
 			}
 			data := p.Read(buf, int(n))

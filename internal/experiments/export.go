@@ -134,7 +134,9 @@ type BenchEntry struct {
 // gone: the linked engine always fuses and never elides).
 // v8: drops boot_skipped_sec and snapshot_bytes (snapshot warm start is
 // gone: a fork from an image cost as much host time as a cold boot).
-const BenchSchemaVersion = 8
+// v9: drops the host_speedup_{1,2,4,8}cpu metrics of cpu_scaling_ghost_httpd
+// (host-parallel user phases are gone), so every metrics value is virtual.
+const BenchSchemaVersion = 9
 
 // BenchReport is the cross-PR perf trajectory record written by
 // `vgbench -json` as BENCH_<date>.json.
@@ -144,9 +146,8 @@ type BenchReport struct {
 	Scale         string `json:"scale"`
 	// NumCPUs is the top of the SMP sweep (-cpus); 1 = single-CPU run.
 	NumCPUs int `json:"num_cpus"`
-	// HostCPUs is runtime.NumCPU() on the measuring machine — the hard
-	// ceiling on any host_speedup_* metric (one host core caps every
-	// host speedup at ~1x regardless of virtual CPU count).
+	// HostCPUs is runtime.NumCPU() on the measuring machine, the
+	// ceiling on what -parallel can save in host time.
 	HostCPUs int          `json:"host_cpus,omitempty"`
 	Entries  []BenchEntry `json:"experiments"`
 }

@@ -11,44 +11,79 @@ import (
 	"repro/internal/kernel"
 )
 
-// TestHostParallelNetStackEquivalence pins the determinism contract for
-// the event-driven networking path (poll sets, the timer wheel, and
-// nonblocking sockets): a 4-CPU system running the event server under
-// concurrent client processes must produce bit-identical virtual
-// results whether epoch user phases run serially or on concurrent host
-// goroutines. Under -race (CI runs this file that way) it doubles as
-// the data-race check for the net stack under the parallel scheduler.
-func TestHostParallelNetStackEquivalence(t *testing.T) {
-	s1 := netStackFingerprint(t, false)
-	s2 := netStackFingerprint(t, false)
-	p1 := netStackFingerprint(t, true)
-	p2 := netStackFingerprint(t, true)
-	if s1 != s2 {
-		t.Fatalf("serial net run is not reproducible:\n--- run 1\n%s--- run 2\n%s", s1, s2)
+// TestGoldenSMP pins the multi-CPU virtual results to checked-in values,
+// as TestGoldenCycles does for one CPU. Every entry runs on the epoch
+// scheduler (DESIGN.md §14): the ghost-webserver scaling sweep at 2, 4
+// and 8 CPUs, the event server under concurrent clients on 4 CPUs, and
+// the security matrix with its SMP vectors on 2 CPUs. Each fingerprint
+// digests cycle totals, machine and per-CPU ledgers, per-CPU busy
+// counters and kernel stats, so any change to dispatch order, epoch
+// phasing or cross-CPU delivery fails here with the lines that moved.
+//
+// After an intentional cost-model change, regenerate with:
+//
+//	go test ./internal/experiments -run TestGoldenSMP -update
+func TestGoldenSMP(t *testing.T) {
+	got := collectGoldenSMP(t)
+	if *updateGolden {
+		writeGolden(t, goldenSMPPath, got)
+		return
 	}
-	if p1 != p2 {
-		t.Fatalf("host-parallel net run is not reproducible:\n--- run 1\n%s--- run 2\n%s", p1, p2)
-	}
-	if s1 != p1 {
-		t.Fatalf("net stack diverged between serial and host-parallel scheduling:\n--- serial\n%s--- parallel\n%s", s1, p1)
-	}
+	compareGoldenFile(t, goldenSMPPath, got, func(lines []string) string {
+		return strings.Join(lines, "\n")
+	})
 }
 
-const netParClients = 6
+const goldenSMPPath = "testdata/golden_smp.json"
 
-// netStackFingerprint runs the workload — event server plus concurrent
-// keep-alive/session clients and one slowloris connection reaped by the
-// timer wheel — and digests every deterministic virtual output.
-func netStackFingerprint(t *testing.T, hostPar bool) string {
+// collectGoldenSMP runs the pinned multi-CPU workloads, each on a fresh
+// system, and returns every fingerprint as its lines.
+func collectGoldenSMP(t *testing.T) map[string][]string {
+	t.Helper()
+	lines := func(s string) []string { return strings.Split(strings.TrimSuffix(s, "\n"), "\n") }
+	got := make(map[string][]string)
+	sc := QuickScale()
+	for _, n := range []int{2, 4, 8} {
+		pt := ghostServerThroughput(n, sc.HTTPRequests)
+		got[fmt.Sprintf("cpu/%dcpu", n)] = lines(pt.Fingerprint)
+	}
+	net, err := netStackFingerprint(t)
+	if err != nil {
+		t.Fatal(err)
+	}
+	got["net/4cpu"] = lines(net)
+	rows := SecurityMatrix()
+	keys := SecurityVectorNames()
+	if len(rows) != len(keys) {
+		t.Fatalf("security matrix has %d rows for %d vectors", len(rows), len(keys))
+	}
+	for i, r := range rows {
+		got["sec/"+keys[i]] = []string{
+			"attack=" + r.Attack,
+			"native=" + r.NativeResult,
+			"vg=" + r.VGResult,
+			fmt.Sprintf("defended=%v", r.Defended),
+		}
+	}
+	return got
+}
+
+const netClients = 6
+
+// netStackFingerprint runs the event-driven networking path (poll
+// sets, the timer wheel, nonblocking sockets) on a 4-CPU machine: the
+// event server, concurrent keep-alive/session clients, and one
+// slowloris connection reaped by the timer wheel. It digests every
+// deterministic virtual output. It reports a failed request through
+// t.Errorf and a failed run as its error, never through t.Fatal, so it
+// may run on any goroutine.
+func netStackFingerprint(t *testing.T) (string, error) {
 	t.Helper()
 	cfg := hw.DefaultConfig()
 	cfg.NumCPUs = 4
-	sys, err := repro.NewSystemWithOptions(repro.Native, repro.Options{
-		Machine:      cfg,
-		HostParallel: hostPar,
-	})
+	sys, err := repro.NewSystemWithOptions(repro.Native, repro.Options{Machine: cfg})
 	if err != nil {
-		t.Fatal(err)
+		return "", err
 	}
 	k := sys.Kernel
 	seedFile(k, "/a.bin", 8<<10)
@@ -63,10 +98,10 @@ func netStackFingerprint(t *testing.T, hostPar bool) string {
 		IdleTimeoutCycles: 50_000_000,
 		AppKey:            appKey,
 	})); err != nil {
-		t.Fatal(err)
+		return "", err
 	}
 	finished := 0
-	for i := 0; i < netParClients; i++ {
+	for i := 0; i < netClients; i++ {
 		idx := i
 		if _, err := k.Spawn(fmt.Sprintf("client%d", i), func(p *kernel.Proc) {
 			defer func() { finished++ }()
@@ -95,7 +130,7 @@ func netStackFingerprint(t *testing.T, hostPar bool) string {
 			}
 			p.Syscall(kernel.SysClose, fd)
 		}); err != nil {
-			t.Fatal(err)
+			return "", err
 		}
 	}
 	// The slowloris conn exercises the idle-timeout path of the wheel;
@@ -114,16 +149,16 @@ func netStackFingerprint(t *testing.T, hostPar bool) string {
 			t.Errorf("slowloris: recv = %d, want idle-kill EOF", int64(n))
 		}
 		p.Syscall(kernel.SysClose, fd)
-		for finished < netParClients {
+		for finished < netClients {
 			p.Syscall(kernel.SysYield)
 		}
 		httpd.StopEventServer(p, httpd.EventPort, false)
 	}); err != nil {
-		t.Fatal(err)
+		return "", err
 	}
 	k.RunUntilIdle()
-	if finished != netParClients {
-		t.Fatalf("%d/%d clients finished", finished, netParClients)
+	if finished != netClients {
+		return "", fmt.Errorf("%d/%d clients finished", finished, netClients)
 	}
 
 	m := sys.Machine
@@ -136,5 +171,5 @@ func netStackFingerprint(t *testing.T, hostPar bool) string {
 	fmt.Fprintf(&sb, "busy=%v\n", k.CPUBusy())
 	fmt.Fprintf(&sb, "stats=%+v\n", k.Stats())
 	fmt.Fprintf(&sb, "net=%+v\n", k.Net.Stats())
-	return sb.String()
+	return sb.String(), nil
 }

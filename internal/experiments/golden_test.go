@@ -27,7 +27,7 @@ import (
 //
 // and justify the new numbers in the commit message.
 
-var updateGolden = flag.Bool("update", false, "rewrite testdata/golden_cycles.json")
+var updateGolden = flag.Bool("update", false, "rewrite the golden files under testdata (golden_cycles.json, golden_smp.json)")
 
 // goldenEntry is one pinned measurement: the benchmark's reported
 // value (virtual µs) and the machine's cumulative cycle counter after
@@ -113,38 +113,52 @@ func collectGolden(boot func(repro.Mode) *repro.System) map[string]goldenEntry {
 
 func TestGoldenCycles(t *testing.T) {
 	got := collectGolden(newSystem)
-
 	if *updateGolden {
-		if err := os.MkdirAll(filepath.Dir(goldenPath), 0o755); err != nil {
-			t.Fatal(err)
-		}
-		data, err := json.MarshalIndent(got, "", "  ")
-		if err != nil {
-			t.Fatal(err)
-		}
-		if err := os.WriteFile(goldenPath, append(data, '\n'), 0o644); err != nil {
-			t.Fatal(err)
-		}
-		t.Logf("rewrote %s with %d entries", goldenPath, len(got))
+		writeGolden(t, goldenPath, got)
 		return
 	}
-
 	compareGolden(t, got)
 }
 
-// compareGolden requires got to hold exactly the golden file's entries,
-// each with the pinned value and cumulative cycle count.
+// compareGolden requires got to hold exactly golden_cycles.json's
+// entries, each with the pinned value and cumulative cycle count.
 func compareGolden(t *testing.T, got map[string]goldenEntry) {
 	t.Helper()
-	data, err := os.ReadFile(goldenPath)
+	compareGoldenFile(t, goldenPath, got, func(e goldenEntry) string {
+		return fmt.Sprintf("value=%v cycles=%d", e.Value, e.Cycles)
+	})
+}
+
+// writeGolden rewrites the golden file at path with got (-update).
+func writeGolden(t *testing.T, path string, got any) {
+	t.Helper()
+	if err := os.MkdirAll(filepath.Dir(path), 0o755); err != nil {
+		t.Fatal(err)
+	}
+	data, err := json.MarshalIndent(got, "", "  ")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := os.WriteFile(path, append(data, '\n'), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	t.Logf("rewrote %s", path)
+}
+
+// compareGoldenFile requires got to hold exactly the entries of the
+// golden file at path. show renders an entry; two entries are equal
+// when they render equal, and a moved entry is reported in both
+// renderings.
+func compareGoldenFile[T any](t *testing.T, path string, got map[string]T, show func(T) string) {
+	t.Helper()
+	data, err := os.ReadFile(path)
 	if err != nil {
 		t.Fatalf("missing golden file (run with -update to create): %v", err)
 	}
-	var want map[string]goldenEntry
+	var want map[string]T
 	if err := json.Unmarshal(data, &want); err != nil {
 		t.Fatalf("bad golden file: %v", err)
 	}
-
 	names := make([]string, 0, len(want))
 	for n := range want {
 		names = append(names, n)
@@ -156,9 +170,8 @@ func compareGolden(t *testing.T, got map[string]goldenEntry) {
 			t.Errorf("%s: missing from current run", n)
 			continue
 		}
-		if g != want[n] {
-			t.Errorf("%s: virtual clock moved:\n  golden:  value=%v cycles=%d\n  current: value=%v cycles=%d",
-				n, want[n].Value, want[n].Cycles, g.Value, g.Cycles)
+		if w, c := show(want[n]), show(g); w != c {
+			t.Errorf("%s: virtual result moved:\n  golden:  %s\n  current: %s", n, w, c)
 		}
 	}
 	for n := range got {

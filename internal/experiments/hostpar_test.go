@@ -5,69 +5,77 @@ import (
 	"testing"
 )
 
-// These tests pin the host-parallel determinism contract: running epoch
-// user phases on concurrent host goroutines must not change ONE virtual
-// number. Run them under -race (CI does) and they double as the data-
-// race proof for the parallel user phase.
+// These tests pin the host-concurrency contract for multi-CPU systems:
+// every system runs its epoch schedule on its own kernel, clock and
+// devices, so running several of them at once on concurrent host
+// goroutines (as the -parallel harness does) must not change one
+// virtual number. Run them under -race (CI does) and they double as
+// the proof that no scheduler, kernel or device state is shared
+// between systems.
 
 // TestHostParallelScalingEquivalence runs the ghost-webserver scaling
-// sweep twice serially and twice host-parallel at each CPU count and
-// requires all four fingerprints — cycle totals, machine and per-CPU
-// ledgers, busy counters, kernel stats, IPI/shootdown counts — to be
-// byte-identical.
+// sweep at 2, 4 and 8 CPUs one system after another, then all three at
+// once on concurrent host goroutines, and requires the fingerprints
+// (cycle totals, machine and per-CPU ledgers, busy counters, kernel
+// stats, IPI/shootdown counts) to be byte-identical.
 func TestHostParallelScalingEquivalence(t *testing.T) {
 	sc := QuickScale()
-	for _, n := range []int{2, 4, 8} {
-		s1 := ghostServerThroughput(n, sc.HTTPRequests, false)
-		s2 := ghostServerThroughput(n, sc.HTTPRequests, false)
-		p1 := ghostServerThroughput(n, sc.HTTPRequests, true)
-		p2 := ghostServerThroughput(n, sc.HTTPRequests, true)
-		if s1.Fingerprint != s2.Fingerprint {
-			t.Fatalf("%d CPUs: serial run is not reproducible:\n--- run 1\n%s--- run 2\n%s", n, s1.Fingerprint, s2.Fingerprint)
-		}
-		if p1.Fingerprint != p2.Fingerprint {
-			t.Fatalf("%d CPUs: host-parallel run is not reproducible:\n--- run 1\n%s--- run 2\n%s", n, p1.Fingerprint, p2.Fingerprint)
-		}
-		if s1.Fingerprint != p1.Fingerprint {
-			t.Fatalf("%d CPUs: host-parallel diverged from serial:\n--- serial\n%s--- parallel\n%s", n, s1.Fingerprint, p1.Fingerprint)
-		}
-		if !p1.HostParallel || s1.HostParallel {
-			t.Fatalf("%d CPUs: HostParallel flags wrong: serial=%v parallel=%v", n, s1.HostParallel, p1.HostParallel)
+	counts := []int{2, 4, 8}
+	serial := make([]CPUPoint, len(counts))
+	for i, n := range counts {
+		serial[i] = ghostServerThroughput(n, sc.HTTPRequests)
+	}
+	parallel := make([]CPUPoint, len(counts))
+	forEach(true, len(counts), func(i int) {
+		parallel[i] = ghostServerThroughput(counts[i], sc.HTTPRequests)
+	})
+	for i, n := range counts {
+		if serial[i].Fingerprint != parallel[i].Fingerprint {
+			t.Errorf("%d CPUs: run beside other systems diverged from run alone:\n--- alone\n%s--- beside\n%s",
+				n, serial[i].Fingerprint, parallel[i].Fingerprint)
 		}
 	}
 }
 
-// TestHostParallelCompare exercises the public comparison entry point
-// (vgbench's cpu experiment); its internal panic-on-divergence is the
-// assertion.
-func TestHostParallelCompare(t *testing.T) {
-	pts := CPUScalingCompare(QuickScale(), []int{1, 2, 4})
-	if len(pts) != 3 {
-		t.Fatalf("got %d compare points, want 3", len(pts))
-	}
-	for _, c := range pts {
-		if !c.Match() {
-			t.Fatalf("%d CPUs: fingerprints diverged", c.Serial.NumCPUs)
-		}
-		if c.Serial.HostSec <= 0 || c.Parallel.HostSec <= 0 {
-			t.Fatalf("%d CPUs: host timings not recorded: %v %v",
-				c.Serial.NumCPUs, c.Serial.HostSec, c.Parallel.HostSec)
-		}
-	}
-}
-
-// TestHostParallelSecurityMatrix runs the full attack matrix with the
-// SMP vectors' machines on host-parallel epoch user phases and requires
-// row-for-row identical outcomes — attacks ride the same kernels and
-// must see the same machine state regardless of host scheduling.
-func TestHostParallelSecurityMatrix(t *testing.T) {
-	serial := SecurityMatrix()
-	parallel, err := securityMatrix(2, true, nil)
+// TestHostParallelNetStackEquivalence runs the 4-CPU event-server
+// workload (poll sets, the timer wheel, nonblocking sockets) alone and
+// then as two systems on concurrent host goroutines, and requires all
+// three fingerprints to be byte-identical.
+func TestHostParallelNetStackEquivalence(t *testing.T) {
+	serial, err := netStackFingerprint(t)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !reflect.DeepEqual(serial, parallel) {
-		t.Fatalf("security matrix diverged under host parallelism:\nserial:   %+v\nparallel: %+v", serial, parallel)
+	parallel := make([]string, 2)
+	errs := make([]error, len(parallel))
+	forEach(true, len(parallel), func(i int) {
+		parallel[i], errs[i] = netStackFingerprint(t)
+	})
+	for i, fp := range parallel {
+		if errs[i] != nil {
+			t.Fatalf("concurrent run %d: %v", i, errs[i])
+		}
+		if fp != serial {
+			t.Errorf("concurrent run %d diverged from the run alone:\n--- alone\n%s--- concurrent\n%s", i, serial, fp)
+		}
+	}
+}
+
+// TestHostParallelSecurityMatrix runs the full attack matrix, with the
+// SMP vectors on 2-CPU machines, alone and then as two matrices on
+// concurrent host goroutines, and requires row-for-row identical
+// outcomes with every attack defended: attacks must see the same
+// machine state however the host schedules the systems that run them.
+func TestHostParallelSecurityMatrix(t *testing.T) {
+	serial := SecurityMatrix()
+	parallel := make([][]SecurityRow, 2)
+	forEach(true, len(parallel), func(i int) {
+		parallel[i] = SecurityMatrix()
+	})
+	for i, rows := range parallel {
+		if !reflect.DeepEqual(serial, rows) {
+			t.Fatalf("security matrix %d diverged when run concurrently:\nalone:      %+v\nconcurrent: %+v", i, serial, rows)
+		}
 	}
 	for _, r := range serial {
 		if !r.Defended {

@@ -83,12 +83,6 @@ func SecurityMatrixWithCPUs(ncpus int) []SecurityRow {
 // vectors when keys is empty), preserving suite order. An unknown key
 // is an error that lists the valid names.
 func SecurityMatrixSelect(ncpus int, keys []string) ([]SecurityRow, error) {
-	return securityMatrix(ncpus, false, keys)
-}
-
-// securityMatrix is SecurityMatrixSelect with the SMP vectors' epoch
-// user phases optionally run on concurrent host goroutines.
-func securityMatrix(ncpus int, hostPar bool, keys []string) ([]SecurityRow, error) {
 	want := make(map[string]bool, len(keys))
 	for _, k := range keys {
 		found := false
@@ -104,7 +98,7 @@ func securityMatrix(ncpus int, hostPar bool, keys []string) ([]SecurityRow, erro
 		}
 		want[k] = true
 	}
-	smp := repro.Options{Machine: hw.DefaultConfig(), HostParallel: hostPar}
+	smp := repro.Options{Machine: hw.DefaultConfig()}
 	smp.Machine.NumCPUs = ncpus
 	rows := make([]SecurityRow, 0, len(securityVectors))
 	for _, v := range securityVectors {

@@ -129,11 +129,11 @@ type Clock struct {
 
 	// Shard state for the epoch/barrier scheduler (DESIGN.md §14).
 	// Between BeginShardPhase and EndShardPhase, ChargeOn accumulates
-	// into per-CPU shards instead of the global counters, so CPUs can
-	// charge concurrently from host goroutines without sharing any
-	// mutable word. EndShardPhase merges the shards in CPU-id order;
-	// totals are sums of charges, so the merged ledger is bit-identical
-	// no matter how the host interleaved the CPUs.
+	// into per-CPU shards instead of the global counters, so every CPU's
+	// user segment in an epoch counts from the same base: a segment's
+	// view of the clock never includes the cycles of the segments that
+	// ran before it in the phase. EndShardPhase merges the shards in
+	// CPU-id order.
 	sharding  bool
 	shardBase uint64 // global cycles at BeginShardPhase (view origin)
 	shards    []clockShard
@@ -180,9 +180,9 @@ func (c *Clock) IdleTarget() (uint64, bool) {
 	return best, found
 }
 
-// clockShard is one CPU's private accumulator during a parallel user
-// phase. Exactly one goroutine (that CPU's) touches it between the
-// barriers; the scheduler reads it only after the phase joins.
+// clockShard is one CPU's private accumulator during an epoch's user
+// phase. Only that CPU's user segment charges it; the scheduler reads
+// it after the segments have run.
 type clockShard struct {
 	cycles uint64
 	ledger Ledger
@@ -191,9 +191,10 @@ type clockShard struct {
 	// serial schedule phase.
 	pid int32
 	ctx uint32
-	// ring is the per-CPU trace ring (satellite of ISSUE 6): events
-	// recorded during the sharded phase land here, lock-free, and are
-	// merged timestamp-ordered into the main tracer at the barrier.
+	// ring is the per-CPU trace ring: events recorded during the
+	// sharded phase land here and are merged timestamp-ordered into the
+	// main tracer at the barrier, so a multi-CPU trace reads in virtual
+	// time order.
 	ring traceRing
 }
 
@@ -205,9 +206,9 @@ func (c *Clock) Cycles() uint64 { return c.cycles }
 //
 // During a shard phase the global counters are frozen: every charge
 // must arrive through ChargeOn with an explicit CPU so it lands in
-// that CPU's private shard. A global charge here would be a data race
-// and a determinism bug, so it panics loudly instead of corrupting
-// the ledger.
+// that CPU's private shard. A global charge here would move the base
+// that the later CPUs' segments count from, so it panics loudly
+// instead of skewing the ledger.
 func (c *Clock) Charge(tag Tag, n uint64) {
 	if c.sharding {
 		panic("hw: global Clock.Charge during a sharded user phase (use ChargeOn, or run this work in the kernel phase)")
@@ -230,7 +231,7 @@ func (c *Clock) Charge(tag Tag, n uint64) {
 // CPU. Outside a shard phase it is exactly Charge (the scheduler keeps
 // the clock's selected CPU in sync with the executing CPU, so the
 // attribution is unchanged); inside a shard phase it accumulates into
-// the CPU's private shard so concurrent CPUs never share a counter.
+// the CPU's private shard.
 // Hardware owned by one CPU (the CPU core itself, its MMU) and
 // process-context compute charges route through here.
 func (c *Clock) ChargeOn(cpu int, tag Tag, n uint64) {
@@ -260,7 +261,7 @@ func (c *Clock) ChargeBytesOn(cpu int, tag Tag, n int, costPer8 uint64) {
 // BeginShardPhase freezes the global counters and opens per-CPU shards
 // for n CPUs. Called by the epoch scheduler (serial context) before
 // the user phase; until EndShardPhase, each CPU i may charge only via
-// ChargeOn(i, ...) and only from one goroutine.
+// ChargeOn(i, ...).
 func (c *Clock) BeginShardPhase(n int) {
 	if c.sharding {
 		panic("hw: BeginShardPhase while already sharding")
@@ -281,9 +282,7 @@ func (c *Clock) BeginShardPhase(n int) {
 
 // EndShardPhase merges the shards into the global clock in CPU-id
 // order and replays the per-CPU trace rings into the attached tracer,
-// timestamp-ordered (ties broken by CPU id). Totals are order-
-// independent sums, so the merged state is identical whether the
-// phase ran serially or on concurrent host goroutines.
+// timestamp-ordered (ties broken by CPU id).
 func (c *Clock) EndShardPhase() {
 	if !c.sharding {
 		panic("hw: EndShardPhase without BeginShardPhase")
@@ -309,8 +308,8 @@ func (c *Clock) EndShardPhase() {
 	}
 }
 
-// Sharding reports whether a shard phase is open (user segments are —
-// or may be — executing on host goroutines).
+// Sharding reports whether a shard phase is open (an epoch's user
+// phase is running).
 func (c *Clock) Sharding() bool { return c.sharding }
 
 // ShardCycles returns the cycles CPU cpu has accumulated in the open

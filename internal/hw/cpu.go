@@ -190,11 +190,11 @@ func (c *CPU) ReturnFromTrap(tf *TrapFrame) {
 // the CPU's current privilege, charging the access cost.
 //
 // The data-access paths below charge via ChargeOn(c.ID): they execute
-// in process context, which the epoch scheduler may run on a host
-// goroutine during a parallel user phase, so their cycles must land on
-// this CPU's shard. (Trap/ReturnFromTrap stay on the global Charge:
-// traps are kernel-phase work by construction, and the global path's
-// shard panic enforces exactly that.)
+// in process context, which on a multi-CPU machine runs in the epoch
+// scheduler's user phase, so their cycles must land on this CPU's
+// shard. (Trap/ReturnFromTrap stay on the global Charge: traps are
+// kernel-phase work by construction, and the global path's shard panic
+// enforces exactly that.)
 func (c *CPU) LoadVirt(v Virt, size int) (uint64, error) {
 	c.Clock.ChargeOn(c.ID, TagMemAccess, CostMemAccess)
 	p, err := c.MMU.Translate(v, AccRead, c.Regs.Priv == User)

@@ -1,9 +1,6 @@
 package hw
 
-import (
-	"fmt"
-	"sync"
-)
+import "fmt"
 
 // PortHandler receives I/O-port reads and writes. Port I/O is how the
 // IOMMU and legacy devices are configured; under Virtual Ghost only the
@@ -46,29 +43,17 @@ func (b *PortBus) Out(port uint16, val uint64) {
 // Console is the system log / terminal device. The rootkit's first
 // attack exfiltrates stolen data by printing it here, so tests inspect
 // the console transcript.
-//
-// Printf is mutex-guarded: during a parallel user phase, processes on
-// different CPUs may print concurrently. Line *content* per process is
-// deterministic; relative order of lines from concurrent CPUs is not
-// part of the deterministic surface (consumers use Contains, never
-// positional indexing of another CPU's output).
 type Console struct {
-	mu    sync.Mutex
 	lines []string
 }
 
 // Printf appends a formatted line to the console transcript.
 func (c *Console) Printf(format string, args ...interface{}) {
-	line := fmt.Sprintf(format, args...)
-	c.mu.Lock()
-	c.lines = append(c.lines, line)
-	c.mu.Unlock()
+	c.lines = append(c.lines, fmt.Sprintf(format, args...))
 }
 
 // Lines returns a snapshot of the transcript.
 func (c *Console) Lines() []string {
-	c.mu.Lock()
-	defer c.mu.Unlock()
 	out := make([]string, len(c.lines))
 	copy(out, c.lines)
 	return out
@@ -76,8 +61,6 @@ func (c *Console) Lines() []string {
 
 // Contains reports whether any transcript line contains s.
 func (c *Console) Contains(s string) bool {
-	c.mu.Lock()
-	defer c.mu.Unlock()
 	for _, l := range c.lines {
 		if containsStr(l, s) {
 			return true

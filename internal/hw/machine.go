@@ -13,8 +13,8 @@ type MachineConfig struct {
 	// NumCPUs is the number of simulated CPUs (default 1). All CPUs
 	// share physical memory and devices; each has its own register
 	// file, TLB, and interrupt line. Execution stays deterministic: the
-	// kernel scheduler interleaves the CPUs round-robin in virtual
-	// time, never with host goroutines.
+	// kernel's epoch scheduler runs the CPUs one at a time in CPU-id
+	// order (DESIGN.md §14).
 	NumCPUs int
 }
 
@@ -264,25 +264,6 @@ func (m *Machine) staleTranslationCheck(f Frame) error {
 		}
 	}
 	return nil
-}
-
-// BeginUserPhase opens an epoch's user phase (DESIGN.md §14): the
-// clock's global counters freeze behind per-CPU shards and the shared
-// walk cache becomes read-only, so each CPU's in-flight process can
-// execute its user segment on its own host goroutine without sharing
-// one mutable word with its siblings. Serial context (the epoch
-// scheduler) only.
-func (m *Machine) BeginUserPhase() {
-	m.MMU.FreezeWalkCache()
-	m.Clock.BeginShardPhase(len(m.CPUs))
-}
-
-// EndUserPhase is the epoch barrier: shards merge into the global
-// clock in CPU-id order and the walk cache reopens for the serial
-// kernel phase (where IPIs, shootdowns and mapping updates happen).
-func (m *Machine) EndUserPhase() {
-	m.Clock.EndShardPhase()
-	m.MMU.UnfreezeWalkCache()
 }
 
 // IPICounts returns (sent, delivered, shootdowns) totals for the

@@ -17,7 +17,7 @@ import (
 // tens of thousands of connections dequeues in O(1) instead of scanning
 // one shared ring. The set of ports with pending packets is a bitmap —
 // the NIC's "descriptor ring" — walked in ascending port order, which
-// is what keeps multi-port delivery deterministic under -hostpar.
+// keeps multi-port delivery deterministic.
 //
 // Like the disk, the wire is untrusted: the peer helper methods expose
 // everything in flight, which is why ghosting applications encrypt

@@ -171,9 +171,7 @@ func (m *Machine) ApplySnap(s *MachineSnap, sharePages bool) error {
 	m.Disk.applySnap(&s.Disk, sharePages)
 	m.NIC.applySnap(&s.NIC)
 	m.IOMMU.applySnap(&s.IOMMU)
-	m.Console.mu.Lock()
 	m.Console.lines = append([]string(nil), s.Console...)
-	m.Console.mu.Unlock()
 	m.RNG.state = s.RNGState
 	m.Timer.next = s.TimerNext
 	m.ipisSent = s.IPIsSent
@@ -301,9 +299,6 @@ func (c *CPU) applySnap(s *CPUSnap) {
 // because cached walks describe the pre-restore page tables; by the
 // cache's contract a cold start is invisible to the virtual clock.
 func (u *MMU) ResetWalkCache() {
-	if u.cache.frozen {
-		panic("hw: walk-cache reset during a frozen (parallel user) phase")
-	}
 	clear(u.cache.walk)
 	clear(u.cache.walkDeps)
 }

@@ -119,10 +119,9 @@ func (t *Tracer) WriteChromeTrace(w io.Writer) error {
 	return err
 }
 
-// traceRing is one CPU's private, preallocated trace ring, written
-// lock-free during a sharded user phase (exactly one goroutine writes
-// it between barriers) and drained into the shared Tracer at the
-// barrier. Like the main ring, it keeps the most recent events when
+// traceRing is one CPU's private, preallocated trace ring, written by
+// that CPU's user segment during a sharded user phase and drained into
+// the shared Tracer at the barrier. Like the main ring, it keeps the most recent events when
 // full; overwrites are counted so merge accounting stays exact.
 type traceRing struct {
 	buf     []TraceEvent

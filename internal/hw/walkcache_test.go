@@ -1,10 +1,6 @@
 package hw
 
-import (
-	"fmt"
-	"sync"
-	"testing"
-)
+import "testing"
 
 // cachedFrame resolves va through the walk cache and fails the test on
 // error; mapped=false is reported as frame 0.
@@ -293,77 +289,4 @@ func TestWalkCachePermissionChangeObserved(t *testing.T) {
 	if e.Writable() {
 		t.Fatal("stale writable PTE served after permission downgrade")
 	}
-}
-
-// TestWalkCacheParallelReaders pins the epoch-scheduler concurrency
-// contract (see the walkCache comment in mmu.go): during a frozen
-// phase any number of CPUs may call CachedLeaf concurrently — cached
-// entries are served lock-free, misses walk the tables without
-// inserting — and all mutation waits for the barrier. Run under -race
-// this fails loudly if anyone adds a write to a reader path.
-func TestWalkCacheParallelReaders(t *testing.T) {
-	m, u, root := testAS(t)
-	const pages = 16
-	frames := make([]Frame, pages)
-	for i := range frames {
-		frames[i] = mapOne(t, m, u, root, Virt(0x400000+i*PageSize), PTEWrite|PTEUser)
-	}
-	// Warm the cache for the even pages only, so readers exercise both
-	// the hit path and the frozen-miss (full walk, no insert) path.
-	for i := 0; i < pages; i += 2 {
-		if _, ok := cachedFrame(t, u, root, Virt(0x400000+i*PageSize)); !ok {
-			t.Fatalf("page %d did not resolve", i)
-		}
-	}
-	warm := len(u.cache.walk)
-
-	u.FreezeWalkCache()
-	var wg sync.WaitGroup
-	errs := make(chan string, 64)
-	for cpu := 0; cpu < 8; cpu++ {
-		wg.Add(1)
-		go func(cpu int) {
-			defer wg.Done()
-			for round := 0; round < 100; round++ {
-				i := (cpu + round) % pages
-				e, ok, err := u.CachedLeaf(root, Virt(0x400000+i*PageSize))
-				if err != nil || !ok {
-					select {
-					case errs <- fmt.Sprintf("cpu %d page %d: ok=%v err=%v", cpu, i, ok, err):
-					default:
-					}
-					return
-				}
-				if e.Frame() != frames[i] {
-					select {
-					case errs <- fmt.Sprintf("cpu %d page %d: frame %d, want %d", cpu, i, e.Frame(), frames[i]):
-					default:
-					}
-					return
-				}
-			}
-		}(cpu)
-	}
-	wg.Wait()
-	u.UnfreezeWalkCache()
-	select {
-	case e := <-errs:
-		t.Fatal(e)
-	default:
-	}
-	if len(u.cache.walk) != warm {
-		t.Fatalf("frozen phase mutated the walk cache: %d entries, want %d", len(u.cache.walk), warm)
-	}
-
-	// The invalidation hook is mutation and must panic while frozen.
-	u.FreezeWalkCache()
-	func() {
-		defer func() {
-			if recover() == nil {
-				t.Fatal("dropWalk during a frozen phase did not panic")
-			}
-		}()
-		u.dropWalk(walkKey{root: root, page: PageOf(0x400000)})
-	}()
-	u.UnfreezeWalkCache()
 }

@@ -1,6 +1,7 @@
 package kernel
 
 import (
+	"reflect"
 	"testing"
 
 	"repro/internal/core"
@@ -58,6 +59,16 @@ func TestSetSyscallHandlerRoundTrip(t *testing.T) {
 	if calls != 1 {
 		t.Errorf("wrapper ran after restore (calls = %d)", calls)
 	}
+
+	// Only numbers inside the dispatch table can be interposed on.
+	func() {
+		defer func() {
+			if recover() == nil {
+				t.Error("SetSyscallHandler past the table did not panic")
+			}
+		}()
+		k.SetSyscallHandler(1<<20, prev)
+	}()
 }
 
 // TestSyscallProfile checks the per-syscall cycle histogram: counts
@@ -110,14 +121,53 @@ func TestSyscallProfile(t *testing.T) {
 	}
 }
 
-// TestEverySyscallHasAName checks that each syscall number a booted
-// kernel registers has a conventional name, so -breakdown and
-// SyscallProfile never print a bare "sys<num>" for a built-in call.
+// TestEverySyscallHasAName checks the syscall table: every entry has a
+// name and a handler and its own number, so -breakdown and
+// SyscallProfile never print a bare "sys<num>" for a built-in call and
+// no call shadows another.
 func TestEverySyscallHasAName(t *testing.T) {
-	k := bootKernel(t, core.ModeNative)
-	for num := range k.syscalls {
-		if _, ok := syscallNames[num]; !ok {
-			t.Errorf("syscall %d has no name (prints as %s)", num, SyscallName(num))
+	seen := make(map[uint64]string)
+	for _, s := range syscallTable {
+		if s.name == "" {
+			t.Errorf("syscall %d has no name (prints as %s)", s.num, SyscallName(s.num))
 		}
+		if s.h == nil {
+			t.Errorf("syscall %d (%s) has no handler", s.num, s.name)
+		}
+		if prev, dup := seen[s.num]; dup {
+			t.Errorf("syscall %d listed twice: %s and %s", s.num, prev, s.name)
+		}
+		seen[s.num] = s.name
+	}
+}
+
+// TestSnapshotProfileOutsideTable: a snapshot's syscall profile is
+// restored by number, and an image that profiles a number past the
+// dispatch table is refused before the target kernel changes.
+func TestSnapshotProfileOutsideTable(t *testing.T) {
+	src := bootKernel(t, core.ModeNative)
+	if _, err := src.Spawn("t", func(p *Proc) { p.Syscall(SysGetpid) }); err != nil {
+		t.Fatal(err)
+	}
+	src.RunUntilIdle()
+	snap, err := src.CaptureKernelSnap()
+	if err != nil {
+		t.Fatal(err)
+	}
+	dst := bootKernel(t, core.ModeNative)
+	if err := dst.ApplyKernelSnap(snap); err != nil {
+		t.Fatal(err)
+	}
+	if got, want := dst.SyscallProfile(), src.SyscallProfile(); !reflect.DeepEqual(got, want) {
+		t.Fatalf("restored profile %+v, want %+v", got, want)
+	}
+
+	snap.SysProf = append(snap.SysProf, SyscallCycles{Num: 1 << 40, Name: "bogus", Count: 1})
+	fresh := bootKernel(t, core.ModeNative)
+	if err := fresh.ApplyKernelSnap(snap); err == nil {
+		t.Fatal("snapshot profiling syscall 2^40 was accepted")
+	}
+	if fresh.nextPID != 1 || len(fresh.SyscallProfile()) != 0 {
+		t.Errorf("refused snapshot changed the kernel: nextPID=%d profile=%+v", fresh.nextPID, fresh.SyscallProfile())
 	}
 }

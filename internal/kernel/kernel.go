@@ -125,12 +125,17 @@ type Kernel struct {
 	FS  *FS
 	Net *NetStack
 
-	procs    map[int]*Proc
-	nextPID  int
-	cpus     []*cpuRun // per-CPU run queues (see sched.go)
-	lastCPU  int       // round-robin cursor over cpus
-	cur      *Proc
-	syscalls map[uint64]SyscallHandler
+	procs   map[int]*Proc
+	nextPID int
+	cpus    []*cpuRun // per-CPU run queues (see sched.go)
+	// lastCPU is the last CPU's id, set at boot; no scheduler reads
+	// it. It stays because snapshot images record it.
+	lastCPU int
+	cur     *Proc
+	// syscalls is this kernel's dispatch table, indexed by syscall
+	// number: Boot copies the handlers from syscallTable, and
+	// SetSyscallHandler replaces one.
+	syscalls []SyscallHandler
 	modules  []*Module
 	coreMod  *Module
 
@@ -170,16 +175,13 @@ type Kernel struct {
 
 	// epochMode is true on multi-CPU machines: the scheduler runs the
 	// deterministic epoch/barrier protocol (epoch.go) instead of the
-	// single-CPU serial loop. hostPar additionally runs each epoch's
-	// user phase on concurrent host goroutines; it changes host
-	// wall-clock only — every virtual number is bit-identical either
-	// way, because the phases execute the same code in the same order.
+	// single-CPU serial loop.
 	epochMode bool
-	hostPar   bool
 
 	stats Stats
-	// sysProf is the per-syscall cycle histogram (see profile.go).
-	sysProf map[uint64]*SyscallCycles
+	// sysProf is the per-syscall cycle histogram (see profile.go),
+	// indexed like syscalls and allocated by the first syscall.
+	sysProf []*SyscallCycles
 
 	// readBuf is the scratch that file, socket and /dev/random reads
 	// fill and return as a view (FileOps.Read); sysRead copies the view
@@ -190,17 +192,6 @@ type Kernel struct {
 	// maxRandomRead.
 	readBuf []byte
 }
-
-// SetHostParallel switches this kernel between serial and host-parallel
-// user phases; repro.NewSystemWithOptions applies Options.HostParallel
-// through it. It only has an effect on multi-CPU machines (single-CPU
-// kernels never run the epoch scheduler) and is safe to flip between
-// runs; every exported virtual number is identical in both modes.
-func (k *Kernel) SetHostParallel(on bool) { k.hostPar = on }
-
-// HostParallel reports whether epoch user phases run on concurrent
-// host goroutines.
-func (k *Kernel) HostParallel() bool { return k.hostPar }
 
 // Stats counts kernel events for tests and experiment reporting.
 type Stats struct {
@@ -247,7 +238,6 @@ func Boot(hal core.HAL) (*Kernel, error) {
 		M:            hal.Machine(),
 		procs:        make(map[int]*Proc),
 		nextPID:      1,
-		syscalls:     make(map[uint64]SyscallHandler),
 		programs:     make(map[string]*Program),
 		planted:      make(map[uint64]PlantedFunc),
 		swappedGhost: make(map[int]map[hw.Virt][]byte),
@@ -259,7 +249,7 @@ func Boot(hal core.HAL) (*Kernel, error) {
 	for i := range k.cpus {
 		k.cpus[i] = &cpuRun{id: i}
 	}
-	k.lastCPU = len(k.cpus) - 1 // first schedStep starts at CPU 0
+	k.lastCPU = len(k.cpus) - 1
 	k.epochMode = len(k.cpus) > 1
 	k.installIntrinsics()
 	hal.RegisterFrameSource(frameSource{m: k.M.Mem})
@@ -283,52 +273,74 @@ func Boot(hal core.HAL) (*Kernel, error) {
 	return k, nil
 }
 
-// installSyscalls populates the dispatch table.
+// syscallTable is the one list of system calls: number, conventional
+// name and handler.
+var syscallTable = [...]struct {
+	num  uint64
+	name string
+	h    SyscallHandler
+}{
+	{SysExit, "exit", sysExit},
+	{SysFork, "fork", sysFork},
+	{SysRead, "read", sysRead},
+	{SysWrite, "write", sysWrite},
+	{SysOpen, "open", sysOpen},
+	{SysClose, "close", sysClose},
+	{SysWait4, "wait4", sysWait4},
+	{SysUnlink, "unlink", sysUnlink},
+	{SysGetpid, "getpid", sysGetpid},
+	{SysKill, "kill", sysKill},
+	{SysSigact, "sigaction", sysSigaction},
+	{SysSigret, "sigreturn", sysSigreturn},
+	{SysPipe, "pipe", sysPipe},
+	{SysSelect, "select", sysSelect},
+	{SysFsync, "fsync", sysFsync},
+	{SysExecve, "execve", sysExecve},
+	{SysMmap, "mmap", sysMmap},
+	{SysMunmap, "munmap", sysMunmap},
+	{SysLseek, "lseek", sysLseek},
+	{SysMkdir, "mkdir", sysMkdir},
+	{SysRmdir, "rmdir", sysRmdir},
+	{SysStat, "stat", sysStat},
+	{SysSbrk, "sbrk", sysSbrk},
+	{SysSwapOut, "swapout", sysSwapOut},
+	{SysRandom, "random", sysRandom},
+	{SysYield, "yield", sysYield},
+	{SysSocket, "socket", sysSocket},
+	{SysConnect, "connect", sysConnect},
+	{SysBind, "bind", sysBind},
+	{SysListen, "listen", sysListen},
+	{SysAccept, "accept", sysAccept},
+	{SysSendTo, "sendto", sysSendTo},
+	{SysRecv, "recv", sysRecv},
+	{SysPollCreate, "pollcreate", sysPollCreate},
+	{SysPollCtl, "pollctl", sysPollCtl},
+	{SysPollWait, "pollwait", sysPollWait},
+	{SysNonblock, "nonblock", sysNonblock},
+	{SysSockTimeo, "socktimeo", sysSockTimeo},
+}
+
+// installSyscalls copies syscallTable into this kernel's dispatch
+// slice, sized by the highest number.
 func (k *Kernel) installSyscalls() {
-	k.syscalls[SysExit] = sysExit
-	k.syscalls[SysFork] = sysFork
-	k.syscalls[SysRead] = sysRead
-	k.syscalls[SysWrite] = sysWrite
-	k.syscalls[SysOpen] = sysOpen
-	k.syscalls[SysClose] = sysClose
-	k.syscalls[SysWait4] = sysWait4
-	k.syscalls[SysUnlink] = sysUnlink
-	k.syscalls[SysGetpid] = sysGetpid
-	k.syscalls[SysKill] = sysKill
-	k.syscalls[SysSigact] = sysSigaction
-	k.syscalls[SysSigret] = sysSigreturn
-	k.syscalls[SysPipe] = sysPipe
-	k.syscalls[SysSelect] = sysSelect
-	k.syscalls[SysFsync] = sysFsync
-	k.syscalls[SysExecve] = sysExecve
-	k.syscalls[SysMmap] = sysMmap
-	k.syscalls[SysMunmap] = sysMunmap
-	k.syscalls[SysLseek] = sysLseek
-	k.syscalls[SysMkdir] = sysMkdir
-	k.syscalls[SysRmdir] = sysRmdir
-	k.syscalls[SysStat] = sysStat
-	k.syscalls[SysSbrk] = sysSbrk
-	k.syscalls[SysSwapOut] = sysSwapOut
-	k.syscalls[SysRandom] = sysRandom
-	k.syscalls[SysYield] = sysYield
-	k.syscalls[SysSocket] = sysSocket
-	k.syscalls[SysConnect] = sysConnect
-	k.syscalls[SysBind] = sysBind
-	k.syscalls[SysListen] = sysListen
-	k.syscalls[SysAccept] = sysAccept
-	k.syscalls[SysSendTo] = sysSendTo
-	k.syscalls[SysRecv] = sysRecv
-	k.syscalls[SysPollCreate] = sysPollCreate
-	k.syscalls[SysPollCtl] = sysPollCtl
-	k.syscalls[SysPollWait] = sysPollWait
-	k.syscalls[SysNonblock] = sysNonblock
-	k.syscalls[SysSockTimeo] = sysSockTimeo
+	var top uint64
+	for _, s := range syscallTable {
+		top = max(top, s.num)
+	}
+	k.syscalls = make([]SyscallHandler, top+1)
+	for _, s := range syscallTable {
+		k.syscalls[s.num] = s.h
+	}
 }
 
 // SetSyscallHandler replaces a syscall handler and returns the previous
 // one. This is the hook the rootkit module uses to interpose on read()
-// (paper §7); it is also how legitimate modules extend the kernel.
+// (paper §7); it is also how legitimate modules extend the kernel. The
+// number must lie within the dispatch table.
 func (k *Kernel) SetSyscallHandler(num uint64, h SyscallHandler) SyscallHandler {
+	if num >= uint64(len(k.syscalls)) {
+		panic(fmt.Sprintf("kernel: syscall %d is past the dispatch table (%d entries)", num, len(k.syscalls)))
+	}
 	old := k.syscalls[num]
 	k.syscalls[num] = h
 	return old
@@ -356,8 +368,11 @@ func (k *Kernel) trapEntry(ic core.IContext, kind hw.TrapKind, info uint64) {
 		// args structures.
 		k.HAL.OnIndirectCall(1)
 		k.HAL.KAccess(workSyscallDispatch)
-		h, ok := k.syscalls[num]
-		if !ok {
+		var h SyscallHandler
+		if num < uint64(len(k.syscalls)) {
+			h = k.syscalls[num]
+		}
+		if h == nil {
 			ic.SetRet(errno(ENOSYS))
 		} else {
 			ic.SetRet(h(k, p, ic))

@@ -26,8 +26,8 @@ import (
 // charged against the window. Delivery is interrupt-driven: Poll is an
 // O(1) check of the NIC's pending line plus the wheel's due state, and
 // a drain walks only the ports that actually have frames, in sorted
-// port order, so multi-port handling is deterministic and
-// snapshot/-hostpar safe.
+// port order, so multi-port handling is deterministic and snapshots
+// replay it exactly.
 
 // Wire packet types.
 const (

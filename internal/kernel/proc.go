@@ -102,12 +102,13 @@ type Proc struct {
 	// Epoch-scheduler state (epoch.go; unused on single-CPU machines).
 	// onCPU is the CPU this process is currently dispatched on — unlike
 	// cpu (the run-queue home), it names the hw.CPU whose register
-	// file, TLB and clock shard this process's user segments use, so it
-	// must be read instead of M.Cur() on paths that can run during a
-	// parallel user phase. kdepth counts nested kernel entries (a
-	// signal handler issuing a syscall does not re-park). parkWhy tells
-	// the scheduler why the goroutine last parked; inflight marks the
-	// process as occupying a CPU slot so no second slot can pick it up.
+	// file, TLB and clock shard this process's user segments use, so
+	// user-mode paths read it instead of M.Cur(), which names the CPU
+	// the scheduler last switched. kdepth counts nested kernel entries
+	// (a signal handler issuing a syscall does not re-park). parkWhy
+	// tells the scheduler why the goroutine last parked; inflight marks
+	// the process as occupying a CPU slot so no second slot can pick it
+	// up.
 	onCPU    int
 	kdepth   int
 	parkWhy  parkReason
@@ -308,8 +309,8 @@ const (
 // work. On an epoch-scheduled machine (NumCPUs > 1) the goroutine
 // parks until the serial kernel phase at the epoch barrier resumes it,
 // so kernel work — shared clock, shared kernel state, IPIs, TLB
-// shootdowns — never runs concurrently with another CPU's user
-// segment. Nested entries (a signal handler issuing a syscall inside a
+// shootdowns — runs in CPU-id order on the merged global clock, never
+// inside a user phase. Nested entries (a signal handler issuing a syscall inside a
 // kernel segment) do not re-park. On single-CPU machines this is a
 // counter increment and nothing else.
 func (p *Proc) enterKernel() {
@@ -488,8 +489,8 @@ func (p *Proc) GetKey() ([]byte, error) {
 
 // TrustedRandom reads the VM's trusted random-number instruction. The
 // hardware RNG is shared machine state, so this too is a kernel
-// segment on epoch-scheduled machines (and its draw order is the
-// deterministic barrier order, not a host race).
+// segment on epoch-scheduled machines, and its draw order is the
+// barrier's CPU-id order.
 func (p *Proc) TrustedRandom() uint64 {
 	p.enterKernel()
 	defer p.exitKernel()
@@ -642,7 +643,7 @@ func (p *Proc) Store(va uint64, size int, v uint64) {
 }
 
 // Compute charges n cycles of pure user computation (on this process's
-// CPU shard during a parallel user phase).
+// CPU shard during an epoch's user phase).
 func (p *Proc) Compute(cycles uint64) {
 	p.k.M.Clock.ChargeOn(p.onCPU, hw.TagCompute, cycles)
 }

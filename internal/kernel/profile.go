@@ -25,13 +25,17 @@ func (s SyscallCycles) Mean() float64 {
 }
 
 // recordSyscall folds one dispatch's cycle cost into the per-syscall
-// profile. Host-side bookkeeping: charges nothing.
+// profile. Host-side bookkeeping: charges nothing. A number past the
+// dispatch table has no slot and goes unprofiled.
 func (k *Kernel) recordSyscall(num, cycles uint64) {
-	if k.sysProf == nil {
-		k.sysProf = make(map[uint64]*SyscallCycles)
+	if num >= uint64(len(k.syscalls)) {
+		return
 	}
-	sc, ok := k.sysProf[num]
-	if !ok {
+	if k.sysProf == nil {
+		k.sysProf = make([]*SyscallCycles, len(k.syscalls))
+	}
+	sc := k.sysProf[num]
+	if sc == nil {
 		sc = &SyscallCycles{Num: num, Name: SyscallName(num), Min: cycles}
 		k.sysProf[num] = sc
 	}
@@ -48,9 +52,11 @@ func (k *Kernel) recordSyscall(num, cycles uint64) {
 // SyscallProfile returns the per-syscall cycle histogram, most
 // expensive (by total cycles) first.
 func (k *Kernel) SyscallProfile() []SyscallCycles {
-	out := make([]SyscallCycles, 0, len(k.sysProf))
+	var out []SyscallCycles
 	for _, sc := range k.sysProf {
-		out = append(out, *sc)
+		if sc != nil {
+			out = append(out, *sc)
+		}
 	}
 	sort.Slice(out, func(i, j int) bool {
 		if out[i].Cycles != out[j].Cycles {
@@ -61,28 +67,13 @@ func (k *Kernel) SyscallProfile() []SyscallCycles {
 	return out
 }
 
-var syscallNames = map[uint64]string{
-	SysExit: "exit", SysFork: "fork", SysRead: "read", SysWrite: "write",
-	SysOpen: "open", SysClose: "close", SysWait4: "wait4",
-	SysUnlink: "unlink", SysGetpid: "getpid", SysKill: "kill",
-	SysSigact: "sigaction", SysSigret: "sigreturn", SysPipe: "pipe",
-	SysSelect: "select", SysFsync: "fsync", SysSocket: "socket",
-	SysConnect: "connect", SysBind: "bind", SysListen: "listen",
-	SysAccept: "accept", SysSendTo: "sendto", SysRecv: "recv",
-	SysExecve: "execve", SysMmap: "mmap", SysMunmap: "munmap",
-	SysLseek: "lseek", SysMkdir: "mkdir", SysRmdir: "rmdir",
-	SysStat: "stat", SysSbrk: "sbrk", SysSwapOut: "swapout",
-	SysRandom: "random", SysYield: "yield",
-	SysPollCreate: "pollcreate", SysPollCtl: "pollctl",
-	SysPollWait: "pollwait", SysNonblock: "nonblock",
-	SysSockTimeo: "socktimeo",
-}
-
 // SyscallName returns the conventional name for a syscall number, or
-// "sys<num>" for unknown numbers (e.g. module-installed syscalls).
+// "sys<num>" for numbers syscallTable does not list.
 func SyscallName(num uint64) string {
-	if n, ok := syscallNames[num]; ok {
-		return n
+	for _, s := range syscallTable {
+		if s.num == num {
+			return s.name
+		}
 	}
 	return "sys" + itoa(num)
 }

@@ -7,16 +7,11 @@ import (
 )
 
 // This file is the scheduler: per-CPU round-robin run queues over
-// cooperative process goroutines. On a single-CPU machine the original
-// serial loop below runs one process goroutine at a time and nothing
-// else. Multi-CPU machines always run the deterministic epoch/barrier
-// scheduler instead (epoch.go): each epoch every CPU is dispatched one
-// user segment, user segments run either serially in CPU-id order or —
-// with host parallelism enabled — on concurrent host goroutines, and
-// all cross-CPU effects are delivered serially at the epoch barrier in
-// CPU-id order. Both user-phase modes execute identical code in an
-// identical order, so every virtual number is bit-identical; -hostpar
-// changes host wall-clock only.
+// cooperative process goroutines. A single-CPU machine runs the serial
+// loop below: poll the network, dispatch one process on CPU 0, repeat.
+// Multi-CPU machines run the deterministic epoch/barrier scheduler
+// instead (epoch.go), where an idle CPU also steals work from another
+// CPU's queue. On both, exactly one process goroutine runs at a time.
 //
 // Virtual parallelism is modeled by attribution: every dispatch
 // samples the clock around the process's time slice and charges it to
@@ -124,11 +119,12 @@ func (k *Kernel) steal(c *cpuRun) *Proc {
 	return nil
 }
 
-// dispatchOn runs one process on CPU c until it yields, blocks, or
-// exits, attributing the elapsed virtual time to c.
-func (k *Kernel) dispatchOn(c *cpuRun, p *Proc) {
+// switchTo performs the context switch to p on CPU c, the same work
+// and charges on both schedulers, and returns the clock reading from
+// before it, from which the caller credits c's busy time.
+func (k *Kernel) switchTo(c *cpuRun, p *Proc) (start uint64) {
 	k.M.SetCurrentCPU(c.id)
-	start := k.M.Clock.Cycles()
+	start = k.M.Clock.Cycles()
 	// Pending IPIs (rescheduling requests from cross-CPU signal posts)
 	// are delivered now: their architectural effect is forcing this
 	// trip through the scheduler.
@@ -143,6 +139,13 @@ func (k *Kernel) dispatchOn(c *cpuRun, p *Proc) {
 	}
 	k.M.Cur().Regs.Priv = hw.User
 	p.onCPU = c.id
+	return start
+}
+
+// dispatchOn runs one process on CPU c until it yields, blocks, or
+// exits, attributing the elapsed virtual time to c.
+func (k *Kernel) dispatchOn(c *cpuRun, p *Proc) {
+	start := k.switchTo(c, p)
 	k.cur = p
 	k.M.Clock.SetContext(int32(p.PID), 0)
 	p.runCh <- struct{}{}
@@ -152,58 +155,37 @@ func (k *Kernel) dispatchOn(c *cpuRun, p *Proc) {
 	c.busy += k.M.Clock.Cycles() - start
 }
 
-// schedStep advances the machine by one dispatch: CPUs are offered the
-// chance to run in round-robin order starting after the CPU that
-// dispatched last; a CPU with an empty queue tries to steal. Reports
-// whether any process ran.
-func (k *Kernel) schedStep() bool {
-	n := len(k.cpus)
-	for i := 0; i < n; i++ {
-		id := (k.lastCPU + 1 + i) % n
-		c := k.cpus[id]
-		p := k.pickNextOn(c)
-		if p == nil && n > 1 {
-			p = k.steal(c)
-		}
-		if p == nil {
-			continue
-		}
-		k.lastCPU = id
-		k.dispatchOn(c, p)
-		return true
+// step advances the machine once and reports whether any process ran:
+// one epoch on a multi-CPU machine; otherwise a network poll, so
+// packets from a peer machine wake blocked readers, and one dispatch on
+// CPU 0.
+func (k *Kernel) step() bool {
+	if k.epochMode {
+		return k.epoch()
 	}
-	return false
+	k.Net.Poll()
+	c := k.cpus[0]
+	p := k.pickNextOn(c)
+	if p == nil {
+		return false
+	}
+	k.dispatchOn(c, p)
+	return true
 }
 
 // RunUntilIdle schedules processes until none is runnable (all blocked,
 // zombies, or no processes left) and no armed timer can unblock one.
-// Network input is polled between dispatches so packets from a peer
-// machine wake blocked readers; when everything is blocked on timers,
-// virtual time skips to the next expiry (idleAdvance) instead of
-// busy-spinning.
-func (k *Kernel) RunUntilIdle() {
-	if k.epochMode {
-		k.runEpochs(nil)
-		return
-	}
-	for {
-		k.Net.Poll()
-		if !k.schedStep() && !k.idleAdvance() {
-			return
-		}
-	}
-}
+func (k *Kernel) RunUntilIdle() { k.RunUntil(nil) }
 
 // RunUntil schedules until the predicate becomes true or the kernel
-// goes idle. It reports whether the predicate was satisfied.
+// goes idle, and reports whether the predicate was satisfied. A nil
+// predicate runs until idle and reports false. When every process is
+// blocked on timers, virtual time skips to the next expiry
+// (idleAdvance) instead of busy-spinning.
 func (k *Kernel) RunUntil(done func() bool) bool {
-	if k.epochMode {
-		return k.runEpochs(done)
-	}
-	for !done() {
-		k.Net.Poll()
-		if !k.schedStep() && !k.idleAdvance() {
-			return done()
+	for done == nil || !done() {
+		if !k.step() && !k.idleAdvance() {
+			return done != nil && done()
 		}
 	}
 	return true

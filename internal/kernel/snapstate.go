@@ -214,9 +214,10 @@ func (k *Kernel) CaptureKernelSnap() (*KernelSnap, error) {
 		s.CPUs = append(s.CPUs, CPURunSnap{LastPID: c.lastPID, Busy: c.busy})
 	}
 	for _, sc := range k.sysProf {
-		s.SysProf = append(s.SysProf, *sc)
+		if sc != nil {
+			s.SysProf = append(s.SysProf, *sc)
+		}
 	}
-	sort.Slice(s.SysProf, func(i, j int) bool { return s.SysProf[i].Num < s.SysProf[j].Num })
 	pids := make([]int, 0, len(k.swappedGhost))
 	for pid := range k.swappedGhost {
 		pids = append(pids, pid)
@@ -254,6 +255,11 @@ func (k *Kernel) ApplyKernelSnap(s *KernelSnap) error {
 	if err := k.CheckModuleIdentity(s.Modules); err != nil {
 		return err
 	}
+	for _, sc := range s.SysProf {
+		if sc.Num >= uint64(len(k.syscalls)) {
+			return fmt.Errorf("kernel: snapshot profiles syscall %d, past the dispatch table", sc.Num)
+		}
+	}
 	k.nextPID = s.NextPID
 	k.lastCPU = s.LastCPU
 	k.cur = nil
@@ -266,7 +272,10 @@ func (k *Kernel) ApplyKernelSnap(s *KernelSnap) error {
 		c.pend = pendNone
 	}
 	k.stats = s.Stats
-	k.sysProf = make(map[uint64]*SyscallCycles, len(s.SysProf))
+	k.sysProf = nil
+	if len(s.SysProf) > 0 {
+		k.sysProf = make([]*SyscallCycles, len(k.syscalls))
+	}
 	for _, sc := range s.SysProf {
 		cp := sc
 		k.sysProf[sc.Num] = &cp

@@ -92,6 +92,8 @@ func TestSyscallErrorPaths(t *testing.T) {
 		check("wait no children", p.Syscall(SysWait4, 0), EINVAL)
 		check("munmap bogus", p.Syscall(SysMunmap, 0x123000, hw.PageSize), EINVAL)
 		check("unknown syscall", p.Syscall(9999), ENOSYS)
+		check("unassigned syscall inside the table", p.Syscall(8), ENOSYS)
+		check("syscall 2^63", p.Syscall(1<<63), ENOSYS)
 		// lseek on a pipe is ESPIPE.
 		fdsPtr := p.Alloc(8)
 		p.Syscall(SysPipe, fdsPtr)

@@ -184,6 +184,11 @@ func (l *Libc) Read(fd int, dst GPtr, n int) (int, error) {
 		if e, bad := kernel.IsErr(ret); bad {
 			return total, fmt.Errorf("libc: read: errno %d", e)
 		}
+		if ret > uint64(chunk) {
+			// Iago defence: the count is the OS's word, and copying
+			// more than the chunk would write past dst in ghost memory.
+			return total, fmt.Errorf("libc: read: kernel reported %d bytes for a %d-byte read", ret, chunk)
+		}
 		if ret == 0 {
 			break
 		}
@@ -330,6 +335,9 @@ func (l *Libc) SecureReadFile(path string) (GPtr, int, error) {
 		ret := l.P.Syscall(kernel.SysRead, uint64(fd), buf, uint64(l.stagingSize))
 		if e, bad := kernel.IsErr(ret); bad {
 			return 0, 0, fmt.Errorf("libc: read: errno %d", e)
+		}
+		if ret > uint64(l.stagingSize) {
+			return 0, 0, fmt.Errorf("libc: read: kernel reported %d bytes for a %d-byte read", ret, l.stagingSize)
 		}
 		if ret == 0 {
 			break

@@ -450,3 +450,55 @@ func TestVersionedFilesNormalUse(t *testing.T) {
 		}
 	})
 }
+
+// TestReadRejectsInflatedCount is the Iago defence for read: a hostile
+// read that reports more bytes than the chunk it was asked for must not
+// make the wrapper copy past the destination. The ghost block just
+// after dst stays intact and Read returns an error.
+func TestReadRejectsInflatedCount(t *testing.T) {
+	k := bootVG(t)
+	if !k.WriteKernelFile("/data.bin", bytes.Repeat([]byte{0x5a}, 256)) {
+		t.Fatal("seeding /data.bin failed")
+	}
+	guardBytes := bytes.Repeat([]byte{0xee}, 64)
+	var n int
+	var readErr error
+	var guardAfter []byte
+	runGhosting(t, k, func(p *kernel.Proc, l *Libc) {
+		// Size-class chunks are handed out downwards, so the block
+		// allocated first sits directly after dst.
+		guard, err := l.Malloc(64)
+		if err != nil {
+			t.Fatal(err)
+		}
+		dst, err := l.Malloc(64)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if guard != dst+64 {
+			t.Fatalf("guard at %#x, want it right after dst %#x", uint64(guard), uint64(dst))
+		}
+		l.WriteGhost(guard, guardBytes)
+		fd, err := l.Open("/data.bin", kernel.ORdOnly)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var orig kernel.SyscallHandler
+		orig = k.SetSyscallHandler(kernel.SysRead, func(k *kernel.Kernel, p *kernel.Proc, ic core.IContext) uint64 {
+			ret := orig(k, p, ic)
+			if _, bad := kernel.IsErr(ret); bad {
+				return ret
+			}
+			return ret + 64
+		})
+		n, readErr = l.Read(fd, dst, 64)
+		k.SetSyscallHandler(kernel.SysRead, orig)
+		guardAfter = l.ReadGhost(guard, 64)
+	})
+	if !bytes.Equal(guardAfter, guardBytes) {
+		t.Errorf("ghost block after dst overwritten: % x", guardAfter[:8])
+	}
+	if readErr == nil {
+		t.Errorf("Read accepted an inflated count and returned %d", n)
+	}
+}

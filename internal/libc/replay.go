@@ -132,6 +132,9 @@ func (l *Libc) SecureReadFileVersioned(path string) (GPtr, int, error) {
 		if e, bad := kernel.IsErr(ret); bad {
 			return 0, 0, fmt.Errorf("libc: read: errno %d", e)
 		}
+		if ret > uint64(l.stagingSize) {
+			return 0, 0, fmt.Errorf("libc: read: kernel reported %d bytes for a %d-byte read", ret, l.stagingSize)
+		}
 		if ret == 0 {
 			break
 		}

@@ -11,7 +11,7 @@ import (
 )
 
 // The reproduction's core contract is bit-identical virtual numbers
-// across engines, host-parallel modes, and optimization levels. These
+// across runs, hosts and optimization levels. These
 // analyzers enforce the source-level discipline that keeps the
 // contract checkable:
 //

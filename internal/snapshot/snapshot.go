@@ -25,8 +25,8 @@
 // goroutines whose stacks cannot be serialized, so Capture refuses
 // (kernel.ErrNotQuiescent) until the kernel has drained. On an SMP
 // machine a quiescent point is by construction an epoch barrier of the
-// epoch/barrier scheduler, so SMP images under -hostpar restore exactly
-// like serial ones.
+// epoch/barrier scheduler, so SMP images restore exactly like
+// single-CPU ones.
 package snapshot
 
 import (
