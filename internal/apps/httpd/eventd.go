@@ -356,7 +356,9 @@ func EventDial(p *kernel.Proc, port uint16, remote bool) (uint64, bool) {
 // EventRequest sends one request line and reads one reply (status line
 // plus body for 200 replies). It assumes a blocking socket. A recv
 // count above the buffer it was given is the OS lying, and fails the
-// request like an error does.
+// request like an error does; so does a body longer than the status
+// line announced, since the server sends nothing past a reply until
+// the next request.
 func EventRequest(p *kernel.Proc, fd uint64, line string) (status string, body []byte, ok bool) {
 	msg := p.PushString(line + "\n")
 	if ret := p.Syscall(kernel.SysSendTo, fd, msg, uint64(len(line)+1)); ret != uint64(len(line)+1) {
@@ -388,7 +390,7 @@ func EventRequest(p *kernel.Proc, fd uint64, line string) (status string, body [
 			}
 			rest = append(rest, p.Read(buf, int(n))...)
 		}
-		return status, rest, true
+		return status, rest, uint64(len(rest)) == want
 	}
 }
 

@@ -111,20 +111,36 @@ const (
 // Ledger().Total() == Cycles() always. The tagging refactor changed only
 // *where* cycles are recorded, never *how many*: totals are bit-identical
 // to the pre-tag accounting (pinned by golden_cycles.json).
+//
+// A charge writes one ledger: the selected CPU's. The machine-wide
+// ledger is summed from the per-CPU ledgers when Ledger reads it. A
+// Clock must not be copied, because cur may point into it.
 type Clock struct {
 	cycles uint64
-	ledger Ledger
+	// cur is the ledger charges land in: the selected CPU's entry in
+	// perCPU, or base while perCPU is nil. retarget keeps it current.
+	cur *Ledger
+	// fast reports that Charge and ChargeOn may take their inlined
+	// path: cur is valid, no tracer is attached and no shard phase is
+	// open. The zero value is false, so a bare Clock{}'s first charge
+	// takes the slow path, which sets cur.
+	fast bool
 	// perCPU attributes charges to the CPU selected by SetCPU. Sized by
-	// EnsureCPUs at machine construction; nil on bare clocks (tests),
-	// in which case only the machine-wide ledger accumulates.
+	// EnsureCPUs at machine construction; nil on bare clocks (tests).
 	perCPU []Ledger
-	cpu    int
+	// base holds the charges made before EnsureCPUs sized perCPU. It
+	// stays zero on every clock a Machine builds, and after a snapshot
+	// restore it holds the image's machine-wide ledger less its per-CPU
+	// ledgers.
+	base Ledger
+	cpu  int
 	// Trace context: host-side bookkeeping stamped onto trace events.
 	// Setting it costs no virtual cycles.
 	pid int32
 	ctx uint32
-	// tracer receives one event per charge when attached. The nil check
-	// is the entire disabled-path cost: no allocations, no cycles.
+	// tracer receives one event per charge when attached. Attaching
+	// one clears fast, so traced charges take the slow path; a detached
+	// tracer costs the charge path nothing beyond the fast flag test.
 	tracer *Tracer
 
 	// Shard state for the epoch/barrier scheduler (DESIGN.md §14).
@@ -204,21 +220,37 @@ func (c *Clock) Cycles() uint64 { return c.cycles }
 // Charge advances the clock by n cycles attributed to tag. This is the
 // single entry point through which all simulated time passes.
 //
+// The common case, no tracer and no shard phase, is two adds and
+// inlines into every caller; keep it within the inliner's budget (CI
+// checks that `go build -gcflags=-m=2 ./internal/hw` still reports
+// `can inline (*Clock).Charge`). Everything else is chargeSlow.
+func (c *Clock) Charge(tag Tag, n uint64) {
+	if c.fast {
+		c.cycles += n
+		c.cur[tag] += n
+		return
+	}
+	c.chargeSlow(tag, n)
+}
+
+// chargeSlow is Charge when fast is off: a zero-value clock's first
+// charge, an attached tracer, or an open shard phase.
+//
 // During a shard phase the global counters are frozen: every charge
 // must arrive through ChargeOn with an explicit CPU so it lands in
 // that CPU's private shard. A global charge here would move the base
 // that the later CPUs' segments count from, so it panics loudly
 // instead of skewing the ledger.
-func (c *Clock) Charge(tag Tag, n uint64) {
+func (c *Clock) chargeSlow(tag Tag, n uint64) {
 	if c.sharding {
 		panic("hw: global Clock.Charge during a sharded user phase (use ChargeOn, or run this work in the kernel phase)")
 	}
+	if c.cur == nil {
+		c.retarget()
+	}
 	start := c.cycles
 	c.cycles += n
-	c.ledger[tag] += n
-	if c.perCPU != nil {
-		c.perCPU[c.cpu][tag] += n
-	}
+	c.cur[tag] += n
 	if c.tracer != nil && n > 0 {
 		c.tracer.record(TraceEvent{
 			Tag: tag, CPU: int32(c.cpu), PID: c.pid, Ctx: c.ctx,
@@ -233,10 +265,21 @@ func (c *Clock) Charge(tag Tag, n uint64) {
 // attribution is unchanged); inside a shard phase it accumulates into
 // the CPU's private shard.
 // Hardware owned by one CPU (the CPU core itself, its MMU) and
-// process-context compute charges route through here.
+// process-context compute charges route through here. Its fast path
+// is Charge's, and inlines likewise.
 func (c *Clock) ChargeOn(cpu int, tag Tag, n uint64) {
+	if c.fast {
+		c.cycles += n
+		c.cur[tag] += n
+		return
+	}
+	c.chargeOnSlow(cpu, tag, n)
+}
+
+// chargeOnSlow is ChargeOn when fast is off.
+func (c *Clock) chargeOnSlow(cpu int, tag Tag, n uint64) {
 	if !c.sharding {
-		c.Charge(tag, n)
+		c.chargeSlow(tag, n)
 		return
 	}
 	s := &c.shards[cpu]
@@ -249,6 +292,18 @@ func (c *Clock) ChargeOn(cpu int, tag Tag, n uint64) {
 			Start: start, Dur: n,
 		})
 	}
+}
+
+// retarget points cur at the selected CPU's ledger (base while perCPU
+// is nil) and recomputes fast. Every change to perCPU, cpu, tracer or
+// sharding calls it.
+func (c *Clock) retarget() {
+	if c.cpu < len(c.perCPU) {
+		c.cur = &c.perCPU[c.cpu]
+	} else {
+		c.cur = &c.base
+	}
+	c.fast = c.tracer == nil && !c.sharding
 }
 
 // ChargeBytesOn is ChargeBytes routed through ChargeOn (same per-8-byte
@@ -278,6 +333,7 @@ func (c *Clock) BeginShardPhase(n int) {
 	}
 	c.shardBase = c.cycles
 	c.sharding = true
+	c.retarget()
 }
 
 // EndShardPhase merges the shards into the global clock in CPU-id
@@ -288,6 +344,7 @@ func (c *Clock) EndShardPhase() {
 		panic("hw: EndShardPhase without BeginShardPhase")
 	}
 	c.sharding = false
+	c.retarget()
 	for i := range c.shards {
 		s := &c.shards[i]
 		if s.cycles == 0 && c.tracer == nil {
@@ -296,10 +353,7 @@ func (c *Clock) EndShardPhase() {
 		c.cycles += s.cycles
 		for t := Tag(0); t < NumTags; t++ {
 			if v := s.ledger[t]; v != 0 {
-				c.ledger[t] += v
-				if c.perCPU != nil {
-					c.perCPU[i][t] += v
-				}
+				c.perCPU[i][t] += v
 			}
 		}
 	}
@@ -353,8 +407,8 @@ func (c *Clock) ChargeBytes(tag Tag, n int, costPer8 uint64) {
 
 // Advance charges n unattributed cycles (TagOther). Retained for tests
 // that simulate the passage of time; production charge paths use Charge
-// with a real tag — a source-scan test keeps raw Advance calls out of
-// non-test code.
+// with a real tag — vglint's rawadvance analyzer (enforced by
+// TestLintClean) keeps raw Advance calls out of non-test code.
 func (c *Clock) Advance(n uint64) { c.Charge(TagOther, n) }
 
 // AdvanceBytes charges the per-byte cost for an n-byte block operation
@@ -363,8 +417,18 @@ func (c *Clock) AdvanceBytes(n int, costPer8 uint64) {
 	c.ChargeBytes(TagOther, n, costPer8)
 }
 
-// Ledger returns a snapshot of the machine-wide per-tag cycle account.
-func (c *Clock) Ledger() Ledger { return c.ledger }
+// Ledger returns a snapshot of the machine-wide per-tag cycle account:
+// base plus every CPU's ledger, summed on each call. Only measurement
+// points read it; the charge path never does.
+func (c *Clock) Ledger() Ledger {
+	l := c.base
+	for i := range c.perCPU {
+		for t, v := range c.perCPU[i] {
+			l[t] += v
+		}
+	}
+	return l
+}
 
 // CPULedger returns a snapshot of the per-tag account for one CPU, or a
 // zero ledger if per-CPU tracking is not enabled or the CPU is out of
@@ -384,6 +448,7 @@ func (c *Clock) EnsureCPUs(n int) {
 		grown := make([]Ledger, n)
 		copy(grown, c.perCPU)
 		c.perCPU = grown
+		c.retarget()
 	}
 }
 
@@ -393,6 +458,7 @@ func (c *Clock) SetCPU(cpu int) {
 	if cpu >= 0 {
 		c.EnsureCPUs(cpu + 1)
 		c.cpu = cpu
+		c.retarget()
 	}
 }
 
@@ -411,8 +477,11 @@ func (c *Clock) SetContext(pid int32, ctx uint32) {
 func (c *Clock) Context() (pid int32, ctx uint32) { return c.pid, c.ctx }
 
 // AttachTracer directs one event per charge into t. Pass nil to detach;
-// a detached clock's charge path costs one nil check and nothing else.
-func (c *Clock) AttachTracer(t *Tracer) { c.tracer = t }
+// a detached clock charges on the inlined fast path again.
+func (c *Clock) AttachTracer(t *Tracer) {
+	c.tracer = t
+	c.retarget()
+}
 
 // TracerAttached reports whether a tracer is receiving events.
 func (c *Clock) TracerAttached() bool { return c.tracer != nil }

@@ -183,7 +183,7 @@ func (m *Machine) ApplySnap(s *MachineSnap, sharePages bool) error {
 }
 
 func (c *Clock) captureSnap() ClockSnap {
-	s := ClockSnap{Cycles: c.cycles, CPU: c.cpu, Ledger: c.ledger}
+	s := ClockSnap{Cycles: c.cycles, CPU: c.cpu, Ledger: c.Ledger()}
 	if c.perCPU != nil {
 		s.PerCPU = append([]Ledger(nil), c.perCPU...)
 	}
@@ -192,11 +192,12 @@ func (c *Clock) captureSnap() ClockSnap {
 
 func (c *Clock) applySnap(s *ClockSnap) {
 	c.cycles = s.Cycles
-	c.ledger = s.Ledger
+	c.base = s.Ledger
 	c.EnsureCPUs(len(s.PerCPU))
 	for i := range c.perCPU {
 		if i < len(s.PerCPU) {
 			c.perCPU[i] = s.PerCPU[i]
+			c.base = c.base.Sub(s.PerCPU[i])
 		} else {
 			c.perCPU[i] = Ledger{}
 		}

@@ -70,8 +70,9 @@ const (
 	TagCompute
 	// TagOther is the unattributed bucket: charges made through the
 	// legacy Clock.Advance/AdvanceBytes entry points (tests simulating
-	// the passage of time). Production charge paths never use it — a
-	// source-scan test keeps raw Advance calls out of non-test code.
+	// the passage of time). Production charge paths never use it —
+	// vglint's rawadvance analyzer (enforced by TestLintClean) keeps raw
+	// Advance calls out of non-test code.
 	TagOther
 	// TagNet is network-path work split out of TagIO: NIC serialization
 	// and latency, loopback delivery, and idle-time skips while every

@@ -27,9 +27,10 @@ type TraceEvent struct {
 // goroutines of a parallel experiment sweep.
 //
 // Tracing costs zero *virtual* cycles by construction — the tracer
-// observes charges, it never makes them — and a detached tracer costs
-// the charge path a single nil check (asserted by the engine's
-// zero-allocation benchmark).
+// observes charges, it never makes them. Attaching one moves every
+// charge off Clock's inlined fast path; with none attached, the charge
+// path is the fast flag test and two adds, and allocates nothing
+// (TestEngineTracingDisabledZeroAlloc).
 type Tracer struct {
 	mu    sync.Mutex
 	ring  []TraceEvent

@@ -50,9 +50,9 @@ func BenchmarkEngineCallLoop(b *testing.B) {
 // TestEngineTracingDisabledZeroAlloc asserts the cost of the tagged
 // accounting layer on the engine hot path: with no tracer attached,
 // executing pre-linked code — including every per-segment tagged charge
-// — performs zero host allocations per call. This is the "tracing
-// disabled is free" guarantee: the only disabled-path cost is the nil
-// check inside Clock.Charge.
+// — performs zero host allocations per call. Each of those charges is
+// Clock.Charge's inlined fast path: one flag test and two adds, with
+// the tracer, shard and zero-value cases on its out-of-line slow path.
 func TestEngineTracingDisabledZeroAlloc(t *testing.T) {
 	env := newMemEnv()
 	fn := benchWorkload(env)
