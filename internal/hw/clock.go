@@ -152,7 +152,10 @@ type Clock struct {
 	// CPU-id order.
 	sharding  bool
 	shardBase uint64 // global cycles at BeginShardPhase (view origin)
-	shards    []clockShard
+	// shards keeps one entry per CPU any phase has opened; the open (or
+	// last) phase owns the first shardN.
+	shards []clockShard
+	shardN int
 
 	// idleSources are the kernels sharing this clock. When every source
 	// is idle (no runnable work anywhere) but timers are armed, the
@@ -332,21 +335,24 @@ func (c *Clock) BeginShardPhase(n int) {
 		}
 	}
 	c.shardBase = c.cycles
+	c.shardN = n
 	c.sharding = true
 	c.retarget()
 }
 
-// EndShardPhase merges the shards into the global clock in CPU-id
-// order and replays the per-CPU trace rings into the attached tracer,
-// timestamp-ordered (ties broken by CPU id).
+// EndShardPhase merges the phase's shards into the global clock in
+// CPU-id order and replays their trace rings into the attached tracer,
+// timestamp-ordered (ties broken by CPU id). Shards past the phase's
+// width hold an earlier, wider phase's cycles, already merged.
 func (c *Clock) EndShardPhase() {
 	if !c.sharding {
 		panic("hw: EndShardPhase without BeginShardPhase")
 	}
 	c.sharding = false
 	c.retarget()
-	for i := range c.shards {
-		s := &c.shards[i]
+	phase := c.shards[:c.shardN]
+	for i := range phase {
+		s := &phase[i]
 		if s.cycles == 0 && c.tracer == nil {
 			continue
 		}
@@ -358,7 +364,7 @@ func (c *Clock) EndShardPhase() {
 		}
 	}
 	if c.tracer != nil {
-		c.tracer.mergeShardRings(c.shards)
+		c.tracer.mergeShardRings(phase)
 	}
 }
 
@@ -367,10 +373,10 @@ func (c *Clock) EndShardPhase() {
 func (c *Clock) Sharding() bool { return c.sharding }
 
 // ShardCycles returns the cycles CPU cpu has accumulated in the open
-// shard phase. The scheduler reads it after the phase joins to credit
-// per-CPU busy time.
+// shard phase, 0 for a CPU outside it. The scheduler reads it after the
+// phase joins to credit per-CPU busy time.
 func (c *Clock) ShardCycles(cpu int) uint64 {
-	if cpu < 0 || cpu >= len(c.shards) {
+	if cpu < 0 || cpu >= c.shardN {
 		return 0
 	}
 	return c.shards[cpu].cycles

@@ -312,9 +312,13 @@ func checkClock(t *testing.T, step int, op clockOp, c *Clock, m *clockModel) {
 		t.Fatalf("step %d %v: Sharding() = %v, model %v", step, op, c.Sharding(), m.sharding)
 	}
 	if m.sharding {
-		for i := 0; i < m.phaseN; i++ {
-			if got := c.ShardCycles(i); got != m.shards[i].cycles {
-				t.Fatalf("step %d %v: ShardCycles(%d) = %d, model %d", step, op, i, got, m.shards[i].cycles)
+		for i := -1; i <= len(m.shards); i++ {
+			var want uint64
+			if i >= 0 && i < m.phaseN {
+				want = m.shards[i].cycles
+			}
+			if got := c.ShardCycles(i); got != want {
+				t.Fatalf("step %d %v: ShardCycles(%d) = %d, model %d", step, op, i, got, want)
 			}
 		}
 	}
@@ -387,6 +391,20 @@ func TestClockMatchesModel(t *testing.T) {
 			{kind: opEnd},
 			{kind: opDetach},
 			{kind: opCharge, tag: TagTrap, n: 100},
+		}},
+		{"narrower phase after a wider one", []clockOp{
+			{kind: opAttach},
+			{kind: opBegin, cpu: 4},
+			{kind: opChargeOn, cpu: 3, tag: TagEngine, n: 10},
+			{kind: opChargeOn, cpu: 1, tag: TagTrap, n: 5},
+			{kind: opEnd},
+			{kind: opBegin, cpu: 2},
+			{kind: opEnd},
+			{kind: opBegin, cpu: 2},
+			{kind: opChargeOn, cpu: 1, tag: TagTrap, n: 7},
+			{kind: opEnd},
+			{kind: opBegin, cpu: 4},
+			{kind: opEnd},
 		}},
 		{"snapshot onto a fresh clock", []clockOp{
 			{kind: opCharge, tag: TagCrypt, n: 9000},

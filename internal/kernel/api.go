@@ -87,7 +87,7 @@ func (k *Kernel) ReadKernelFile(path string) ([]byte, bool) {
 }
 
 // WriteKernelFile writes a file from kernel context (used to seed
-// workloads and by tampering attacks).
+// workloads and by tampering attacks). A directory is refused.
 func (k *Kernel) WriteKernelFile(path string, data []byte) bool {
 	ino, err := k.FS.Lookup(path)
 	if err != nil {
@@ -97,7 +97,7 @@ func (k *Kernel) WriteKernelFile(path string, data []byte) bool {
 		}
 	}
 	in, err := k.FS.readInode(ino)
-	if err != nil {
+	if err != nil || in.Mode == modeDir {
 		return false
 	}
 	if err := k.FS.truncate(ino, &in); err != nil {

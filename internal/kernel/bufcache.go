@@ -14,7 +14,13 @@ type BufCache struct {
 	disk *hw.Disk
 	cap  int
 
-	blocks map[int]*buf
+	// blocks indexes the cached buffers by block number, nil where a
+	// block is not cached. It grows to cover the highest block cached
+	// and never past the disk: get inserts a block only after the disk
+	// has read it, and Zero refuses a block outside the disk. n counts
+	// the cached buffers.
+	blocks []*buf
+	n      int
 	// lru is a doubly-linked list, most-recently-used at head.
 	head, tail *buf
 
@@ -30,17 +36,39 @@ type buf struct {
 
 // NewBufCache creates a cache of capBlocks blocks.
 func NewBufCache(k *Kernel, disk *hw.Disk, capBlocks int) *BufCache {
-	return &BufCache{
-		k:      k,
-		disk:   disk,
-		cap:    capBlocks,
-		blocks: make(map[int]*buf),
-	}
+	return &BufCache{k: k, disk: disk, cap: capBlocks}
 }
 
 // Stats returns hit/miss/writeback counters.
 func (c *BufCache) Stats() (hits, misses, writebacks uint64) {
 	return c.hits, c.misses, c.writebacks
+}
+
+// lookup returns blk's cached buffer, or nil.
+func (c *BufCache) lookup(blk int) *buf {
+	if uint(blk) < uint(len(c.blocks)) {
+		return c.blocks[blk]
+	}
+	return nil
+}
+
+// index records b under its block number, doubling the index up to the
+// disk's size when b lies past its end. b.blk must be on the disk.
+func (c *BufCache) index(b *buf) {
+	if b.blk >= len(c.blocks) {
+		grown := make([]*buf, min(max(b.blk+1, 2*len(c.blocks)), c.disk.NumBlocks()))
+		copy(grown, c.blocks)
+		c.blocks = grown
+	}
+	c.blocks[b.blk] = b
+	c.n++
+}
+
+// reset empties the cache, keeping the index's storage.
+func (c *BufCache) reset() {
+	clear(c.blocks)
+	c.n = 0
+	c.head, c.tail = nil, nil
 }
 
 func (c *BufCache) touch(b *buf) {
@@ -70,7 +98,7 @@ func (c *BufCache) touch(b *buf) {
 }
 
 func (c *BufCache) evictIfFull() error {
-	for len(c.blocks) >= c.cap {
+	for c.n >= c.cap {
 		victim := c.tail
 		if victim == nil {
 			return fmt.Errorf("kernel: buffer cache corrupt (full but no tail)")
@@ -88,7 +116,8 @@ func (c *BufCache) evictIfFull() error {
 		if c.head == victim {
 			c.head = nil
 		}
-		delete(c.blocks, victim.blk)
+		c.blocks[victim.blk] = nil
+		c.n--
 	}
 	return nil
 }
@@ -96,7 +125,7 @@ func (c *BufCache) evictIfFull() error {
 // get returns the cached buffer for blk, reading it from disk on a
 // miss.
 func (c *BufCache) get(blk int) (*buf, error) {
-	if b, ok := c.blocks[blk]; ok {
+	if b := c.lookup(blk); b != nil {
 		c.hits++
 		c.k.HAL.KAccess(workBufCacheHit)
 		c.touch(b)
@@ -112,7 +141,7 @@ func (c *BufCache) get(blk int) (*buf, error) {
 		return nil, err
 	}
 	b := &buf{blk: blk, data: data}
-	c.blocks[blk] = b
+	c.index(b)
 	c.touch(b)
 	return b, nil
 }
@@ -164,9 +193,10 @@ func (c *BufCache) WritePartial(blk int, off int, src []byte) error {
 }
 
 // Zero clears a block in cache (fresh allocation; avoids a disk read
-// for blocks whose old contents are dead).
+// for blocks whose old contents are dead). A block outside the disk is
+// refused where get's disk read would refuse it.
 func (c *BufCache) Zero(blk int) error {
-	if b, ok := c.blocks[blk]; ok {
+	if b := c.lookup(blk); b != nil {
 		c.hits++
 		for i := range b.data {
 			b.data[i] = 0
@@ -180,15 +210,18 @@ func (c *BufCache) Zero(blk int) error {
 	if err := c.evictIfFull(); err != nil {
 		return err
 	}
+	if blk < 0 || blk >= c.disk.NumBlocks() {
+		return fmt.Errorf("kernel: zero of block %d outside the %d-block disk", blk, c.disk.NumBlocks())
+	}
 	b := &buf{blk: blk, data: make([]byte, hw.BlockSize), dirty: true}
-	c.blocks[blk] = b
+	c.index(b)
 	c.touch(b)
 	return nil
 }
 
-// Sync flushes every dirty block to disk.
+// Sync flushes every dirty block to disk, in LRU order from the head.
 func (c *BufCache) Sync() error {
-	for _, b := range c.blocks {
+	for b := c.head; b != nil; b = b.next {
 		if b.dirty {
 			c.writebacks++
 			if err := c.disk.WriteBlock(b.blk, b.data); err != nil {
@@ -207,7 +240,6 @@ func (c *BufCache) DropClean() error {
 	if err := c.Sync(); err != nil {
 		return err
 	}
-	c.blocks = make(map[int]*buf)
-	c.head, c.tail = nil, nil
+	c.reset()
 	return nil
 }

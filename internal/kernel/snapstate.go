@@ -167,12 +167,12 @@ func (k *Kernel) ModuleIdentity() []ModuleID {
 	return out
 }
 
-// CheckModuleIdentity compares a snapshot's recorded module list
+// checkModuleIdentity compares a snapshot's recorded module list
 // against this kernel's, returning ErrSnapshotStale (wrapped with the
 // first difference) on any mismatch. Order matters: the same modules
 // loaded in a different order produce different admission and engine
 // state.
-func (k *Kernel) CheckModuleIdentity(want []ModuleID) error {
+func (k *Kernel) checkModuleIdentity(want []ModuleID) error {
 	have := k.ModuleIdentity()
 	if len(want) != len(have) {
 		return fmt.Errorf("%w: image has %d modules, kernel has %d", ErrSnapshotStale, len(want), len(have))
@@ -241,24 +241,40 @@ func (k *Kernel) CaptureKernelSnap() (*KernelSnap, error) {
 	return s, nil
 }
 
-// ApplyKernelSnap overwrites the kernel's state with a captured
-// snapshot. The target kernel must itself be quiescent (freshly booted
-// or drained) and must be running the same module set as the kernel the
-// snapshot was taken on (ErrSnapshotStale otherwise).
-func (k *Kernel) ApplyKernelSnap(s *KernelSnap) error {
-	if err := k.checkQuiescent(); err != nil {
-		return fmt.Errorf("restore target: %w", err)
-	}
+// CheckKernelSnap reports whether ApplyKernelSnap would accept the
+// image on this kernel: the same CPU count and module set
+// (ErrSnapshotStale otherwise), a syscall profile inside the dispatch
+// table, directory slots a directory can have, and a buffer cache
+// inside the disk. The snapshot subsystem runs it before it changes
+// the machine, so a refused image leaves the whole target untouched.
+func (k *Kernel) CheckKernelSnap(s *KernelSnap) error {
 	if len(s.CPUs) != len(k.cpus) {
 		return fmt.Errorf("kernel: snapshot has %d CPUs of scheduler state, machine has %d", len(s.CPUs), len(k.cpus))
 	}
-	if err := k.CheckModuleIdentity(s.Modules); err != nil {
+	if err := k.checkModuleIdentity(s.Modules); err != nil {
 		return err
 	}
 	for _, sc := range s.SysProf {
 		if sc.Num >= uint64(len(k.syscalls)) {
 			return fmt.Errorf("kernel: snapshot profiles syscall %d, past the dispatch table", sc.Num)
 		}
+	}
+	if err := k.FS.checkSnap(s.FS); err != nil {
+		return err
+	}
+	return k.FS.cache.checkSnap(s.BufCache)
+}
+
+// ApplyKernelSnap overwrites the kernel's state with a captured
+// snapshot. The target kernel must itself be quiescent (freshly booted
+// or drained) and must accept the image (CheckKernelSnap); a refused
+// image changes nothing.
+func (k *Kernel) ApplyKernelSnap(s *KernelSnap) error {
+	if err := k.checkQuiescent(); err != nil {
+		return fmt.Errorf("restore target: %w", err)
+	}
+	if err := k.CheckKernelSnap(s); err != nil {
+		return err
 	}
 	k.nextPID = s.NextPID
 	k.lastCPU = s.LastCPU
@@ -334,6 +350,25 @@ func (fs *FS) captureSnap() FSSnap {
 	return s
 }
 
+// checkSnap refuses a name-cache slot or a slot hint that no directory
+// can have: dirRemove would turn the one, and dirInsert the other, into
+// an offset outside the directory's blocks.
+func (fs *FS) checkSnap(s FSSnap) error {
+	const maxSlots = MaxFileSize / direntSize
+	for _, e := range s.NameCache {
+		if e.Slot < 0 || e.Slot >= maxSlots {
+			return fmt.Errorf("kernel: snapshot caches %q in directory %d at slot %d, outside [0, %d)", e.Name, e.Dir, e.Slot, maxSlots)
+		}
+	}
+	// A full directory's hint is one past its last slot.
+	for _, h := range s.SlotHints {
+		if h.Slot < 0 || h.Slot > maxSlots {
+			return fmt.Errorf("kernel: snapshot hints slot %d for directory %d, outside [0, %d]", h.Slot, h.Dir, maxSlots)
+		}
+	}
+	return nil
+}
+
 func (fs *FS) applySnap(s FSSnap) {
 	fs.blockRotor = s.BlockRotor
 	fs.inodeRotor = s.InodeRotor
@@ -345,6 +380,8 @@ func (fs *FS) applySnap(s FSSnap) {
 	for _, h := range s.SlotHints {
 		fs.freeSlotHint[h.Dir] = h.Slot
 	}
+	// The restored disk may hold other entries in any directory.
+	clear(fs.dirIndex)
 }
 
 func (c *BufCache) captureSnap() BufCacheSnap {
@@ -357,10 +394,33 @@ func (c *BufCache) captureSnap() BufCacheSnap {
 	return s
 }
 
+// checkSnap refuses a buffer-cache image that names a block outside
+// the disk, holds a buffer that is not one block long, or names a
+// block twice. Applied, the first would size the block index past the
+// disk, the second would hand the file system a short buffer to index
+// into, and the third would link one block into the LRU list twice.
+func (c *BufCache) checkSnap(s BufCacheSnap) error {
+	nblocks := c.disk.NumBlocks()
+	seen := make(map[int]bool, len(s.Bufs))
+	for _, bs := range s.Bufs {
+		if bs.Blk < 0 || bs.Blk >= nblocks {
+			return fmt.Errorf("kernel: snapshot caches block %d, outside the %d-block disk", bs.Blk, nblocks)
+		}
+		if len(bs.Data) != hw.BlockSize {
+			return fmt.Errorf("kernel: snapshot caches block %d as %d bytes, want %d", bs.Blk, len(bs.Data), hw.BlockSize)
+		}
+		if seen[bs.Blk] {
+			return fmt.Errorf("kernel: snapshot caches block %d twice", bs.Blk)
+		}
+		seen[bs.Blk] = true
+	}
+	return nil
+}
+
+// applySnap loads an image that checkSnap accepted.
 func (c *BufCache) applySnap(s BufCacheSnap) {
 	c.hits, c.misses, c.writebacks = s.Hits, s.Misses, s.Writebacks
-	c.blocks = make(map[int]*buf, len(s.Bufs))
-	c.head, c.tail = nil, nil
+	c.reset()
 	var prev *buf
 	for _, bs := range s.Bufs {
 		b := &buf{blk: bs.Blk, data: append([]byte(nil), bs.Data...), dirty: bs.Dirty, prev: prev}
@@ -369,7 +429,7 @@ func (c *BufCache) applySnap(s BufCacheSnap) {
 		} else {
 			prev.next = b
 		}
-		c.blocks[b.blk] = b
+		c.index(b)
 		prev = b
 	}
 	c.tail = prev

@@ -91,6 +91,9 @@ func sysOpen(k *Kernel, p *Proc, ic core.IContext) uint64 {
 		if ierr != nil {
 			return errno(EFAULT)
 		}
+		if in.Mode == modeDir {
+			return errno(EISDIR)
+		}
 		if err := k.FS.truncate(ino, &in); err != nil {
 			return errno(errnoOf(err))
 		}

@@ -74,6 +74,9 @@ func TestLseekWhence(t *testing.T) {
 
 func TestSyscallErrorPaths(t *testing.T) {
 	k := bootKernel(t, core.ModeNative)
+	if !k.WriteKernelFile("/afile", []byte("file bytes")) {
+		t.Fatal("WriteKernelFile /afile failed")
+	}
 	_, err := k.Spawn("errs", func(p *Proc) {
 		check := func(name string, ret uint64, want uint64) {
 			e, bad := IsErr(ret)
@@ -102,11 +105,35 @@ func TestSyscallErrorPaths(t *testing.T) {
 		// Directory opened for writing is EISDIR.
 		p.Syscall(SysMkdir, p.PushString("/adir"))
 		check("open dir for write", p.Syscall(SysOpen, p.PushString("/adir"), OWrOnly), EISDIR)
+		// A directory is written only through its entries: no open
+		// truncates one and no write reaches its blocks.
+		p.Syscall(SysClose, p.Syscall(SysOpen, p.PushString("/adir/inner"), OCreat|ORdWr))
+		check("truncate dir for write", p.Syscall(SysOpen, p.PushString("/adir"), OWrOnly|OTrunc), EISDIR)
+		check("truncate dir read-only", p.Syscall(SysOpen, p.PushString("/"), ORdOnly|OTrunc), EISDIR)
+		root := p.Syscall(SysOpen, p.PushString("/"), ORdOnly)
+		entry := p.Alloc(direntSize)
+		check("write to a directory", p.Syscall(SysWrite, root, entry, direntSize), EISDIR)
+		check("create under a file", p.Syscall(SysOpen, p.PushString("/afile/x"), OCreat|ORdWr), ENOTDIR)
+		check("mkdir under a file", p.Syscall(SysMkdir, p.PushString("/afile/d")), ENOTDIR)
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
 	k.RunUntilIdle()
+	if k.WriteKernelFile("/adir", []byte("x")) {
+		t.Error("WriteKernelFile wrote over a directory")
+	}
+	// Every entry still resolves from the blocks alone.
+	clear(k.FS.namecache)
+	clear(k.FS.dirIndex)
+	for _, path := range []string{"/afile", "/adir", "/adir/inner"} {
+		if _, err := k.FS.Lookup(path); err != nil {
+			t.Errorf("lookup %s with the name cache and index dropped: %v", path, err)
+		}
+	}
+	if got, _ := k.ReadKernelFile("/afile"); string(got) != "file bytes" {
+		t.Errorf("/afile = %q after the refused calls", got)
+	}
 }
 
 func TestFDExhaustion(t *testing.T) {

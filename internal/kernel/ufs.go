@@ -85,6 +85,10 @@ type FS struct {
 	// freeSlotHint remembers the lowest possibly-free dirent slot per
 	// directory so inserts do not rescan from the start.
 	freeSlotHint map[uint32]int
+	// dirIndex maps a directory's live names to their slots, for each
+	// directory a lookup has scanned to the end without a match (see
+	// dirLookup). Host-only: never charged, never in an image.
+	dirIndex map[uint32]map[string]int
 	// blockRotor/inodeRotor remember where the last bitmap search
 	// ended (FFS-style rotor) so allocation stays O(1) amortized.
 	blockRotor int
@@ -111,6 +115,7 @@ func Mkfs(k *Kernel, disk *hw.Disk) (*FS, error) {
 		ninodes:      8192,
 		namecache:    make(map[nckey]ncval),
 		freeSlotHint: make(map[uint32]int),
+		dirIndex:     make(map[uint32]map[string]int),
 	}
 	fs.inodeBitmap = 1
 	fs.blockBitmap = 2
@@ -118,8 +123,9 @@ func Mkfs(k *Kernel, disk *hw.Disk) (*FS, error) {
 	nbb := (fs.nblocks + hw.BlockSize*8 - 1) / (hw.BlockSize * 8)
 	fs.inodeStart = fs.blockBitmap + nbb
 	fs.dataStart = fs.inodeStart + fs.ninodes/inodesPerBlock
-	// Zero the metadata area.
-	for b := 0; b < fs.dataStart; b++ {
+	// Zero the metadata area, as much of it as the disk holds: on a disk
+	// smaller than the area, the inode table ends at the disk's end.
+	for b := 0; b < min(fs.dataStart, fs.nblocks); b++ {
 		if err := fs.cache.Zero(b); err != nil {
 			return nil, err
 		}
@@ -437,14 +443,29 @@ func (fs *FS) readBlocks(ino uint32, in *inode, b []byte, off int64) (int, error
 	return read, nil
 }
 
-// WriteAt writes b at offset off, growing the file as needed.
+// WriteAt writes b at offset off of a file, growing the file as
+// needed. A directory is refused with ErrIsDir: only dirInsert and
+// dirRemove write directory entries, which keeps every directory index
+// equal to its directory's blocks.
 func (fs *FS) WriteAt(ino uint32, b []byte, off int64) (int, error) {
+	return fs.writeAt(ino, false, b, off)
+}
+
+// writeAt writes b at offset off of inode ino, which must be a
+// directory when dir is set and must not be one otherwise.
+func (fs *FS) writeAt(ino uint32, dir bool, b []byte, off int64) (int, error) {
 	in, err := fs.readInode(ino)
 	if err != nil {
 		return 0, err
 	}
 	if in.Mode == modeFree {
 		return 0, ErrNotFound
+	}
+	if isDir := in.Mode == modeDir; isDir != dir {
+		if isDir {
+			return 0, ErrIsDir
+		}
+		return 0, ErrNotDir
 	}
 	if off+int64(len(b)) > MaxFileSize {
 		return 0, ErrTooBig
@@ -548,6 +569,15 @@ func direntAt(slots []byte, i int) (uint32, []byte) {
 }
 
 // dirLookup finds name in the directory.
+//
+// A name-cache miss walks the directory's blocks. Without an index the
+// walk compares each live name with name; a walk that matches nothing
+// has passed every live name, and leaves them behind as the
+// directory's index. With an index the walk compares nothing: it stops
+// at the block of the name's indexed slot, or reads to the end when the
+// name is absent. Either way it reads the blocks the compare scan
+// would, in the same order, so charges and cache state do not depend
+// on the index.
 func (fs *FS) dirLookup(dirIno uint32, name string) (uint32, int, error) {
 	din, err := fs.readInode(dirIno)
 	if err != nil {
@@ -565,16 +595,47 @@ func (fs *FS) dirLookup(dirIno uint32, name string) (uint32, int, error) {
 	}
 	found := uint32(0)
 	slot := -1
-	err = fs.dirScan(dirIno, &din, func(first int, slots []byte) bool {
-		for i := range len(slots) / direntSize {
-			// The conversion in a comparison does not allocate.
-			if ino, nm := direntAt(slots, i); ino != 0 && string(nm) == name {
-				found, slot = ino, first+i
+	if idx, ok := fs.dirIndex[dirIno]; ok {
+		want, ok := idx[name]
+		if !ok {
+			want = -1
+		}
+		err = fs.dirScan(dirIno, &din, func(first int, slots []byte) bool {
+			if i := want - first; i >= 0 && i*direntSize < len(slots) {
+				found, slot = getU32(slots[i*direntSize:]), want
 				return true
 			}
+			return false
+		})
+	} else {
+		// names collects the live names the scan passes. A repeated name
+		// drops the collection: such a directory is never indexed.
+		names := make(map[string]int)
+		err = fs.dirScan(dirIno, &din, func(first int, slots []byte) bool {
+			for i := range len(slots) / direntSize {
+				ino, nm := direntAt(slots, i)
+				if ino == 0 {
+					continue
+				}
+				// The conversion in a comparison does not allocate.
+				if string(nm) == name {
+					found, slot = ino, first+i
+					return true
+				}
+				if names != nil {
+					if _, dup := names[string(nm)]; dup {
+						names = nil
+					} else {
+						names[string(nm)] = first + i
+					}
+				}
+			}
+			return false
+		})
+		if err == nil && found == 0 && names != nil {
+			fs.dirIndex[dirIno] = names
 		}
-		return false
-	})
+	}
 	if err != nil {
 		return 0, -1, err
 	}
@@ -624,23 +685,42 @@ func (fs *FS) dirInsert(dirIno uint32, name string, ino uint32) error {
 	putU32(e[0:], ino)
 	e[4] = byte(len(name))
 	copy(e[8:], name)
-	if _, err := fs.WriteAt(dirIno, e, int64(freeSlot)*direntSize); err != nil {
+	if _, err := fs.writeAt(dirIno, true, e, int64(freeSlot)*direntSize); err != nil {
 		return err
 	}
 	fs.namecache[nckey{dirIno, name}] = ncval{ino: ino, slot: freeSlot}
 	fs.freeSlotHint[dirIno] = freeSlot + 1
+	if idx, ok := fs.dirIndex[dirIno]; ok && ino != 0 {
+		if _, dup := idx[name]; dup {
+			// Only a name cache that hid a live entry from Create (one
+			// restored from a crafted image) gets here.
+			delete(fs.dirIndex, dirIno)
+		} else {
+			idx[name] = freeSlot
+		}
+	}
 	return nil
 }
 
 // dirRemove clears the entry in the given slot.
 func (fs *FS) dirRemove(dirIno uint32, name string, slot int) error {
 	e := make([]byte, direntSize)
-	if _, err := fs.WriteAt(dirIno, e, int64(slot)*direntSize); err != nil {
+	if _, err := fs.writeAt(dirIno, true, e, int64(slot)*direntSize); err != nil {
 		return err
 	}
 	delete(fs.namecache, nckey{dirIno, name})
 	if slot < fs.freeSlotHint[dirIno] {
 		fs.freeSlotHint[dirIno] = slot
+	}
+	if idx, ok := fs.dirIndex[dirIno]; ok {
+		if s, ok := idx[name]; ok && s == slot {
+			delete(idx, name)
+		} else {
+			// The slot came from a name cache that disagrees with the
+			// directory (one restored from a crafted image), so it may
+			// have held another name.
+			delete(fs.dirIndex, dirIno)
+		}
 	}
 	return nil
 }
@@ -732,6 +812,8 @@ func (fs *FS) Create(path string) (uint32, error) {
 	}
 	if _, _, err := fs.dirLookup(parent, name); err == nil {
 		return 0, ErrExists
+	} else if !errors.Is(err, ErrNotFound) {
+		return 0, err
 	}
 	fs.k.HAL.KAccess(workCreateFile)
 	ino, err := fs.allocInode()
@@ -756,6 +838,8 @@ func (fs *FS) Mkdir(path string) (uint32, error) {
 	}
 	if _, _, err := fs.dirLookup(parent, name); err == nil {
 		return 0, ErrExists
+	} else if !errors.Is(err, ErrNotFound) {
+		return 0, err
 	}
 	fs.k.HAL.KAccess(workCreateFile)
 	ino, err := fs.allocInode()
@@ -806,6 +890,9 @@ func (fs *FS) Unlink(path string, rmdir bool) error {
 	}
 	in.Nlink--
 	if in.Nlink == 0 {
+		if in.Mode == modeDir {
+			delete(fs.dirIndex, ino)
+		}
 		if err := fs.truncate(ino, &in); err != nil {
 			return err
 		}

@@ -430,10 +430,12 @@ func TestDiskErrorDuringSyscall(t *testing.T) {
 	}
 }
 
-// TestDirLookupColdNameCache drives dirScan's match path, which the
-// name cache otherwise answers: names spread over four directory
-// blocks, names that are prefixes of one another, a maximal 56-byte
-// name beside its 55-byte prefix, and freed slots between live ones.
+// TestDirLookupColdNameCache drives the directory walks that the name
+// cache otherwise answers: names spread over four directory blocks,
+// names that are prefixes of one another, a maximal 56-byte name beside
+// its 55-byte prefix, and freed slots between live ones. Each lookup
+// runs twice: once through the root's index, and once with the index
+// dropped as well, so the compare scan runs.
 func TestDirLookupColdNameCache(t *testing.T) {
 	_, fs := bootFS(t)
 	long := strings.Repeat("n", maxNameLen)
@@ -465,16 +467,26 @@ func TestDirLookupColdNameCache(t *testing.T) {
 	}
 	// "a" and the 56-byte name are gone; "ab", "abc" and the 55-byte
 	// prefix stay live.
-	clear(fs.namecache)
-	for _, n := range live {
-		if got, err := fs.Lookup("/" + n); err != nil || got != inos[n] {
-			t.Errorf("lookup %q = %d, %v; want inode %d", n, got, err, inos[n])
-		}
-	}
 	never := []string{"abcd", "f", "f00", "f1", long[:maxNameLen-2]}
-	for _, n := range append(gone, never...) {
-		if got, err := fs.Lookup("/" + n); !errors.Is(err, ErrNotFound) {
-			t.Errorf("lookup %q = %d, %v; want ErrNotFound", n, got, err)
+	for _, scan := range []bool{false, true} {
+		lookup := func(n string) (uint32, error) {
+			clear(fs.namecache)
+			if scan {
+				clear(fs.dirIndex)
+			} else if _, ok := fs.dirIndex[RootIno]; !ok {
+				t.Fatal("the root directory has no index")
+			}
+			return fs.Lookup("/" + n)
+		}
+		for _, n := range live {
+			if got, err := lookup(n); err != nil || got != inos[n] {
+				t.Errorf("scan=%v: lookup %q = %d, %v; want inode %d", scan, n, got, err, inos[n])
+			}
+		}
+		for _, n := range append(gone, never...) {
+			if got, err := lookup(n); !errors.Is(err, ErrNotFound) {
+				t.Errorf("scan=%v: lookup %q = %d, %v; want ErrNotFound", scan, n, got, err)
+			}
 		}
 	}
 	clear(fs.namecache)

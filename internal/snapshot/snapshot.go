@@ -151,7 +151,7 @@ func apply(sys *repro.System, img *Image, share bool) error {
 	if err := sys.Kernel.CheckQuiescent(); err != nil {
 		return fmt.Errorf("snapshot: restore target: %w", err)
 	}
-	if err := sys.Kernel.CheckModuleIdentity(img.Kernel.Modules); err != nil {
+	if err := sys.Kernel.CheckKernelSnap(img.Kernel); err != nil {
 		return err
 	}
 	ss, ok := sys.HAL.(core.SnapshotStateful)

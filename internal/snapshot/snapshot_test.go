@@ -312,6 +312,43 @@ entry:
 	}
 }
 
+// TestRefusedKernelImageLeavesMachine: an image whose kernel part is
+// refused (a buffer cache outside the disk or with short buffers, a
+// syscall profile past the dispatch table) fails Restore before the
+// machine, the HAL or the kernel changes.
+func TestRefusedKernelImageLeavesMachine(t *testing.T) {
+	src := newSys(t, core.ModeNative, 1)
+	runPhase(t, src, 1)
+	bad := map[string]func(ks *kernel.KernelSnap){
+		"block outside the disk": func(ks *kernel.KernelSnap) { ks.BufCache.Bufs[0].Blk = 1 << 40 },
+		"short buffer":           func(ks *kernel.KernelSnap) { ks.BufCache.Bufs[0].Data = ks.BufCache.Bufs[0].Data[:8] },
+		"block twice":            func(ks *kernel.KernelSnap) { ks.BufCache.Bufs[1].Blk = ks.BufCache.Bufs[0].Blk },
+		"syscall past the table": func(ks *kernel.KernelSnap) {
+			ks.SysProf = append(ks.SysProf, kernel.SyscallCycles{Num: 1 << 40, Name: "bogus", Count: 1})
+		},
+	}
+	for name, mutate := range bad {
+		t.Run(name, func(t *testing.T) {
+			img, err := Capture(src)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if len(img.Kernel.BufCache.Bufs) < 2 {
+				t.Fatalf("image caches %d blocks, want at least 2", len(img.Kernel.BufCache.Bufs))
+			}
+			mutate(img.Kernel)
+			dst := newSys(t, core.ModeNative, 1)
+			before := fingerprint(t, dst)
+			if err := Restore(dst, img); err == nil {
+				t.Fatal("image accepted")
+			}
+			if !bytes.Equal(fingerprint(t, dst), before) {
+				t.Error("refused image changed the target machine")
+			}
+		})
+	}
+}
+
 // TestNotQuiescent: live processes cannot be snapshotted.
 func TestNotQuiescent(t *testing.T) {
 	sys := newSys(t, core.ModeNative, 1)
