@@ -112,7 +112,7 @@ const (
 	// longest quiet gap (which can span the whole ramp), while still
 	// reaping slowloris connections once the regular load drains — the
 	// reap costs O(1) host time regardless of the value, because the
-	// idle clock skips straight to the wheel's next expiry.
+	// idle clock skips straight to the next timer expiry.
 	c10kIdleTimeout = 100_000_000_000 // ~29 s virtual
 	c10kMaxHeader   = 256
 	c10kMaxEvents   = 256

@@ -71,9 +71,9 @@ func collectGoldenSMP(t *testing.T) map[string][]string {
 const netClients = 6
 
 // netStackFingerprint runs the event-driven networking path (poll
-// sets, the timer wheel, nonblocking sockets) on a 4-CPU machine: the
+// sets, network timers, nonblocking sockets) on a 4-CPU machine: the
 // event server, concurrent keep-alive/session clients, and one
-// slowloris connection reaped by the timer wheel. It digests every
+// slowloris connection reaped by its idle timer. It digests every
 // deterministic virtual output. It reports a failed request through
 // t.Errorf and a failed run as its error, never through t.Fatal, so it
 // may run on any goroutine.
@@ -133,7 +133,7 @@ func netStackFingerprint(t *testing.T) (string, error) {
 			return "", err
 		}
 	}
-	// The slowloris conn exercises the idle-timeout path of the wheel;
+	// The slowloris conn exercises the idle-timeout path of the timers;
 	// the EOF it blocks on arrives via a timer fire. Afterwards it
 	// waits for the regular clients and shuts the server down.
 	if _, err := k.Spawn("slow-then-stop", func(p *kernel.Proc) {

@@ -38,7 +38,7 @@ func TestHostParallelScalingEquivalence(t *testing.T) {
 }
 
 // TestHostParallelNetStackEquivalence runs the 4-CPU event-server
-// workload (poll sets, the timer wheel, nonblocking sockets) alone and
+// workload (poll sets, network timers, nonblocking sockets) alone and
 // then as two systems on concurrent host goroutines, and requires all
 // three fingerprints to be byte-identical.
 func TestHostParallelNetStackEquivalence(t *testing.T) {

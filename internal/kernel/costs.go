@@ -86,6 +86,6 @@ const (
 	// server's syscall bill scale with traffic instead of connections.
 	workPollWaitBase = 180
 	workPollPerEvent = 30
-	// workTimerFire is the wheel-expiry bookkeeping per fired timer.
+	// workTimerFire is the expiry bookkeeping per fired timer.
 	workTimerFire = 60
 )

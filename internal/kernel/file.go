@@ -29,6 +29,11 @@ type FileDesc struct {
 	Off      int64
 	Refs     int
 	Seekable bool
+	// Readable and Writable are the directions read and write may use
+	// (EBADF otherwise). open sets them from its access mode; pipes,
+	// sockets and poll sets allow both and leave any refusal to their
+	// FileOps.
+	Readable, Writable bool
 }
 
 // allocFD installs ops in the lowest free descriptor slot, growing the
@@ -36,7 +41,7 @@ type FileDesc struct {
 // result is a plain errno code (0 = success); syscall handlers negate
 // it exactly once via errno().
 func (p *Proc) allocFD(ops FileOps, seekable bool) (int, uint64) {
-	d := &FileDesc{Ops: ops, Refs: 1, Seekable: seekable}
+	d := &FileDesc{Ops: ops, Refs: 1, Seekable: seekable, Readable: true, Writable: true}
 	fd := -1
 	// Slots below fdHint are all occupied, so this scan touches only
 	// slots freed since the last alloc (amortized O(1)).

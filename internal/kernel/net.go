@@ -17,14 +17,13 @@ import (
 // non-blocking, readiness is exposed through epoll-style poll sets
 // (sysPollCreate/sysPollCtl/sysPollWait, level-triggered), and every
 // timeout — poll-wait, connect, per-connection idle auto-close — runs
-// on a hierarchical timer wheel indexed by the virtual clock
-// (timerwheel.go). Flow control is a receive-window cap on each
-// connection's buffer: senders see the receiver's remaining window
-// (the link is a lossless synchronous pair, so the window is read
-// directly rather than carried in ACK segments) and block, shorten, or
-// return EAGAIN; un-consumed frames stay queued in the NIC and are
-// charged against the window. Delivery is interrupt-driven: Poll is an
-// O(1) check of the NIC's pending line plus the wheel's due state, and
+// on a heap of timers ordered by the virtual clock (timers.go). Flow
+// control is a receive-window cap on each connection's buffer: senders
+// see the receiver's remaining window (the link is a lossless
+// synchronous pair, so the window is read directly rather than carried
+// in ACK segments) and block, shorten, or return EAGAIN; un-consumed
+// frames stay queued in the NIC and are charged against the window. Delivery is interrupt-driven: Poll is an
+// O(1) check of the NIC's pending line plus the armed-timer count, and
 // a drain walks only the ports that actually have frames, in sorted
 // port order, so multi-port handling is deterministic and snapshots
 // replay it exactly.
@@ -89,10 +88,11 @@ type Conn struct {
 	rxWindow int
 	// idleTimeout, when non-zero, auto-closes the connection after
 	// that many cycles without receive activity (keep-alive kill). The
-	// armed wheel entry is idleTimer; it re-arms on every delivery.
+	// armed timer is idleTimer; it re-arms on every delivery. Timers
+	// are nil when not armed.
 	idleTimeout uint64
-	idleTimer   timerID
-	connTimer   timerID
+	idleTimer   *timer
+	connTimer   *timer
 	// sock is the socket wrapping this connection, nil until one
 	// attaches; every state change that can make it ready wakes it.
 	sock *Socket
@@ -180,7 +180,7 @@ type NetStats struct {
 	LateFinDrops uint64
 	// TimeoutKills: connections auto-closed by the idle timeout.
 	TimeoutKills uint64
-	// TimerFires: wheel entries fired.
+	// TimerFires: timers fired.
 	TimerFires uint64
 }
 
@@ -243,7 +243,7 @@ type NetStack struct {
 	portHi    uint16
 	// defWindow is the receive window installed on new connections.
 	defWindow int
-	wheel     *timerWheel
+	timers    *timerQueue
 	stats     NetStats
 }
 
@@ -256,7 +256,7 @@ func NewNetStack(k *Kernel) *NetStack {
 		portLo:    defaultPortLo,
 		portHi:    defaultPortHi,
 		defWindow: DefaultRecvWindow,
-		wheel:     newTimerWheel(k.M.Clock.Cycles()),
+		timers:    newTimerQueue(),
 	}
 	// The NIC's owner back-pointer lets the peer stack's senders read
 	// this stack's flow-control state (window math) without a
@@ -271,8 +271,8 @@ func (ns *NetStack) Stats() NetStats { return ns.stats }
 // NumConns reports currently-open connections (load tracking).
 func (ns *NetStack) NumConns() int { return ns.conns.n }
 
-// TimersPending reports armed wheel timers (quiescence checks).
-func (ns *NetStack) TimersPending() int { return ns.wheel.pendingCount() }
+// TimersPending reports armed timers (quiescence checks).
+func (ns *NetStack) TimersPending() int { return ns.timers.pendingCount() }
 
 // SetRecvWindow changes the receive window installed on connections
 // created after the call. Experiment configuration, host-side.
@@ -392,7 +392,7 @@ func (ns *NetStack) dropConn(c *Conn) {
 
 // Poll is the receive-interrupt stand-in the schedulers call between
 // dispatches. It is O(1) when nothing is pending: one flag check on
-// the NIC plus the wheel's armed count. With work it fires due timers
+// the NIC plus the armed-timer count. With work it fires due timers
 // and drains pending ports in ascending port order. The drain walks a
 // snapshot of the pending set taken before it starts: a NIC connected
 // to itself receives frames while its ports drain, and a port that
@@ -408,8 +408,8 @@ func (ns *NetStack) Poll() {
 			ns.drainPort(port)
 		}
 	}
-	if ns.wheel.pendingCount() > 0 {
-		if n := ns.wheel.advance(ns.k.M.Clock.Cycles()); n > 0 {
+	if ns.timers.pendingCount() > 0 {
+		if n := ns.timers.advance(ns.k.M.Clock.Cycles()); n > 0 {
 			ns.stats.TimerFires += uint64(n)
 			ns.k.HAL.KAccess(n * workTimerFire)
 		}
@@ -469,8 +469,8 @@ func (ns *NetStack) deliverable() bool {
 	return false
 }
 
-// timerNext exposes the wheel's earliest expiry to the idle protocol.
-func (ns *NetStack) timerNext() (uint64, bool) { return ns.wheel.nextExpiry() }
+// timerNext exposes the earliest armed expiry to the idle protocol.
+func (ns *NetStack) timerNext() (uint64, bool) { return ns.timers.nextExpiry() }
 
 // handlePacket is protocol input processing for one frame addressed to
 // port (from the wire or the loopback path).
@@ -500,19 +500,15 @@ func (ns *NetStack) handlePacket(port uint16, pl []byte, fromLocal bool) {
 		if c := ns.conns.get(port); c != nil {
 			c.established = true
 			c.remote = src
-			if c.connTimer != 0 {
-				ns.wheel.cancel(c.connTimer)
-				c.connTimer = 0
-			}
+			ns.timers.cancel(c.connTimer)
+			c.connTimer = nil
 			c.sock.wake()
 		}
 	case pktRST:
 		if c := ns.conns.get(port); c != nil && !c.established && !c.closed {
 			c.refused = true
-			if c.connTimer != 0 {
-				ns.wheel.cancel(c.connTimer)
-				c.connTimer = 0
-			}
+			ns.timers.cancel(c.connTimer)
+			c.connTimer = nil
 			c.sock.wake()
 		}
 	case pktDATA:
@@ -546,18 +542,16 @@ func (ns *NetStack) touch(c *Conn) {
 	if c.idleTimeout == 0 || c.closed {
 		return
 	}
-	if c.idleTimer != 0 {
-		ns.wheel.cancel(c.idleTimer)
-	}
-	c.idleTimer = ns.wheel.after(ns.k.M.Clock.Cycles(), c.idleTimeout, ns.idleKill(c))
+	ns.timers.cancel(c.idleTimer)
+	c.idleTimer = ns.timers.after(ns.k.M.Clock.Cycles(), c.idleTimeout, ns.idleKill(c))
 }
 
-// idleKill returns the wheel handler that force-closes an idle
+// idleKill returns the timer handler that force-closes an idle
 // connection (slowloris defense: a held-open connection with no
 // traffic is reaped without any process attending to it).
 func (ns *NetStack) idleKill(c *Conn) func() {
 	return func() {
-		c.idleTimer = 0
+		c.idleTimer = nil
 		if c.closed {
 			return
 		}
@@ -570,12 +564,10 @@ func (ns *NetStack) idleKill(c *Conn) func() {
 // idle auto-close.
 func (ns *NetStack) SetIdleTimeout(c *Conn, cycles uint64) {
 	c.idleTimeout = cycles
-	if c.idleTimer != 0 {
-		ns.wheel.cancel(c.idleTimer)
-		c.idleTimer = 0
-	}
+	ns.timers.cancel(c.idleTimer)
+	c.idleTimer = nil
 	if cycles != 0 && !c.closed {
-		c.idleTimer = ns.wheel.after(ns.k.M.Clock.Cycles(), cycles, ns.idleKill(c))
+		c.idleTimer = ns.timers.after(ns.k.M.Clock.Cycles(), cycles, ns.idleKill(c))
 	}
 }
 
@@ -592,8 +584,8 @@ func (ns *NetStack) Connect(p *Proc, dst uint16, toPeer bool, nonblock bool, tim
 	c := &Conn{local: local, remote: dst, remoteIsLocal: !toPeer, rxWindow: ns.defWindow}
 	ns.conns.set(local, c)
 	if timeout != 0 {
-		c.connTimer = ns.wheel.after(ns.k.M.Clock.Cycles(), timeout, func() {
-			c.connTimer = 0
+		c.connTimer = ns.timers.after(ns.k.M.Clock.Cycles(), timeout, func() {
+			c.connTimer = nil
 			if !c.established && !c.closed {
 				c.timedOut = true
 				c.sock.wake()
@@ -711,14 +703,10 @@ func (ns *NetStack) CloseConn(c *Conn) {
 		return
 	}
 	c.closed = true
-	if c.idleTimer != 0 {
-		ns.wheel.cancel(c.idleTimer)
-		c.idleTimer = 0
-	}
-	if c.connTimer != 0 {
-		ns.wheel.cancel(c.connTimer)
-		c.connTimer = 0
-	}
+	ns.timers.cancel(c.idleTimer)
+	c.idleTimer = nil
+	ns.timers.cancel(c.connTimer)
+	c.connTimer = nil
 	ns.send(pktFIN, c.local, c.remote, nil, c.remoteIsLocal)
 	ns.dropConn(c)
 	c.sock.wake()
@@ -1230,9 +1218,9 @@ func sysPollWait(k *Kernel, p *Proc, ic core.IContext) uint64 {
 	out := ps.collect(maxev)
 	if len(out) == 0 {
 		expired := false
-		var tid timerID
+		var tid *timer
 		if timeout != 0 {
-			tid = k.Net.wheel.after(k.M.Clock.Cycles(), timeout, func() { expired = true })
+			tid = k.Net.timers.after(k.M.Clock.Cycles(), timeout, func() { expired = true })
 		}
 		p.block(func() bool {
 			k.Net.Poll()
@@ -1242,8 +1230,8 @@ func sysPollWait(k *Kernel, p *Proc, ic core.IContext) uint64 {
 			_, _, ok := ps.next(0)
 			return ok
 		})
-		if tid != 0 && !expired {
-			k.Net.wheel.cancel(tid)
+		if !expired {
+			k.Net.timers.cancel(tid)
 		}
 		out = ps.collect(maxev)
 		if len(out) == 0 {

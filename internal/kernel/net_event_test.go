@@ -21,9 +21,9 @@ func mkFrame(typ byte, src, dst uint16, data []byte) []byte {
 // TestPollDrainsPortsInSortedOrder pins the cross-port drain order:
 // frames injected for ports 7002, 7000, 7001 must be delivered in
 // ascending port order, not injection or map-iteration order. The
-// witness is the idle-timer re-arm each delivery performs — wheel ids
-// are a monotonic arm sequence, so delivery order is readable from the
-// conns' timer ids after one Poll.
+// witness is the idle-timer re-arm each delivery performs — timers
+// carry a monotonic arm sequence number, so delivery order is readable
+// from the conns' timer seqs after one Poll.
 func TestPollDrainsPortsInSortedOrder(t *testing.T) {
 	server, client, _ := bootPair(t)
 	ports := []uint16{7000, 7001, 7002}
@@ -35,16 +35,16 @@ func TestPollDrainsPortsInSortedOrder(t *testing.T) {
 		client.M.NIC.Send(hw.Packet{Port: port, Payload: mkFrame(pktDATA, 9999, port, []byte{'x'})})
 	}
 	server.Net.Poll()
-	var ids []timerID
+	var seqs []uint64
 	for _, port := range ports {
 		c := server.Net.conns.get(port)
 		if got := c.takeRx(server, c.rxLen); string(got) != "x" {
 			t.Fatalf("port %d rx = %q", port, got)
 		}
-		ids = append(ids, c.idleTimer)
+		seqs = append(seqs, c.idleTimer.seq)
 	}
-	if !(ids[0] < ids[1] && ids[1] < ids[2]) {
-		t.Errorf("drain order not ascending by port: timer ids %v", ids)
+	if !(seqs[0] < seqs[1] && seqs[1] < seqs[2]) {
+		t.Errorf("drain order not ascending by port: timer seqs %v", seqs)
 	}
 }
 
@@ -314,7 +314,7 @@ func TestConnectRefused(t *testing.T) {
 
 // TestConnectTimeout: a SYN silently dropped by a full listener backlog
 // (no RST — the TCP overflow shape) leaves the connect pending until
-// its timeout fires on the wheel (virtual time skips to the expiry)
+// its timeout fires (virtual time skips to the expiry)
 // instead of hanging forever.
 func TestConnectTimeout(t *testing.T) {
 	server, client, world := bootPair(t)
@@ -441,7 +441,7 @@ func TestBlockingWindowBackpressure(t *testing.T) {
 }
 
 // TestPollSyscalls: level-triggered readiness, poll-set edit errnos,
-// and the poll-wait timeout driven by the wheel.
+// and the poll-wait timeout driven by a network timer.
 func TestPollSyscalls(t *testing.T) {
 	k, _, _ := bootPair(t)
 	var fail string
@@ -593,11 +593,11 @@ func TestNetSnapshotRoundTrip(t *testing.T) {
 	k.Net.Poll() // LateDataDrops = 1
 	k.Net.SetRecvWindow(8192)
 	k.Net.nextPort = 45000
-	id := k.Net.wheel.after(k.M.Clock.Cycles(), 50_000, func() {})
+	tm := k.Net.timers.after(k.M.Clock.Cycles(), 50_000, func() {})
 	if _, err := k.CaptureKernelSnap(); !errors.Is(err, ErrNotQuiescent) {
 		t.Fatalf("capture with armed timer = %v, want ErrNotQuiescent", err)
 	}
-	k.Net.wheel.cancel(id)
+	k.Net.timers.cancel(tm)
 	snap, err := k.CaptureKernelSnap()
 	if err != nil {
 		t.Fatal(err)
@@ -610,14 +610,14 @@ func TestNetSnapshotRoundTrip(t *testing.T) {
 	k.Net.nextPort = 1
 	k.Net.defWindow = 7
 	k.Net.stats = NetStats{}
-	k.Net.wheel = newTimerWheel(0)
+	k.Net.timers = newTimerQueue()
 	if err := k.ApplyKernelSnap(snap); err != nil {
 		t.Fatal(err)
 	}
 	if k.Net.nextPort != 45000 || k.Net.defWindow != 8192 || k.Net.stats.LateDataDrops != 1 {
 		t.Errorf("restored net state: port=%d win=%d stats=%+v", k.Net.nextPort, k.Net.defWindow, k.Net.stats)
 	}
-	if uint64(k.Net.wheel.nextID) != wantSeq {
-		t.Errorf("timer seq = %d, want %d", k.Net.wheel.nextID, wantSeq)
+	if k.Net.timers.nextSeq != wantSeq {
+		t.Errorf("timer seq = %d, want %d", k.Net.timers.nextSeq, wantSeq)
 	}
 }

@@ -96,11 +96,11 @@ type SwappedGhostSnap struct {
 
 // NetSnap is the network stack's residue at quiescence: the port
 // allocator cursor and range, the window default, the cumulative
-// drop/timeout counters, and the timer-arm sequence (timer ids break
-// same-expiry firing ties, so the cursor must survive restore for
-// resumed runs to stay bit-identical with straight runs). Connections,
-// listeners, poll sets, and armed timers are empty by the quiescence
-// contract.
+// drop/timeout counters, and the timer-arm sequence (arm sequence
+// numbers break same-expiry firing ties, so the cursor must survive
+// restore for resumed runs to stay bit-identical with straight runs).
+// Connections, listeners, poll sets, and armed timers are empty by the
+// quiescence contract.
 type NetSnap struct {
 	NextPort   uint16 `json:"next_port"`
 	PortLo     uint16 `json:"port_lo"`
@@ -151,7 +151,7 @@ func (k *Kernel) checkQuiescent() error {
 	if n := k.Net.listeners.n; n > 0 {
 		return fmt.Errorf("%w: %d listeners open", ErrNotQuiescent, n)
 	}
-	if n := k.Net.wheel.pendingCount(); n > 0 {
+	if n := k.Net.timers.pendingCount(); n > 0 {
 		return fmt.Errorf("%w: %d network timers armed", ErrNotQuiescent, n)
 	}
 	return nil
@@ -205,7 +205,7 @@ func (k *Kernel) CaptureKernelSnap() (*KernelSnap, error) {
 			PortLo:     k.Net.portLo,
 			PortHi:     k.Net.portHi,
 			RecvWindow: k.Net.defWindow,
-			TimerSeq:   uint64(k.Net.wheel.nextID),
+			TimerSeq:   k.Net.timers.nextSeq,
 			Stats:      k.Net.stats,
 		},
 		Modules: k.ModuleIdentity(),
@@ -313,11 +313,10 @@ func (k *Kernel) ApplyKernelSnap(s *KernelSnap) error {
 	k.Net.portHi = s.Net.PortHi
 	k.Net.defWindow = s.Net.RecvWindow
 	k.Net.stats = s.Net.Stats
-	// Armed timers are empty by the quiescence contract; a fresh wheel at
-	// the restored clock with the captured id cursor reproduces the
-	// pre-snapshot wheel exactly.
-	k.Net.wheel = newTimerWheel(k.M.Clock.Cycles())
-	k.Net.wheel.nextID = timerID(s.Net.TimerSeq)
+	// Armed timers are empty by the quiescence contract; an empty queue
+	// with the captured arm sequence reproduces the pre-snapshot queue
+	// exactly.
+	k.Net.timers = &timerQueue{nextSeq: s.Net.TimerSeq}
 	k.FS.applySnap(s.FS)
 	k.FS.cache.applySnap(s.BufCache)
 	// Host-side execution caches are keyed by pre-restore structures

@@ -74,6 +74,7 @@ func sysOpen(k *Kernel, p *Proc, ic core.IContext) uint64 {
 		if e != 0 {
 			return errno(e)
 		}
+		p.fds[fd].setAccess(flags)
 		return uint64(fd)
 	}
 
@@ -111,10 +112,20 @@ func sysOpen(k *Kernel, p *Proc, ic core.IContext) uint64 {
 		return errno(e)
 	}
 	d := p.fds[fd]
+	d.setAccess(flags)
 	if flags&OAppend != 0 {
 		d.Off = st.Size
 	}
 	return uint64(fd)
+}
+
+// setAccess limits d to the directions open's access mode grants:
+// O_RDONLY reads, O_WRONLY writes, O_RDWR both, and the mode with both
+// bits set neither (as on Linux).
+func (d *FileDesc) setAccess(flags uint64) {
+	acc := flags & (OWrOnly | ORdWr)
+	d.Readable = acc == ORdOnly || acc == ORdWr
+	d.Writable = acc == OWrOnly || acc == ORdWr
 }
 
 // sysClose implements close(fd).
@@ -130,11 +141,15 @@ func sysClose(k *Kernel, p *Proc, ic core.IContext) uint64 {
 // of the bytes it produced and the kernel copies them out through the
 // instrumented accessors, so a buffer pointer aimed at ghost memory
 // lands harmlessly in kernel space under Virtual Ghost. The view is
-// sized by the data, never by n alone.
+// sized by the data, never by n alone. A descriptor not open for
+// reading gets EBADF before anything is charged.
 func sysRead(k *Kernel, p *Proc, ic core.IContext) uint64 {
 	d, e := p.fd(int(ic.Arg(0)))
 	if e != 0 {
 		return errno(e)
+	}
+	if !d.Readable {
+		return errno(EBADF)
 	}
 	n := int(ic.Arg(2))
 	if n < 0 {
@@ -167,11 +182,15 @@ func (k *Kernel) readScratch(n int) []byte {
 	return k.readBuf[:n]
 }
 
-// sysWrite implements write(fd, buf, n).
+// sysWrite implements write(fd, buf, n). A descriptor not open for
+// writing gets EBADF before anything is charged.
 func sysWrite(k *Kernel, p *Proc, ic core.IContext) uint64 {
 	d, e := p.fd(int(ic.Arg(0)))
 	if e != 0 {
 		return errno(e)
+	}
+	if !d.Writable {
+		return errno(EBADF)
 	}
 	n := int(ic.Arg(2))
 	if n < 0 {

@@ -2,6 +2,7 @@ package kernel
 
 import (
 	"bytes"
+	"errors"
 	"runtime"
 	"testing"
 
@@ -110,9 +111,31 @@ func TestSyscallErrorPaths(t *testing.T) {
 		p.Syscall(SysClose, p.Syscall(SysOpen, p.PushString("/adir/inner"), OCreat|ORdWr))
 		check("truncate dir for write", p.Syscall(SysOpen, p.PushString("/adir"), OWrOnly|OTrunc), EISDIR)
 		check("truncate dir read-only", p.Syscall(SysOpen, p.PushString("/"), ORdOnly|OTrunc), EISDIR)
+		// A directory opens read-only, so a write through it is refused
+		// for the descriptor's mode before the file type is looked at.
 		root := p.Syscall(SysOpen, p.PushString("/"), ORdOnly)
 		entry := p.Alloc(direntSize)
-		check("write to a directory", p.Syscall(SysWrite, root, entry, direntSize), EISDIR)
+		check("write to a directory", p.Syscall(SysWrite, root, entry, direntSize), EBADF)
+		// The access mode binds every file: O_RDONLY refuses write,
+		// O_WRONLY refuses read, O_RDWR allows both.
+		ro := p.Syscall(SysOpen, p.PushString("/afile"), ORdOnly)
+		check("write to an O_RDONLY file", p.Syscall(SysWrite, ro, p.PushString("CLOBBER!"), 8), EBADF)
+		if n := p.Syscall(SysRead, ro, buf, 4); n != 4 {
+			t.Errorf("read of an O_RDONLY file = %d, want 4", int64(n))
+		}
+		wo := p.Syscall(SysOpen, p.PushString("/afile"), OWrOnly)
+		check("read from an O_WRONLY file", p.Syscall(SysRead, wo, buf, 8), EBADF)
+		neither := p.Syscall(SysOpen, p.PushString("/afile"), OWrOnly|ORdWr)
+		check("read with access mode 3", p.Syscall(SysRead, neither, buf, 8), EBADF)
+		check("write with access mode 3", p.Syscall(SysWrite, neither, buf, 8), EBADF)
+		rw := p.Syscall(SysOpen, p.PushString("/rw"), OCreat|ORdWr)
+		if n := p.Syscall(SysWrite, rw, p.PushString("both"), 4); n != 4 {
+			t.Errorf("write to an O_RDWR file = %d, want 4", int64(n))
+		}
+		p.Syscall(SysLseek, rw, 0, 0)
+		if n := p.Syscall(SysRead, rw, buf, 8); n != 4 || string(p.Read(buf, 4)) != "both" {
+			t.Errorf("read back of an O_RDWR file = %d", int64(n))
+		}
 		check("create under a file", p.Syscall(SysOpen, p.PushString("/afile/x"), OCreat|ORdWr), ENOTDIR)
 		check("mkdir under a file", p.Syscall(SysMkdir, p.PushString("/afile/d")), ENOTDIR)
 	})
@@ -122,6 +145,10 @@ func TestSyscallErrorPaths(t *testing.T) {
 	k.RunUntilIdle()
 	if k.WriteKernelFile("/adir", []byte("x")) {
 		t.Error("WriteKernelFile wrote over a directory")
+	}
+	// No write reaches a directory's blocks, whatever the descriptor.
+	if n, err := k.FS.WriteAt(RootIno, make([]byte, direntSize), 0); !errors.Is(err, ErrIsDir) {
+		t.Errorf("FS.WriteAt on the root directory = %d, %v; want ErrIsDir", n, err)
 	}
 	// Every entry still resolves from the blocks alone.
 	clear(k.FS.namecache)

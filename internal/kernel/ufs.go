@@ -106,13 +106,16 @@ type ncval struct {
 }
 
 // Mkfs formats the machine's disk and mounts a fresh file system with a
-// root directory.
+// root directory. The inode table gets 64 inodes (one block) per 8
+// disk blocks, up to 8192 inodes from 1024 blocks on; a disk with no
+// block left for data is refused.
 func Mkfs(k *Kernel, disk *hw.Disk) (*FS, error) {
+	nblocks := disk.NumBlocks()
 	fs := &FS{
 		k:            k,
 		cache:        NewBufCache(k, disk, 2048),
-		nblocks:      disk.NumBlocks(),
-		ninodes:      8192,
+		nblocks:      nblocks,
+		ninodes:      min(8192, inodesPerBlock*max(1, nblocks/8)),
 		namecache:    make(map[nckey]ncval),
 		freeSlotHint: make(map[uint32]int),
 		dirIndex:     make(map[uint32]map[string]int),
@@ -123,9 +126,10 @@ func Mkfs(k *Kernel, disk *hw.Disk) (*FS, error) {
 	nbb := (fs.nblocks + hw.BlockSize*8 - 1) / (hw.BlockSize * 8)
 	fs.inodeStart = fs.blockBitmap + nbb
 	fs.dataStart = fs.inodeStart + fs.ninodes/inodesPerBlock
-	// Zero the metadata area, as much of it as the disk holds: on a disk
-	// smaller than the area, the inode table ends at the disk's end.
-	for b := 0; b < min(fs.dataStart, fs.nblocks); b++ {
+	if fs.dataStart >= fs.nblocks {
+		return nil, fmt.Errorf("ufs: a %d-block disk leaves no data block after %d metadata blocks", fs.nblocks, fs.dataStart)
+	}
+	for b := 0; b < fs.dataStart; b++ {
 		if err := fs.cache.Zero(b); err != nil {
 			return nil, err
 		}

@@ -515,3 +515,61 @@ func TestDirLookupColdNameCache(t *testing.T) {
 		t.Errorf("rmdir of a directory whose only entry was unlinked: %v", err)
 	}
 }
+
+// TestMkfsSmallDisks: Mkfs sizes the inode table by the disk, so a
+// small disk boots with room for data. On 16-, 64-, 128- and 200-block
+// disks a process creates a file, writes it, reads it back and unlinks
+// it; a 3-block disk, which has no block left after the metadata, fails
+// to boot.
+func TestMkfsSmallDisks(t *testing.T) {
+	for _, nblocks := range []int{16, 64, 128, 200} {
+		m := hw.NewMachine(hw.MachineConfig{MemFrames: 2048, DiskBlocks: nblocks, Seed: 1})
+		hal, err := core.NewNativeHAL(m)
+		if err != nil {
+			t.Fatal(err)
+		}
+		k, err := Boot(hal)
+		if err != nil {
+			t.Fatalf("%d blocks: boot: %v", nblocks, err)
+		}
+		want := bytes.Repeat([]byte("small disk "), 600) // two blocks
+		var got []byte
+		var unlinked uint64
+		if _, err := k.Spawn("user", func(p *Proc) {
+			path := p.PushString("/f")
+			fd := p.Syscall(SysOpen, path, OCreat|ORdWr)
+			if e, bad := IsErr(fd); bad {
+				t.Errorf("%d blocks: create: errno %d", nblocks, e)
+				return
+			}
+			buf := p.Alloc(len(want))
+			p.Write(buf, want)
+			if n := p.Syscall(SysWrite, fd, buf, uint64(len(want))); n != uint64(len(want)) {
+				t.Errorf("%d blocks: write = %d", nblocks, int64(n))
+			}
+			p.Syscall(SysLseek, fd, 0, 0)
+			back := p.Alloc(len(want))
+			n := p.Syscall(SysRead, fd, back, uint64(len(want)))
+			got = p.Read(back, int(min(n, uint64(len(want)))))
+			p.Syscall(SysClose, fd)
+			unlinked = p.Syscall(SysUnlink, path)
+		}); err != nil {
+			t.Fatal(err)
+		}
+		k.RunUntilIdle()
+		if !bytes.Equal(got, want) {
+			t.Errorf("%d blocks: read back %d bytes, want the %d written", nblocks, len(got), len(want))
+		}
+		if _, err := k.FS.Lookup("/f"); unlinked != 0 || !errors.Is(err, ErrNotFound) {
+			t.Errorf("%d blocks: unlink = %d, lookup after it: %v", nblocks, int64(unlinked), err)
+		}
+	}
+	m := hw.NewMachine(hw.MachineConfig{MemFrames: 2048, DiskBlocks: 3, Seed: 1})
+	hal, err := core.NewNativeHAL(m)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := Boot(hal); err == nil {
+		t.Error("a 3-block disk booted")
+	}
+}
