@@ -169,8 +169,9 @@ func benchHAL(b *testing.B, npages int) (*core.NativeHAL, hw.Frame, hw.Virt) {
 }
 
 // BenchmarkWalkCache measures the host cost of translated kernel loads
-// hitting the (root, page)-keyed walk cache — the hot path under every
-// instrumented KLoad/KStore/Copyin in the evaluation harness.
+// hitting the walk cache, a direct-mapped array of (root, page) slots
+// valid while the page-table generation stands — the hot path under
+// every instrumented KLoad/KStore/Copyin in the evaluation harness.
 func BenchmarkWalkCache(b *testing.B) {
 	h, root, base := benchHAL(b, 8)
 	b.ResetTimer()
@@ -183,7 +184,8 @@ func BenchmarkWalkCache(b *testing.B) {
 }
 
 // BenchmarkCopyinCopyout measures bulk user<->kernel copies through the
-// page-granular fast paths (ReadPhysInto/WritePhys + walk cache).
+// page-granular fast paths (ReadPhysInto/WritePhys + walk cache, one
+// cached walk per page touched).
 func BenchmarkCopyinCopyout(b *testing.B) {
 	h, root, base := benchHAL(b, 8)
 	buf := make([]byte, 4*hw.PageSize)

@@ -217,7 +217,6 @@ func (h *halCommon) rawMap(root hw.Frame, va hw.Virt, f hw.Frame, flags uint64,
 	}
 	h.m.Mem.AddRef(f)
 	h.m.CurMMU().InvalidatePage(va)
-	h.m.MMU.InvalidatePageIn(root, va)
 	return nil
 }
 
@@ -245,7 +244,6 @@ func (h *halCommon) rawUnmap(root hw.Frame, va hw.Virt) error {
 	// CPUs' TLBs takes the shootdown protocol, which the Virtual Ghost
 	// VM runs before a ghost or page-table frame changes owners.
 	h.m.CurMMU().InvalidatePage(va)
-	h.m.MMU.InvalidatePageIn(root, va)
 	return nil
 }
 

@@ -133,7 +133,7 @@ func NewMachineWith(cfg MachineConfig, clock *Clock) *Machine {
 	}
 	m.CPUs[0] = cpu
 	for i := 1; i < cfg.NumCPUs; i++ {
-		u := NewMMUSharing(mem, clock, mmu)
+		u := NewMMU(mem, clock)
 		u.cpu = i
 		c := NewCPU(u, clock)
 		c.ID = i

@@ -51,8 +51,9 @@ const (
 	// FramePageTable holds a declared page-table page; the OS may only
 	// modify it through the SVA-OS MMU update operations.
 	FramePageTable
-	// FrameIO is a memory-mapped I/O frame (e.g. the IOMMU's control
-	// registers); mappable only into SVA VM space.
+	// FrameIO is a memory-mapped I/O frame; the SVA VM refuses to map
+	// it for the OS or to declare it a page table. No device here uses
+	// one: the IOMMU is programmed through ports.
 	FrameIO
 )
 
@@ -95,26 +96,27 @@ var ErrBadPhys = errors.New("hw: physical address out of range")
 // host-side optimisation; nothing about the modeled hardware (or the
 // virtual clock) depends on it.
 type Memory struct {
-	pages    []*[PageSize]byte
-	ftype    []FrameType
-	refs     []uint16 // mapping reference counts, maintained by the MMU layer
-	free     []Frame  // free list (LIFO)
-	nframes  int
-	clock    *Clock
-	ioFrames map[Frame]MMIOHandler
+	pages   []*[PageSize]byte
+	ftype   []FrameType
+	refs    []uint16 // mapping reference counts, maintained by the MMU layer
+	free    []Frame  // free list (LIFO)
+	nframes int
+	clock   *Clock
 	// shared marks frames whose backing page is aliased into an
 	// immutable snapshot image (fork-from-snapshot). The first write to
 	// a shared frame copies the page (copy-on-write) so the image — and
 	// every sibling machine forked from it — never observes the store.
 	// nil on machines that were not restored with page sharing.
 	shared []bool
-	// ptWatch, when set, is called with any FramePageTable frame whose
-	// contents may have changed through a physical write (stores,
-	// ZeroFrame, FrameBytes hand-out) or whose page-table role started
-	// or ended (SetType, FreeFrame). The MMU registers its walk-cache
-	// invalidator here so no software-cached translation can outlive a
-	// page-table mutation, however the mutation was performed.
-	ptWatch func(Frame)
+	// ptGen is the page-table generation. It advances whenever a
+	// page-table byte may have changed: a physical write to a
+	// FramePageTable frame (stores, ZeroFrame, a FrameBytes hand-out), a
+	// frame's page-table role starting or ending (SetType, FreeFrame),
+	// any MMU.RawWritePTE, and a snapshot restore. A walk an MMU cached
+	// serves lookups only while ptGen still has the value it was cached
+	// at (MMU.CachedLeaf). It starts at 1, so an empty cache slot
+	// (generation 0) never matches.
+	ptGen uint64
 	// staleCheck, when set, guards FreeFrame and SetType of frames
 	// whose old or new type is security-critical (ghost or page-table):
 	// the machine refuses the operation while a remote CPU's TLB could
@@ -123,21 +125,15 @@ type Memory struct {
 	staleCheck func(Frame) error
 }
 
-// MMIOHandler receives loads and stores to a memory-mapped I/O frame.
-type MMIOHandler interface {
-	MMIORead(off uint32, size int) uint64
-	MMIOWrite(off uint32, size int, val uint64)
-}
-
 // NewMemory creates physical memory with the given number of frames.
 func NewMemory(nframes int, clock *Clock) *Memory {
 	m := &Memory{
-		pages:    make([]*[PageSize]byte, nframes),
-		ftype:    make([]FrameType, nframes),
-		refs:     make([]uint16, nframes),
-		nframes:  nframes,
-		clock:    clock,
-		ioFrames: make(map[Frame]MMIOHandler),
+		pages:   make([]*[PageSize]byte, nframes),
+		ftype:   make([]FrameType, nframes),
+		refs:    make([]uint16, nframes),
+		nframes: nframes,
+		clock:   clock,
+		ptGen:   1,
 	}
 	// Push frames so that low frame numbers come off the list first;
 	// frame 0 is reserved (never allocated) to keep Phys 0 invalid.
@@ -146,12 +142,6 @@ func NewMemory(nframes int, clock *Clock) *Memory {
 	}
 	return m
 }
-
-// SetPTWatch registers the observer for physical mutations of declared
-// page-table frames. Only one observer is supported (the machine's
-// primary MMU — secondary CPUs' MMUs share its walk cache, so one
-// invalidation reaches them all).
-func (m *Memory) SetPTWatch(fn func(Frame)) { m.ptWatch = fn }
 
 // SetStaleCheck registers the stale-translation guard consulted before
 // ghost/page-table frames are freed or retyped (the machine's TLB
@@ -170,14 +160,6 @@ func (m *Memory) checkStale(f Frame, types ...FrameType) error {
 		}
 	}
 	return nil
-}
-
-// notifyPT reports a possible content or role change of a page-table
-// frame to the registered observer.
-func (m *Memory) notifyPT(f Frame) {
-	if m.ptWatch != nil {
-		m.ptWatch(f)
-	}
 }
 
 // page returns the backing storage of frame f, or nil if the frame has
@@ -238,7 +220,7 @@ func (m *Memory) FreeFrame(f Frame) error {
 		return fmt.Errorf("hw: freeing frame %d: %w", f, err)
 	}
 	if m.ftype[f] == FramePageTable {
-		m.notifyPT(f)
+		m.ptGen++
 	}
 	m.ftype[f] = FrameFree
 	m.free = append(m.free, f)
@@ -263,7 +245,7 @@ func (m *Memory) SetType(f Frame, t FrameType) error {
 		return fmt.Errorf("hw: retyping frame %d to %s: %w", f, t, err)
 	}
 	if m.ftype[f] == FramePageTable || t == FramePageTable {
-		m.notifyPT(f)
+		m.ptGen++
 	}
 	m.ftype[f] = t
 	return nil
@@ -285,17 +267,6 @@ func (m *Memory) DropRef(f Frame) {
 	m.refs[f]--
 }
 
-// RegisterMMIO attaches a handler to a frame so that physical accesses
-// to it are routed to a device instead of RAM.
-func (m *Memory) RegisterMMIO(f Frame, h MMIOHandler) error {
-	if err := m.checkFrame(f); err != nil {
-		return err
-	}
-	m.ftype[f] = FrameIO
-	m.ioFrames[f] = h
-	return nil
-}
-
 func (m *Memory) checkFrame(f Frame) error {
 	if f == 0 || f >= Frame(m.nframes) {
 		return fmt.Errorf("%w: frame %d", ErrBadPhys, f)
@@ -311,7 +282,6 @@ func (m *Memory) checkRange(p Phys, n int) error {
 }
 
 // ReadPhys copies n bytes at physical address p into a fresh slice.
-// MMIO frames are routed to their device handler (size 1/2/4/8 only).
 func (m *Memory) ReadPhys(p Phys, n int) ([]byte, error) {
 	out := make([]byte, n)
 	if err := m.ReadPhysInto(p, out); err != nil {
@@ -321,15 +291,10 @@ func (m *Memory) ReadPhys(p Phys, n int) ([]byte, error) {
 }
 
 // ReadPhysInto copies len(buf) bytes at physical address p into buf
-// without allocating. MMIO frames are routed to their device handler.
+// without allocating.
 func (m *Memory) ReadPhysInto(p Phys, buf []byte) error {
 	if err := m.checkRange(p, len(buf)); err != nil {
 		return err
-	}
-	if h, ok := m.ioFrames[FrameOf(p)]; ok {
-		v := h.MMIORead(uint32(p&(PageSize-1)), len(buf))
-		putLE(buf, v)
-		return nil
 	}
 	for len(buf) > 0 {
 		off := int(p & (PageSize - 1))
@@ -350,17 +315,13 @@ func (m *Memory) WritePhys(p Phys, b []byte) error {
 	if err := m.checkRange(p, len(b)); err != nil {
 		return err
 	}
-	if h, ok := m.ioFrames[FrameOf(p)]; ok {
-		h.MMIOWrite(uint32(p&(PageSize-1)), len(b), getLE(b))
-		return nil
-	}
 	for len(b) > 0 {
 		f := FrameOf(p)
 		off := int(p & (PageSize - 1))
 		n := min(len(b), PageSize-off)
 		copy(m.ensurePage(f)[off:], b[:n])
 		if m.ftype[f] == FramePageTable {
-			m.notifyPT(f)
+			m.ptGen++
 		}
 		p += Phys(n)
 		b = b[n:]
@@ -376,9 +337,6 @@ func (m *Memory) ReadLE(p Phys, size int) (uint64, error) {
 	}
 	if err := m.checkRange(p, size); err != nil {
 		return 0, err
-	}
-	if h, ok := m.ioFrames[FrameOf(p)]; ok {
-		return h.MMIORead(uint32(p&(PageSize-1)), size), nil
 	}
 	off := int(p & (PageSize - 1))
 	if off+size <= PageSize {
@@ -409,10 +367,6 @@ func (m *Memory) WriteLE(p Phys, size int, v uint64) error {
 		return err
 	}
 	f := FrameOf(p)
-	if h, ok := m.ioFrames[f]; ok {
-		h.MMIOWrite(uint32(p&(PageSize-1)), size, v)
-		return nil
-	}
 	off := int(p & (PageSize - 1))
 	if off+size <= PageSize {
 		pg := m.ensurePage(f)
@@ -420,7 +374,7 @@ func (m *Memory) WriteLE(p Phys, size int, v uint64) error {
 			pg[off+i] = byte(v >> (8 * i))
 		}
 		if m.ftype[f] == FramePageTable {
-			m.notifyPT(f)
+			m.ptGen++
 		}
 		return nil
 	}
@@ -455,7 +409,7 @@ func (m *Memory) ZeroFrame(f Frame) error {
 		}
 	}
 	if m.ftype[f] == FramePageTable {
-		m.notifyPT(f)
+		m.ptGen++
 	}
 	if m.clock != nil {
 		m.clock.Charge(TagMemAccess, CostPageZero)
@@ -472,7 +426,7 @@ func (m *Memory) FrameBytes(f Frame) ([]byte, error) {
 	// The caller may write through the returned slice; treat the
 	// hand-out as a potential mutation of a page-table frame.
 	if m.ftype[f] == FramePageTable {
-		m.notifyPT(f)
+		m.ptGen++
 	}
 	return m.ensurePage(f)[:], nil
 }

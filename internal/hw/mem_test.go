@@ -130,43 +130,6 @@ func TestZeroFrame(t *testing.T) {
 	}
 }
 
-type fakeMMIO struct {
-	lastOff uint32
-	lastVal uint64
-	reads   int
-}
-
-func (f *fakeMMIO) MMIORead(off uint32, size int) uint64 {
-	f.reads++
-	return uint64(off) + 7
-}
-
-func (f *fakeMMIO) MMIOWrite(off uint32, size int, val uint64) {
-	f.lastOff, f.lastVal = off, val
-}
-
-func TestMMIORouting(t *testing.T) {
-	m := newTestMem(t, 8)
-	f, _ := m.AllocFrame(FrameIO)
-	dev := &fakeMMIO{}
-	if err := m.RegisterMMIO(f, dev); err != nil {
-		t.Fatal(err)
-	}
-	if err := m.WritePhys(f.Addr()+0x10, []byte{0xab, 0, 0, 0, 0, 0, 0, 0}); err != nil {
-		t.Fatal(err)
-	}
-	if dev.lastOff != 0x10 || dev.lastVal != 0xab {
-		t.Errorf("MMIO write routed to off=%#x val=%#x", dev.lastOff, dev.lastVal)
-	}
-	v, err := m.Read64(f.Addr() + 0x20)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if v != 0x27 || dev.reads != 1 {
-		t.Errorf("MMIO read = %#x reads=%d", v, dev.reads)
-	}
-}
-
 func TestFrameTypeStrings(t *testing.T) {
 	for ft := FrameFree; ft <= FrameIO; ft++ {
 		if ft.String() == "" {

@@ -126,11 +126,11 @@ var ErrNotMapped = errors.New("not mapped")
 // Alongside the modeled TLB the MMU keeps a host-side *walk cache* of
 // completed software walks, keyed by (root, page) so it is valid across
 // address-space switches. It is a pure simulator speedup: users of
-// CachedLeaf charge virtual time as if they had walked the tables. Its
-// correctness contract is strict invalidation — every way a page-table
-// byte can change (RawWritePTE, raw physical stores, frame zero/free/
-// retype, explicit InvalidatePageIn) drops the affected entries, so a
-// cached translation can never outlive the mapping it describes.
+// CachedLeaf charge virtual time as if they had walked the tables. A
+// cached walk serves only the page-table generation (Memory.ptGen) it
+// was filled at, and every way a page-table byte can change advances
+// that generation, so a cached translation can never outlive the
+// mapping it describes.
 type MMU struct {
 	mem   *Memory
 	clock *Clock
@@ -141,27 +141,29 @@ type MMU struct {
 	root Frame // current CR3 (root page-table frame); 0 = none
 	tlb  map[Virt]tlbEntry
 
-	// cache is the host-side walk cache. It caches completed software
-	// walks of *physical memory*, which all CPUs share, so on a
-	// multi-CPU machine every MMU points at one cache (per-CPU state is
-	// the modeled TLB above, never the walk cache — a stale shared
-	// entry would be a simulator bug, while a stale TLB entry is a
-	// modeled hardware hazard).
-	cache *walkCache
+	// walks is the host-side walk cache, direct-mapped by walkIndex. It
+	// describes the physical page tables all CPUs share, but needs no
+	// sharing: every MMU checks its slots against the one Memory.ptGen.
+	walks [walkSlots]walkSlot
 }
 
-// walkCache is the shared host-side cache of completed software walks;
-// see the MMU comment above for its strict-invalidation contract.
-type walkCache struct {
-	walk     map[walkKey]walkEntry
-	walkDeps map[Frame]map[walkKey]struct{} // table frame -> entries whose walk traversed it
+// walkSlots is the number of walks an MMU caches. No workload keeps
+// more than a handful live at once.
+const walkSlots = 64
+
+// walkSlot is one cached positive walk: the address space it was
+// performed in (root frame, standing in for CR3), the page, the
+// page-table generation it was filled at, and the leaf PTE it found.
+type walkSlot struct {
+	root Frame
+	page Virt
+	gen  uint64
+	pte  PTE
 }
 
-func newWalkCache() *walkCache {
-	return &walkCache{
-		walk:     make(map[walkKey]walkEntry),
-		walkDeps: make(map[Frame]map[walkKey]struct{}),
-	}
+// walkIndex picks the slot that caches page's walk from root.
+func walkIndex(root Frame, page Virt) uint64 {
+	return (uint64(page)>>PageShift ^ uint64(root)) % walkSlots
 }
 
 type tlbEntry struct {
@@ -169,45 +171,12 @@ type tlbEntry struct {
 	flags uint64
 }
 
-// walkKey identifies a cached software walk: the address space it was
-// performed in (root frame, standing in for CR3) and the page.
-type walkKey struct {
-	root Frame
-	page Virt
-}
-
-// walkEntry is a completed positive walk: the leaf PTE plus every
-// page-table frame the walk read, root included, for dependency-based
-// invalidation.
-type walkEntry struct {
-	pte    PTE
-	tables [ptLevels]Frame
-}
-
 // NewMMU creates an MMU over the given memory.
 func NewMMU(mem *Memory, clock *Clock) *MMU {
-	u := &MMU{
-		mem:   mem,
-		clock: clock,
-		tlb:   make(map[Virt]tlbEntry),
-		cache: newWalkCache(),
-	}
-	mem.SetPTWatch(u.invalidateTableFrame)
-	return u
-}
-
-// NewMMUSharing creates an MMU for an additional CPU of the same
-// machine. It has its own TLB (the per-CPU hazard the shootdown
-// protocol exists for) but shares the primary MMU's walk cache, since
-// that cache describes the shared physical page tables. The primary's
-// page-table watch already invalidates the shared cache, so no second
-// watch is registered.
-func NewMMUSharing(mem *Memory, clock *Clock, primary *MMU) *MMU {
 	return &MMU{
 		mem:   mem,
 		clock: clock,
 		tlb:   make(map[Virt]tlbEntry),
-		cache: primary.cache,
 	}
 }
 
@@ -347,11 +316,10 @@ func (u *MMU) RawWritePTE(table Frame, idx uint64, e PTE) error {
 	if err := u.mem.Write64(table.Addr()+Phys(idx*8), uint64(e)); err != nil {
 		return err
 	}
-	// Any cached walk that traversed this table may now be stale. This
-	// covers tables the kernel never declared as FramePageTable (the
-	// Memory-level watch only sees typed frames), so hostile Native
-	// kernels cannot bypass it.
-	u.invalidateTableFrame(table)
+	// Any cached walk may now be stale. Advancing the generation here,
+	// whatever the frame's type, covers tables the kernel never declared
+	// as FramePageTable, so a hostile Native kernel cannot bypass it.
+	u.mem.ptGen++
 	return nil
 }
 
@@ -363,22 +331,12 @@ func (u *MMU) ReadPTE(table Frame, idx uint64) (PTE, error) {
 
 // VisitPresentPTEs calls fn with every present entry of the page-table
 // page in frame table, in index order: what 512 ReadPTE calls find,
-// with one range check and one device lookup for the page instead of
-// one per entry. It reads RAM in place and writes nothing, so fn must
-// not store to the table page; an MMIO frame is read entry by entry
-// through its handler, as ReadPTE would. It charges nothing, as
-// ReadPTE charges nothing.
+// with one range check for the page instead of one per entry. It reads
+// RAM in place and writes nothing, so fn must not store to the table
+// page. It charges nothing, as ReadPTE charges nothing.
 func (u *MMU) VisitPresentPTEs(table Frame, fn func(PTE)) error {
 	if err := u.mem.checkRange(table.Addr(), PageSize); err != nil {
 		return err
-	}
-	if _, ok := u.mem.ioFrames[table]; ok {
-		for i := uint64(0); i < ptEntries; i++ {
-			if e, err := u.readPTE(table, i); err == nil && e.Present() {
-				fn(e)
-			}
-		}
-		return nil
 	}
 	pg := u.mem.page(table)
 	if pg == nil {
@@ -452,82 +410,19 @@ func (u *MMU) EnsureTables(root Frame, v Virt,
 // whatever virtual cost the modeled access would pay, because the cache
 // exists only to spare the *host* the O(levels) physical reads.
 func (u *MMU) CachedLeaf(root Frame, v Virt) (PTE, bool, error) {
-	key := walkKey{root: root, page: PageOf(v)}
-	if we, ok := u.cache.walk[key]; ok {
-		return we.pte, true, nil
+	page := PageOf(v)
+	s := &u.walks[walkIndex(root, page)]
+	if s.gen == u.mem.ptGen && s.root == root && s.page == page {
+		return s.pte, true, nil
 	}
-	var tables [ptLevels]Frame
-	table := root
-	for level := ptLevels - 1; level >= 1; level-- {
-		tables[level] = table
-		e, err := u.readPTE(table, ptIndex(v, level))
-		if err != nil {
-			return 0, false, err
-		}
-		if !e.Present() {
-			return 0, false, nil
-		}
-		table = e.Frame()
-	}
-	tables[0] = table
-	leaf, err := u.readPTE(table, ptIndex(v, 0))
-	if err != nil {
+	table, idx, ok, err := u.WalkLeaf(root, v)
+	if err != nil || !ok {
 		return 0, false, err
 	}
-	if !leaf.Present() {
-		return 0, false, nil
+	leaf, err := u.readPTE(table, idx)
+	if err != nil || !leaf.Present() {
+		return 0, false, err
 	}
-	u.cache.walk[key] = walkEntry{pte: leaf, tables: tables}
-	for _, f := range tables {
-		deps := u.cache.walkDeps[f]
-		if deps == nil {
-			deps = make(map[walkKey]struct{})
-			u.cache.walkDeps[f] = deps
-		}
-		deps[key] = struct{}{}
-	}
+	*s = walkSlot{root: root, page: page, gen: u.mem.ptGen, pte: leaf}
 	return leaf, true, nil
-}
-
-// InvalidatePageIn drops the cached walk for one page of one address
-// space. The SVA layer calls it from its mapping-update operations
-// (rawMap/rawUnmap); because the cache is keyed by (root, page) and
-// entries are dropped eagerly, switching roots can never resurrect a
-// translation invalidated while its address space was inactive.
-func (u *MMU) InvalidatePageIn(root Frame, v Virt) {
-	u.dropWalk(walkKey{root: root, page: PageOf(v)})
-}
-
-// invalidateTableFrame drops every cached walk that traversed the given
-// page-table frame. It is registered as the Memory layer's page-table
-// watch, so raw physical stores, ZeroFrame, FrameBytes hand-outs,
-// SetType and FreeFrame on declared table frames all funnel here.
-func (u *MMU) invalidateTableFrame(f Frame) {
-	deps := u.cache.walkDeps[f]
-	if len(deps) == 0 {
-		return
-	}
-	keys := make([]walkKey, 0, len(deps))
-	for k := range deps {
-		keys = append(keys, k)
-	}
-	for _, k := range keys {
-		u.dropWalk(k)
-	}
-}
-
-func (u *MMU) dropWalk(key walkKey) {
-	we, ok := u.cache.walk[key]
-	if !ok {
-		return
-	}
-	delete(u.cache.walk, key)
-	for _, f := range we.tables {
-		if deps := u.cache.walkDeps[f]; deps != nil {
-			delete(deps, key)
-			if len(deps) == 0 {
-				delete(u.cache.walkDeps, f)
-			}
-		}
-	}
 }

@@ -14,9 +14,10 @@ import (
 //
 // Host-side acceleration structures are *not* state: the walk cache,
 // tracer, tap hooks and device handler registrations are rebuilt or
-// cold-started on restore. Cold-starting the walk cache is safe by its
-// own contract — callers charge virtual time as if every lookup walked
-// the tables, so hit/miss behaviour is invisible to the virtual clock.
+// cold-started on restore. A restore replaces every page, so it
+// advances the page-table generation and every cached walk goes stale;
+// that cold start is invisible to the virtual clock, because callers
+// charge as if every lookup walked the tables.
 
 // MachineSnap is the full serializable hardware state of one machine.
 // Field order and JSON names are part of the image format; changing
@@ -165,9 +166,6 @@ func (m *Machine) ApplySnap(s *MachineSnap, sharePages bool) error {
 	for i, c := range m.CPUs {
 		c.applySnap(&s.CPUs[i])
 	}
-	// All cached walks describe pre-restore page tables; drop them. The
-	// cache is shared, so resetting the primary MMU reaches every CPU.
-	m.MMU.ResetWalkCache()
 	m.Disk.applySnap(&s.Disk, sharePages)
 	m.NIC.applySnap(&s.NIC)
 	m.IOMMU.applySnap(&s.IOMMU)
@@ -238,6 +236,7 @@ func (m *Memory) captureSnap() MemSnap {
 }
 
 func (m *Memory) applySnap(s *MemSnap, sharePages bool) {
+	m.ptGen++ // every page, page tables included, is replaced
 	for i := range m.ftype {
 		m.ftype[i] = FrameType(s.FType[i])
 	}
@@ -294,14 +293,6 @@ func (c *CPU) applySnap(s *CPUSnap) {
 	for _, e := range s.TLB {
 		c.MMU.tlb[Virt(e.Page)] = tlbEntry{frame: Frame(e.Frame), flags: e.Flags}
 	}
-}
-
-// ResetWalkCache drops every cached software walk. Restore calls it
-// because cached walks describe the pre-restore page tables; by the
-// cache's contract a cold start is invisible to the virtual clock.
-func (u *MMU) ResetWalkCache() {
-	clear(u.cache.walk)
-	clear(u.cache.walkDeps)
 }
 
 func (d *Disk) captureSnap() DiskSnap {
