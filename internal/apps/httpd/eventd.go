@@ -132,6 +132,11 @@ func EventServerMain(cfg EventServerConfig) func(p *kernel.Proc) {
 				}
 				c.out = c.out[ret:]
 			}
+			if len(c.out) == 0 {
+				// Drop the drained reply: an empty slice of it would
+				// keep its bytes alive for as long as the connection.
+				c.out = nil
+			}
 			if len(c.out) > 0 && !c.wantOut {
 				c.wantOut = true
 				p.Syscall(kernel.SysPollCtl, pfd, kernel.PollCtlMod, uint64(fd), kernel.POLLIN|kernel.POLLOUT)

@@ -104,6 +104,17 @@ func (e *moduleEnv) InKernelCode(addr uint64) bool {
 	return e.h.xlator.Space.InKernelCode(addr)
 }
 
+// DirectPage implements vir.DirectPages: a kernel address is the
+// scratch direct map, whose Load and Store are exactly the
+// CostMemAccess charge and a byte access. An untouched page is nil, so
+// the engine's first store to it comes through Store, which allocates.
+func (e *moduleEnv) DirectPage(addr hw.Virt) *[hw.PageSize]byte {
+	if !hw.IsKernel(addr) {
+		return nil
+	}
+	return e.scratch.page(addr)
+}
+
 // CodeEpoch implements vir.CodeEpochs: the pre-linked engine flushes
 // its code cache whenever the code space's bindings change.
 func (e *moduleEnv) CodeEpoch() uint64 {
@@ -128,6 +139,7 @@ func (e *moduleEnv) PortOut(port uint16, v uint64) error {
 }
 
 var (
-	_ vir.Env        = (*moduleEnv)(nil)
-	_ vir.CodeEpochs = (*moduleEnv)(nil)
+	_ vir.Env         = (*moduleEnv)(nil)
+	_ vir.CodeEpochs  = (*moduleEnv)(nil)
+	_ vir.DirectPages = (*moduleEnv)(nil)
 )

@@ -27,7 +27,7 @@ import (
 //
 // and justify the new numbers in the commit message.
 
-var updateGolden = flag.Bool("update", false, "rewrite the golden files under testdata (golden_cycles.json, golden_smp.json, golden_bench.json)")
+var updateGolden = flag.Bool("update", false, "rewrite the golden files under testdata (golden_cycles.json, golden_smp.json, golden_bench.json, golden_trace.json)")
 
 // goldenEntry is one pinned measurement: the benchmark's reported
 // value (virtual µs) and the machine's cumulative cycle counter after

@@ -25,17 +25,17 @@ func bootEnginePair(t *testing.T, mode core.Mode) (*Kernel, *Kernel) {
 }
 
 // runOnBoth invokes the same module function on both kernels and
-// asserts result, error, and clock-delta equality. Returns the common
-// result.
+// asserts result, error, and clock-delta and ledger-delta equality.
+// Returns the common result.
 func runOnBoth(t *testing.T, kL, kR *Kernel, modOf func(*Kernel) *Module, fn string, args ...uint64) uint64 {
 	t.Helper()
-	c0 := kL.M.Clock.Cycles()
+	c0, l0 := kL.M.Clock.Cycles(), kL.M.Clock.Ledger()
 	vL, errL := kL.RunModuleFunc(modOf(kL), fn, args...)
-	dL := kL.M.Clock.Cycles() - c0
+	dL, lL := kL.M.Clock.Cycles()-c0, kL.M.Clock.Ledger().Sub(l0)
 
-	c0 = kR.M.Clock.Cycles()
+	c0, l0 = kR.M.Clock.Cycles(), kR.M.Clock.Ledger()
 	vR, errR := kR.RunModuleFunc(modOf(kR), fn, args...)
-	dR := kR.M.Clock.Cycles() - c0
+	dR, lR := kR.M.Clock.Cycles()-c0, kR.M.Clock.Ledger().Sub(l0)
 
 	errs := func(err error) string {
 		if err == nil {
@@ -49,6 +49,9 @@ func runOnBoth(t *testing.T, kL, kR *Kernel, modOf func(*Kernel) *Module, fn str
 	}
 	if dL != dR {
 		t.Fatalf("%s: clock divergence: linked %d cycles, reference %d", fn, dL, dR)
+	}
+	if lL != lR {
+		t.Fatalf("%s: ledger divergence: linked %v, reference %v", fn, lL, lR)
 	}
 	return vL
 }
@@ -69,6 +72,19 @@ func TestEnginesAgreeOnCoreModule(t *testing.T) {
 			t.Fatalf("[%v] kchecksum = 0", mode)
 		}
 		runOnBoth(t, kL, kR, core, "kstrlen", buf+200)
+
+		// The engine reads and writes the direct map's pages itself
+		// (vir.DirectPages): accesses that straddle a page, read a page
+		// never written, or alternate between two buffers' pages must
+		// cost what Env.Load and Env.Store charge.
+		runOnBoth(t, kL, kR, core, "kmemset", buf+0x1000-20, 0x5c, 64)
+		runOnBoth(t, kL, kR, core, "kmemset", buf+0x3000-20, 0x5c, 64)
+		if eq := runOnBoth(t, kL, kR, core, "kmemcmp", buf+0x1000-20, buf+0x3000-20, 64); eq != 0 {
+			t.Fatalf("[%v] kmemcmp across pages = %d", mode, eq)
+		}
+		if sum := runOnBoth(t, kL, kR, core, "kchecksum", buf+0x8000, 32); sum != 0 {
+			t.Fatalf("[%v] kchecksum of a page never written = %#x", mode, sum)
+		}
 	}
 }
 

@@ -33,7 +33,7 @@ type Engine struct {
 	epoch uint64
 
 	// fuse enables the superinstruction fusion pass (fuse.go) and the
-	// monomorphic inline caches on indirect-call sites. Always on in
+	// polymorphic inline caches on indirect-call sites. Always on in
 	// production; SetFuse(false) exists for the differential tests and
 	// the fuse/no-fuse benchmark pairs.
 	fuse   bool
@@ -46,6 +46,17 @@ type Engine struct {
 
 	steps  int
 	active bool
+
+	// pages is the direct-map window (DirectPages): the last two pages
+	// the Env handed out, newest first. Two, because a loop over two
+	// buffers alternates between their pages.
+	pages [2]directPage
+}
+
+// directPage is one entry of the engine's direct-map window.
+type directPage struct {
+	base hw.Virt
+	pg   *[hw.PageSize]byte
 }
 
 // NewEngine creates an engine with the default step budget and
@@ -62,7 +73,10 @@ func NewEngine() *Engine {
 // setting. Snapshot restore calls it: re-linking against the restored
 // kernel is pure host-side work the virtual clock never sees, so a
 // deterministic cold start is always safe and never stale.
-func (e *Engine) ResetCaches() { clear(e.cache) }
+func (e *Engine) ResetCaches() {
+	clear(e.cache)
+	e.pages = [2]directPage{}
+}
 
 // SetFuse switches superinstruction fusion and the indirect-call inline
 // caches on or off. Toggling flushes the linked-code cache so the
@@ -84,12 +98,7 @@ func (e *Engine) Fusion() FusionStats { return e.fstats }
 // code again) shares the outer run's step budget rather than
 // refreshing it.
 func (e *Engine) Call(env Env, fn *Function, args ...uint64) (uint64, error) {
-	if ce, ok := env.(CodeEpochs); ok {
-		if ep := ce.CodeEpoch(); ep != e.epoch {
-			clear(e.cache)
-			e.epoch = ep
-		}
-	}
+	e.syncEpoch(env)
 	// The clock is hoisted out of the frame loop: one Env interface
 	// call per top-level run instead of one per frame.
 	clk := env.Clock()
@@ -98,8 +107,23 @@ func (e *Engine) Call(env Env, fn *Function, args ...uint64) (uint64, error) {
 	}
 	e.active = true
 	e.steps = 0
+	e.pages = [2]directPage{}
 	defer func() { e.active = false }()
 	return e.exec(env, clk, e.linked(env, fn), args, 0)
+}
+
+// syncEpoch drops every cached lowering when env reports code bindings
+// newer than the ones the cache was linked against. Call runs it on
+// entry and run after every intrinsic and asm call-out, the only places
+// host code that could rebind code runs; a frame whose lowering
+// predates e.epoch relinks before it executes another instruction.
+func (e *Engine) syncEpoch(env Env) {
+	if ce, ok := env.(CodeEpochs); ok {
+		if ep := ce.CodeEpoch(); ep != e.epoch {
+			clear(e.cache)
+			e.epoch = ep
+		}
+	}
 }
 
 // linked returns the cached lowering of fn, linking it on first use.
@@ -157,6 +181,9 @@ func (e *Engine) run(env Env, clk *hw.Clock, lf *linkedFn, args []uint64, depth 
 	n := copy(regs, args)
 	clear(regs[n:])
 	code := lf.code
+	// ep is the epoch lf was linked under. Any call-out may move
+	// e.epoch; the frame then relinks (relink) before going on.
+	ep := e.epoch
 
 	var retOverride uint64 // code address forced by __corrupt_return
 	overridden := false
@@ -171,16 +198,101 @@ func (e *Engine) run(env Env, clk *hw.Clock, lf *linkedFn, args []uint64, depth 
 			// the step budget expires inside it, which falls back to
 			// per-instruction accounting to stay bit-identical. The
 			// batch was merged per tag at link time, so attribution
-			// costs one Charge per tag present, not per instruction.
+			// costs one Charge per tag present, not per instruction,
+			// and never a zero charge.
 			e.steps += n
 			if e.steps > e.MaxSteps {
 				return 0, e.stepLimit(clk, regs, code, pc, n)
 			}
-			for _, tc := range in.segCharges {
-				clk.Charge(tc.tag, tc.n)
+			if in.n1 != 0 {
+				clk.Charge(in.tag1, in.n1)
+				if in.n2 != 0 {
+					clk.Charge(in.tag2, in.n2)
+					for _, tc := range in.more {
+						clk.Charge(tc.tag, tc.n)
+					}
+				}
 			}
 		}
 		switch in.op {
+		// --- Operand forms (opspec.go): A is a register, B a register
+		// (RR) or an immediate (RI). ---
+		case opMovR:
+			regs[in.dst] = regs[in.a.Reg]
+		case opAddRR:
+			regs[in.dst] = regs[in.a.Reg] + regs[in.b.Reg]
+		case opAddRI:
+			regs[in.dst] = regs[in.a.Reg] + in.b.Imm
+		case opSubRR:
+			regs[in.dst] = regs[in.a.Reg] - regs[in.b.Reg]
+		case opSubRI:
+			regs[in.dst] = regs[in.a.Reg] - in.b.Imm
+		case opMulRR:
+			regs[in.dst] = regs[in.a.Reg] * regs[in.b.Reg]
+		case opMulRI:
+			regs[in.dst] = regs[in.a.Reg] * in.b.Imm
+		case opAndRR:
+			regs[in.dst] = regs[in.a.Reg] & regs[in.b.Reg]
+		case opAndRI:
+			regs[in.dst] = regs[in.a.Reg] & in.b.Imm
+		case opOrRR:
+			regs[in.dst] = regs[in.a.Reg] | regs[in.b.Reg]
+		case opOrRI:
+			regs[in.dst] = regs[in.a.Reg] | in.b.Imm
+		case opXorRR:
+			regs[in.dst] = regs[in.a.Reg] ^ regs[in.b.Reg]
+		case opXorRI:
+			regs[in.dst] = regs[in.a.Reg] ^ in.b.Imm
+		case opShlRR:
+			regs[in.dst] = regs[in.a.Reg] << (regs[in.b.Reg] & 63)
+		case opShlRI:
+			regs[in.dst] = regs[in.a.Reg] << (in.b.Imm & 63)
+		case opShrRR:
+			regs[in.dst] = regs[in.a.Reg] >> (regs[in.b.Reg] & 63)
+		case opShrRI:
+			regs[in.dst] = regs[in.a.Reg] >> (in.b.Imm & 63)
+		case opCmpEQRR:
+			regs[in.dst] = b2u(regs[in.a.Reg] == regs[in.b.Reg])
+		case opCmpEQRI:
+			regs[in.dst] = b2u(regs[in.a.Reg] == in.b.Imm)
+		case opCmpNERR:
+			regs[in.dst] = b2u(regs[in.a.Reg] != regs[in.b.Reg])
+		case opCmpNERI:
+			regs[in.dst] = b2u(regs[in.a.Reg] != in.b.Imm)
+		case opCmpLTRR:
+			regs[in.dst] = b2u(regs[in.a.Reg] < regs[in.b.Reg])
+		case opCmpLTRI:
+			regs[in.dst] = b2u(regs[in.a.Reg] < in.b.Imm)
+		case opCmpGERR:
+			regs[in.dst] = b2u(regs[in.a.Reg] >= regs[in.b.Reg])
+		case opCmpGERI:
+			regs[in.dst] = b2u(regs[in.a.Reg] >= in.b.Imm)
+		case opCmpBrEQRR:
+			pc = cmpBr(regs, in, regs[in.a.Reg] == regs[in.b.Reg])
+			continue
+		case opCmpBrEQRI:
+			pc = cmpBr(regs, in, regs[in.a.Reg] == in.b.Imm)
+			continue
+		case opCmpBrNERR:
+			pc = cmpBr(regs, in, regs[in.a.Reg] != regs[in.b.Reg])
+			continue
+		case opCmpBrNERI:
+			pc = cmpBr(regs, in, regs[in.a.Reg] != in.b.Imm)
+			continue
+		case opCmpBrLTRR:
+			pc = cmpBr(regs, in, regs[in.a.Reg] < regs[in.b.Reg])
+			continue
+		case opCmpBrLTRI:
+			pc = cmpBr(regs, in, regs[in.a.Reg] < in.b.Imm)
+			continue
+		case opCmpBrGERR:
+			pc = cmpBr(regs, in, regs[in.a.Reg] >= regs[in.b.Reg])
+			continue
+		case opCmpBrGERI:
+			pc = cmpBr(regs, in, regs[in.a.Reg] >= in.b.Imm)
+			continue
+
+		// --- Generic forms: an immediate A, and the rest of the IR. ---
 		case OpConst:
 			regs[in.dst] = in.imm
 		case OpMov:
@@ -293,19 +405,27 @@ func (e *Engine) run(env Env, clk *hw.Clock, lf *linkedFn, args []uint64, depth 
 			continue
 
 		case opFusedMaskLoad:
-			m := MaskAddress(lval(regs, in.a))
-			regs[in.dst] = m
-			v, err := env.Load(hw.Virt(m), in.size)
-			if err != nil {
-				return 0, err
+			m := hw.Virt(MaskAddress(lval(regs, in.a)))
+			regs[in.dst] = uint64(m)
+			if pg := e.window(m, in.size); pg != nil {
+				clk.Charge(hw.TagMemAccess, hw.CostMemAccess)
+				regs[in.t1] = loadLE(pg, m, in.size)
+			} else {
+				v, err := e.loadSlow(env, clk, m, in.size)
+				if err != nil {
+					return 0, err
+				}
+				regs[in.t1] = v
 			}
-			regs[in.t1] = v
 			pc++ // skip the gap
 
 		case opFusedMaskStore:
-			m := MaskAddress(lval(regs, in.a))
-			regs[in.dst] = m
-			if err := env.Store(hw.Virt(m), in.size, lval(regs, in.b)); err != nil {
+			m := hw.Virt(MaskAddress(lval(regs, in.a)))
+			regs[in.dst] = uint64(m)
+			if pg := e.window(m, in.size); pg != nil {
+				clk.Charge(hw.TagMemAccess, hw.CostMemAccess)
+				storeLE(pg, m, in.size, lval(regs, in.b))
+			} else if err := e.storeSlow(env, clk, m, in.size, lval(regs, in.b)); err != nil {
 				return 0, err
 			}
 			pc++ // skip the gap
@@ -322,28 +442,9 @@ func (e *Engine) run(env Env, clk *hw.Clock, lf *linkedFn, args []uint64, depth 
 				return 0, err
 			}
 			regs[in.dst] = ret
-			// The ret half: its step and charge come after the callee
-			// has run, exactly where the reference interpreter puts
-			// them (so a budget expiring inside the callee, or on the
-			// ret itself, lands on the same instruction with the same
-			// cycles).
-			e.steps++
-			if e.steps > e.MaxSteps {
-				return 0, ErrStepLimit
-			}
-			clk.Charge(hw.TagEngine, hw.CostCall)
-			if overridden {
-				target := retOverride
-				gadget, ok := env.FuncByAddr(target)
-				if !ok {
-					return 0, fmt.Errorf("vir: return pivots to non-code address %#x", target)
-				}
-				if gadget.NParams != 0 {
-					return 0, fmt.Errorf("vir: return pivot target %s expects arguments", gadget.Name)
-				}
-				return e.exec(env, clk, e.linked(env, gadget), nil, depth+1)
-			}
-			return lval(regs, in.a), nil
+			// The ret half leaves this frame, so a lowering the callee
+			// made stale is never consulted again.
+			return e.fusedRet(env, clk, regs, in.a, overridden, retOverride, depth)
 
 		case opFusedGap:
 			// Unreachable by construction: gaps are never branch
@@ -351,13 +452,23 @@ func (e *Engine) run(env Env, clk *hw.Clock, lf *linkedFn, args []uint64, depth 
 			return 0, fmt.Errorf("vir: internal error: executed fused gap in %s", lf.fn.Name)
 
 		case OpLoad:
-			v, err := env.Load(hw.Virt(lval(regs, in.a)), in.size)
-			if err != nil {
-				return 0, err
+			va := hw.Virt(lval(regs, in.a))
+			if pg := e.window(va, in.size); pg != nil {
+				clk.Charge(hw.TagMemAccess, hw.CostMemAccess)
+				regs[in.dst] = loadLE(pg, va, in.size)
+			} else {
+				v, err := e.loadSlow(env, clk, va, in.size)
+				if err != nil {
+					return 0, err
+				}
+				regs[in.dst] = v
 			}
-			regs[in.dst] = v
 		case OpStore:
-			if err := env.Store(hw.Virt(lval(regs, in.a)), in.size, lval(regs, in.b)); err != nil {
+			va := hw.Virt(lval(regs, in.a))
+			if pg := e.window(va, in.size); pg != nil {
+				clk.Charge(hw.TagMemAccess, hw.CostMemAccess)
+				storeLE(pg, va, in.size, lval(regs, in.b))
+			} else if err := e.storeSlow(env, clk, va, in.size, lval(regs, in.b)); err != nil {
 				return 0, err
 			}
 		case OpMemcpy:
@@ -388,6 +499,11 @@ func (e *Engine) run(env Env, clk *hw.Clock, lf *linkedFn, args []uint64, depth 
 				return 0, err
 			}
 			regs[in.dst] = ret
+			if e.epoch != ep {
+				// The call resolved before, so whether it fuses with
+				// the slot after it cannot change: that slot is no gap.
+				lf, code, ep = e.relink(env, lf)
+			}
 
 		case opCallIntrinsic:
 			// argv is arena-backed and only valid for the duration of
@@ -403,6 +519,13 @@ func (e *Engine) run(env Env, clk *hw.Clock, lf *linkedFn, args []uint64, depth 
 				return 0, err
 			}
 			regs[in.dst] = ret
+			if e.syncEpoch(env); e.epoch != ep {
+				// The symbol may resolve now, and fuse with a ret
+				// after it: that ret is all that is left to run.
+				if lf, code, ep = e.relink(env, lf); code[pc+1].op == opFusedGap {
+					return e.fusedRet(env, clk, regs, code[pc].a, overridden, retOverride, depth)
+				}
+			}
 
 		case opCorruptReturn:
 			if len(in.args) != 1 {
@@ -414,28 +537,28 @@ func (e *Engine) run(env Env, clk *hw.Clock, lf *linkedFn, args []uint64, depth 
 
 		case OpCallInd, OpCFICallInd:
 			target := lval(regs, in.a)
-			if in.op == OpCFICallInd {
-				if err := cfiCheck(env, lf.fn.Name, target); err != nil {
-					return 0, err
-				}
-			}
 			var clf *linkedFn
-			if e.fuse && in.icFn != nil && in.icTarget == target {
-				// Monomorphic inline-cache hit: the site calls the same
-				// target as last time, so skip the address resolution and
-				// the linked-cache lookup. The cache lives inside this
-				// lowering's code array, so an epoch bump (which flushes
-				// the lowering itself) can never leave it stale.
-				clf = in.icFn
+			if in.ic != nil {
+				clf = in.ic.lookup(target)
+			}
+			if clf != nil {
+				// Inline-cache hit: the entry holds the resolution and,
+				// at a cfi.callind site, the passed CFI check, both made
+				// under the bindings this lowering was linked against.
 				e.fstats.ICHits++
 			} else {
+				if in.op == OpCFICallInd {
+					if err := cfiCheck(env, lf.fn.Name, target); err != nil {
+						return 0, err
+					}
+				}
 				callee, ok := env.FuncByAddr(target)
 				if !ok {
 					return 0, fmt.Errorf("vir: indirect call in %s to non-code address %#x", lf.fn.Name, target)
 				}
 				clf = e.linked(env, callee)
-				if e.fuse {
-					in.icTarget, in.icFn = target, clf
+				if in.ic != nil {
+					in.ic.fill(target, clf)
 					e.fstats.ICMisses++
 				}
 			}
@@ -450,6 +573,11 @@ func (e *Engine) run(env Env, clk *hw.Clock, lf *linkedFn, args []uint64, depth 
 				return 0, err
 			}
 			regs[in.dst] = ret
+			if e.epoch != ep {
+				// An indirect call never fuses, so the next slot is
+				// never a gap.
+				lf, code, ep = e.relink(env, lf)
+			}
 
 		case OpRet, OpCFIRet:
 			if overridden {
@@ -459,14 +587,7 @@ func (e *Engine) run(env Env, clk *hw.Clock, lf *linkedFn, args []uint64, depth 
 						return 0, err
 					}
 				}
-				gadget, ok := env.FuncByAddr(target)
-				if !ok {
-					return 0, fmt.Errorf("vir: return pivots to non-code address %#x", target)
-				}
-				if gadget.NParams != 0 {
-					return 0, fmt.Errorf("vir: return pivot target %s expects arguments", gadget.Name)
-				}
-				return e.exec(env, clk, e.linked(env, gadget), nil, depth+1)
+				return e.pivot(env, clk, target, depth)
 			}
 			return lval(regs, in.a), nil
 
@@ -484,6 +605,10 @@ func (e *Engine) run(env Env, clk *hw.Clock, lf *linkedFn, args []uint64, depth 
 		case OpAsm:
 			if _, err := env.Intrinsic(in.sym, nil); err != nil {
 				return 0, err
+			}
+			if e.syncEpoch(env); e.epoch != ep {
+				// asm never fuses, so the next slot is never a gap.
+				lf, code, ep = e.relink(env, lf)
 			}
 
 		case OpFuncAddr:
@@ -504,6 +629,133 @@ func (e *Engine) run(env Env, clk *hw.Clock, lf *linkedFn, args []uint64, depth 
 		}
 		pc++
 	}
+}
+
+// cmpBr finishes a fused cmp+condbr: it writes the comparison result,
+// which may be live past the branch, and returns the branch target.
+func cmpBr(regs []uint64, in *linkedInstr, c bool) int {
+	if c {
+		regs[in.dst] = 1
+		return in.t1
+	}
+	regs[in.dst] = 0
+	return in.t2
+}
+
+// window returns the page of the engine's direct-map window
+// (DirectPages) that holds the whole access [va, va+size), or nil. A
+// hit does what Env.Load or Env.Store would: the CostMemAccess charge,
+// then the page's bytes. The check inlines into the hot loop; a miss
+// goes through loadSlow or storeSlow.
+func (e *Engine) window(va hw.Virt, size int) *[hw.PageSize]byte {
+	base := hw.PageOf(va)
+	if int(va-base)+size <= hw.PageSize {
+		if e.pages[0].base == base {
+			return e.pages[0].pg
+		}
+		if e.pages[1].base == base {
+			return e.pages[1].pg
+		}
+	}
+	return nil
+}
+
+// loadSlow is a load the window missed: it asks env for the page, and
+// loads through env when env does not serve it.
+func (e *Engine) loadSlow(env Env, clk *hw.Clock, va hw.Virt, size int) (uint64, error) {
+	pg := e.fetchPage(env, va, size)
+	if pg == nil {
+		return env.Load(va, size)
+	}
+	clk.Charge(hw.TagMemAccess, hw.CostMemAccess)
+	return loadLE(pg, va, size), nil
+}
+
+// storeSlow is a store the window missed.
+func (e *Engine) storeSlow(env Env, clk *hw.Clock, va hw.Virt, size int, v uint64) error {
+	pg := e.fetchPage(env, va, size)
+	if pg == nil {
+		return env.Store(va, size, v)
+	}
+	clk.Charge(hw.TagMemAccess, hw.CostMemAccess)
+	storeLE(pg, va, size, v)
+	return nil
+}
+
+// fetchPage asks env for the page holding the access [va, va+size) and
+// makes it the window's newest entry. It returns nil when the access
+// crosses a page or env does not serve the page.
+func (e *Engine) fetchPage(env Env, va hw.Virt, size int) *[hw.PageSize]byte {
+	base := hw.PageOf(va)
+	dp, ok := env.(DirectPages)
+	if !ok || int(va-base)+size > hw.PageSize {
+		return nil
+	}
+	pg := dp.DirectPage(base)
+	if pg != nil {
+		e.pages[1], e.pages[0] = e.pages[0], directPage{base, pg}
+	}
+	return pg
+}
+
+// loadLE reads a little-endian scalar of size bytes at va's offset in pg.
+func loadLE(pg *[hw.PageSize]byte, va hw.Virt, size int) uint64 {
+	off := int(va & (hw.PageSize - 1))
+	var v uint64
+	for i := size - 1; i >= 0; i-- {
+		v = v<<8 | uint64(pg[off+i])
+	}
+	return v
+}
+
+// storeLE writes a little-endian scalar of size bytes at va's offset in
+// pg.
+func storeLE(pg *[hw.PageSize]byte, va hw.Virt, size int, v uint64) {
+	off := int(va & (hw.PageSize - 1))
+	for i := 0; i < size; i++ {
+		pg[off+i] = byte(v >> (8 * i))
+	}
+}
+
+// relink replaces a running frame's lowering after a call-out moved
+// the code epoch: the frame goes on at the same pc in a lowering of
+// the same function linked against the bindings now current. Block
+// offsets do not depend on bindings, so every pc keeps its meaning;
+// fusion choices do, which the callers handle (a call that now
+// resolves may have fused with the ret after it).
+func (e *Engine) relink(env Env, lf *linkedFn) (*linkedFn, []linkedInstr, uint64) {
+	lf = e.linked(env, lf.fn)
+	return lf, lf.code, e.epoch
+}
+
+// fusedRet is the ret half of a fused call+ret, run after the callee
+// has returned: its step and charge come after the callee, exactly
+// where the reference interpreter puts them (so a budget expiring
+// inside the callee, or on the ret itself, lands on the same
+// instruction with the same cycles).
+func (e *Engine) fusedRet(env Env, clk *hw.Clock, regs []uint64, a Value, overridden bool, retOverride uint64, depth int) (uint64, error) {
+	e.steps++
+	if e.steps > e.MaxSteps {
+		return 0, ErrStepLimit
+	}
+	clk.Charge(hw.TagEngine, hw.CostCall)
+	if overridden {
+		return e.pivot(env, clk, retOverride, depth)
+	}
+	return lval(regs, a), nil
+}
+
+// pivot transfers control to a smashed return address (the ROP case):
+// the target runs as a zero-argument function in place of the return.
+func (e *Engine) pivot(env Env, clk *hw.Clock, target uint64, depth int) (uint64, error) {
+	gadget, ok := env.FuncByAddr(target)
+	if !ok {
+		return 0, fmt.Errorf("vir: return pivots to non-code address %#x", target)
+	}
+	if gadget.NParams != 0 {
+		return 0, fmt.Errorf("vir: return pivot target %s expects arguments", gadget.Name)
+	}
+	return e.exec(env, clk, e.linked(env, gadget), nil, depth+1)
 }
 
 // stepLimit is the exact slow path for a budget expiring inside a
@@ -547,10 +799,11 @@ func (e *Engine) stepLimit(clk *hw.Clock, regs []uint64, code []linkedInstr, pc,
 }
 
 // pureEval executes one pure (non-faulting, non-calling, non-branching)
-// instruction. It must stay in sync with the corresponding cases of
-// the Engine.exec switch.
+// instruction by its generic opcode (base), whatever operand form it
+// was lowered to. It must stay in sync with the corresponding cases of
+// the Engine.run switch.
 func pureEval(regs []uint64, in *linkedInstr) {
-	switch in.op {
+	switch in.base {
 	case OpConst:
 		regs[in.dst] = in.imm
 	case OpMov:

@@ -139,8 +139,8 @@ func benchFuseLoop(b *testing.B, fuse bool) {
 	}
 }
 
-// benchICSource hammers one indirect-call site with a monomorphic
-// target: with fusion on, every iteration after the first hits the
+// benchICSource hammers indirect-call sites that each see one target:
+// with fusion on, every iteration after the first hits the
 // inline cache and skips the address resolution and linked-code lookup.
 const benchICSource = `module bi
 func leaf(1 params) {
@@ -169,7 +169,7 @@ done:
 `
 
 // BenchmarkEngineICLoopFuse / NoFuse: the indirect-call loop with the
-// monomorphic inline caches on vs off.
+// inline caches on vs off.
 func BenchmarkEngineICLoopFuse(b *testing.B)   { benchICLoop(b, true) }
 func BenchmarkEngineICLoopNoFuse(b *testing.B) { benchICLoop(b, false) }
 

@@ -2,9 +2,11 @@ package vir
 
 import (
 	"errors"
+	"fmt"
 	"os"
 	"path/filepath"
 	"reflect"
+	"strings"
 	"testing"
 
 	"repro/internal/hw"
@@ -28,16 +30,19 @@ type epochMemEnv struct {
 func (e *epochMemEnv) CodeEpoch() uint64 { return e.epoch }
 
 // diffOutcome captures everything observable about one execution.
+// The per-tag ledger is compared beside the total, so a charge that
+// lands on the wrong tag diverges even when the cycle count agrees.
 type diffOutcome struct {
 	ret    uint64
 	errStr string
 	cycles uint64
+	ledger hw.Ledger
 	mem    map[hw.Virt]byte
 	ports  map[uint16]uint64
 }
 
 func outcome(ret uint64, err error, env *memEnv) diffOutcome {
-	o := diffOutcome{ret: ret, cycles: env.clock.Cycles(), mem: env.mem, ports: env.ports}
+	o := diffOutcome{ret: ret, cycles: env.clock.Cycles(), ledger: env.clock.Ledger(), mem: env.mem, ports: env.ports}
 	if err != nil {
 		o.errStr = err.Error()
 	}
@@ -50,9 +55,24 @@ func outcome(ret uint64, err error, env *memEnv) diffOutcome {
 // matches across all three. It returns the common outcome.
 func runDiff(t *testing.T, maxSteps int, setup func(env *memEnv) (*Function, []uint64)) diffOutcome {
 	t.Helper()
+	return runDiffEnv(t, maxSteps, false, func(env *epochMemEnv) (*Function, []uint64) {
+		return setup(env.memEnv)
+	})
+}
+
+// runDiffEpochs is runDiff for code whose bindings move while it runs:
+// the engine sees each env with the CodeEpochs capability, and setup
+// receives the wrapper, whose epoch an intrinsic may bump.
+func runDiffEpochs(t *testing.T, maxSteps int, setup func(env *epochMemEnv) (*Function, []uint64)) diffOutcome {
+	t.Helper()
+	return runDiffEnv(t, maxSteps, true, setup)
+}
+
+func runDiffEnv(t *testing.T, maxSteps int, epochs bool, setup func(env *epochMemEnv) (*Function, []uint64)) diffOutcome {
+	t.Helper()
 
 	refEnv := newMemEnv()
-	fn, args := setup(refEnv)
+	fn, args := setup(&epochMemEnv{memEnv: refEnv, epoch: 1})
 	ip := NewInterp(refEnv)
 	if maxSteps > 0 {
 		ip.MaxSteps = maxSteps
@@ -61,14 +81,19 @@ func runDiff(t *testing.T, maxSteps int, setup func(env *memEnv) (*Function, []u
 	ref := outcome(rv, rerr, refEnv)
 
 	for _, fuse := range []bool{true, false} {
-		engEnv := newMemEnv()
-		fn2, args2 := setup(engEnv)
+		wrapped := &epochMemEnv{memEnv: newMemEnv(), epoch: 1}
+		engEnv := wrapped.memEnv
+		fn2, args2 := setup(wrapped)
+		var env Env = engEnv
+		if epochs {
+			env = wrapped
+		}
 		eng := NewEngine()
 		eng.SetFuse(fuse)
 		if maxSteps > 0 {
 			eng.MaxSteps = maxSteps
 		}
-		ev, eerr := eng.Call(engEnv, fn2, args2...)
+		ev, eerr := eng.Call(env, fn2, args2...)
 		got := outcome(ev, eerr, engEnv)
 		tag := map[bool]string{true: "engine(fuse)", false: "engine(nofuse)"}[fuse]
 
@@ -80,6 +105,9 @@ func runDiff(t *testing.T, maxSteps int, setup func(env *memEnv) (*Function, []u
 		}
 		if got.cycles != ref.cycles {
 			t.Errorf("%s clock mismatch: %d cycles, reference %d", tag, got.cycles, ref.cycles)
+		}
+		if got.ledger != ref.ledger {
+			t.Errorf("%s ledger mismatch:\n  engine:    %v\n  reference: %v", tag, got.ledger, ref.ledger)
 		}
 		if !reflect.DeepEqual(got.mem, ref.mem) {
 			t.Errorf("%s memory state mismatch: %v, reference %v", tag, got.mem, ref.mem)
@@ -519,6 +547,176 @@ func TestStepBudgetPerTopLevelRun(t *testing.T) {
 	})
 }
 
+// rebindSource is the callee of the mid-run rebinding probes: helper
+// returns its argument plus one until the "rebind" intrinsic replaces
+// it, at the same code address, with a function adding 100 (labeled,
+// or unlabeled to make a cfi.callind through it a violation).
+const rebindSource = `module rebind
+func helper(1 params) {
+entry:
+  cfi.label 0xcf1
+  %r1 = add %r0, 0x1
+  cfi.ret %r1
+}
+`
+
+// addRebind loads rebindSource into env and registers the "rebind"
+// intrinsic, which swaps helper for a function adding 100 and bumps
+// env's epoch, as loading or planting code does in the kernel.
+func addRebind(t *testing.T, env *epochMemEnv, labeled bool) {
+	t.Helper()
+	helper := addParsedModule(t, env.memEnv, rebindSource, "helper")
+	helper.Labeled = true
+	addr, _ := env.FuncAddr("helper")
+	env.intrinsics["rebind"] = func([]uint64) (uint64, error) {
+		b := NewFunction("helper", 1)
+		b.Ret(b.Add(b.Param(0), Imm(100)))
+		next := b.Fn()
+		next.Labeled = labeled
+		env.funcs["helper"] = next
+		env.addrs[addr] = next
+		env.epoch++
+		return 0, nil
+	}
+}
+
+// TestEngineDiffRebindDirectCall rebinds a direct call's callee between
+// two calls of one run, from an intrinsic the running function calls
+// and from one a callee calls. The engine must run the new callee on
+// the second call, as the reference does: 1 + 101, never 1 + 2.
+func TestEngineDiffRebindDirectCall(t *testing.T) {
+	for _, src := range []string{
+		// The running function calls the intrinsic itself.
+		`module m
+func main(0 params) {
+entry:
+  %r0 = call helper(0x0)
+  %r1 = call rebind()
+  %r2 = call helper(0x0)
+  %r3 = add %r0, %r2
+  ret %r3
+}
+`,
+		// A callee calls it: the caller relinks when the callee returns.
+		`module m
+func mid(0 params) {
+entry:
+  %r0 = call rebind()
+  ret %r0
+}
+func main(0 params) {
+entry:
+  %r0 = call helper(0x0)
+  %r1 = call mid()
+  %r2 = call helper(0x0)
+  %r3 = add %r0, %r2
+  ret %r3
+}
+`,
+	} {
+		o := runDiffEpochs(t, 0, func(env *epochMemEnv) (*Function, []uint64) {
+			addRebind(t, env, true)
+			return addParsedModule(t, env.memEnv, src, "main"), nil
+		})
+		if o.ret != 1+100 || o.errStr != "" {
+			t.Errorf("reference: ret=%d err=%q, want 101", o.ret, o.errStr)
+		}
+	}
+}
+
+// TestEngineDiffRebindIndirectCall calls through one indirect-call site
+// twice in a loop, rebinding the target's function in between. With
+// fusion on, the first call fills the site's inline cache; the second
+// must not be served from it. Through cfi.callind, the rebound function
+// carries no CFI label, so the second call is a violation: a reused
+// verdict would let it through.
+func TestEngineDiffRebindIndirectCall(t *testing.T) {
+	const src = `module m
+func main(0 params) {
+entry:
+  %r0 = funcaddr helper
+  %r1 = mov 0x0
+  %r2 = mov 0x0
+  br loop
+loop:
+  %r3 = cmplt %r1, 0x2
+  condbr %r3, body, done
+body:
+  %r4 = CALLIND %r0(%r2)
+  %r2 = mov %r4
+  %r5 = call rebind()
+  %r1 = add %r1, 0x1
+  br loop
+done:
+  ret %r2
+}
+`
+	for _, tc := range []struct {
+		callind string
+		ret     uint64
+		err     string
+	}{
+		{"callind", 1 + 100, ""},
+		{"cfi.callind", 0, "vir: CFI violation in main: target 0xffffffc000000000: target has no CFI label"},
+	} {
+		o := runDiffEpochs(t, 0, func(env *epochMemEnv) (*Function, []uint64) {
+			addRebind(t, env, false)
+			main := addParsedModule(t, env.memEnv, strings.Replace(src, "CALLIND", tc.callind, 1), "main")
+			main.Labeled = true
+			return main, nil
+		})
+		if o.ret != tc.ret || o.errStr != tc.err {
+			t.Errorf("%s: reference ret=%d err=%q, want %d and %q", tc.callind, o.ret, o.errStr, tc.ret, tc.err)
+		}
+	}
+}
+
+// TestEngineDiffRebindFusesCallRet binds a symbol from inside the
+// intrinsic it named. After the call returns, the relinked function
+// resolves the call and, hot and ending in call+ret, fuses the two:
+// the slot the frame resumes at is the fused pair's gap, and the ret
+// still runs with the reference's step and charge, budget expiry on the
+// ret included.
+func TestEngineDiffRebindFusesCallRet(t *testing.T) {
+	const src = `module m
+func hot(1 params) {
+entry:
+  %r1 = const 0x0
+  br head
+head:
+  %r2 = cmplt %r1, %r0
+  condbr %r2, body, done
+body:
+  %r1 = add %r1, 0x1
+  br head
+done:
+  %r3 = call late(%r1)
+  ret %r3
+}
+`
+	setup := func(env *epochMemEnv) (*Function, []uint64) {
+		hot := addParsedModule(t, env.memEnv, src, "hot")
+		env.intrinsics["late"] = func(args []uint64) (uint64, error) {
+			b := NewFunction("late", 1)
+			b.Ret(b.Add(b.Param(0), Imm(100)))
+			env.addFunc(b.Fn())
+			env.epoch++
+			return args[0] + 7, nil
+		}
+		return hot, []uint64{3}
+	}
+	o := runDiffEpochs(t, 0, setup)
+	if o.ret != 3+7 || o.errStr != "" {
+		t.Fatalf("reference: ret=%d err=%q, want 10", o.ret, o.errStr)
+	}
+	// entry 2 + head 2 per pass (4 passes) + body 2 per pass (3) +
+	// call and ret: the last budget that fails expires on the ret.
+	const steps = 2 + 4*2 + 3*2 + 2
+	for budget := steps - 2; budget <= steps; budget++ {
+		runDiffEpochs(t, budget, setup)
+	}
+}
+
 // TestEngineEpochInvalidation exercises the linked-code cache rule: a
 // symbol that resolved to an intrinsic at link time must re-resolve to
 // a real function after the code space's bindings change, provided the
@@ -559,7 +757,8 @@ func TestEngineEpochInvalidation(t *testing.T) {
 
 // TestEngineZeroAllocSteadyState asserts the acceptance criterion that
 // the execution loop itself performs no host allocations once warm:
-// loops, direct calls, and intrinsic dispatch all run from the arena.
+// loops, direct calls, intrinsic dispatch and an indirect-call site
+// whose inline cache holds four targets all run from the arena.
 func TestEngineZeroAllocSteadyState(t *testing.T) {
 	env := newMemEnv()
 	env.intrinsics["sink"] = func(args []uint64) (uint64, error) { return args[0], nil }
@@ -567,6 +766,14 @@ func TestEngineZeroAllocSteadyState(t *testing.T) {
 	leaf := NewFunction("leaf", 2)
 	leaf.Ret(leaf.Add(leaf.Param(0), leaf.Param(1)))
 	env.addFunc(leaf.Fn())
+
+	// Four indirect-call targets, their addresses in a table at 0x5000.
+	const table = 0x5000
+	for k := uint64(0); k < icWays; k++ {
+		f := NewFunction(fmt.Sprintf("ind%d", k), 1)
+		f.Ret(f.Add(f.Param(0), Imm(k+1)))
+		env.Store(hw.Virt(table+8*k), 8, env.addFunc(f.Fn()))
+	}
 
 	b := NewFunction("work", 1)
 	n := b.Param(0)
@@ -579,6 +786,8 @@ func TestEngineZeroAllocSteadyState(t *testing.T) {
 	b.NewBlock("body")
 	b.Assign(acc, b.Call("leaf", acc, i))
 	b.Assign(acc, b.Call("sink", acc))
+	fp := b.Load(b.Add(Imm(table), b.Shl(b.And(i, Imm(icWays-1)), Imm(3))), 8)
+	b.Assign(acc, b.CallInd(fp, acc))
 	b.Assign(i, b.Add(i, Imm(1)))
 	b.Br("loop")
 	b.NewBlock("done")
@@ -586,9 +795,12 @@ func TestEngineZeroAllocSteadyState(t *testing.T) {
 	env.addFunc(b.Fn())
 
 	eng := NewEngine()
-	// Warm: link the functions and grow the arena.
+	// Warm: link the functions, fill the cache and grow the arena.
 	if _, err := eng.Call(env, b.Fn(), 64); err != nil {
 		t.Fatal(err)
+	}
+	if st := eng.Fusion(); st.ICMisses != icWays {
+		t.Fatalf("warm-up filled %d inline-cache entries, want %d", st.ICMisses, icWays)
 	}
 	allocs := testing.AllocsPerRun(50, func() {
 		if _, err := eng.Call(env, b.Fn(), 64); err != nil {
@@ -597,6 +809,9 @@ func TestEngineZeroAllocSteadyState(t *testing.T) {
 	})
 	if allocs != 0 {
 		t.Errorf("steady-state Call allocates %v objects/run, want 0", allocs)
+	}
+	if st := eng.Fusion(); st.ICMisses != icWays {
+		t.Errorf("steady state missed the inline cache: %d misses, want %d", st.ICMisses, icWays)
 	}
 }
 
@@ -696,6 +911,11 @@ func FuzzEngineDifferential(f *testing.F) {
 		// add+br back-edge, const+ALU, and the call+ret pair — the
 		// shapes the superinstruction pass collapses (fuse.go).
 		"module fu\nfunc leaf(1 params) {\nentry:\n  %r1 = add %r0, 0x1\n  ret %r1\n}\nfunc hot(1 params) {\nentry:\n  %r1 = const 0x0\n  br head\nhead:\n  %r2 = cmplt %r1, %r0\n  condbr %r2, body, done\nbody:\n  %r3 = const 0x3\n  %r4 = mul %r1, %r3\n  %r1 = add %r1, 0x1\n  br head\ndone:\n  %r5 = call leaf(%r1)\n  ret %r5\n}\n",
+		// Every operand form (opspec.go): register–register and
+		// register–immediate ALU ops and compares, an immediate A on
+		// the generic path, and fused compare+branch loop heads of each
+		// kind.
+		"module forms\nfunc f(2 params) {\nentry:\n  %r2 = mov %r0\n  %r3 = mov 0x7\n  br head\nhead:\n  %r4 = cmplt %r3, %r1\n  condbr %r4, body, tail\nbody:\n  %r2 = add %r2, %r3\n  %r5 = sub %r2, 0x1\n  %r6 = mul %r5, %r3\n  %r7 = and %r6, 0xfff\n  %r8 = or %r7, %r2\n  %r9 = xor %r8, 0x55\n  %r10 = shl %r9, %r3\n  %r11 = shr %r10, 0x3\n  %r12 = shr 0x1000, %r3\n  %r13 = add %r11, %r12\n  %r2 = xor %r2, %r13\n  %r3 = add %r3, 0x1\n  br head\ntail:\n  %r14 = cmpeq %r2, %r0\n  %r15 = cmpne %r2, 0x0\n  %r16 = cmpge %r2, %r1\n  %r17 = cmplt 0x5, %r3\n  %r18 = add %r14, %r15\n  %r19 = add %r16, %r17\n  %r20 = cmpge %r18, 0x1\n  condbr %r20, a, b\na:\n  %r21 = cmpne %r19, %r3\n  condbr %r21, b, c\nb:\n  ret %r18\nc:\n  %r22 = cmpeq %r19, 0x2\n  condbr %r22, b, b\n}\n",
 		// Mask+load and mask+store pairs inside a loop.
 		"module fm\nfunc mem(1 params) {\nentry:\n  %r1 = const 0x0\n  br head\nhead:\n  %r2 = cmplt %r1, 0x4\n  condbr %r2, body, done\nbody:\n  %r3 = maskghost %r0\n  store8 [%r3], %r1\n  %r4 = maskghost %r0\n  %r5 = load8 [%r4]\n  %r1 = add %r5, 0x1\n  br head\ndone:\n  ret %r1\n}\n",
 	}
@@ -729,8 +949,16 @@ func FuzzEngineDifferential(f *testing.F) {
 // fuzzEngineDiff is one FuzzEngineDifferential pass over m.
 func fuzzEngineDiff(t *testing.T, m *Module, text string, labeled bool) {
 	t.Helper()
+	// The whole module must verify, not just the function run: a
+	// verified function can call an unverifiable one, on which the
+	// reference interpreter crashes instead of failing.
 	for _, fn := range m.Funcs {
-		if VerifyFunction(fn) != nil || fn.NParams > 2 || fn.NRegs > 1<<16 {
+		if VerifyFunction(fn) != nil {
+			return
+		}
+	}
+	for _, fn := range m.Funcs {
+		if fn.NParams > 2 || fn.NRegs > 1<<16 {
 			continue
 		}
 		fn := fn
@@ -766,9 +994,9 @@ func fuzzEngineDiff(t *testing.T, m *Module, text string, labeled bool) {
 		ref, rerr := runFuzz("reference")
 		for _, engine := range []string{"linked", "linked-nofuse"} {
 			got, eerr := runFuzz(engine)
-			if got.ret != ref.ret || got.errStr != ref.errStr || got.cycles != ref.cycles {
-				t.Fatalf("engines diverge on %s (%s, labeled=%v):\n  reference: ret=%#x err=%q cycles=%d\n  linked:    ret=%#x err=%q cycles=%d\nmodule:\n%s",
-					fn.Name, engine, labeled, ref.ret, ref.errStr, ref.cycles, got.ret, got.errStr, got.cycles, text)
+			if got.ret != ref.ret || got.errStr != ref.errStr || got.cycles != ref.cycles || got.ledger != ref.ledger {
+				t.Fatalf("engines diverge on %s (%s, labeled=%v):\n  reference: ret=%#x err=%q cycles=%d ledger=%v\n  linked:    ret=%#x err=%q cycles=%d ledger=%v\nmodule:\n%s",
+					fn.Name, engine, labeled, ref.ret, ref.errStr, ref.cycles, ref.ledger, got.ret, got.errStr, got.cycles, got.ledger, text)
 			}
 			if !reflect.DeepEqual(got.mem, ref.mem) || !reflect.DeepEqual(got.ports, ref.ports) {
 				t.Fatalf("engines diverge on %s (%s, labeled=%v) state\nmodule:\n%s", fn.Name, engine, labeled, text)

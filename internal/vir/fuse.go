@@ -75,12 +75,49 @@ const (
 
 // FusionStats counts the fusion tier's work: superinstruction sites the
 // linker fused (cumulative over lowerings: relinking after an epoch
-// bump counts the sites again) and monomorphic inline-cache hits/misses
-// on indirect-call sites.
+// bump counts the sites again) and inline-cache hits (indirect calls
+// resolved from their site's entries) and misses (calls that resolved
+// the target and filled an entry).
 type FusionStats struct {
 	SitesFused uint64
 	ICHits     uint64
 	ICMisses   uint64
+}
+
+// icWays is the number of (target, callee) entries an indirect-call
+// site keeps.
+const icWays = 4
+
+// icSite is the polymorphic inline cache of one indirect-call site. An
+// entry is filled only after its target resolved to a function and, at
+// a cfi.callind site, passed the CFI check; a hit therefore reuses both
+// the resolution and the verdict. Both are pure functions of the target
+// and the code-space bindings, and the site lives inside the lowering,
+// which the engine drops as soon as the bindings move (engine.go), so
+// an entry never serves a target under bindings other than those it was
+// filled under. Entries fill in order; once all are full, a miss
+// replaces them round-robin, starting with the first.
+type icSite struct {
+	target [icWays]uint64
+	fn     [icWays]*linkedFn
+	next   int // entry the next miss fills
+}
+
+// lookup returns the callee cached for target, or nil.
+func (ic *icSite) lookup(target uint64) *linkedFn {
+	for k := range ic.target {
+		if ic.target[k] == target && ic.fn[k] != nil {
+			return ic.fn[k]
+		}
+	}
+	return nil
+}
+
+// fill records a resolved target in the entry the replacement rule
+// names.
+func (ic *icSite) fill(target uint64, fn *linkedFn) {
+	ic.target[ic.next], ic.fn[ic.next] = target, fn
+	ic.next = (ic.next + 1) % icWays
 }
 
 // fusableALU reports whether op is a binary ALU/compare opcode eligible
@@ -161,6 +198,7 @@ func fusePair(a, b *linkedInstr) (linkedInstr, bool) {
 	// aliasing its shared instrCharges slice. The step-limit slow path
 	// replays these when the budget lands mid-idiom.
 	fi.fused = []linkedInstr{*a, *b}
+	fi.base = fi.op
 
 	if fi.op == opFusedCallRet {
 		fi.charges = a.charges

@@ -2,12 +2,13 @@ package vir
 
 import (
 	"errors"
+	"fmt"
 	"testing"
 
 	"repro/internal/hw"
 )
 
-// Tests for the superinstruction fusion pass and the monomorphic inline
+// Tests for the superinstruction fusion pass and the polymorphic inline
 // caches (fuse.go). The differential harness (runDiff) already runs
 // every diff test with fusion on AND off against the reference
 // interpreter; this file pins the pass's mechanics: which idioms fuse,
@@ -121,9 +122,9 @@ func TestFusedGapSegmentInvariants(t *testing.T) {
 		switch {
 		case in.op == opFusedGap:
 			gaps++
-			if in.segLen != 0 || in.segCharges != nil || in.charges != nil {
-				t.Errorf("gap at %d carries accounting: segLen=%d segCharges=%v charges=%v",
-					i, in.segLen, in.segCharges, in.charges)
+			if in.segLen != 0 || in.n1 != 0 || in.n2 != 0 || in.more != nil || in.charges != nil {
+				t.Errorf("gap at %d carries accounting: segLen=%d n1=%d n2=%d more=%v charges=%v",
+					i, in.segLen, in.n1, in.n2, in.more, in.charges)
 			}
 		case len(in.fused) > 0:
 			fused++
@@ -224,10 +225,10 @@ func TestFusionStepLimitSweep(t *testing.T) {
 	}
 }
 
-// TestInlineCacheStats pins the monomorphic inline-cache protocol: one
-// miss on first resolution, hits for every repeat of the same target,
-// a fresh miss after an epoch bump flushes the lowering, and no cache
-// activity at all with fusion off.
+// TestInlineCacheStats pins the inline-cache protocol on a site with
+// one target: one miss on first resolution, hits for every repeat of
+// the same target, a fresh miss after an epoch bump flushes the
+// lowering, and no cache activity at all with fusion off.
 func TestInlineCacheStats(t *testing.T) {
 	build := func(env *memEnv) *Function {
 		leaf := NewFunction("leaf", 1)
@@ -284,9 +285,10 @@ func TestInlineCacheStats(t *testing.T) {
 }
 
 // TestInlineCachePolymorphicSite drives one indirect-call site with an
-// alternating target: every call must miss (the cache is monomorphic)
-// and, crucially, dispatch to the *current* target, never the cached
-// one. runDiff separately proves the results match the reference.
+// alternating target: each target misses once and fills an entry, and
+// every later call hits — and, crucially, dispatches to the *current*
+// target, never another entry's. runDiff separately proves the results
+// match the reference.
 func TestInlineCachePolymorphicSite(t *testing.T) {
 	build := func(env *memEnv) (*Function, []uint64) {
 		a := NewFunction("incA", 1)
@@ -327,8 +329,101 @@ func TestInlineCachePolymorphicSite(t *testing.T) {
 	if ret != 5*1+5*100 {
 		t.Errorf("poly dispatched through stale cache: ret=%d, want 505", ret)
 	}
-	if st := eng.Fusion(); st.ICHits != 0 || st.ICMisses != 10 {
-		t.Errorf("alternating targets: hits=%d misses=%d, want 0 and 10", st.ICHits, st.ICMisses)
+	if st := eng.Fusion(); st.ICHits != 8 || st.ICMisses != 2 {
+		t.Errorf("alternating targets: hits=%d misses=%d, want 8 and 2", st.ICHits, st.ICMisses)
+	}
+	runDiff(t, 0, build)
+}
+
+// icCycleSource calls through one indirect-call site once per byte of
+// a sequence: byte k selects the k-th entry of a table of function
+// pointers. Target k adds 1<<(4k) to the accumulator, so the result
+// counts the calls that reached each target.
+const icCycleSource = `module iccycle
+func t0(1 params) {
+entry:
+  %r1 = add %r0, 0x1
+  ret %r1
+}
+func t1(1 params) {
+entry:
+  %r1 = add %r0, 0x10
+  ret %r1
+}
+func t2(1 params) {
+entry:
+  %r1 = add %r0, 0x100
+  ret %r1
+}
+func t3(1 params) {
+entry:
+  %r1 = add %r0, 0x1000
+  ret %r1
+}
+func t4(1 params) {
+entry:
+  %r1 = add %r0, 0x10000
+  ret %r1
+}
+func cycle(3 params) {
+entry:
+  %r3 = mov 0x0
+  %r4 = mov 0x0
+  br loop
+loop:
+  %r5 = cmplt %r3, %r2
+  condbr %r5, body, done
+body:
+  %r6 = add %r1, %r3
+  %r7 = load1 [%r6]
+  %r8 = shl %r7, 0x3
+  %r9 = add %r0, %r8
+  %r10 = load8 [%r9]
+  %r4 = callind %r10(%r4)
+  %r3 = add %r3, 0x1
+  br loop
+done:
+  ret %r4
+}
+`
+
+// TestInlineCacheReplacement drives one site through five targets, more
+// than its four entries. The first four misses fill the entries in
+// order; the fifth target replaces the first entry, and the next miss
+// the second (round-robin): the sequence 0 1 2 3 4 1 2 3 0 4 misses
+// on 0 1 2 3 4 and on the second 0, and hits the other four calls.
+// Every call must reach its own target.
+func TestInlineCacheReplacement(t *testing.T) {
+	const table, seqAddr = 0x3000, 0x4000
+	seq := []byte{0, 1, 2, 3, 4, 1, 2, 3, 0, 4}
+	setup := func(env *memEnv) (*Function, []uint64) {
+		fn := addParsedModule(t, env, icCycleSource, "cycle")
+		for k := 0; k < 5; k++ {
+			addr, _ := env.FuncAddr(fmt.Sprintf("t%d", k))
+			env.Store(hw.Virt(table+8*k), 8, addr)
+		}
+		for i, k := range seq {
+			env.Store(hw.Virt(seqAddr+i), 1, uint64(k))
+		}
+		return fn, []uint64{table, seqAddr, uint64(len(seq))}
+	}
+	var want uint64
+	for _, k := range seq {
+		want += 1 << (4 * k)
+	}
+	if o := runDiff(t, 0, setup); o.ret != want || o.errStr != "" {
+		t.Fatalf("reference: ret=%#x err=%q, want %#x", o.ret, o.errStr, want)
+	}
+
+	env := newMemEnv()
+	fn, args := setup(env)
+	eng := NewEngine()
+	ret, err := eng.Call(env, fn, args...)
+	if err != nil || ret != want {
+		t.Fatalf("engine: ret=%#x err=%v, want %#x", ret, err, want)
+	}
+	if st := eng.Fusion(); st.ICMisses != 6 || st.ICHits != 4 {
+		t.Errorf("five targets through four entries: misses=%d hits=%d, want 6 and 4", st.ICMisses, st.ICHits)
 	}
 }
 

@@ -19,7 +19,9 @@ import (
 //   - the deterministic clock charges of each straight-line segment are
 //     summed at link time — per cost tag, so the ledger attribution
 //     survives batching — and applied with one Clock.Charge per tag
-//     present in the segment (at most a handful).
+//     present in the segment (at most a handful),
+//   - operands whose kind the IR fixes get opcodes that read them one
+//     fixed way: register–register or register–immediate (opspec.go).
 //
 // Lowered code must stay *observably identical* to the reference
 // interpreter: same return values, same errors (strings included), and
@@ -43,6 +45,20 @@ import (
 // lifetime of the Engine.
 type CodeEpochs interface {
 	CodeEpoch() uint64
+}
+
+// DirectPages is an optional Env capability for memory the engine may
+// access itself. DirectPage returns the page holding addr when, for
+// every address in that page, Load and Store are exactly a
+// CostMemAccess charge on TagMemAccess followed by a little-endian
+// read or write of the page's bytes; it returns nil otherwise (an
+// untouched page included: the Env's own Store allocates it). The
+// kernel's module Env serves its direct map this way. A page stays
+// valid until Engine.ResetCaches, which snapshot restore calls; one
+// Engine must see Envs sharing one direct map, as it must for the
+// code space.
+type DirectPages interface {
+	DirectPage(addr hw.Virt) *[hw.PageSize]byte
 }
 
 // Internal pseudo-opcodes produced by the linker. They live above the
@@ -69,36 +85,49 @@ const (
 // indices, direct calls carry the resolved callee, and segment heads
 // carry the batched step/clock accounting for their segment.
 type linkedInstr struct {
-	op   Opcode
-	dst  int
-	a    Value
-	b    Value
+	// The fields the hot loop reads on every instruction come first,
+	// so that executing one touches as few cache lines of its 272-byte
+	// slot as it can; keep the struct from growing, since every fetch
+	// multiplies pc by its size.
+	op Opcode
+	// op2 is the secondary opcode of a fused superinstruction (the
+	// comparison of a cmp+br pair, the ALU op of a const+ALU pair).
+	op2 Opcode
+	// base is the opcode op was specialized from (opspec.go); pureEval
+	// and the step-limit replay dispatch on it.
+	base Opcode
+	// tag1/n1 and tag2/n2 are a segment head's first two batched
+	// charges in first-occurrence order; more holds any further tag.
+	// n1 == 0 means the segment charges nothing up front, n2 == 0 that
+	// it charges one tag.
+	tag1, tag2 hw.Tag
+	// segLen > 0 marks a segment head; it counts the instructions in
+	// the segment, and n1, n2 and more sum their charges per tag (built
+	// at link time, so the hot loop applies the batch without
+	// un-batching).
+	segLen int
+	n1, n2 uint64
+	dst    int
+	a      Value
+	b      Value
+	t1, t2 int       // lowered Blk1/Blk2 (indices into linkedFn.code)
+	callee *linkedFn // pre-resolved direct-call target
+	// ic is an indirect-call site's polymorphic inline cache (fuse.go),
+	// allocated at link time only for call sites and only with fusion
+	// on. It lives inside this lowering, so it can never outlive the
+	// code-space bindings it captured.
+	ic   *icSite
+	args []Value
 	c    Value
 	imm  uint64
 	size int
 	sym  string
-	args []Value
 
-	t1, t2 int       // lowered Blk1/Blk2 (indices into linkedFn.code)
-	callee *linkedFn // pre-resolved direct-call target
-
-	// op2 is the secondary opcode of a fused superinstruction (the
-	// comparison of a cmp+br pair, the ALU op of a const+ALU pair).
-	op2 Opcode
 	// fused holds the original lowered constituents of a
 	// superinstruction, in execution order — the fusion table the
 	// step-limit slow path replays per-instruction charges from. Nil on
 	// ordinary instructions.
 	fused []linkedInstr
-
-	// icTarget/icFn are the site's monomorphic inline cache for
-	// indirect calls: the last resolved (code address, lowered callee)
-	// pair. A hit skips the Env address resolution and the linked-code
-	// lookup; the cache dies with the linked code on every epoch flush,
-	// so it can never outlive the code-space bindings it captured.
-	icTarget uint64
-	icFn     *linkedFn
-
 	// charges is this instruction's own deterministic pre-charge (the
 	// cycles the reference interpreter advances unconditionally before
 	// the instruction can fail or call out), broken down by cost tag.
@@ -106,11 +135,7 @@ type linkedInstr struct {
 	// mutate it — except on superinstructions, where it is the
 	// link-time concatenation of the constituents' shared slices.
 	charges []tagCharge
-	// segLen > 0 marks a segment head; it counts the instructions in
-	// the segment and segCharges sums their charges per tag (built at
-	// link time, so the hot loop applies the batch without un-batching).
-	segLen     int
-	segCharges []tagCharge
+	more    []tagCharge
 }
 
 // tagCharge is one (tag, cycles) component of a deterministic charge.
@@ -254,26 +279,42 @@ func (e *Engine) link(env Env, fn *Function) *linkedFn {
 		}
 		lf.code[head].segLen += lf.code[i].headSteps()
 		for _, tc := range lf.code[i].charges {
-			lf.code[head].segCharges = addTagCharge(lf.code[head].segCharges, tc)
+			lf.code[head].addSegCharge(tc)
 		}
 		if endsSegment(lf.code[i].op) {
 			head = i + 1
 		}
 	}
+
+	// Pass 4: operand forms (opspec.go). Last, so fusion and segment
+	// accounting see only the IR's own opcodes.
+	specialize(lf.code)
 	return lf
 }
 
-// addTagCharge merges one charge component into a segment's per-tag
-// batch, keeping first-occurrence order (deterministic, and matching
-// the order charges first appear in the segment).
-func addTagCharge(batch []tagCharge, tc tagCharge) []tagCharge {
-	for i := range batch {
-		if batch[i].tag == tc.tag {
-			batch[i].n += tc.n
-			return batch
+// addSegCharge merges one charge component into a segment head's
+// per-tag batch, keeping first-occurrence order (deterministic, and
+// matching the order charges first appear in the segment): the first
+// two tags fill the head's fields, any further tag goes to more.
+func (h *linkedInstr) addSegCharge(tc tagCharge) {
+	switch {
+	case h.n1 == 0:
+		h.tag1, h.n1 = tc.tag, tc.n
+	case h.tag1 == tc.tag:
+		h.n1 += tc.n
+	case h.n2 == 0:
+		h.tag2, h.n2 = tc.tag, tc.n
+	case h.tag2 == tc.tag:
+		h.n2 += tc.n
+	default:
+		for i := range h.more {
+			if h.more[i].tag == tc.tag {
+				h.more[i].n += tc.n
+				return
+			}
 		}
+		h.more = append(h.more, tc)
 	}
-	return append(batch, tc)
 }
 
 // lower translates the instruction b.Instrs[idx].
@@ -311,15 +352,20 @@ func (e *Engine) lower(env Env, fn *Function, b *Block, idx int, starts map[stri
 			li.op = opFuncAddrImm
 			li.imm = addr
 		}
+	case OpCallInd, OpCFICallInd:
+		if e.fuse {
+			li.ic = new(icSite)
+		}
 	case OpConst, OpMov, OpAdd, OpSub, OpMul, OpAnd, OpOr, OpXor,
 		OpShl, OpShr, OpCmpEQ, OpCmpNE, OpCmpLT, OpCmpGE, OpSelect,
-		OpLoad, OpStore, OpMemcpy, OpCallInd, OpCFICallInd, OpMaskGhost,
+		OpLoad, OpStore, OpMemcpy, OpMaskGhost,
 		OpRet, OpCFIRet, OpPortIn, OpPortOut, OpCFILabel:
 		// Lowered as-is.
 	default:
 		li.op = opUnimpl
 		li.imm = uint64(in.Op)
 	}
+	li.base = li.op
 	li.charges = instrCharges(li.op)
 	return li
 }
