@@ -20,7 +20,7 @@ import (
 	"encoding/hex"
 	"fmt"
 	"slices"
-	"sort"
+	"strconv"
 	"strings"
 
 	"repro/internal/hw"
@@ -48,13 +48,23 @@ type EventServerConfig struct {
 }
 
 // evConn is the per-connection state of the event loop: the partial
-// request line read so far and the unsent response tail.
+// request line read so far and the reply being sent. out is the reply's
+// whole buffer and sent how much of it has gone, so a drained buffer
+// can go back to the server as its spare; out is nil when nothing is
+// pending.
 type evConn struct {
 	in      []byte
 	out     []byte
+	sent    int
 	wantOut bool // POLLOUT registered
 	dead    bool // close after the out buffer drains
 }
+
+// maxConnFD bounds the descriptor numbers the server tracks; the
+// kernel's table holds 32,768. An accepted number past it is the OS
+// lying, and is closed rather than allowed to size the connection
+// table.
+const maxConnFD = 1 << 16
 
 // sessionLabel derives the token-sealing subkey from the app key.
 const sessionLabel = "eventd-session"
@@ -98,25 +108,47 @@ func EventServerMain(cfg EventServerConfig) func(p *kernel.Proc) {
 		const maxEvents = 64
 		evBuf := p.Alloc(maxEvents * 8)
 		ioBuf := p.Alloc(chunk)
-		conns := make(map[int]*evConn)
+		// conns is indexed by fd; nil marks a number with no live
+		// connection.
+		var conns []*evConn
+		connOf := func(fd int) *evConn {
+			if fd < 0 || fd >= len(conns) {
+				return nil
+			}
+			return conns[fd]
+		}
+		// spare is the buffer the next reply is built in: a drained
+		// reply hands its buffer back, so a server whose replies drain
+		// at once builds them all in one buffer, and no drained reply
+		// stays tied to its connection. take hands it out, leaving none
+		// until a buffer comes back, and giveBack keeps the larger of
+		// the spare and a drained buffer.
+		var spare []byte
+		take := func() []byte {
+			b := spare[:0]
+			spare = nil
+			return b
+		}
+		giveBack := func(b []byte) {
+			if cap(b) > cap(spare) {
+				spare = b[:0]
+			}
+		}
 		var sessCtr uint64
 		quit := false
 
 		closeConn := func(fd int) {
 			p.Syscall(kernel.SysPollCtl, pfd, kernel.PollCtlDel, uint64(fd))
 			p.Syscall(kernel.SysClose, uint64(fd))
-			delete(conns, fd)
+			conns[fd] = nil
 		}
 
 		// flush pushes c.out until done or the window fills, adjusting
 		// POLLOUT interest to match whether output is still pending.
 		flush := func(fd int, c *evConn) {
-			for len(c.out) > 0 {
-				n := len(c.out)
-				if n > chunk {
-					n = chunk
-				}
-				p.Write(ioBuf, c.out[:n])
+			for c.sent < len(c.out) {
+				n := min(len(c.out)-c.sent, chunk)
+				p.Write(ioBuf, c.out[c.sent:c.sent+n])
 				ret := p.Syscall(kernel.SysSendTo, uint64(fd), ioBuf, uint64(n))
 				if e, bad := kernel.IsErr(ret); bad && e == kernel.EAGAIN {
 					break
@@ -127,15 +159,16 @@ func EventServerMain(cfg EventServerConfig) func(p *kernel.Proc) {
 					// unsigned, is above any length): nothing more can
 					// be delivered in order, so drop the connection.
 					c.dead = true
-					c.out = nil
+					c.sent = len(c.out)
 					break
 				}
-				c.out = c.out[ret:]
+				c.sent += int(ret)
 			}
-			if len(c.out) == 0 {
-				// Drop the drained reply: an empty slice of it would
-				// keep its bytes alive for as long as the connection.
-				c.out = nil
+			if c.sent == len(c.out) {
+				// Every byte has been copied out (or dropped with the
+				// connection): the buffer is free.
+				giveBack(c.out)
+				c.out, c.sent = nil, 0
 			}
 			if len(c.out) > 0 && !c.wantOut {
 				c.wantOut = true
@@ -150,13 +183,16 @@ func EventServerMain(cfg EventServerConfig) func(p *kernel.Proc) {
 		}
 
 		// respond queues a reply and attempts an immediate send. Every
-		// caller passes a slice it has just built, so an idle
-		// connection takes it as its output buffer without a copy.
+		// caller passes a reply it has just built in take's buffer: an
+		// idle connection takes that buffer as its output, and a
+		// connection with a reply still pending copies the new one
+		// behind it and hands the buffer straight back.
 		respond := func(fd int, c *evConn, b []byte, thenClose bool) {
 			if len(c.out) == 0 {
-				c.out = b
+				c.out, c.sent = b, 0
 			} else {
 				c.out = append(c.out, b...)
+				giveBack(b)
 			}
 			if thenClose {
 				c.dead = true
@@ -175,16 +211,17 @@ func EventServerMain(cfg EventServerConfig) func(p *kernel.Proc) {
 			return b
 		}
 
-		serve := func(path string) []byte {
+		// serve appends the reply to a GET or AUTH of path to resp.
+		serve := func(resp []byte, path string) []byte {
 			pathPtr := p.PushString(path)
 			ffd := p.Syscall(kernel.SysOpen, pathPtr, kernel.ORdOnly)
 			if _, bad := kernel.IsErr(ffd); bad {
-				return []byte("404\n")
+				return append(resp, "404\n"...)
 			}
 			statBuf := p.Alloc(16)
 			p.Syscall(kernel.SysStat, pathPtr, statBuf)
 			size := p.Load(statBuf, 8)
-			resp := []byte(fmt.Sprintf("200 %d\n", size))
+			resp = append(strconv.AppendUint(append(resp, "200 "...), size, 10), '\n')
 			for {
 				n := p.Syscall(kernel.SysRead, ffd, ioBuf, chunk)
 				if _, bad := kernel.IsErr(n); bad || n == 0 {
@@ -202,34 +239,35 @@ func EventServerMain(cfg EventServerConfig) func(p *kernel.Proc) {
 			case line == "QUIT":
 				quit = true
 			case strings.HasPrefix(line, "GET "):
-				respond(fd, c, serve(strings.TrimPrefix(line, "GET ")), false)
+				respond(fd, c, serve(take(), strings.TrimPrefix(line, "GET ")), false)
 			case strings.HasPrefix(line, "LOGIN "):
 				user := strings.TrimPrefix(line, "LOGIN ")
 				sessCtr++
 				blob, err := vgcrypt.SealWithKeyAndCounter(sessKey, sessCtr, []byte("u="+user))
 				if err != nil {
-					respond(fd, c, []byte("400\n"), true)
+					respond(fd, c, append(take(), "400\n"...), true)
 					return
 				}
 				p.ComputeCrypt(uint64(len(blob)) * hw.CostCryptPerByte)
-				respond(fd, c, []byte("210 "+hex.EncodeToString(blob)+"\n"), false)
+				b := hex.AppendEncode(append(take(), "210 "...), blob)
+				respond(fd, c, append(b, '\n'), false)
 			case strings.HasPrefix(line, "AUTH "):
 				rest := strings.TrimPrefix(line, "AUTH ")
 				tok, path, ok := strings.Cut(rest, " ")
 				blob, err := hex.DecodeString(tok)
 				if !ok || err != nil {
-					respond(fd, c, []byte("400\n"), true)
+					respond(fd, c, append(take(), "400\n"...), true)
 					return
 				}
 				p.ComputeCrypt(uint64(len(blob)) * hw.CostCryptPerByte)
 				plain, err := vgcrypt.Open(sessKey, blob)
 				if err != nil || !strings.HasPrefix(string(plain), "u=") {
-					respond(fd, c, []byte("403\n"), false)
+					respond(fd, c, append(take(), "403\n"...), false)
 					return
 				}
-				respond(fd, c, serve(path), false)
+				respond(fd, c, serve(take(), path), false)
 			default:
-				respond(fd, c, []byte("400\n"), true)
+				respond(fd, c, append(take(), "400\n"...), true)
 			}
 		}
 
@@ -260,7 +298,7 @@ func EventServerMain(cfg EventServerConfig) func(p *kernel.Proc) {
 				}
 				if nl < 0 {
 					if len(c.in) > cfg.MaxHeader {
-						respond(fd, c, []byte("400\n"), true)
+						respond(fd, c, append(take(), "400\n"...), true)
 					}
 					return
 				}
@@ -287,13 +325,20 @@ func EventServerMain(cfg EventServerConfig) func(p *kernel.Proc) {
 						if _, bad := kernel.IsErr(cfd); bad {
 							break
 						}
-						conns[int(cfd)] = &evConn{}
+						if cfd >= maxConnFD {
+							p.Syscall(kernel.SysClose, cfd)
+							continue
+						}
+						if int(cfd) >= len(conns) {
+							conns = append(conns, make([]*evConn, int(cfd)+1-len(conns))...)
+						}
+						conns[cfd] = &evConn{}
 						p.Syscall(kernel.SysPollCtl, pfd, kernel.PollCtlAdd, cfd, kernel.POLLIN)
 					}
 					continue
 				}
-				c, live := conns[fd]
-				if !live {
+				c := connOf(fd)
+				if c == nil {
 					continue // closed earlier in this batch
 				}
 				if ev&kernel.POLLERR != 0 {
@@ -302,7 +347,7 @@ func EventServerMain(cfg EventServerConfig) func(p *kernel.Proc) {
 				}
 				if ev&kernel.POLLOUT != 0 {
 					flush(fd, c)
-					if _, live := conns[fd]; !live {
+					if connOf(fd) == nil {
 						continue
 					}
 				}
@@ -316,13 +361,10 @@ func EventServerMain(cfg EventServerConfig) func(p *kernel.Proc) {
 		}
 		// Drain: close every live connection in fd order, then the
 		// listener and the poll set.
-		fds := make([]int, 0, len(conns))
-		for fd := range conns {
-			fds = append(fds, fd)
-		}
-		sort.Ints(fds)
-		for _, fd := range fds {
-			closeConn(fd)
+		for fd, c := range conns {
+			if c != nil {
+				closeConn(fd)
+			}
 		}
 		p.Syscall(kernel.SysClose, sfd)
 		p.Syscall(kernel.SysClose, pfd)

@@ -2,6 +2,7 @@ package httpd
 
 import (
 	"bytes"
+	"encoding/hex"
 	"fmt"
 	"runtime"
 	"strings"
@@ -10,6 +11,7 @@ import (
 	"repro"
 	"repro/internal/core"
 	"repro/internal/kernel"
+	"repro/internal/vgcrypt"
 )
 
 func bootOne(t *testing.T, mode repro.Mode) *repro.System {
@@ -327,5 +329,244 @@ func TestEventServerSurvivesInflatedReturns(t *testing.T) {
 				t.Errorf("%d processes still alive after QUIT", n)
 			}
 		})
+	}
+}
+
+// recvUpTo reads from fd until it has want bytes or the peer closes,
+// and reports whether the read that ended it saw end of file.
+func recvUpTo(p *kernel.Proc, fd uint64, want int) (got []byte, eof bool) {
+	buf := p.Alloc(chunk)
+	for len(got) < want {
+		n := p.Syscall(kernel.SysRecv, fd, buf, chunk)
+		if _, bad := kernel.IsErr(n); bad || n > chunk {
+			return got, false
+		}
+		if n == 0 {
+			return got, true
+		}
+		got = append(got, p.Read(buf, int(n))...)
+	}
+	return got, false
+}
+
+// TestEventServerPipelinedRepliesUnderSmallWindow: under a 2 KiB
+// receive window a 10 KB reply cannot drain at once, so when one
+// sendto carries five requests the server appends each later reply to
+// the one still pending and hands the buffer it built that reply in
+// straight back. Every reply
+// must arrive byte-exact and in order: a buffer handed back while
+// bytes in it were still unsent would have them overwritten by the
+// next reply built there. The second connection puts the 10 KB reply
+// behind the 24 KiB one, where such an overwrite lands on unsent
+// bytes that differ, and then a 400-and-close, which closes only once
+// the replies ahead of it have drained.
+func TestEventServerPipelinedRepliesUnderSmallWindow(t *testing.T) {
+	sys := bootOne(t, repro.Native)
+	sys.Kernel.Net.SetRecvWindow(2 << 10)
+	small, big := make([]byte, 10_000), make([]byte, 24<<10)
+	sys.Machine.RNG.Fill(small)
+	sys.Machine.RNG.Fill(big)
+	sys.Kernel.WriteKernelFile("/a.bin", small)
+	sys.Kernel.WriteKernelFile("/b.bin", big)
+	appKey := bytes.Repeat([]byte{9}, 32)
+	token, err := vgcrypt.SealWithKeyAndCounter(vgcrypt.DeriveKey(appKey, sessionLabel), 1, []byte("u=carol"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	ok200 := func(body []byte) string { return fmt.Sprintf("200 %d\n%s", len(body), body) }
+	want := ok200(small) + ok200(big) + ok200(small) + "404\n" + "210 " + hex.EncodeToString(token) + "\n"
+	wantClose := ok200(big) + ok200(small) + "400\n"
+	if _, err := sys.Kernel.Spawn("eventd", EventServerMain(EventServerConfig{AppKey: appKey})); err != nil {
+		t.Fatal(err)
+	}
+	var got, gotClose []byte
+	var closed bool
+	done := false
+	if _, err := sys.Kernel.Spawn("client", func(p *kernel.Proc) {
+		defer func() { done = true }()
+		send := func(fd uint64, reqs string) {
+			msg := p.PushString(reqs)
+			if ret := p.Syscall(kernel.SysSendTo, fd, msg, uint64(len(reqs))); ret != uint64(len(reqs)) {
+				t.Errorf("sendto of %d request bytes returned %d", len(reqs), int64(ret))
+			}
+		}
+		fd, ok := EventDial(p, EventPort, false)
+		if !ok {
+			t.Error("dial")
+			return
+		}
+		send(fd, "GET /a.bin\nGET /b.bin\nGET /a.bin\nGET /nope\nLOGIN carol\n")
+		got, _ = recvUpTo(p, fd, len(want))
+		p.Syscall(kernel.SysClose, fd)
+
+		fd2, ok := EventDial(p, EventPort, false)
+		if !ok {
+			t.Error("second dial")
+			return
+		}
+		send(fd2, "GET /b.bin\nGET /a.bin\nBOGUS\n")
+		gotClose, closed = recvUpTo(p, fd2, len(wantClose)+1)
+		p.Syscall(kernel.SysClose, fd2)
+		StopEventServer(p, EventPort, false)
+	}); err != nil {
+		t.Fatal(err)
+	}
+	sys.Kernel.RunUntilIdle()
+	if !done {
+		t.Fatal("client stalled")
+	}
+	if string(got) != want {
+		t.Errorf("pipelined replies: %d bytes, want %d; first difference at byte %d", len(got), len(want), firstDiff(got, []byte(want)))
+	}
+	if string(gotClose) != wantClose || !closed {
+		t.Errorf("replies then 400: %d bytes (closed %v), want %d then close; first difference at byte %d",
+			len(gotClose), closed, len(wantClose), firstDiff(gotClose, []byte(wantClose)))
+	}
+	if n := sys.Kernel.NumLive(); n != 0 {
+		t.Errorf("%d processes still alive after QUIT", n)
+	}
+}
+
+// firstDiff is the index of the first byte where a and b differ, or
+// the shorter length.
+func firstDiff(a, b []byte) int {
+	for i := range min(len(a), len(b)) {
+		if a[i] != b[i] {
+			return i
+		}
+	}
+	return min(len(a), len(b))
+}
+
+// TestEventServerReplyAllocation: a reply that drains at once hands
+// its buffer back for the next one, so a keep-alive GET costs the host
+// about what the loopback frames carrying the reply take, not a fresh
+// reply buffer on top. The client reads into one host buffer
+// (Proc.ReadInto), so what it allocates does not count either.
+func TestEventServerReplyAllocation(t *testing.T) {
+	const warm, reqs = 20, 400
+	sys := bootOne(t, repro.Native)
+	body := make([]byte, 24<<10)
+	sys.Machine.RNG.Fill(body)
+	sys.Kernel.WriteKernelFile("/b.bin", body)
+	if _, err := sys.Kernel.Spawn("eventd", EventServerMain(EventServerConfig{AppKey: make([]byte, 32)})); err != nil {
+		t.Fatal(err)
+	}
+	want := append([]byte(fmt.Sprintf("200 %d\n", len(body))), body...)
+	perReq := -1.0
+	failed := -1
+	if _, err := sys.Kernel.Spawn("client", func(p *kernel.Proc) {
+		fd, ok := EventDial(p, EventPort, false)
+		if !ok {
+			return
+		}
+		const line = "GET /b.bin\n"
+		msg := p.PushString(line)
+		buf := p.Alloc(chunk)
+		got := make([]byte, len(want))
+		get := func() bool {
+			if p.Syscall(kernel.SysSendTo, fd, msg, uint64(len(line))) != uint64(len(line)) {
+				return false
+			}
+			for have := 0; have < len(got); {
+				n := p.Syscall(kernel.SysRecv, fd, buf, chunk)
+				if _, bad := kernel.IsErr(n); bad || n == 0 || have+int(n) > len(got) {
+					return false
+				}
+				p.ReadInto(buf, got[have:have+int(n)])
+				have += int(n)
+			}
+			return bytes.Equal(got, want)
+		}
+		for i := range warm {
+			if !get() {
+				failed = i
+				return
+			}
+		}
+		var ms runtime.MemStats
+		runtime.ReadMemStats(&ms)
+		before := ms.TotalAlloc
+		for i := range reqs {
+			if !get() {
+				failed = warm + i
+				return
+			}
+		}
+		runtime.ReadMemStats(&ms)
+		perReq = float64(ms.TotalAlloc-before) / reqs
+		p.Syscall(kernel.SysClose, fd)
+		StopEventServer(p, EventPort, false)
+	}); err != nil {
+		t.Fatal(err)
+	}
+	sys.Kernel.RunUntilIdle()
+	if failed >= 0 {
+		t.Fatalf("request %d failed or returned the wrong bytes", failed)
+	}
+	if perReq < 0 {
+		t.Fatal("client stalled")
+	}
+	t.Logf("%.0f host bytes per %d-byte GET (%.2fx)", perReq, len(body), perReq/float64(len(body)))
+	if limit := 1.5 * float64(len(body)); perReq >= limit {
+		t.Errorf("a keep-alive GET allocates %.0f host bytes, want under %.0f (1.5x the file)", perReq, limit)
+	}
+}
+
+// TestEventServerRejectsHugeAcceptedFD: the connection table is indexed
+// by fd, and accept's return value is the OS's word. An accept that
+// reports fd 2^40 must not size the table: the server closes that
+// number and goes on serving the next connection.
+func TestEventServerRejectsHugeAcceptedFD(t *testing.T) {
+	sys := bootOne(t, repro.Native)
+	sys.Kernel.WriteKernelFile("/s.bin", []byte("still here"))
+	server, err := sys.Kernel.Spawn("eventd", EventServerMain(EventServerConfig{AppKey: make([]byte, 32)}))
+	if err != nil {
+		t.Fatal(err)
+	}
+	lied := false
+	var accept kernel.SyscallHandler
+	accept = sys.Kernel.SetSyscallHandler(kernel.SysAccept, func(k *kernel.Kernel, p *kernel.Proc, ic core.IContext) uint64 {
+		ret := accept(k, p, ic)
+		if _, bad := kernel.IsErr(ret); bad || p != server || lied {
+			return ret
+		}
+		lied = true
+		return 1 << 40
+	})
+	var st string
+	var body []byte
+	done := false
+	if _, err := sys.Kernel.Spawn("client", func(p *kernel.Proc) {
+		defer func() { done = true }()
+		first, ok := EventDial(p, EventPort, false)
+		if !ok {
+			t.Error("first dial")
+			return
+		}
+		p.Syscall(kernel.SysClose, first)
+		fd, ok := EventDial(p, EventPort, false)
+		if !ok {
+			t.Error("second dial")
+			return
+		}
+		st, body, _ = EventRequest(p, fd, "GET /s.bin")
+		p.Syscall(kernel.SysClose, fd)
+		StopEventServer(p, EventPort, false)
+	}); err != nil {
+		t.Fatal(err)
+	}
+	sys.Kernel.RunUntilIdle()
+	if !done {
+		t.Fatal("client stalled")
+	}
+	if !lied {
+		t.Fatal("the server's accept was never interposed")
+	}
+	if st != "200 10" || string(body) != "still here" {
+		t.Errorf("GET after the lying accept: %q %q, want \"200 10\" \"still here\"", st, body)
+	}
+	if n := sys.Kernel.NumLive(); n != 0 {
+		t.Errorf("%d processes still alive after QUIT", n)
 	}
 }

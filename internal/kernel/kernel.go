@@ -185,11 +185,12 @@ type Kernel struct {
 
 	// readBuf is the scratch that file, socket and /dev/random reads
 	// fill and return as a view (FileOps.Read); sysRead copies the view
-	// out before anything else reads. Reads size it by the data they
-	// produce, never by the request: a file read is clamped to the
-	// file (at most MaxFileSize), a socket read to the bytes buffered
-	// (at most the receive window), a /dev/random read to
-	// maxRandomRead.
+	// out before anything else reads, and sysStat builds its 16-byte
+	// result there and copies it out the same way. Reads size it by
+	// the data they produce, never by the request: a file read is
+	// clamped to the file (at most MaxFileSize), a socket read to the
+	// bytes buffered (at most the receive window), a /dev/random read
+	// to maxRandomRead.
 	readBuf []byte
 }
 

@@ -977,10 +977,13 @@ const (
 // than to the member count; the virtual charge is O(ready) either way.
 type PollSet struct {
 	ns *NetStack
-	// interest maps member fd -> event mask. Membership is by number in
-	// the owner's table, resolved at wait time: a closed member reports
-	// POLLERR, a reused number reports whatever it names now.
-	interest map[int]uint32
+	// interest is indexed by member fd: the event mask in the low 32
+	// bits and pollMember, because an interest of 0 is a legal member.
+	// It grows only by an add that sockOf accepted, so no number a
+	// caller makes up sizes it. Membership is by number in the owner's
+	// table, resolved at wait time: a closed member reports POLLERR, a
+	// reused number reports whatever it names now.
+	interest []uint64
 	// cand is the candidate bitmap over member fds. Invariant: every
 	// member whose readiness is non-zero has its bit set; extra bits
 	// are allowed. Bits are set by interest edits (sysPollCtl), by
@@ -1010,12 +1013,37 @@ func (ps *PollSet) Ready() bool {
 func (ps *PollSet) Close(k *Kernel) error {
 	o := ps.owner
 	o.pollSets = slices.DeleteFunc(o.pollSets, func(x *PollSet) bool { return x == ps })
-	for fd := range ps.interest {
+	for fd, iv := range ps.interest {
+		if iv&pollMember == 0 {
+			continue
+		}
 		if s, e := sockOf(o, fd); e == 0 {
 			s.unwatch(ps, fd)
 		}
 	}
 	return nil
+}
+
+// pollMember marks a member's entry in PollSet.interest.
+const pollMember = 1 << 32
+
+// member returns fd's interest mask and whether fd is a member; any
+// number, negative or past the slice, is simply not one.
+func (ps *PollSet) member(fd int) (uint32, bool) {
+	if fd < 0 || fd >= len(ps.interest) {
+		return 0, false
+	}
+	iv := ps.interest[fd]
+	return uint32(iv), iv&pollMember != 0
+}
+
+// setInterest makes fd a member with the given mask, growing the
+// slice to reach it. Callers pass an fd sockOf accepted.
+func (ps *PollSet) setInterest(fd int, events uint32) {
+	if fd >= len(ps.interest) {
+		ps.interest = append(ps.interest, make([]uint64, fd+1-len(ps.interest))...)
+	}
+	ps.interest[fd] = pollMember | uint64(events)
 }
 
 // mark sets fd's candidate bit.
@@ -1068,7 +1096,7 @@ func (ps *PollSet) collect(maxev int) []byte {
 // (either may be nil). A member there must be rechecked, and the
 // membership moves to the socket the number now names.
 func (ps *PollSet) retarget(n int, old, cur FileOps) {
-	if _, member := ps.interest[n]; !member {
+	if _, member := ps.member(n); !member {
 		return
 	}
 	ps.mark(n)
@@ -1090,7 +1118,7 @@ func (s *Socket) unwatch(ps *PollSet, fd int) {
 // non-member. POLLOUT, and the send-window lookup behind it, is
 // computed only when the interest asks for it.
 func (ps *PollSet) readiness(fd int) uint32 {
-	interest, member := ps.interest[fd]
+	interest, member := ps.member(fd)
 	if !member {
 		return 0
 	}
@@ -1127,7 +1155,7 @@ func (ps *PollSet) readiness(fd int) uint32 {
 // sysPollCreate allocates an empty poll set and returns its fd.
 func sysPollCreate(k *Kernel, p *Proc, ic core.IContext) uint64 {
 	k.HAL.KAccess(workPollCreate)
-	ps := &PollSet{ns: k.Net, interest: make(map[int]uint32), owner: p}
+	ps := &PollSet{ns: k.Net, owner: p}
 	fd, e := p.allocFD(ps, false)
 	if e != 0 {
 		return errno(e)
@@ -1165,26 +1193,26 @@ func sysPollCtl(k *Kernel, p *Proc, ic core.IContext) uint64 {
 	if se != 0 && op != PollCtlDel {
 		return errno(se)
 	}
-	_, member := ps.interest[fd]
+	_, member := ps.member(fd)
 	switch op {
 	case PollCtlAdd:
 		if member {
 			return errno(EEXIST)
 		}
-		ps.interest[fd] = events
+		ps.setInterest(fd, events)
 		s.watchers = append(s.watchers, pollWatch{ps, fd})
 		ps.mark(fd)
 	case PollCtlMod:
 		if !member {
 			return errno(ENOENT)
 		}
-		ps.interest[fd] = events
+		ps.setInterest(fd, events)
 		ps.mark(fd)
 	case PollCtlDel:
 		if !member {
 			return errno(ENOENT)
 		}
-		delete(ps.interest, fd)
+		ps.interest[fd] = 0
 		if se == 0 {
 			s.unwatch(ps, fd)
 		}

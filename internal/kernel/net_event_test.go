@@ -3,6 +3,7 @@ package kernel
 import (
 	"bytes"
 	"errors"
+	"fmt"
 	"testing"
 
 	"repro/internal/hw"
@@ -511,6 +512,73 @@ func TestPollSyscalls(t *testing.T) {
 		}
 		if ev := p.Load(evb+4, 4); ev&POLLHUP == 0 || ev&POLLIN == 0 {
 			fail = "close not POLLIN|POLLHUP"
+			return
+		}
+		// Interest 0 is a member too: a second add is EEXIST and mod
+		// works; after del, mod is ENOENT.
+		zfd := p.Syscall(SysSocket)
+		if ret := p.Syscall(SysPollCtl, pfd, PollCtlAdd, zfd, 0); ret != 0 {
+			fail = "add with interest 0"
+			return
+		}
+		if e, _ := IsErr(p.Syscall(SysPollCtl, pfd, PollCtlAdd, zfd, POLLIN)); e != EEXIST {
+			fail = "dup add of an interest-0 member not EEXIST"
+			return
+		}
+		if ret := p.Syscall(SysPollCtl, pfd, PollCtlMod, zfd, POLLIN); ret != 0 {
+			fail = "mod of an interest-0 member"
+			return
+		}
+		if ret := p.Syscall(SysPollCtl, pfd, PollCtlDel, zfd); ret != 0 {
+			fail = "del of a member"
+			return
+		}
+		if e, _ := IsErr(p.Syscall(SysPollCtl, pfd, PollCtlMod, zfd, POLLIN)); e != ENOENT {
+			fail = "mod after del not ENOENT"
+			return
+		}
+		// Numbers never opened, past the table and negative: add and
+		// del fail, and the interest slice does not grow.
+		ps, _ := pollSetOf(p, int(pfd))
+		before := len(ps.interest)
+		for _, bad := range []uint64{4000, 1 << 20, 1 << 40, ^uint64(0)} {
+			if e, _ := IsErr(p.Syscall(SysPollCtl, pfd, PollCtlAdd, bad, POLLIN)); e != EBADF {
+				fail = fmt.Sprintf("add of unopened fd %#x: errno %d, want EBADF", bad, e)
+				return
+			}
+			if e, _ := IsErr(p.Syscall(SysPollCtl, pfd, PollCtlDel, bad)); e != ENOENT {
+				fail = fmt.Sprintf("del of unopened fd %#x: errno %d, want ENOENT", bad, e)
+				return
+			}
+		}
+		if len(ps.interest) != before {
+			fail = fmt.Sprintf("interest slice grew from %d to %d on unopened fds", before, len(ps.interest))
+			return
+		}
+		// A member numbered past 4,096 reports like any other.
+		hfd := p.Syscall(SysSocket)
+		for hfd < 4096 {
+			hfd = p.Syscall(SysSocket)
+		}
+		if _, bad := IsErr(hfd); bad {
+			fail = "socket past fd 4096"
+			return
+		}
+		p.Syscall(SysNonblock, hfd, 1)
+		p.Syscall(SysConnect, hfd, 7900, LocalHost)
+		hafd := p.Syscall(SysAccept, sfd)
+		pfd2 := p.Syscall(SysPollCreate)
+		if ret := p.Syscall(SysPollCtl, pfd2, PollCtlAdd, hafd, POLLIN); ret != 0 || hafd < 4096 {
+			fail = fmt.Sprintf("add of fd %d", hafd)
+			return
+		}
+		p.Syscall(SysSendTo, hfd, msg, 6)
+		if n := p.Syscall(SysPollWait, pfd2, evb, 8, 0); n != 1 {
+			fail = "no event at a high fd"
+			return
+		}
+		if fd, ev := p.Load(evb, 4), p.Load(evb+4, 4); fd != hafd || ev != POLLIN {
+			fail = fmt.Sprintf("high fd event (%d, %#x), want (%d, POLLIN)", fd, ev, hafd)
 			return
 		}
 	}); err != nil {

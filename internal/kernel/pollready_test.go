@@ -4,7 +4,6 @@ import (
 	"bytes"
 	"fmt"
 	"math/rand"
-	"sort"
 	"testing"
 )
 
@@ -12,13 +11,8 @@ import (
 // member in ascending fd order, readiness recomputed for each, up to
 // maxev (fd, events) pairs.
 func scanReady(ps *PollSet, maxev int) []byte {
-	fds := make([]int, 0, len(ps.interest))
-	for fd := range ps.interest {
-		fds = append(fds, fd)
-	}
-	sort.Ints(fds)
 	var out []byte
-	for _, fd := range fds {
+	for _, fd := range pollMembers(ps) {
 		if ev := ps.readiness(fd); ev != 0 {
 			out = append(out,
 				byte(fd), byte(fd>>8), byte(fd>>16), byte(fd>>24),
@@ -31,12 +25,24 @@ func scanReady(ps *PollSet, maxev int) []byte {
 	return out
 }
 
+// pollMembers lists ps's member fds in ascending order, walking the
+// interest slice.
+func pollMembers(ps *PollSet) []int {
+	var fds []int
+	for fd := range ps.interest {
+		if _, member := ps.member(fd); member {
+			fds = append(fds, fd)
+		}
+	}
+	return fds
+}
+
 // checkReadyList reports whether ps keeps its candidate invariant —
 // every ready member has its bit set — and its ready-list walk returns
 // exactly what the scan returns, for maxev 1 and 64.
 func checkReadyList(t *testing.T, step int, what string, ps *PollSet) bool {
 	t.Helper()
-	for fd := range ps.interest {
+	for _, fd := range pollMembers(ps) {
 		ev := ps.readiness(fd)
 		if ev != 0 && (fd/64 >= len(ps.cand) || ps.cand[fd/64]&(1<<(fd%64)) == 0) {
 			t.Errorf("step %d (%s): member %d is ready (%#x) but not a candidate", step, what, fd, ev)

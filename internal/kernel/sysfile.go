@@ -41,20 +41,23 @@ func (f *fsFile) Ready() bool           { return true }
 func (f *fsFile) Close(k *Kernel) error { return nil }
 
 // copyinPath fetches a NUL-terminated path string from user memory via
-// the instrumented kernel accessors.
+// the instrumented kernel accessors, 32 bytes per copyin. The bytes
+// collect in a stack buffer, so the returned string is the call's only
+// host allocation.
 func copyinPath(k *Kernel, p *Proc, va uint64) (string, uint64) {
 	const maxPath = 512
-	var out []byte
-	for len(out) < maxPath {
-		chunk, err := k.copyin(p, hw.Virt(va)+hw.Virt(len(out)), 32)
+	var out [maxPath]byte
+	for n := 0; n < maxPath; {
+		chunk, err := k.copyin(p, hw.Virt(va)+hw.Virt(n), 32)
 		if err != nil {
 			return "", errno(EFAULT)
 		}
 		for _, c := range chunk {
 			if c == 0 {
-				return string(out), 0
+				return string(out[:n]), 0
 			}
-			out = append(out, c)
+			out[n] = c
+			n++
 		}
 	}
 	return "", errno(EINVAL)
@@ -292,11 +295,15 @@ func sysStat(k *Kernel, p *Proc, ic core.IContext) uint64 {
 	if err != nil {
 		return errno(errnoOf(err))
 	}
-	out := make([]byte, 16)
+	// The result goes out from the kernel's read scratch: a fresh
+	// 16-byte buffer would escape into the HAL's copyout.
+	out := k.readScratch(16)
 	putU64(out[0:], uint64(st.Size))
+	isDir := uint64(0)
 	if st.IsDir {
-		putU64(out[8:], 1)
+		isDir = 1
 	}
+	putU64(out[8:], isDir)
 	if err := k.copyout(p, hw.Virt(ic.Arg(1)), out); err != nil {
 		return errno(EFAULT)
 	}

@@ -102,3 +102,47 @@ func TestSyscallAllocatesNothing(t *testing.T) {
 		}
 	})
 }
+
+// TestPathSyscallAllocations: the path walk allocates nothing on the
+// host. copyinPath collects into a stack buffer, splitPath fills the
+// walk's stack array, and stat's result goes out from kernel scratch,
+// so stat of an existing file makes one host object (the path string)
+// and open+close three (the path, the file and its descriptor). The
+// scratch is shared, so a file's stat after a directory's must still
+// report it is not a directory.
+func TestPathSyscallAllocations(t *testing.T) {
+	payload := []byte("twelve bytes")
+	forEachHAL(t, func(t *testing.T, k *Kernel) {
+		if !k.WriteKernelFile("/motd", payload) {
+			t.Fatal("WriteKernelFile failed")
+		}
+		statAllocs, openAllocs := -1.0, -1.0
+		var size, ret, rootDir, fileDir uint64
+		if _, err := k.Spawn("paths", func(p *Proc) {
+			path := p.PushString("/motd")
+			buf := p.Alloc(16)
+			p.Syscall(SysStat, p.PushString("/"), buf)
+			rootDir = p.Load(buf+8, 8)
+			ret = p.Syscall(SysStat, path, buf)
+			size, fileDir = p.Load(buf, 8), p.Load(buf+8, 8)
+			statAllocs = testing.AllocsPerRun(100, func() { p.Syscall(SysStat, path, buf) })
+			openAllocs = testing.AllocsPerRun(100, func() {
+				fd := p.Syscall(SysOpen, path, ORdOnly)
+				p.Syscall(SysClose, fd)
+			})
+		}); err != nil {
+			t.Fatal(err)
+		}
+		k.RunUntilIdle()
+		if ret != 0 || size != uint64(len(payload)) || rootDir != 1 || fileDir != 0 {
+			t.Fatalf("stat returned %d with size %d, is-dir %d (root %d), want 0, %d, 0 (root 1)",
+				int64(ret), size, fileDir, rootDir, len(payload))
+		}
+		if statAllocs < 0 || statAllocs > 1 {
+			t.Errorf("stat allocates %v host objects per call, want at most 1", statAllocs)
+		}
+		if openAllocs < 0 || openAllocs > 3 {
+			t.Errorf("open+close allocates %v host objects per pair, want at most 3", openAllocs)
+		}
+	})
+}

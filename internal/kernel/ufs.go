@@ -750,13 +750,23 @@ func (fs *FS) dirEmpty(dirIno uint32) (bool, error) {
 
 // --- path operations ---------------------------------------------------------
 
-// splitPath normalizes an absolute path into components.
-func splitPath(path string) ([]string, error) {
+// pathComps is how many components a path walk holds on the stack; a
+// deeper path spills to the heap.
+const pathComps = 16
+
+// splitPath normalizes an absolute path into components, appended to
+// comps[:0]: empty components and "." are skipped, and ".." drops the
+// previous component (at the root it stays at the root). Callers pass
+// a stack array's slice, and the components are substrings of path, so
+// a walk of up to pathComps components allocates nothing.
+func splitPath(path string, comps []string) ([]string, error) {
 	if !strings.HasPrefix(path, "/") {
 		return nil, ErrBadName
 	}
-	var comps []string
-	for _, c := range strings.Split(path, "/") {
+	comps = comps[:0]
+	for rest := path; rest != ""; {
+		var c string
+		c, rest, _ = strings.Cut(rest, "/")
 		switch c {
 		case "", ".":
 		case "..":
@@ -773,7 +783,8 @@ func splitPath(path string) ([]string, error) {
 // walk resolves all but the last component, returning the parent
 // directory inode and the final name.
 func (fs *FS) walk(path string) (parent uint32, name string, err error) {
-	comps, err := splitPath(path)
+	var buf [pathComps]string
+	comps, err := splitPath(path, buf[:])
 	if err != nil {
 		return 0, "", err
 	}
@@ -793,7 +804,8 @@ func (fs *FS) walk(path string) (parent uint32, name string, err error) {
 
 // Lookup resolves a path to an inode.
 func (fs *FS) Lookup(path string) (uint32, error) {
-	comps, err := splitPath(path)
+	var buf [pathComps]string
+	comps, err := splitPath(path, buf[:])
 	if err != nil {
 		return 0, err
 	}

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"errors"
 	"fmt"
+	"slices"
 	"strings"
 	"testing"
 	"testing/quick"
@@ -88,6 +89,47 @@ func TestFSPathNormalization(t *testing.T) {
 	}
 	if _, err := fs.Lookup("relative"); !errors.Is(err, ErrBadName) {
 		t.Errorf("relative path: %v", err)
+	}
+}
+
+// TestSplitPath pins splitPath's rules: empty components and "." are
+// skipped, ".." drops the component before it and stays at the root,
+// and a path deeper than the walk's stack array still splits whole.
+func TestSplitPath(t *testing.T) {
+	deep := make([]string, pathComps+5)
+	for i := range deep {
+		deep[i] = fmt.Sprint("d", i)
+	}
+	for _, tc := range []struct {
+		path string
+		want []string
+	}{
+		{"/", []string{}},
+		{"/a", []string{"a"}},
+		{"/a/b/c", []string{"a", "b", "c"}},
+		{"/.", []string{}},
+		{"/a/./b/.", []string{"a", "b"}},
+		{"/..", []string{}},
+		{"/../../a", []string{"a"}},
+		{"/a/../..", []string{}},
+		{"/a/b/../c", []string{"a", "c"}},
+		{"/a/../../b/..", []string{}},
+		{"//a///b//", []string{"a", "b"}},
+		{"/a/b/", []string{"a", "b"}},
+		{"/a/.../b", []string{"a", "...", "b"}},
+		{"/" + strings.Join(deep, "/"), deep},
+		{"/" + strings.Join(deep, "/") + "/../x", append(slices.Clone(deep[:len(deep)-1]), "x")},
+	} {
+		var buf [pathComps]string
+		got, err := splitPath(tc.path, buf[:])
+		if err != nil || !slices.Equal(got, tc.want) {
+			t.Errorf("splitPath(%q) = %q, %v; want %q", tc.path, got, err, tc.want)
+		}
+	}
+	for _, bad := range []string{"", "a/b", "./a", "../a"} {
+		if got, err := splitPath(bad, nil); !errors.Is(err, ErrBadName) {
+			t.Errorf("splitPath(%q) = %q, %v; want ErrBadName", bad, got, err)
+		}
 	}
 }
 
