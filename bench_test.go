@@ -1,11 +1,8 @@
 package repro_test
 
-// One testing.B benchmark per table and figure of the paper's
-// evaluation (§8). Each bench runs the corresponding experiment harness
-// at a reduced scale and reports the headline shape metrics
-// (virtual-time overheads and bandwidth ratios) via b.ReportMetric, so
-// `go test -bench=. -benchmem` regenerates the whole evaluation.
-// cmd/vgbench prints the full tables.
+// BenchmarkExperiments regenerates the paper's evaluation (§8) and
+// security matrix (§7); the benches after it time the simulator's fast
+// paths and the design's ablations.
 
 import (
 	"testing"
@@ -20,117 +17,23 @@ import (
 	"repro/internal/kernel"
 )
 
-// benchScale keeps bench runtime reasonable.
-func benchScale() experiments.Scale {
-	return experiments.Scale{
-		LMBenchIters: 60, FileCount: 80, HTTPRequests: 6, SSHRuns: 2, PostmarkTxns: 600,
+// BenchmarkExperiments runs every experiment of the vgbench list at
+// QuickScale, one sub-benchmark each (`-bench Experiments/t2`), and
+// reports its BENCH metrics (virtual-time overheads, bandwidth ratios,
+// counts) under their BENCH names via b.ReportMetric. cmd/vgbench
+// prints the full tables.
+func BenchmarkExperiments(b *testing.B) {
+	for _, e := range experiments.Experiments {
+		b.Run(e.Name, func(b *testing.B) {
+			var res experiments.Result
+			for i := 0; i < b.N; i++ {
+				res = e.Run(experiments.QuickScale(), 8)
+			}
+			for name, v := range res.Entry.Metrics {
+				b.ReportMetric(v, name)
+			}
+		})
 	}
-}
-
-// BenchmarkTable2LMBench regenerates Table 2 and reports the
-// Virtual-Ghost-vs-native overhead for each microbenchmark as a custom
-// metric (e.g. "null_x").
-func BenchmarkTable2LMBench(b *testing.B) {
-	var rows []experiments.T2Row
-	for i := 0; i < b.N; i++ {
-		rows = experiments.Table2(benchScale())
-	}
-	metric := map[string]string{
-		"null syscall":            "null_x",
-		"open/close":              "openclose_x",
-		"mmap":                    "mmap_x",
-		"page fault":              "pagefault_x",
-		"signal handler install":  "siginstall_x",
-		"signal handler delivery": "sigdeliver_x",
-		"fork + exit":             "forkexit_x",
-		"fork + exec":             "forkexec_x",
-		"select":                  "select_x",
-	}
-	for _, r := range rows {
-		b.ReportMetric(r.Overhead, metric[r.Test])
-	}
-}
-
-// BenchmarkTable3FileDelete regenerates Table 3 (files deleted/sec).
-func BenchmarkTable3FileDelete(b *testing.B) {
-	var rows []experiments.FileRateRow
-	for i := 0; i < b.N; i++ {
-		rows = experiments.Table3(benchScale())
-	}
-	for _, r := range rows {
-		b.ReportMetric(r.Overhead, "delete_x_"+sizeTag(r.SizeBytes))
-	}
-}
-
-// BenchmarkTable4FileCreate regenerates Table 4 (files created/sec).
-func BenchmarkTable4FileCreate(b *testing.B) {
-	var rows []experiments.FileRateRow
-	for i := 0; i < b.N; i++ {
-		rows = experiments.Table4(benchScale())
-	}
-	for _, r := range rows {
-		b.ReportMetric(r.Overhead, "create_x_"+sizeTag(r.SizeBytes))
-	}
-}
-
-// BenchmarkTable5Postmark regenerates Table 5.
-func BenchmarkTable5Postmark(b *testing.B) {
-	var res experiments.T5Result
-	for i := 0; i < b.N; i++ {
-		res = experiments.Table5(benchScale())
-	}
-	b.ReportMetric(res.Overhead, "postmark_x")
-}
-
-// BenchmarkFigure2Thttpd regenerates Figure 2 and reports the smallest
-// and largest file-size bandwidth ratios (Virtual Ghost / native).
-func BenchmarkFigure2Thttpd(b *testing.B) {
-	var pts []experiments.BandwidthPoint
-	for i := 0; i < b.N; i++ {
-		pts = experiments.Figure2(benchScale())
-	}
-	reportEnds(b, pts, "thttpd")
-}
-
-// BenchmarkFigure3SSHServer regenerates Figure 3 (sshd bandwidth).
-func BenchmarkFigure3SSHServer(b *testing.B) {
-	var pts []experiments.BandwidthPoint
-	for i := 0; i < b.N; i++ {
-		pts = experiments.Figure3(benchScale())
-	}
-	reportEnds(b, pts, "sshd")
-}
-
-// BenchmarkFigure4GhostingSSH regenerates Figure 4 (ghosting vs
-// original ssh client).
-func BenchmarkFigure4GhostingSSH(b *testing.B) {
-	var pts []experiments.BandwidthPoint
-	for i := 0; i < b.N; i++ {
-		pts = experiments.Figure4(benchScale())
-	}
-	reportEnds(b, pts, "ghosting")
-}
-
-func reportEnds(b *testing.B, pts []experiments.BandwidthPoint, tag string) {
-	if len(pts) == 0 {
-		b.Fatal("no points")
-	}
-	b.ReportMetric(pts[0].Ratio, tag+"_ratio_small")
-	b.ReportMetric(pts[len(pts)-1].Ratio, tag+"_ratio_large")
-}
-
-func sizeTag(n int) string {
-	switch n {
-	case 0:
-		return "0k"
-	case 1024:
-		return "1k"
-	case 4096:
-		return "4k"
-	case 10240:
-		return "10k"
-	}
-	return "other"
 }
 
 // --- simulator fast-path benches (host time, not virtual time) ---------

@@ -28,25 +28,10 @@ func main() {
 			keys = append(keys, k)
 		}
 	}
-	if len(keys) > 0 {
-		fmt.Println("Running selected hostile-OS attack vectors against ssh-agent")
-	} else {
-		fmt.Println("Running the hostile-OS attack suite against ssh-agent")
-	}
-	fmt.Println("(every attack is mounted on both configurations)")
-	fmt.Println()
 	rows, err := experiments.SecurityMatrixSelect(*cpus, keys)
 	if err != nil {
 		fmt.Fprintln(os.Stderr, "vgattack:", err)
 		os.Exit(2)
 	}
 	fmt.Print(experiments.FormatSecurity(rows))
-	defended := 0
-	for _, r := range rows {
-		if r.Defended {
-			defended++
-		}
-	}
-	fmt.Printf("\n%d/%d attacks succeed natively and are defeated by Virtual Ghost\n",
-		defended, len(rows))
 }

@@ -1,15 +1,96 @@
 package experiments
 
-import "fmt"
+import (
+	"encoding/json"
+	"fmt"
+	"os"
 
-// This file turns each experiment's result into its BENCH entry: the
-// virtual metrics and per-configuration cycle breakdowns `vgbench
-// -json` writes and TestGoldenBench pins. The entries carry no host
-// fields; the caller times the run and fills those in.
+	"repro/internal/hw"
+)
 
-// Table2Entry is Table 2's entry: each row's VG overhead, and each
+// This file is the experiment list and the BENCH record it fills. Each
+// entry runs one experiment and turns its result into the three things
+// a reader sees: the Markdown table `vgbench` prints and EXPERIMENTS.md
+// publishes, the `-breakdown` text, and the BENCH entry `vgbench -json`
+// writes and TestGoldenBench pins. The entries carry no host fields;
+// the caller times the run and fills those in.
+
+// Experiment is one experiment of the list: its `vgbench -only` name
+// and its run.
+type Experiment struct {
+	Name string
+	// Run measures at sc; cpus is the top of the CPU-scaling sweep,
+	// which only "cpu" reads.
+	Run func(sc Scale, cpus int) Result
+}
+
+// Result is one experiment run's output.
+type Result struct {
+	Table     string     // GitHub Markdown, as EXPERIMENTS.md publishes it
+	Breakdown string     // per-tag cycle attribution (Tables 2–4; else empty)
+	Entry     BenchEntry // virtual metrics and breakdowns, host fields unset
+}
+
+// Experiments is every experiment, in run order. cmd/vgbench, the bench
+// golden, the EXPERIMENTS.md check and BenchmarkExperiments all iterate
+// it; nothing else names an experiment.
+var Experiments = []Experiment{
+	{"t2", func(sc Scale, _ int) Result {
+		rows := Table2(sc)
+		return Result{FormatTable2(rows), FormatT2Breakdown(rows), table2Entry(rows)}
+	}},
+	{"t3", func(sc Scale, _ int) Result {
+		rows := Table3(sc)
+		return Result{FormatFileRates("Table 3. Files deleted per second", rows),
+			FormatFileRateBreakdown("Table 3", rows), fileRateEntry("table3_file_delete", "delete", rows)}
+	}},
+	{"t4", func(sc Scale, _ int) Result {
+		rows := Table4(sc)
+		return Result{FormatFileRates("Table 4. Files created per second", rows),
+			FormatFileRateBreakdown("Table 4", rows), fileRateEntry("table4_file_create", "create", rows)}
+	}},
+	{"f2", func(sc Scale, _ int) Result {
+		pts := Figure2(sc)
+		return Result{Table: FormatSeries("Figure 2. thttpd bandwidth (native vs Virtual Ghost kernel)",
+			pts, "native", "vghost"), Entry: seriesEntry("figure2_thttpd", pts)}
+	}},
+	{"f3", func(sc Scale, _ int) Result {
+		pts := Figure3(sc)
+		return Result{Table: FormatSeries("Figure 3. sshd transfer rate (native vs Virtual Ghost kernel)",
+			pts, "native", "vghost"), Entry: seriesEntry("figure3_sshd", pts)}
+	}},
+	{"f4", func(sc Scale, _ int) Result {
+		pts := Figure4(sc)
+		return Result{Table: FormatSeries("Figure 4. ssh client transfer rate on Virtual Ghost (original vs ghosting)",
+			pts, "original", "ghosting"), Entry: seriesEntry("figure4_ghosting_ssh", pts)}
+	}},
+	{"t5", func(sc Scale, _ int) Result {
+		res := Table5(sc)
+		return Result{Table: FormatTable5(res, sc.PostmarkTxns), Entry: BenchEntry{
+			Name: "table5_postmark", Metrics: map[string]float64{"postmark_x": res.Overhead}}}
+	}},
+	{"sec", func(Scale, int) Result {
+		rows := SecurityMatrix()
+		return Result{Table: FormatSecurity(rows), Entry: BenchEntry{Name: "security_matrix",
+			Metrics: map[string]float64{"attacks": float64(len(rows)), "defended": float64(defended(rows))}}}
+	}},
+	{"cpu", func(sc Scale, cpus int) Result {
+		pts := CPUScaling(sc, CPUCountsUpTo(cpus))
+		return Result{Table: FormatCPUScaling(pts), Entry: cpuScalingEntry(pts)}
+	}},
+	{"c10k", func(sc Scale, _ int) Result {
+		cmp := C10K(sc)
+		return Result{Table: FormatC10K(cmp), Entry: c10kEntry(cmp)}
+	}},
+	{"snap", func(Scale, int) Result {
+		rows := SnapDifferential()
+		return Result{Table: FormatSnap(rows), Entry: snapEntry(rows)}
+	}},
+}
+
+// table2Entry is Table 2's entry: each row's VG overhead, and each
 // row's ledger per configuration.
-func Table2Entry(rows []T2Row) BenchEntry {
+func table2Entry(rows []T2Row) BenchEntry {
 	e := BenchEntry{
 		Name:      "table2_lmbench",
 		Metrics:   make(map[string]float64, len(rows)),
@@ -23,16 +104,6 @@ func Table2Entry(rows []T2Row) BenchEntry {
 		e.Breakdown[key+"/shadow"] = BreakdownMap(r.ShadowLedger)
 	}
 	return e
-}
-
-// Table3Entry is Table 3's entry (file deletion).
-func Table3Entry(rows []FileRateRow) BenchEntry {
-	return fileRateEntry("table3_file_delete", "delete", rows)
-}
-
-// Table4Entry is Table 4's entry (file creation).
-func Table4Entry(rows []FileRateRow) BenchEntry {
-	return fileRateEntry("table4_file_create", "create", rows)
 }
 
 // fileRateEntry records each size's overhead and ledgers under op.
@@ -51,15 +122,6 @@ func fileRateEntry(name, op string, rows []FileRateRow) BenchEntry {
 	return e
 }
 
-// Figure2Entry is Figure 2's entry (thttpd bandwidth).
-func Figure2Entry(pts []BandwidthPoint) BenchEntry { return seriesEntry("figure2_thttpd", pts) }
-
-// Figure3Entry is Figure 3's entry (sshd transfer rate).
-func Figure3Entry(pts []BandwidthPoint) BenchEntry { return seriesEntry("figure3_sshd", pts) }
-
-// Figure4Entry is Figure 4's entry (ssh client with ghosting).
-func Figure4Entry(pts []BandwidthPoint) BenchEntry { return seriesEntry("figure4_ghosting_ssh", pts) }
-
 // seriesEntry summarizes a bandwidth sweep by its end points.
 func seriesEntry(name string, pts []BandwidthPoint) BenchEntry {
 	m := make(map[string]float64, 2)
@@ -68,25 +130,6 @@ func seriesEntry(name string, pts []BandwidthPoint) BenchEntry {
 		m[fmt.Sprintf("ratio_%db", pts[len(pts)-1].SizeBytes)] = pts[len(pts)-1].Ratio
 	}
 	return BenchEntry{Name: name, Metrics: m}
-}
-
-// Table5Entry is Table 5's entry (Postmark).
-func Table5Entry(res T5Result) BenchEntry {
-	return BenchEntry{Name: "table5_postmark", Metrics: map[string]float64{"postmark_x": res.Overhead}}
-}
-
-// SecurityEntry counts the attacks and those Virtual Ghost defended.
-func SecurityEntry(rows []SecurityRow) BenchEntry {
-	defended := 0
-	for _, r := range rows {
-		if r.Defended {
-			defended++
-		}
-	}
-	return BenchEntry{Name: "security_matrix", Metrics: map[string]float64{
-		"attacks":  float64(len(rows)),
-		"defended": float64(defended),
-	}}
 }
 
 // CPUCountsUpTo is the part of the CPUCounts sweep at most n CPUs wide.
@@ -100,9 +143,9 @@ func CPUCountsUpTo(n int) []int {
 	return counts
 }
 
-// CPUScalingEntry records each machine size's speedup and per-CPU
+// cpuScalingEntry records each machine size's speedup and per-CPU
 // utilization.
-func CPUScalingEntry(pts []CPUPoint) BenchEntry {
+func cpuScalingEntry(pts []CPUPoint) BenchEntry {
 	metrics := make(map[string]float64)
 	for _, p := range pts {
 		metrics[fmt.Sprintf("speedup_%dcpu", p.NumCPUs)] = p.Speedup
@@ -113,9 +156,9 @@ func CPUScalingEntry(pts []CPUPoint) BenchEntry {
 	return BenchEntry{Name: "cpu_scaling_ghost_httpd", Metrics: metrics}
 }
 
-// C10KEntry records both servers' load, latency and adversary outcomes,
+// c10kEntry records both servers' load, latency and adversary outcomes,
 // and each server's ledger.
-func C10KEntry(cmp C10KCompare) BenchEntry {
+func c10kEntry(cmp C10KCompare) BenchEntry {
 	metrics := map[string]float64{"conns": float64(cmp.Conns)}
 	for _, s := range []struct {
 		name string
@@ -145,11 +188,11 @@ func C10KEntry(cmp C10KCompare) BenchEntry {
 	}
 }
 
-// SnapEntry records each configuration's image size, frozen cycles
+// snapEntry records each configuration's image size, frozen cycles
 // and sealed pages. The differential is a hard determinism contract,
 // not a statistic: any cold-vs-warm difference is a bug, and it panics
 // rather than report numbers on top of one.
-func SnapEntry(rows []SnapRow) BenchEntry {
+func snapEntry(rows []SnapRow) BenchEntry {
 	metrics := make(map[string]float64, 3*len(rows))
 	for _, r := range rows {
 		if !r.Identical || r.ColdCycles != r.WarmCycles {
@@ -187,4 +230,80 @@ func metricKey(name string) string {
 		b = b[:len(b)-1]
 	}
 	return string(b)
+}
+
+// BenchEntry is one experiment's machine-readable result: the virtual
+// overhead metrics the paper reports plus the host wall-clock time and
+// host allocations the simulator spent producing them. Host costs are
+// simulator-efficiency numbers (tracked across PRs); the metrics are
+// paper results and must not move.
+type BenchEntry struct {
+	Name           string             `json:"name"`
+	HostNs         int64              `json:"host_ns"`
+	HostAllocs     int64              `json:"host_allocs,omitempty"`
+	HostAllocBytes int64              `json:"host_alloc_bytes,omitempty"`
+	Metrics        map[string]float64 `json:"metrics"`
+	// Breakdown attributes the measured virtual cycles per configuration
+	// (e.g. "null syscall/vghost") to cost tags (tag name -> cycles).
+	// Present for experiments that capture ledgers (Tables 2–4, C10K).
+	Breakdown map[string]map[string]uint64 `json:"breakdown,omitempty"`
+}
+
+// BenchSchemaVersion is the format version stamped into BenchReport as
+// schema_version. Bump it on any incompatible change to the report
+// shape; the format itself is documented in EXPERIMENTS.md.
+//
+// v1 (implicit, reports without the field): date/scale/num_cpus/experiments.
+// v2: adds schema_version and optional per-entry breakdown maps.
+// v3: adds the check_elision entry (removed in v7).
+// v4: adds the superinstruction_fusion entry (removed in v7).
+// v5: adds snapshot warm start — top-level boot_skipped_sec and
+// snapshot_bytes (both removed in v8) — plus the snap entry (per-config
+// cold/warm/image cycles and bit-identical flag).
+// v6: adds the c10k_eventd entry (event-driven web service under
+// concurrent load: per-config peak_conns/requests/rps and
+// p50/p95/p99 virtual latency µs, adversary outcomes, and server-side
+// syn_drops/timeout_kills counters).
+// v7: drops the check_elision and superinstruction_fusion entries and
+// the per-entry host_parallel field (the engine knobs they reported are
+// gone: the linked engine always fuses and never elides).
+// v8: drops boot_skipped_sec and snapshot_bytes (snapshot warm start is
+// gone: a fork from an image cost as much host time as a cold boot).
+// v9: drops the host_speedup_{1,2,4,8}cpu metrics of cpu_scaling_ghost_httpd
+// (host-parallel user phases are gone), so every metrics value is virtual.
+const BenchSchemaVersion = 9
+
+// BenchReport is the cross-PR perf trajectory record written by
+// `vgbench -json` as BENCH_<date>.json.
+type BenchReport struct {
+	SchemaVersion int    `json:"schema_version"`
+	Date          string `json:"date"`
+	Scale         string `json:"scale"`
+	// NumCPUs is the top of the SMP sweep (-cpus); 1 = single-CPU run.
+	NumCPUs int `json:"num_cpus"`
+	// HostCPUs is runtime.NumCPU() on the measuring machine; host costs
+	// of reports with different host_cpus do not compare.
+	HostCPUs int          `json:"host_cpus,omitempty"`
+	Entries  []BenchEntry `json:"experiments"`
+}
+
+// BreakdownMap converts a measurement ledger to the JSON breakdown
+// shape: tag name -> cycles, zero tags omitted.
+func BreakdownMap(l hw.Ledger) map[string]uint64 {
+	out := make(map[string]uint64)
+	for t := hw.Tag(0); t < hw.NumTags; t++ {
+		if l[t] > 0 {
+			out[t.String()] = l[t]
+		}
+	}
+	return out
+}
+
+// WriteBenchJSON writes the report to path.
+func WriteBenchJSON(path string, r BenchReport) error {
+	b, err := json.MarshalIndent(r, "", "  ")
+	if err != nil {
+		return err
+	}
+	return os.WriteFile(path, append(b, '\n'), 0o644)
 }

@@ -456,41 +456,25 @@ func percentilesUs(samples []uint64) (p50, p95, p99 float64) {
 	return at(0.50), at(0.95), at(0.99)
 }
 
-// FormatC10K renders the comparison.
+// FormatC10K renders the comparison as a Markdown table, then the
+// throughput ratio and the server-side drop counters.
 func FormatC10K(c C10KCompare) string {
 	var sb strings.Builder
-	fmt.Fprintf(&sb, "C10K. Event-driven ghost web service, %d concurrent connections\n", c.Conns)
-	fmt.Fprintf(&sb, "%-8s %9s %9s %9s %10s %9s %9s %9s %6s %6s\n",
-		"Server", "peak", "requests", "failures", "req/s", "p50 µs", "p95 µs", "p99 µs", "idle", "400s")
+	fmt.Fprintf(&sb, "C10K. Event-driven ghost web service, %d concurrent connections\n\n", c.Conns)
+	sb.WriteString("| Server | peak | requests | failures | req/s | p50 µs | p95 µs | p99 µs | idle | 400s |\n" +
+		"|---|---:|---:|---:|---:|---:|---:|---:|---:|---:|\n")
 	row := func(name string, r C10KResult) {
-		fmt.Fprintf(&sb, "%-8s %9d %9d %9d %10.0f %9.1f %9.1f %9.1f %6d %6d\n",
+		fmt.Fprintf(&sb, "| %s | %d | %d | %d | %.0f | %.1f | %.1f | %.1f | %d | %d |\n",
 			name, r.PeakConns, r.Requests, r.Failures, r.RPS,
 			r.P50us, r.P95us, r.P99us, r.IdleKilled, r.Rejected400)
 	}
 	row("native", c.Native)
 	row("vghost", c.VG)
 	if c.Native.RPS > 0 {
-		fmt.Fprintf(&sb, "throughput ratio (vghost/native): %.2fx\n", c.VG.RPS/c.Native.RPS)
+		fmt.Fprintf(&sb, "\nthroughput ratio (vghost/native): %.2fx\n", c.VG.RPS/c.Native.RPS)
 	}
-	fmt.Fprintf(&sb, "server drops: native syn=%d idle-kills=%d late-data=%d | vghost syn=%d idle-kills=%d late-data=%d\n",
+	fmt.Fprintf(&sb, "\nserver drops: native syn=%d idle-kills=%d late-data=%d; vghost syn=%d idle-kills=%d late-data=%d\n",
 		c.Native.NetStats.SynDrops, c.Native.NetStats.TimeoutKills, c.Native.NetStats.LateDataDrops,
 		c.VG.NetStats.SynDrops, c.VG.NetStats.TimeoutKills, c.VG.NetStats.LateDataDrops)
 	return sb.String()
-}
-
-// ExportC10K writes c10k.csv.
-func ExportC10K(dir string, c C10KCompare) error {
-	row := func(name string, r C10KResult) []string {
-		return []string{
-			name, fmt.Sprint(r.PeakConns), fmt.Sprint(r.Requests), fmt.Sprint(r.Failures),
-			f3(r.RPS), f3(r.P50us), f3(r.P95us), f3(r.P99us),
-			fmt.Sprint(r.IdleKilled), fmt.Sprint(r.Rejected400),
-			fmt.Sprint(r.NetStats.SynDrops), fmt.Sprint(r.NetStats.TimeoutKills),
-		}
-	}
-	return WriteCSV(dir, "c10k",
-		[]string{"server", "peak_conns", "requests", "failures", "rps",
-			"p50_us", "p95_us", "p99_us", "idle_killed", "rejected_400",
-			"syn_drops", "timeout_kills"},
-		[][]string{row("native", c.Native), row("vghost", c.VG)})
 }

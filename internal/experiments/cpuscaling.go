@@ -177,45 +177,20 @@ func scalingFingerprint(sys *repro.System, requests int) string {
 	return sb.String()
 }
 
-// FormatCPUScaling renders the sweep.
+// FormatCPUScaling renders the sweep as a Markdown table.
 func FormatCPUScaling(pts []CPUPoint) string {
 	var sb strings.Builder
-	sb.WriteString("CPU scaling: ghost webserver (content cache + AES-GCM sealing) on Virtual Ghost\n")
-	fmt.Fprintf(&sb, "%-6s %9s %12s %12s %9s %s\n",
-		"CPUs", "Requests", "Makespan s", "Req/s", "Speedup", "Per-CPU utilization")
+	sb.WriteString("CPU scaling: ghost webserver (content cache + AES-GCM sealing) on Virtual Ghost\n\n")
+	sb.WriteString("| CPUs | Requests | Makespan s | Req/s | Speedup | Per-CPU utilization |\n" +
+		"|---:|---:|---:|---:|---:|---|\n")
 	for _, p := range pts {
 		utils := make([]string, len(p.Utilization))
 		for i, u := range p.Utilization {
 			utils[i] = fmt.Sprintf("%.2f", u)
 		}
-		fmt.Fprintf(&sb, "%-6d %9d %12.6f %12.0f %8.2fx %s\n",
+		fmt.Fprintf(&sb, "| %d | %d | %.6f | %.0f | %.2fx | %s |\n",
 			p.NumCPUs, p.Requests, p.MakespanSec, p.ReqPerSec, p.Speedup,
 			strings.Join(utils, " "))
 	}
 	return sb.String()
-}
-
-// ExportCPUScaling writes cpu_scaling.csv.
-func ExportCPUScaling(dir string, pts []CPUPoint) error {
-	out := make([][]string, 0, len(pts))
-	for _, p := range pts {
-		minU, maxU := 1.0, 0.0
-		for _, u := range p.Utilization {
-			if u < minU {
-				minU = u
-			}
-			if u > maxU {
-				maxU = u
-			}
-		}
-		out = append(out, []string{
-			fmt.Sprint(p.NumCPUs), fmt.Sprint(p.Requests),
-			f3(p.MakespanSec), f3(p.ReqPerSec), f3(p.Speedup),
-			f3(minU), f3(maxU),
-		})
-	}
-	return WriteCSV(dir, "cpu_scaling",
-		[]string{"num_cpus", "requests", "makespan_s", "req_per_s", "speedup",
-			"min_util", "max_util"},
-		out)
 }

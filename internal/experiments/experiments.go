@@ -1,14 +1,14 @@
 // Package experiments regenerates every table and figure of the paper's
 // evaluation (§8) and the security results (§7). Each experiment boots
 // fresh systems for the configurations it compares and returns
-// structured results plus formatted tables; cmd/vgbench prints them and
-// bench_test.go wraps them in testing.B benchmarks.
+// structured results plus formatted tables. The Experiments list
+// (bench.go) runs them for cmd/vgbench, the bench golden, the
+// EXPERIMENTS.md check and bench_test.go's BenchmarkExperiments.
 package experiments
 
 import (
 	"fmt"
 	"strings"
-	"sync"
 
 	"repro"
 	"repro/internal/apps/lmbench"
@@ -29,11 +29,6 @@ type Scale struct {
 	// experiment; C10KRequests is the per-connection request count.
 	C10KConns    int
 	C10KRequests int
-	// Parallel fans independent measurements (Table 2 rows, Table 3/4
-	// sizes) out over host goroutines. Each measurement boots its own
-	// systems on its own virtual clock, so results are bit-identical to
-	// the sequential run — only host wall-clock changes.
-	Parallel bool
 }
 
 // QuickScale is small enough for unit tests.
@@ -116,8 +111,7 @@ func Table2(sc Scale) []T2Row {
 		{"select", func(k *kernel.Kernel) float64 { return lmbench.Select(k, 64, iters) }},
 	}
 	rows := make([]T2Row, len(benches))
-	forEach(sc.Parallel, len(benches), func(i int) {
-		b := benches[i]
+	for i, b := range benches {
 		row := T2Row{Test: b.name, Paper: paperTable2[b.name]}
 		row.Native, row.NativeLedger = runLedgered(repro.Native, b.run)
 		row.VG, row.VGLedger = runLedgered(repro.VirtualGhost, b.run)
@@ -127,7 +121,7 @@ func Table2(sc Scale) []T2Row {
 			row.ShadowX = row.Shadow / row.Native
 		}
 		rows[i] = row
-	})
+	}
 	return rows
 }
 
@@ -141,42 +135,20 @@ func runLedgered(mode repro.Mode, run func(k *kernel.Kernel) float64) (float64, 
 	return v, sys.Kernel.M.Clock.Ledger().Sub(pre)
 }
 
-// forEach runs body(0..n-1), on host goroutines when parallel is set.
-// Each body call must be self-contained (its own systems and clock);
-// the results land in pre-sized slices, so ordering is preserved and
-// output is identical either way.
-func forEach(parallel bool, n int, body func(i int)) {
-	if !parallel {
-		for i := 0; i < n; i++ {
-			body(i)
-		}
-		return
-	}
-	var wg sync.WaitGroup
-	wg.Add(n)
-	for i := 0; i < n; i++ {
-		go func(i int) {
-			defer wg.Done()
-			body(i)
-		}(i)
-	}
-	wg.Wait()
-}
-
-// FormatTable2 renders the Table 2 comparison.
+// FormatTable2 renders the Table 2 comparison as a Markdown table, each
+// cell measured / paper.
 func FormatTable2(rows []T2Row) string {
 	var sb strings.Builder
-	sb.WriteString("Table 2. LMBench latencies (microseconds of virtual time)\n")
-	fmt.Fprintf(&sb, "%-26s %9s %9s %8s %9s | paper: %7s %7s %7s %7s\n",
-		"Test", "Native", "VGhost", "VG x", "InkTag x", "native", "vghost", "vg x", "inktag x")
+	sb.WriteString("Table 2. LMBench latencies (microseconds of virtual time), measured / paper\n\n")
+	sb.WriteString("| Test | Native | VGhost | VG x | InkTag x |\n|---|---:|---:|---:|---:|\n")
 	for _, r := range rows {
 		ink := "-"
 		if r.Paper.InkTag > 0 {
 			ink = fmt.Sprintf("%.2fx", r.Paper.InkTag)
 		}
-		fmt.Fprintf(&sb, "%-26s %9.3g %9.3g %7.2fx %8.2fx | %13.3g %7.3g %6.2fx %7s\n",
-			r.Test, r.Native, r.VG, r.Overhead, r.ShadowX,
-			r.Paper.Native, r.Paper.VG, r.Paper.Overhead, ink)
+		fmt.Fprintf(&sb, "| %s | %.3g / %.3g | %.3g / %.3g | %.2fx / %.2fx | %.2fx / %s |\n",
+			r.Test, r.Native, r.Paper.Native, r.VG, r.Paper.VG,
+			r.Overhead, r.Paper.Overhead, r.ShadowX, ink)
 	}
 	return sb.String()
 }
@@ -281,8 +253,7 @@ func Table4(sc Scale) []FileRateRow {
 
 func fileRates(sc Scale, f func(*kernel.Kernel, int, int) float64, paper map[int][3]float64) []FileRateRow {
 	rows := make([]FileRateRow, len(FileSizes))
-	forEach(sc.Parallel, len(FileSizes), func(i int) {
-		size := FileSizes[i]
+	for i, size := range FileSizes {
 		r := FileRateRow{SizeBytes: size}
 		r.Native, r.NativeLedger = runLedgered(repro.Native, func(k *kernel.Kernel) float64 {
 			return f(k, size, sc.FileCount)
@@ -296,20 +267,20 @@ func fileRates(sc Scale, f func(*kernel.Kernel, int, int) float64, paper map[int
 		p := paper[size]
 		r.PaperNat, r.PaperVG, r.PaperRatio = p[0], p[1], p[2]
 		rows[i] = r
-	})
+	}
 	return rows
 }
 
-// FormatFileRates renders Table 3 or 4.
+// FormatFileRates renders Table 3 or 4 as a Markdown table, each cell
+// measured / paper.
 func FormatFileRates(title string, rows []FileRateRow) string {
 	var sb strings.Builder
-	sb.WriteString(title + "\n")
-	fmt.Fprintf(&sb, "%-9s %12s %12s %9s | paper: %9s %9s %7s\n",
-		"Size", "Native/s", "VGhost/s", "Overhead", "native", "vghost", "x")
+	sb.WriteString(title + ", measured / paper\n\n")
+	sb.WriteString("| Size | Native/s | VGhost/s | Overhead |\n|---|---:|---:|---:|\n")
 	for _, r := range rows {
-		fmt.Fprintf(&sb, "%-9s %12.0f %12.0f %8.2fx | %16.0f %9.0f %6.2fx\n",
-			sizeLabel(r.SizeBytes), r.Native, r.VG, r.Overhead,
-			r.PaperNat, r.PaperVG, r.PaperRatio)
+		fmt.Fprintf(&sb, "| %s | %.0f / %.0f | %.0f / %.0f | %.2fx / %.2fx |\n",
+			sizeLabel(r.SizeBytes), r.Native, r.PaperNat, r.VG, r.PaperVG,
+			r.Overhead, r.PaperRatio)
 	}
 	return sb.String()
 }
@@ -351,11 +322,12 @@ func Table5(sc Scale) T5Result {
 	return res
 }
 
-// FormatTable5 renders Table 5.
+// FormatTable5 renders Table 5 as a Markdown table.
 func FormatTable5(r T5Result, txns int) string {
-	return fmt.Sprintf(
-		"Table 5. Postmark (%d transactions)\n"+
-			"Native: %.3f s   Virtual Ghost: %.3f s   Overhead: %.2fx   (paper: %.2f s / %.2f s = %.2fx at 500k txns)\n",
+	return fmt.Sprintf("Table 5. Postmark\n\n"+
+		"| | Native | Virtual Ghost | Overhead |\n|---|---:|---:|---:|\n"+
+		"| measured (%d txns) | %.3f s | %.3f s | %.2fx |\n"+
+		"| paper (500k txns) | %.2f s | %.2f s | %.2fx |\n",
 		txns, r.NativeSecs, r.VGSecs, r.Overhead,
 		r.PaperNative, r.PaperVG, r.PaperOverhead)
 }
@@ -372,13 +344,27 @@ type SecurityRow struct {
 	Defended bool
 }
 
-// FormatSecurity renders the matrix.
+// FormatSecurity renders the matrix as a Markdown table, then the
+// tally of attacks Virtual Ghost defeated.
 func FormatSecurity(rows []SecurityRow) string {
 	var sb strings.Builder
-	sb.WriteString("Security results (paper section 7)\n")
-	fmt.Fprintf(&sb, "%-26s %-34s %-34s %s\n", "Attack", "Native", "Virtual Ghost", "Defended")
+	sb.WriteString("Security results (paper section 7)\n\n")
+	sb.WriteString("| Attack | Native | Virtual Ghost | Defended |\n|---|---|---|---|\n")
 	for _, r := range rows {
-		fmt.Fprintf(&sb, "%-26s %-34s %-34s %v\n", r.Attack, r.NativeResult, r.VGResult, r.Defended)
+		fmt.Fprintf(&sb, "| %s | %s | %s | %v |\n", r.Attack, r.NativeResult, r.VGResult, r.Defended)
 	}
+	fmt.Fprintf(&sb, "\n%d/%d attacks succeed natively and are defeated by Virtual Ghost\n",
+		defended(rows), len(rows))
 	return sb.String()
+}
+
+// defended counts the attacks Virtual Ghost defeated.
+func defended(rows []SecurityRow) int {
+	n := 0
+	for _, r := range rows {
+		if r.Defended {
+			n++
+		}
+	}
+	return n
 }

@@ -49,26 +49,13 @@ func (l benchLeaf) String() string {
 	return strings.Join(tags, " ")
 }
 
-// collectGoldenBench runs every vgbench experiment at quick scale and
-// flattens the entries into "metrics/<entry>/<metric>" and
-// "breakdown/<entry>/<config>" leaves.
+// collectGoldenBench runs every experiment of the list at quick scale
+// with the 8-CPU sweep and flattens the entries into
+// "metrics/<entry>/<metric>" and "breakdown/<entry>/<config>" leaves.
 func collectGoldenBench() map[string]benchLeaf {
-	sc := QuickScale()
-	entries := []BenchEntry{
-		Table2Entry(Table2(sc)),
-		Table3Entry(Table3(sc)),
-		Table4Entry(Table4(sc)),
-		Figure2Entry(Figure2(sc)),
-		Figure3Entry(Figure3(sc)),
-		Figure4Entry(Figure4(sc)),
-		Table5Entry(Table5(sc)),
-		SecurityEntry(SecurityMatrix()),
-		CPUScalingEntry(CPUScaling(sc, CPUCountsUpTo(8))),
-		C10KEntry(C10K(sc)),
-		SnapEntry(SnapDifferential()),
-	}
 	got := make(map[string]benchLeaf)
-	for _, e := range entries {
+	for _, x := range Experiments {
+		e := x.Run(QuickScale(), 8).Entry
 		for name, v := range e.Metrics {
 			got["metrics/"+e.Name+"/"+name] = benchLeaf{Metric: &v}
 		}

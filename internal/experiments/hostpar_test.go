@@ -2,16 +2,31 @@ package experiments
 
 import (
 	"reflect"
+	"sync"
 	"testing"
 )
 
 // These tests pin the host-concurrency contract for multi-CPU systems:
 // every system runs its epoch schedule on its own kernel, clock and
 // devices, so running several of them at once on concurrent host
-// goroutines (as the -parallel harness does) must not change one
-// virtual number. Run them under -race (CI does) and they double as
-// the proof that no scheduler, kernel or device state is shared
-// between systems.
+// goroutines must not change one virtual number. Run them under -race
+// (CI does) and they double as the proof that no scheduler, kernel or
+// device state is shared between systems, including state two systems
+// reach through an alias, which vglint's globalwrite cannot see.
+
+// concurrently runs body(0..n-1) on n host goroutines and waits for
+// all of them.
+func concurrently(n int, body func(i int)) {
+	var wg sync.WaitGroup
+	wg.Add(n)
+	for i := range n {
+		go func() {
+			defer wg.Done()
+			body(i)
+		}()
+	}
+	wg.Wait()
+}
 
 // TestHostParallelScalingEquivalence runs the ghost-webserver scaling
 // sweep at 2, 4 and 8 CPUs one system after another, then all three at
@@ -26,7 +41,7 @@ func TestHostParallelScalingEquivalence(t *testing.T) {
 		serial[i] = ghostServerThroughput(n, sc.HTTPRequests)
 	}
 	parallel := make([]CPUPoint, len(counts))
-	forEach(true, len(counts), func(i int) {
+	concurrently(len(counts), func(i int) {
 		parallel[i] = ghostServerThroughput(counts[i], sc.HTTPRequests)
 	})
 	for i, n := range counts {
@@ -48,7 +63,7 @@ func TestHostParallelNetStackEquivalence(t *testing.T) {
 	}
 	parallel := make([]string, 2)
 	errs := make([]error, len(parallel))
-	forEach(true, len(parallel), func(i int) {
+	concurrently(len(parallel), func(i int) {
 		parallel[i], errs[i] = netStackFingerprint(t)
 	})
 	for i, fp := range parallel {
@@ -69,7 +84,7 @@ func TestHostParallelNetStackEquivalence(t *testing.T) {
 func TestHostParallelSecurityMatrix(t *testing.T) {
 	serial := SecurityMatrix()
 	parallel := make([][]SecurityRow, 2)
-	forEach(true, len(parallel), func(i int) {
+	concurrently(len(parallel), func(i int) {
 		parallel[i] = SecurityMatrix()
 	})
 	for i, rows := range parallel {

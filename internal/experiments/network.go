@@ -25,13 +25,13 @@ type BandwidthPoint struct {
 	Ratio     float64 // VG / native
 }
 
-// FormatSeries renders a figure's series.
+// FormatSeries renders a figure's series as a Markdown table.
 func FormatSeries(title string, pts []BandwidthPoint, aLabel, bLabel string) string {
 	var sb strings.Builder
-	sb.WriteString(title + "\n")
-	fmt.Fprintf(&sb, "%-10s %14s %14s %8s\n", "File size", aLabel+" KB/s", bLabel+" KB/s", "ratio")
+	fmt.Fprintf(&sb, "%s\n\n| File size | %s KB/s | %s KB/s | ratio |\n|---|---:|---:|---:|\n",
+		title, aLabel, bLabel)
 	for _, p := range pts {
-		fmt.Fprintf(&sb, "%-10s %14.0f %14.0f %7.2f\n",
+		fmt.Fprintf(&sb, "| %s | %.0f | %.0f | %.2f |\n",
 			sizeLabel(p.SizeBytes), p.NativeKBs, p.VGKBs, p.Ratio)
 	}
 	return sb.String()

@@ -18,9 +18,15 @@ const AgentPort = 2222
 
 // SecurityMatrix runs the §7 rootkit attacks (and the wider vector
 // suite) against a live ssh-agent on both configurations and reports
-// the outcomes. The SMP stale-TLB vector runs on a 2-CPU machine; use
-// SecurityMatrixWithCPUs for larger machines.
-func SecurityMatrix() []SecurityRow { return SecurityMatrixWithCPUs(2) }
+// the outcomes. The SMP stale-TLB vector runs on a 2-CPU machine;
+// SecurityMatrixSelect takes the machine size.
+func SecurityMatrix() []SecurityRow {
+	rows, err := SecurityMatrixSelect(2, nil)
+	if err != nil {
+		panic(err) // unreachable: nil selection never fails
+	}
+	return rows
+}
 
 // securityVector is one registered attack vector: a stable selection
 // key (for `vgattack -only`) plus the function producing its row. smp
@@ -67,16 +73,6 @@ func SecurityVectorNames() []string {
 		out[i] = v.Key
 	}
 	return out
-}
-
-// SecurityMatrixWithCPUs is SecurityMatrix with the SMP vectors run on
-// an ncpus-CPU machine.
-func SecurityMatrixWithCPUs(ncpus int) []SecurityRow {
-	rows, err := SecurityMatrixSelect(ncpus, nil)
-	if err != nil {
-		panic(err) // unreachable: nil selection never fails
-	}
-	return rows
 }
 
 // SecurityMatrixSelect runs the named subset of the attack suite (all

@@ -106,14 +106,14 @@ func mustEncode(sys *repro.System) []byte {
 	return data
 }
 
-// FormatSnap renders the differential table.
+// FormatSnap renders the differential as a Markdown table.
 func FormatSnap(rows []SnapRow) string {
 	var sb strings.Builder
-	sb.WriteString("Snapshot round-trip differential (cold boot vs fork-from-image, identical workload)\n")
-	fmt.Fprintf(&sb, "%-8s %14s %14s %14s %11s %7s %s\n",
-		"Config", "Cold cycles", "Warm cycles", "Image cycles", "Image B", "Sealed", "Bit-identical")
+	sb.WriteString("Snapshot round-trip differential (cold boot vs fork-from-image, identical workload)\n\n")
+	sb.WriteString("| Config | Cold cycles | Warm cycles | Image cycles | Image B | Sealed | Bit-identical |\n" +
+		"|---|---:|---:|---:|---:|---:|---|\n")
 	for _, r := range rows {
-		fmt.Fprintf(&sb, "%-8s %14d %14d %14d %11d %7d %v\n",
+		fmt.Fprintf(&sb, "| %s | %d | %d | %d | %d | %d | %v |\n",
 			r.Config, r.ColdCycles, r.WarmCycles, r.ImageCycles, r.ImageBytes, r.SealedPages, r.Identical)
 	}
 	return sb.String()
