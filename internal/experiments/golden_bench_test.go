@@ -25,7 +25,7 @@ func TestGoldenBench(t *testing.T) {
 		writeGolden(t, goldenBenchPath, got)
 		return
 	}
-	compareGoldenFile(t, goldenBenchPath, got, benchLeaf.String)
+	compareGoldenFile(t, goldenBenchPath, got, nil, benchLeaf.String)
 }
 
 const goldenBenchPath = "testdata/golden_bench.json"

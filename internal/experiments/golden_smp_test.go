@@ -29,7 +29,7 @@ func TestGoldenSMP(t *testing.T) {
 		writeGolden(t, goldenSMPPath, got)
 		return
 	}
-	compareGoldenFile(t, goldenSMPPath, got, func(lines []string) string {
+	compareGoldenFile(t, goldenSMPPath, got, nil, func(lines []string) string {
 		return strings.Join(lines, "\n")
 	})
 }

@@ -124,7 +124,7 @@ func TestGoldenCycles(t *testing.T) {
 // entries, each with the pinned value and cumulative cycle count.
 func compareGolden(t *testing.T, got map[string]goldenEntry) {
 	t.Helper()
-	compareGoldenFile(t, goldenPath, got, func(e goldenEntry) string {
+	compareGoldenFile(t, goldenPath, got, nil, func(e goldenEntry) string {
 		return fmt.Sprintf("value=%v cycles=%d", e.Value, e.Cycles)
 	})
 }
@@ -146,10 +146,11 @@ func writeGolden(t *testing.T, path string, got any) {
 }
 
 // compareGoldenFile requires got to hold exactly the entries of the
-// golden file at path. show renders an entry; two entries are equal
-// when they render equal, and a moved entry is reported in both
-// renderings.
-func compareGoldenFile[T any](t *testing.T, path string, got map[string]T, show func(T) string) {
+// golden file at path that own selects (nil selects all; a file shared
+// by two tests gives each its own entries). show renders an entry; two
+// entries are equal when they render equal, and a moved entry is
+// reported in both renderings.
+func compareGoldenFile[T any](t *testing.T, path string, got map[string]T, own func(name string) bool, show func(T) string) {
 	t.Helper()
 	data, err := os.ReadFile(path)
 	if err != nil {
@@ -161,7 +162,9 @@ func compareGoldenFile[T any](t *testing.T, path string, got map[string]T, show 
 	}
 	names := make([]string, 0, len(want))
 	for n := range want {
-		names = append(names, n)
+		if own == nil || own(n) {
+			names = append(names, n)
+		}
 	}
 	sort.Strings(names)
 	for _, n := range names {

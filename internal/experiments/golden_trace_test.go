@@ -3,11 +3,16 @@ package experiments
 import (
 	"crypto/sha256"
 	"encoding/binary"
+	"encoding/json"
 	"fmt"
+	"maps"
+	"os"
+	"strings"
 	"testing"
 
 	"repro"
 	"repro/internal/hw"
+	"repro/internal/kernel"
 	"repro/internal/vir"
 )
 
@@ -35,22 +40,116 @@ func TestGoldenModuleTrace(t *testing.T) {
 			got[m.name+"/"+name] = d
 		}
 	}
-	if *updateGolden {
-		writeGolden(t, goldenTracePath, got)
-		return
-	}
-	compareGoldenFile(t, goldenTracePath, got, func(d traceDigest) string {
-		return fmt.Sprintf("events=%d cycles=%d sha256=%s", d.Events, d.Cycles, d.SHA256)
-	})
+	checkGoldenTrace(t, got, func(name string) bool { return !smpTraceEntry(name) })
 }
 
 const goldenTracePath = "testdata/golden_trace.json"
 
-// traceDigest summarizes one traced call's event stream.
+// smpTraceEntry reports whether a golden_trace.json entry belongs to
+// TestGoldenSMPTrace; the others belong to TestGoldenModuleTrace.
+func smpTraceEntry(name string) bool { return strings.HasPrefix(name, "smp/") }
+
+// checkGoldenTrace compares got with the golden_trace.json entries own
+// selects or, with -update, rewrites those entries and keeps the rest.
+func checkGoldenTrace(t *testing.T, got map[string]traceDigest, own func(name string) bool) {
+	t.Helper()
+	if *updateGolden {
+		all := make(map[string]traceDigest)
+		if data, err := os.ReadFile(goldenTracePath); err == nil {
+			if err := json.Unmarshal(data, &all); err != nil {
+				t.Fatalf("bad golden file: %v", err)
+			}
+		}
+		maps.DeleteFunc(all, func(name string, _ traceDigest) bool { return own(name) })
+		maps.Copy(all, got)
+		writeGolden(t, goldenTracePath, all)
+		return
+	}
+	compareGoldenFile(t, goldenTracePath, got, own, traceDigest.String)
+}
+
+// traceDigest summarizes one traced run's retained event stream. Total
+// and Dropped are the tracer's own counts, pinned for runs whose ring
+// may wrap (TestGoldenSMPTrace); module runs leave them zero.
 type traceDigest struct {
-	Events int    `json:"events"`
-	Cycles uint64 `json:"cycles"`
-	SHA256 string `json:"sha256"`
+	Events  int    `json:"events"`
+	Cycles  uint64 `json:"cycles"`
+	Total   uint64 `json:"total,omitempty"`
+	Dropped uint64 `json:"dropped,omitempty"`
+	SHA256  string `json:"sha256"`
+}
+
+func (d traceDigest) String() string {
+	return fmt.Sprintf("events=%d cycles=%d total=%d dropped=%d sha256=%s", d.Events, d.Cycles, d.Total, d.Dropped, d.SHA256)
+}
+
+// TestGoldenSMPTrace pins the trace of multi-CPU runs whose user
+// segments share epochs. On 2 and 4 CPUs, native and Virtual Ghost,
+// one process more than there are CPUs loops over Compute,
+// ComputeCrypt, a user-memory Write and Read, and getpid, so each
+// epoch's user phase charges several CPUs from one base and the tracer
+// must order their events by start cycle, then CPU. Each run is traced
+// at two ring capacities: 65,536 keeps every event, 512 wraps.
+//
+// After an intentional cost-model change, regenerate with:
+//
+//	go test ./internal/experiments -run TestGoldenSMPTrace -update
+func TestGoldenSMPTrace(t *testing.T) {
+	got := make(map[string]traceDigest)
+	for _, ncpu := range []int{2, 4} {
+		for _, m := range []struct {
+			name string
+			mode repro.Mode
+		}{{"native", repro.Native}, {"vghost", repro.VirtualGhost}} {
+			for _, capacity := range []int{1 << 16, 512} {
+				got[fmt.Sprintf("smp/%dcpu/%s/ring%d", ncpu, m.name, capacity)] = traceSMPRun(t, m.mode, ncpu, capacity)
+			}
+		}
+	}
+	checkGoldenTrace(t, got, smpTraceEntry)
+}
+
+// traceSMPRun boots an ncpu-CPU system, attaches a tracer of the given
+// capacity, runs ncpu+1 segmentLoop processes to completion and digests
+// what the tracer retained.
+func traceSMPRun(t *testing.T, mode repro.Mode, ncpu, capacity int) traceDigest {
+	t.Helper()
+	cfg := hw.DefaultConfig()
+	cfg.NumCPUs = ncpu
+	sys, err := repro.NewSystemWithOptions(mode, repro.Options{Machine: cfg})
+	if err != nil {
+		t.Fatal(err)
+	}
+	tr := hw.NewTracer(capacity)
+	sys.Machine.Clock.AttachTracer(tr)
+	for i := 0; i <= ncpu; i++ {
+		if _, err := sys.Kernel.Spawn("segloop", segmentLoop(i)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	sys.Kernel.RunUntilIdle()
+	sys.Machine.Clock.AttachTracer(nil)
+	d := digestEvents(tr.Events())
+	d.Total, d.Dropped = tr.Total(), tr.Dropped()
+	return d
+}
+
+// segmentLoop is process i's program: sixteen user segments, each sized
+// by i and the round and ended by a getpid syscall.
+func segmentLoop(i int) func(p *kernel.Proc) {
+	return func(p *kernel.Proc) {
+		buf := p.Alloc(256)
+		data := make([]byte, 40+24*i)
+		for r := 0; r < 16; r++ {
+			p.Compute(uint64(500 + 300*i + 40*r))
+			p.ComputeCrypt(uint64(200 + 50*i))
+			p.Write(buf, data)
+			p.Read(buf, len(data))
+			if pid := p.Syscall(kernel.SysGetpid); pid != uint64(p.PID) {
+				panic(fmt.Sprintf("getpid = %d in pid %d", pid, p.PID))
+			}
+		}
+	}
 }
 
 // traceTableModule fills a buffer with a xorshift stream and folds it

@@ -1,6 +1,8 @@
 package kernel
 
 import (
+	"bytes"
+	"fmt"
 	"testing"
 
 	"repro/internal/core"
@@ -128,6 +130,95 @@ func TestCrossCPUSignalSendsIPI(t *testing.T) {
 	sent, delivered, _ := k.M.IPICounts()
 	if sent == 0 || delivered == 0 {
 		t.Errorf("machine IPI counters: sent=%d delivered=%d, want both > 0", sent, delivered)
+	}
+}
+
+// TestUserPhaseReadsEpochBase pins the user phase's clock rule at 2
+// and 4 CPUs: every user segment of an epoch counts from the same base,
+// as it would on parallel hardware. One process per CPU reads
+// Clock.Cycles before and after Compute, ComputeCrypt and a user-memory
+// copy inside one segment, and every read must be the clock at the
+// start of the user phase, whichever CPU ran first. At the barrier the
+// clock must read that base plus the sum of the segments, each CPU's
+// ledger must hold its own segment's compute and crypt cycles, and each
+// CPU's busy counter must be credited with its segment. The epoch runs
+// phase by phase, as Kernel.epoch runs it, so the test can read the
+// clock between the phases.
+func TestUserPhaseReadsEpochBase(t *testing.T) {
+	for _, ncpu := range []int{2, 4} {
+		t.Run(fmt.Sprintf("%d CPUs", ncpu), func(t *testing.T) {
+			k := bootSMPKernel(t, core.ModeNative, ncpu)
+			clk := k.M.Clock
+			compute := func(i int) uint64 { return uint64(1000*(i+1) + 7) }
+			crypt := func(i int) uint64 { return uint64(100*(i+1) + 3) }
+			released := false
+			reads := make([][]uint64, ncpu) // by process
+			onCPU := make([]int, ncpu)      // by process
+			for i := 0; i < ncpu; i++ {
+				if _, err := k.Spawn("reader", func(p *Proc) {
+					buf := p.Alloc(64)
+					p.Write(buf, make([]byte, 64)) // fault the page in first
+					p.block(func() bool { return released })
+					r := []uint64{clk.Cycles()}
+					p.Compute(compute(i))
+					r = append(r, clk.Cycles())
+					p.ComputeCrypt(crypt(i))
+					r = append(r, clk.Cycles())
+					p.Write(buf, bytes.Repeat([]byte{byte(i)}, 8*(i+1)))
+					reads[i] = append(r, clk.Cycles())
+					onCPU[i] = p.onCPU
+				}); err != nil {
+					t.Fatalf("Spawn: %v", err)
+				}
+			}
+			k.RunUntilIdle() // every reader has its page and is blocked
+			released = true
+
+			for _, c := range k.cpus {
+				k.dispatchEpoch(c)
+				if c.slot == nil {
+					t.Fatalf("cpu%d dispatched nothing", c.id)
+				}
+			}
+			base := clk.Cycles()
+			busy := k.CPUBusy()
+			ledgers := make([]hw.Ledger, ncpu)
+			for i := range ledgers {
+				ledgers[i] = clk.CPULedger(i)
+			}
+			k.userPhase()
+			after := clk.Cycles()
+			busyAfter := k.CPUBusy()
+			segs := make([]hw.Ledger, ncpu)
+			for i := range segs {
+				segs[i] = clk.CPULedger(i).Sub(ledgers[i])
+			}
+			k.kernelPhase()
+			k.RunUntilIdle()
+
+			for i, r := range reads {
+				for j, v := range r {
+					if v != base {
+						t.Errorf("process %d on cpu%d: read %d = %d, want the epoch base %d", i, onCPU[i], j, v, base)
+					}
+				}
+			}
+			var sum uint64
+			for i, cpu := range onCPU {
+				seg := segs[cpu]
+				if seg[hw.TagCompute] != compute(i) || seg[hw.TagCrypt] != crypt(i) {
+					t.Errorf("cpu%d ledger: compute %d crypt %d, want its segment's %d and %d",
+						cpu, seg[hw.TagCompute], seg[hw.TagCrypt], compute(i), crypt(i))
+				}
+				if got := busyAfter[cpu] - busy[cpu]; got != seg.Total() {
+					t.Errorf("cpu%d busy credit = %d, want its segment's %d cycles", cpu, got, seg.Total())
+				}
+				sum += seg.Total()
+			}
+			if after != base+sum {
+				t.Errorf("clock at the barrier = %d, want base %d + segments %d = %d", after, base, sum, base+sum)
+			}
+		})
 	}
 }
 
