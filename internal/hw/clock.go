@@ -108,9 +108,10 @@ const (
 //
 // Invariant: the per-tag ledger is an exact partition of the total —
 // every path that advances cycles also credits exactly one tag, so
-// Ledger().Total() == Cycles() always. The tagging refactor changed only
-// *where* cycles are recorded, never *how many*: totals are bit-identical
-// to the pre-tag accounting (pinned by golden_cycles.json).
+// Ledger().Total() == Cycles() outside a user phase. The tagging
+// refactor changed only *where* cycles are recorded, never *how many*:
+// totals are bit-identical to the pre-tag accounting (pinned by
+// golden_cycles.json).
 //
 // A charge writes one ledger: the selected CPU's. The machine-wide
 // ledger is summed from the per-CPU ledgers when Ledger reads it. A
@@ -120,10 +121,10 @@ type Clock struct {
 	// cur is the ledger charges land in: the selected CPU's entry in
 	// perCPU, or base while perCPU is nil. retarget keeps it current.
 	cur *Ledger
-	// fast reports that Charge and ChargeOn may take their inlined
-	// path: cur is valid, no tracer is attached and no shard phase is
-	// open. The zero value is false, so a bare Clock{}'s first charge
-	// takes the slow path, which sets cur.
+	// fast reports that Charge may take its inlined path: cur is valid,
+	// no tracer is attached and no user phase is open. The zero value
+	// is false, so a bare Clock{}'s first charge takes the slow path,
+	// which sets cur.
 	fast bool
 	// perCPU attributes charges to the CPU selected by SetCPU. Sized by
 	// EnsureCPUs at machine construction; nil on bare clocks (tests).
@@ -143,19 +144,22 @@ type Clock struct {
 	// tracer costs the charge path nothing beyond the fast flag test.
 	tracer *Tracer
 
-	// Shard state for the epoch/barrier scheduler (DESIGN.md §14).
-	// Between BeginShardPhase and EndShardPhase, ChargeOn accumulates
-	// into per-CPU shards instead of the global counters, so every CPU's
-	// user segment in an epoch counts from the same base: a segment's
-	// view of the clock never includes the cycles of the segments that
-	// ran before it in the phase. EndShardPhase merges the shards in
-	// CPU-id order.
-	sharding  bool
-	shardBase uint64 // global cycles at BeginShardPhase (view origin)
-	// shards keeps one entry per CPU any phase has opened; the open (or
-	// last) phase owns the first shardN.
-	shards []clockShard
-	shardN int
+	// User-phase state for the epoch scheduler (DESIGN.md §14). While
+	// a phase is open, cycles stays at the epoch base, so every CPU's
+	// user segment counts from it: a segment never sees the cycles of
+	// the segments that ran before it in the phase, nor its own. A
+	// charge lands on the segment CPU's ledger and on seg; EndSegment
+	// moves seg into phaseSum, which joins cycles at EndUserPhase.
+	phase    bool
+	seg      uint64 // cycles of the open segment
+	phaseSum uint64 // cycles of the phase's closed segments
+	// outer is the selected CPU and trace context from before the
+	// phase; EndUserPhase restores them.
+	outer struct {
+		cpu int
+		pid int32
+		ctx uint32
+	}
 
 	// idleSources are the kernels sharing this clock. When every source
 	// is idle (no runnable work anywhere) but timers are armed, the
@@ -199,31 +203,14 @@ func (c *Clock) IdleTarget() (uint64, bool) {
 	return best, found
 }
 
-// clockShard is one CPU's private accumulator during an epoch's user
-// phase. Only that CPU's user segment charges it; the scheduler reads
-// it after the segments have run.
-type clockShard struct {
-	cycles uint64
-	ledger Ledger
-	// Trace context stamped onto this CPU's shard events (the PID of
-	// the process dispatched on this CPU), set by the scheduler in the
-	// serial schedule phase.
-	pid int32
-	ctx uint32
-	// ring is the per-CPU trace ring: events recorded during the
-	// sharded phase land here and are merged timestamp-ordered into the
-	// main tracer at the barrier, so a multi-CPU trace reads in virtual
-	// time order.
-	ring traceRing
-}
-
-// Cycles returns the current virtual time in cycles.
+// Cycles returns the current virtual time in cycles. During a user
+// phase it reads the epoch base.
 func (c *Clock) Cycles() uint64 { return c.cycles }
 
 // Charge advances the clock by n cycles attributed to tag. This is the
 // single entry point through which all simulated time passes.
 //
-// The common case, no tracer and no shard phase, is two adds and
+// The common case, no tracer and no user phase, is two adds and
 // inlines into every caller; keep it within the inliner's budget (CI
 // checks that `go build -gcflags=-m=2 ./internal/hw` still reports
 // `can inline (*Clock).Charge`). Everything else is chargeSlow.
@@ -237,168 +224,95 @@ func (c *Clock) Charge(tag Tag, n uint64) {
 }
 
 // chargeSlow is Charge when fast is off: a zero-value clock's first
-// charge, an attached tracer, or an open shard phase.
-//
-// During a shard phase the global counters are frozen: every charge
-// must arrive through ChargeOn with an explicit CPU so it lands in
-// that CPU's private shard. A global charge here would move the base
-// that the later CPUs' segments count from, so it panics loudly
-// instead of skewing the ledger.
+// charge, an attached tracer, or an open user phase. In a phase the
+// charge belongs to the open segment: it starts at the epoch base plus
+// the segment's cycles so far, and the tracer holds its event until
+// the phase ends.
 func (c *Clock) chargeSlow(tag Tag, n uint64) {
-	if c.sharding {
-		panic("hw: global Clock.Charge during a sharded user phase (use ChargeOn, or run this work in the kernel phase)")
-	}
 	if c.cur == nil {
 		c.retarget()
 	}
 	start := c.cycles
-	c.cycles += n
+	if c.phase {
+		start += c.seg
+		c.seg += n
+	} else {
+		c.cycles += n
+	}
 	c.cur[tag] += n
 	if c.tracer != nil && n > 0 {
-		c.tracer.record(TraceEvent{
+		ev := TraceEvent{
 			Tag: tag, CPU: int32(c.cpu), PID: c.pid, Ctx: c.ctx,
 			Start: start, Dur: n,
-		})
-	}
-}
-
-// ChargeOn charges n cycles attributed to tag on behalf of a specific
-// CPU. Outside a shard phase it is exactly Charge (the scheduler keeps
-// the clock's selected CPU in sync with the executing CPU, so the
-// attribution is unchanged); inside a shard phase it accumulates into
-// the CPU's private shard.
-// Hardware owned by one CPU (the CPU core itself, its MMU) and
-// process-context compute charges route through here. Its fast path
-// is Charge's, and inlines likewise.
-func (c *Clock) ChargeOn(cpu int, tag Tag, n uint64) {
-	if c.fast {
-		c.cycles += n
-		c.cur[tag] += n
-		return
-	}
-	c.chargeOnSlow(cpu, tag, n)
-}
-
-// chargeOnSlow is ChargeOn when fast is off.
-func (c *Clock) chargeOnSlow(cpu int, tag Tag, n uint64) {
-	if !c.sharding {
-		c.chargeSlow(tag, n)
-		return
-	}
-	s := &c.shards[cpu]
-	start := c.shardBase + s.cycles
-	s.cycles += n
-	s.ledger[tag] += n
-	if c.tracer != nil && n > 0 {
-		s.ring.record(TraceEvent{
-			Tag: tag, CPU: int32(cpu), PID: s.pid, Ctx: s.ctx,
-			Start: start, Dur: n,
-		})
+		}
+		if c.phase {
+			c.tracer.hold(ev)
+		} else {
+			c.tracer.record(ev)
+		}
 	}
 }
 
 // retarget points cur at the selected CPU's ledger (base while perCPU
 // is nil) and recomputes fast. Every change to perCPU, cpu, tracer or
-// sharding calls it.
+// phase calls it.
 func (c *Clock) retarget() {
 	if c.cpu < len(c.perCPU) {
 		c.cur = &c.perCPU[c.cpu]
 	} else {
 		c.cur = &c.base
 	}
-	c.fast = c.tracer == nil && !c.sharding
+	c.fast = c.tracer == nil && !c.phase
 }
 
-// ChargeBytesOn is ChargeBytes routed through ChargeOn (same per-8-byte
-// rounding rule).
-func (c *Clock) ChargeBytesOn(cpu int, tag Tag, n int, costPer8 uint64) {
-	words := uint64(n+7) / 8
-	c.ChargeOn(cpu, tag, words*costPer8)
-}
-
-// BeginShardPhase freezes the global counters and opens per-CPU shards
-// for n CPUs. Called by the epoch scheduler (serial context) before
-// the user phase; until EndShardPhase, each CPU i may charge only via
-// ChargeOn(i, ...).
-func (c *Clock) BeginShardPhase(n int) {
-	if c.sharding {
-		panic("hw: BeginShardPhase while already sharding")
+// BeginUserPhase opens an epoch's user phase. Until EndUserPhase,
+// Cycles keeps reading the epoch base and every charge belongs to the
+// segment BeginSegment opened. The epoch scheduler calls it in serial
+// context, between the schedule and kernel phases.
+func (c *Clock) BeginUserPhase() {
+	if c.phase {
+		panic("hw: BeginUserPhase while a user phase is open")
 	}
-	c.EnsureCPUs(n)
-	c.growShards(n)
-	for i := 0; i < n; i++ {
-		s := &c.shards[i]
-		s.cycles = 0
-		s.ledger = Ledger{}
-		if c.tracer != nil && s.ring.buf == nil {
-			s.ring.init(DefaultTraceCapacity)
-		}
-	}
-	c.shardBase = c.cycles
-	c.shardN = n
-	c.sharding = true
+	c.outer.cpu, c.outer.pid, c.outer.ctx = c.cpu, c.pid, c.ctx
+	c.phase = true
 	c.retarget()
 }
 
-// EndShardPhase merges the phase's shards into the global clock in
-// CPU-id order and replays their trace rings into the attached tracer,
-// timestamp-ordered (ties broken by CPU id). Shards past the phase's
-// width hold an earlier, wider phase's cycles, already merged.
-func (c *Clock) EndShardPhase() {
-	if !c.sharding {
-		panic("hw: EndShardPhase without BeginShardPhase")
+// BeginSegment starts CPU cpu's user segment in the open phase: its
+// charges land on cpu's ledger and its trace events carry pid and
+// context word 0, timed from the epoch base. Costs no virtual cycles.
+func (c *Clock) BeginSegment(cpu int, pid int32) {
+	if !c.phase {
+		panic("hw: BeginSegment outside a user phase")
 	}
-	c.sharding = false
+	c.SetCPU(cpu)
+	c.pid, c.ctx = pid, 0
+}
+
+// EndSegment closes the open segment and returns its cycles, which
+// join the clock at EndUserPhase.
+func (c *Clock) EndSegment() uint64 {
+	n := c.seg
+	c.phaseSum += n
+	c.seg = 0
+	return n
+}
+
+// EndUserPhase closes the phase: its segments' cycles join the clock,
+// the tracer records the events it held in (Start, CPU) order, and the
+// selected CPU and trace context return to what they were before the
+// phase.
+func (c *Clock) EndUserPhase() {
+	if !c.phase {
+		panic("hw: EndUserPhase without BeginUserPhase")
+	}
+	c.phase = false
+	c.cycles += c.phaseSum + c.seg
+	c.phaseSum, c.seg = 0, 0
+	c.cpu, c.pid, c.ctx = c.outer.cpu, c.outer.pid, c.outer.ctx
 	c.retarget()
-	phase := c.shards[:c.shardN]
-	for i := range phase {
-		s := &phase[i]
-		if s.cycles == 0 && c.tracer == nil {
-			continue
-		}
-		c.cycles += s.cycles
-		for t := Tag(0); t < NumTags; t++ {
-			if v := s.ledger[t]; v != 0 {
-				c.perCPU[i][t] += v
-			}
-		}
-	}
 	if c.tracer != nil {
-		c.tracer.mergeShardRings(phase)
-	}
-}
-
-// Sharding reports whether a shard phase is open (an epoch's user
-// phase is running).
-func (c *Clock) Sharding() bool { return c.sharding }
-
-// ShardCycles returns the cycles CPU cpu has accumulated in the open
-// shard phase, 0 for a CPU outside it. The scheduler reads it after the
-// phase joins to credit per-CPU busy time.
-func (c *Clock) ShardCycles(cpu int) uint64 {
-	if cpu < 0 || cpu >= c.shardN {
-		return 0
-	}
-	return c.shards[cpu].cycles
-}
-
-// SetShardContext stamps CPU cpu's shard trace events with a process
-// id and context word. The scheduler sets it during the serial
-// schedule phase, before user segments run. Costs no virtual cycles.
-func (c *Clock) SetShardContext(cpu int, pid int32, ctx uint32) {
-	if cpu < 0 {
-		return
-	}
-	c.growShards(cpu + 1)
-	c.shards[cpu].pid, c.shards[cpu].ctx = pid, ctx
-}
-
-// growShards sizes the shard slice for at least n CPUs.
-func (c *Clock) growShards(n int) {
-	if n > len(c.shards) {
-		grown := make([]clockShard, n)
-		copy(grown, c.shards)
-		c.shards = grown
+		c.tracer.release()
 	}
 }
 
@@ -468,9 +382,6 @@ func (c *Clock) SetCPU(cpu int) {
 	}
 }
 
-// CPU returns the currently selected CPU.
-func (c *Clock) CPU() int { return c.cpu }
-
 // SetContext stamps subsequent trace events with a process id and a
 // context word (by convention the in-flight syscall number, or 0).
 // Host-side bookkeeping only: costs no virtual cycles.
@@ -483,8 +394,13 @@ func (c *Clock) SetContext(pid int32, ctx uint32) {
 func (c *Clock) Context() (pid int32, ctx uint32) { return c.pid, c.ctx }
 
 // AttachTracer directs one event per charge into t. Pass nil to detach;
-// a detached clock charges on the inlined fast path again.
+// a detached clock charges on the inlined fast path again. A tracer
+// attaches and detaches between user phases, never inside one, so no
+// phase's held events change hands.
 func (c *Clock) AttachTracer(t *Tracer) {
+	if c.phase {
+		panic("hw: AttachTracer during a user phase")
+	}
 	c.tracer = t
 	c.retarget()
 }

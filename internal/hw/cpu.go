@@ -189,14 +189,11 @@ func (c *CPU) ReturnFromTrap(tf *TrapFrame) {
 // LoadVirt performs a data load of size bytes at virtual address v at
 // the CPU's current privilege, charging the access cost.
 //
-// The data-access paths below charge via ChargeOn(c.ID): they execute
-// in process context, which on a multi-CPU machine runs in the epoch
-// scheduler's user phase, so their cycles must land on this CPU's
-// shard. (Trap/ReturnFromTrap stay on the global Charge: traps are
-// kernel-phase work by construction, and the global path's shard panic
-// enforces exactly that.)
+// The data-access paths below execute in process context, which on a
+// multi-CPU machine runs in the epoch scheduler's user phase; the
+// clock then attributes their charges to this CPU's open segment.
 func (c *CPU) LoadVirt(v Virt, size int) (uint64, error) {
-	c.Clock.ChargeOn(c.ID, TagMemAccess, CostMemAccess)
+	c.Clock.Charge(TagMemAccess, CostMemAccess)
 	p, err := c.MMU.Translate(v, AccRead, c.Regs.Priv == User)
 	if err != nil {
 		return 0, err
@@ -206,7 +203,7 @@ func (c *CPU) LoadVirt(v Virt, size int) (uint64, error) {
 
 // StoreVirt performs a data store of size bytes at virtual address v.
 func (c *CPU) StoreVirt(v Virt, size int, val uint64) error {
-	c.Clock.ChargeOn(c.ID, TagMemAccess, CostMemAccess)
+	c.Clock.Charge(TagMemAccess, CostMemAccess)
 	p, err := c.MMU.Translate(v, AccWrite, c.Regs.Priv == User)
 	if err != nil {
 		return err
@@ -217,8 +214,8 @@ func (c *CPU) StoreVirt(v Virt, size int, val uint64) error {
 // CopyToVirt copies a byte block into the virtual address space,
 // page by page, charging block-copy costs.
 func (c *CPU) CopyToVirt(v Virt, b []byte) error {
-	c.Clock.ChargeOn(c.ID, TagMemAccess, CostMemAccess)
-	c.Clock.ChargeBytesOn(c.ID, TagMemAccess, len(b), CostBcopyPerByte)
+	c.Clock.Charge(TagMemAccess, CostMemAccess)
+	c.Clock.ChargeBytes(TagMemAccess, len(b), CostBcopyPerByte)
 	for len(b) > 0 {
 		n := int(PageSize - (v & (PageSize - 1)))
 		if n > len(b) {
@@ -251,8 +248,8 @@ func (c *CPU) CopyFromVirt(v Virt, n int) ([]byte, error) {
 // space into dst, page by page, charging block-copy costs — exactly
 // what CopyFromVirt charges for the same length.
 func (c *CPU) CopyFromVirtInto(v Virt, dst []byte) error {
-	c.Clock.ChargeOn(c.ID, TagMemAccess, CostMemAccess)
-	c.Clock.ChargeBytesOn(c.ID, TagMemAccess, len(dst), CostBcopyPerByte)
+	c.Clock.Charge(TagMemAccess, CostMemAccess)
+	c.Clock.ChargeBytes(TagMemAccess, len(dst), CostBcopyPerByte)
 	for len(dst) > 0 {
 		chunk := min(len(dst), int(PageSize-(v&(PageSize-1))))
 		p, err := c.MMU.Translate(v, AccRead, c.Regs.Priv == User)

@@ -133,9 +133,7 @@ func NewMachineWith(cfg MachineConfig, clock *Clock) *Machine {
 	}
 	m.CPUs[0] = cpu
 	for i := 1; i < cfg.NumCPUs; i++ {
-		u := NewMMU(mem, clock)
-		u.cpu = i
-		c := NewCPU(u, clock)
+		c := NewCPU(NewMMU(mem, clock), clock)
 		c.ID = i
 		m.CPUs[i] = c
 	}

@@ -134,12 +134,8 @@ var ErrNotMapped = errors.New("not mapped")
 type MMU struct {
 	mem   *Memory
 	clock *Clock
-	// cpu is the owning CPU's id, so translation charges land on that
-	// CPU's shard during an epoch's user phase (0 for the boot CPU and
-	// bare MMUs).
-	cpu  int
-	root Frame // current CR3 (root page-table frame); 0 = none
-	tlb  map[Virt]tlbEntry
+	root  Frame // current CR3 (root page-table frame); 0 = none
+	tlb   map[Virt]tlbEntry
 
 	// walks is the host-side walk cache, direct-mapped by walkIndex. It
 	// describes the physical page tables all CPUs share, but needs no
@@ -188,7 +184,7 @@ func (u *MMU) SetRoot(f Frame) {
 	u.root = f
 	u.FlushTLB()
 	if u.clock != nil {
-		u.clock.ChargeOn(u.cpu, TagTLB, CostTLBFlush)
+		u.clock.Charge(TagTLB, CostTLBFlush)
 	}
 }
 
@@ -234,7 +230,7 @@ func (u *MMU) Translate(v Virt, acc Access, userMode bool) (Phys, error) {
 	off := Phys(v - page)
 	if te, ok := u.tlb[page]; ok {
 		if u.clock != nil {
-			u.clock.ChargeOn(u.cpu, TagTLB, CostTLBHit)
+			u.clock.Charge(TagTLB, CostTLBHit)
 		}
 		if err := checkPerm(te.flags, acc, userMode, v); err != nil {
 			return 0, err
@@ -245,7 +241,7 @@ func (u *MMU) Translate(v Virt, acc Access, userMode bool) (Phys, error) {
 		return 0, &Fault{VA: v, Acc: acc, Reason: "no address space loaded"}
 	}
 	if u.clock != nil {
-		u.clock.ChargeOn(u.cpu, TagTLB, CostPTWalk)
+		u.clock.Charge(TagTLB, CostPTWalk)
 	}
 	table := u.root
 	// Accumulate the AND of the user/write permissions along the walk,

@@ -215,3 +215,36 @@ func TestTLBCoherenceKnobDisablesProtocolAndGuard(t *testing.T) {
 		t.Fatalf("guard still active with coherence off: %v", err)
 	}
 }
+
+// TestSnapshotRefusedDuringUserPhase checks both snapshot guards. The
+// segments of an open user phase have charged their CPUs' ledgers but
+// not yet joined the clock, so an image captured then would break the
+// ledger-sums-to-total invariant, and a restore would be undone by the
+// phase's end; capture and restore run only between phases.
+func TestSnapshotRefusedDuringUserPhase(t *testing.T) {
+	m, _ := smpMachine(t, 2)
+	snap, err := m.CaptureSnap()
+	if err != nil {
+		t.Fatal(err)
+	}
+	m.Clock.BeginUserPhase()
+	m.Clock.BeginSegment(1, 7)
+	m.Clock.Charge(TagCompute, 100)
+	if _, err := m.CaptureSnap(); err == nil {
+		t.Error("CaptureSnap succeeded inside a user phase")
+	}
+	if err := m.ApplySnap(snap, false); err == nil {
+		t.Error("ApplySnap succeeded inside a user phase")
+	}
+	m.Clock.EndSegment()
+	m.Clock.EndUserPhase()
+	if got, want := m.Clock.Cycles(), snap.Clock.Cycles+100; got != want {
+		t.Fatalf("clock after the phase = %d, want %d", got, want)
+	}
+	if _, err := m.CaptureSnap(); err != nil {
+		t.Errorf("CaptureSnap between phases: %v", err)
+	}
+	if err := m.ApplySnap(snap, false); err != nil {
+		t.Errorf("ApplySnap between phases: %v", err)
+	}
+}

@@ -116,11 +116,12 @@ type IOMMUSnap struct {
 }
 
 // CaptureSnap deep-copies the machine's architectural state. The
-// machine must be between epochs (no open clock shard phase); captured
-// buffers are private to the snap, so the machine may keep running.
+// machine must be between epochs (no open user phase, whose segments'
+// cycles have not yet joined the clock); captured buffers are private
+// to the snap, so the machine may keep running.
 func (m *Machine) CaptureSnap() (*MachineSnap, error) {
-	if m.Clock.Sharding() {
-		return nil, fmt.Errorf("hw: snapshot capture during an open shard phase (capture only at epoch barriers)")
+	if m.Clock.phase {
+		return nil, fmt.Errorf("hw: snapshot capture during an open user phase (capture only at epoch barriers)")
 	}
 	s := &MachineSnap{
 		NumCPUs:       len(m.CPUs),
@@ -154,8 +155,8 @@ func (m *Machine) CaptureSnap() (*MachineSnap, error) {
 // copy-on-write, so N machines can be forked from one decoded image
 // without copying memory; the snap must then stay immutable.
 func (m *Machine) ApplySnap(s *MachineSnap, sharePages bool) error {
-	if m.Clock.Sharding() {
-		return fmt.Errorf("hw: snapshot apply during an open shard phase")
+	if m.Clock.phase {
+		return fmt.Errorf("hw: snapshot apply during an open user phase")
 	}
 	if len(m.CPUs) != s.NumCPUs || m.Mem.nframes != s.MemFrames || len(m.Disk.blocks) != s.DiskBlocks {
 		return fmt.Errorf("hw: snapshot geometry mismatch: image %d cpus/%d frames/%d blocks, machine %d/%d/%d",

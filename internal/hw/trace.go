@@ -1,9 +1,10 @@
 package hw
 
 import (
+	"cmp"
 	"fmt"
 	"io"
-	"sort"
+	"slices"
 	"sync"
 )
 
@@ -23,8 +24,10 @@ type TraceEvent struct {
 // The buffer is allocated once at construction; recording never
 // allocates, and when the buffer is full the oldest events are
 // overwritten (the tail of a run is usually the interesting part).
-// Recording is mutex-guarded so tracers are safe to share across the
-// goroutines of a parallel experiment sweep.
+// Events charged inside a user phase wait in a second slice, which
+// grows to the largest phase and is reused, until the phase ends.
+// Recording is mutex-guarded, so a tracer is safe to share across
+// goroutines.
 //
 // Tracing costs zero *virtual* cycles by construction — the tracer
 // observes charges, it never makes them. Attaching one moves every
@@ -36,6 +39,9 @@ type Tracer struct {
 	ring  []TraceEvent
 	next  int    // ring index of the next write
 	total uint64 // events ever recorded, including overwritten ones
+	// held keeps the open user phase's events until release records
+	// them; its backing array is reused from phase to phase.
+	held []TraceEvent
 }
 
 // DefaultTraceCapacity is the ring size used by vgrun -trace.
@@ -52,6 +58,12 @@ func NewTracer(capacity int) *Tracer {
 
 func (t *Tracer) record(ev TraceEvent) {
 	t.mu.Lock()
+	t.put(ev)
+	t.mu.Unlock()
+}
+
+// put writes ev into the ring; the caller holds mu.
+func (t *Tracer) put(ev TraceEvent) {
 	if len(t.ring) < cap(t.ring) {
 		t.ring = append(t.ring, ev)
 	} else {
@@ -62,7 +74,6 @@ func (t *Tracer) record(ev TraceEvent) {
 		}
 	}
 	t.total++
-	t.mu.Unlock()
 }
 
 // Total returns the number of events ever recorded, including any that
@@ -120,86 +131,27 @@ func (t *Tracer) WriteChromeTrace(w io.Writer) error {
 	return err
 }
 
-// traceRing is one CPU's private, preallocated trace ring, written by
-// that CPU's user segment during a sharded user phase and drained into
-// the shared Tracer at the barrier. Like the main ring, it keeps the most recent events when
-// full; overwrites are counted so merge accounting stays exact.
-type traceRing struct {
-	buf     []TraceEvent
-	next    int
-	wrapped bool
-	dropped uint64
-}
-
-func (r *traceRing) init(capacity int) {
-	r.buf = make([]TraceEvent, 0, capacity)
-}
-
-func (r *traceRing) record(ev TraceEvent) {
-	if r.buf == nil {
-		return
-	}
-	if len(r.buf) < cap(r.buf) {
-		r.buf = append(r.buf, ev)
-		return
-	}
-	r.buf[r.next] = ev
-	r.next++
-	r.dropped++
-	if r.next == len(r.buf) {
-		r.next = 0
-		r.wrapped = true
-	}
-}
-
-// drain returns the retained events oldest-first and resets the ring
-// for the next phase (capacity is kept; nothing is reallocated).
-func (r *traceRing) drain() []TraceEvent {
-	if r.buf == nil || len(r.buf) == 0 {
-		return nil
-	}
-	var out []TraceEvent
-	if r.wrapped || r.next > 0 && len(r.buf) == cap(r.buf) {
-		out = make([]TraceEvent, 0, len(r.buf))
-		out = append(out, r.buf[r.next:]...)
-		out = append(out, r.buf[:r.next]...)
-	} else {
-		out = make([]TraceEvent, len(r.buf))
-		copy(out, r.buf)
-	}
-	r.buf = r.buf[:0]
-	r.next = 0
-	r.wrapped = false
-	return out
-}
-
-// mergeShardRings drains every shard's ring and replays the events into
-// the main ring in timestamp order (stable; ties keep CPU-id order,
-// because shards are drained in CPU-id order and the sort is stable).
-// Runs at the epoch barrier, in serial context; the result is
-// deterministic regardless of how the host interleaved the CPUs during
-// the phase, because each ring's contents depend only on its own CPU's
-// charges.
-func (t *Tracer) mergeShardRings(shards []clockShard) {
-	var all []TraceEvent
-	var dropped uint64
-	for i := range shards {
-		r := &shards[i].ring
-		dropped += r.dropped
-		r.dropped = 0
-		evs := r.drain()
-		if len(evs) > 0 {
-			all = append(all, evs...)
-		}
-	}
-	if len(all) == 0 && dropped == 0 {
-		return
-	}
-	sort.SliceStable(all, func(i, j int) bool { return all[i].Start < all[j].Start })
+// hold keeps ev back until release. It is an event charged inside a
+// user phase, where every segment is timed from the epoch base, so the
+// phase's events arrive out of start order.
+func (t *Tracer) hold(ev TraceEvent) {
 	t.mu.Lock()
-	t.total += dropped // overwritten in a shard ring: recorded, not retained
+	t.held = append(t.held, ev)
 	t.mu.Unlock()
-	for _, ev := range all {
-		t.record(ev)
+}
+
+// release records the held events in (Start, CPU) order; events of one
+// CPU keep their charge order. Runs at the end of the user phase, in
+// serial context, so the trace reads in virtual time order and depends
+// only on the charges, never on the order the segments ran in.
+func (t *Tracer) release() {
+	t.mu.Lock()
+	defer t.mu.Unlock()
+	slices.SortStableFunc(t.held, func(a, b TraceEvent) int {
+		return cmp.Or(cmp.Compare(a.Start, b.Start), cmp.Compare(a.CPU, b.CPU))
+	})
+	for _, ev := range t.held {
+		t.put(ev)
 	}
+	t.held = t.held[:0]
 }

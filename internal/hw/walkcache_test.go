@@ -347,7 +347,7 @@ func newWalkModel(t *testing.T, seed int64) *walkModel {
 	}
 	// Before anything bumps the generation an empty slot (root 0, page
 	// 0, generation 0) must not serve the lookup that matches it.
-	w.checkOne(w.m.MMU, 0, 0, "empty cache")
+	w.checkOne(w.m.CPU, 0, 0, "empty cache")
 
 	for i := 0; i < 3; i++ {
 		ft := FramePageTable
@@ -642,26 +642,26 @@ func (w *walkModel) check(when string) {
 		for pass := 0; pass < 2; pass++ {
 			for _, root := range w.roots {
 				for _, page := range w.pages {
-					w.checkOne(c.MMU, root, page+Virt(w.rng.Intn(PageSize)), when)
+					w.checkOne(c, root, page+Virt(w.rng.Intn(PageSize)), when)
 				}
 			}
 		}
 		for _, pair := range w.collide {
 			for i := 0; i < 4; i++ {
 				k := pair[i%2]
-				w.checkOne(c.MMU, k.root, k.page, when+", colliding pair")
+				w.checkOne(c, k.root, k.page, when+", colliding pair")
 			}
 		}
 	}
 }
 
-func (w *walkModel) checkOne(u *MMU, root Frame, v Virt, when string) {
+func (w *walkModel) checkOne(c *CPU, root Frame, v Virt, when string) {
 	w.t.Helper()
-	got, gotOK, gotErr := u.CachedLeaf(root, v)
-	want, wantOK, wantErr := freshLeaf(u, root, v)
+	got, gotOK, gotErr := c.MMU.CachedLeaf(root, v)
+	want, wantOK, wantErr := freshLeaf(c.MMU, root, v)
 	if got != want || gotOK != wantOK || (gotErr == nil) != (wantErr == nil) {
 		w.t.Fatalf("%s: cpu%d CachedLeaf(root %d, %#x) = (%#x, %v, %v), a fresh walk gives (%#x, %v, %v)",
-			when, u.cpu, root, uint64(v), uint64(got), gotOK, gotErr, uint64(want), wantOK, wantErr)
+			when, c.ID, root, uint64(v), uint64(got), gotOK, gotErr, uint64(want), wantOK, wantErr)
 	}
 }
 

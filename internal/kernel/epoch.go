@@ -14,17 +14,16 @@ import "fmt"
 //     slot.
 //  2. User phase: every slot whose process is in user mode runs one
 //     user segment — user instructions up to the next HAL entry
-//     (syscall, trap, ghost/key operation) or voluntary end. Each
-//     segment charges its CPU's own clock shard
-//     (hw.Clock.BeginShardPhase), so every CPU's user time in an epoch
-//     counts from the same base: a CPU does not see the cycles of the
-//     segments that ran before it in the phase, as it would not on
-//     real parallel hardware.
-//  3. Kernel phase: the barrier. Shards merge into the global clock in
-//     CPU-id order, then each slot that parked wanting kernel work runs
-//     its kernel segment — syscall handlers, fault handling, IPIs, TLB
-//     shootdowns, signal delivery — on the shared global clock, one at
-//     a time.
+//     (syscall, trap, ghost/key operation) or voluntary end. The clock
+//     holds the epoch base for the whole phase (hw.Clock.BeginUserPhase)
+//     and each segment charges its own CPU's ledger, so every CPU's
+//     user time in an epoch counts from the same base: a CPU does not
+//     see the cycles of the segments that ran before it in the phase,
+//     as it would not on real parallel hardware.
+//  3. Kernel phase: the barrier. The segments' cycles join the clock,
+//     then each slot that parked wanting kernel work runs its kernel
+//     segment — syscall handlers, fault handling, IPIs, TLB shootdowns,
+//     signal delivery — on the shared clock, one at a time.
 //
 // Every phase runs in a fixed order and exactly one process goroutine
 // runs at a time, so every virtual number — cycle totals, ledgers,
@@ -91,30 +90,25 @@ func (k *Kernel) dispatchEpoch(c *cpuRun) {
 	} else {
 		c.pend = pendUser
 	}
-	// Stamp this CPU's shard trace events with the dispatched process.
-	k.M.Clock.SetShardContext(c.id, int32(p.PID), 0)
 	c.busy += k.M.Clock.Cycles() - start
 }
 
 // userPhase runs one user segment on every slot that is pending user
-// execution, one at a time in CPU-id order, each on its CPU's clock
-// shard.
+// execution, one at a time in CPU-id order, each timed from the epoch
+// base, crediting each CPU's busy time with its segment and recording
+// how the segment ended.
 func (k *Kernel) userPhase() {
-	k.M.Clock.BeginShardPhase(len(k.cpus))
-	for _, c := range k.cpus {
-		if c.slot != nil && c.pend == pendUser {
-			c.slot.runCh <- struct{}{}
-			<-c.slot.yldCh
-		}
-	}
-	// Post-phase bookkeeping, serial in CPU-id order: credit each CPU's
-	// busy time from its shard and record how each segment ended.
+	clk := k.M.Clock
+	clk.BeginUserPhase()
 	for _, c := range k.cpus {
 		if c.slot == nil || c.pend != pendUser {
 			continue
 		}
-		c.busy += k.M.Clock.ShardCycles(c.id)
 		p := c.slot
+		clk.BeginSegment(c.id, int32(p.PID))
+		p.runCh <- struct{}{}
+		<-p.yldCh
+		c.busy += clk.EndSegment()
 		switch p.parkWhy {
 		case parkKernel:
 			c.pend = pendKernel
@@ -126,12 +120,12 @@ func (k *Kernel) userPhase() {
 			panic(fmt.Sprintf("kernel: pid %d parked %d out of a user segment", p.PID, p.parkWhy))
 		}
 	}
-	k.M.Clock.EndShardPhase()
+	clk.EndUserPhase()
 }
 
 // kernelPhase is the epoch barrier's serial half: every slot that
 // parked wanting kernel work runs it now, one CPU at a time in CPU-id
-// order, on the merged global clock.
+// order, on the clock the user phase's segments have joined.
 func (k *Kernel) kernelPhase() {
 	for _, c := range k.cpus {
 		if c.slot == nil || c.pend != pendKernel {

@@ -102,9 +102,9 @@ type Proc struct {
 	// Epoch-scheduler state (epoch.go; unused on single-CPU machines).
 	// onCPU is the CPU this process is currently dispatched on — unlike
 	// cpu (the run-queue home), it names the hw.CPU whose register
-	// file, TLB and clock shard this process's user segments use, so
-	// user-mode paths read it instead of M.Cur(), which names the CPU
-	// the scheduler last switched. kdepth counts nested kernel entries
+	// file and TLB this process's user segments use, so user-mode paths
+	// read it instead of M.Cur(), which names the CPU the scheduler last
+	// switched to. kdepth counts nested kernel entries
 	// (a signal handler issuing a syscall does not re-park). parkWhy
 	// tells the scheduler why the goroutine last parked; inflight marks
 	// the process as occupying a CPU slot so no second slot can pick it
@@ -586,9 +586,9 @@ func (p *Proc) faultingAccess(do func() error) {
 }
 
 // cpuHW returns the hardware CPU this process is dispatched on. User
-// memory accesses must go through it (not M.Cur()): during a parallel
+// memory accesses must go through it (not M.Cur()): during an epoch's
 // user phase several processes are in flight at once and M.Cur() names
-// whichever CPU the serial scheduler touched last.
+// whichever CPU the scheduler switched last.
 func (p *Proc) cpuHW() *hw.CPU { return p.k.M.CPUs[p.onCPU] }
 
 // Read copies n bytes from user memory into a fresh Go slice.
@@ -642,15 +642,15 @@ func (p *Proc) Store(va uint64, size int, v uint64) {
 	})
 }
 
-// Compute charges n cycles of pure user computation (on this process's
-// CPU shard during an epoch's user phase).
+// Compute charges n cycles of pure user computation (to this process's
+// segment during an epoch's user phase).
 func (p *Proc) Compute(cycles uint64) {
-	p.k.M.Clock.ChargeOn(p.onCPU, hw.TagCompute, cycles)
+	p.k.M.Clock.Charge(hw.TagCompute, cycles)
 }
 
 // ComputeCrypt charges n cycles of user-level cryptography (the
 // ghosting libc's AES-GCM work), so breakdowns separate crypto from
 // plain computation.
 func (p *Proc) ComputeCrypt(cycles uint64) {
-	p.k.M.Clock.ChargeOn(p.onCPU, hw.TagCrypt, cycles)
+	p.k.M.Clock.Charge(hw.TagCrypt, cycles)
 }

@@ -197,6 +197,9 @@ func TestUserPhaseReadsEpochBase(t *testing.T) {
 			k.RunUntilIdle()
 
 			for i, r := range reads {
+				if len(r) != 4 {
+					t.Fatalf("process %d took %d of its 4 clock reads", i, len(r))
+				}
 				for j, v := range r {
 					if v != base {
 						t.Errorf("process %d on cpu%d: read %d = %d, want the epoch base %d", i, onCPU[i], j, v, base)

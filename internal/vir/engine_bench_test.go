@@ -52,7 +52,8 @@ func BenchmarkEngineCallLoop(b *testing.B) {
 // executing pre-linked code — including every per-segment tagged charge
 // — performs zero host allocations per call. Each of those charges is
 // Clock.Charge's inlined fast path: one flag test and two adds, with
-// the tracer, shard and zero-value cases on its out-of-line slow path.
+// the tracer, user-phase and zero-value cases on its out-of-line slow
+// path.
 func TestEngineTracingDisabledZeroAlloc(t *testing.T) {
 	env := newMemEnv()
 	fn := benchWorkload(env)
