@@ -10,6 +10,7 @@ import (
 	"testing"
 
 	"repro"
+	"repro/internal/apps/ssh"
 	"repro/internal/core"
 	"repro/internal/hw"
 	"repro/internal/kernel"
@@ -424,6 +425,116 @@ func TestVersionMismatch(t *testing.T) {
 	_, err := Decode(bad)
 	if err == nil || errors.Is(err, ErrCorruptImage) {
 		t.Fatalf("version-bumped image: got %v, want a version error", err)
+	}
+}
+
+// drawRun is what one run of drawWorkload reads and leaves behind.
+type drawRun struct {
+	Trusted   []uint64          // the VM's trusted-random draws
+	DevRandom []byte            // bytes read from /dev/random
+	Console   []string          // console transcript since boot
+	Files     map[string][]byte // every file in / and its contents
+	Ledger    hw.Ledger         // tagged cycles since boot
+	Cycles    uint64
+}
+
+// drawWorkload runs everything a run reads from the hardware RNG:
+// trusted-random draws, a /dev/random read and ssh-keygen (whose key
+// pair and application key both come from the RNG).
+func drawWorkload(t *testing.T, sys *repro.System) drawRun {
+	t.Helper()
+	k := sys.Kernel
+	var r drawRun
+	appKey := make([]byte, 32)
+	k.M.RNG.Fill(appKey)
+	if _, err := k.InstallTrustedProgram("/bin/ssh-keygen", appKey, ssh.KeygenMain); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := k.Spawn("drawer", func(p *kernel.Proc) {
+		for i := 0; i < 4; i++ {
+			r.Trusted = append(r.Trusted, p.TrustedRandom())
+		}
+		fd := p.Syscall(kernel.SysOpen, p.PushString("/dev/random"), kernel.ORdOnly)
+		buf := p.Alloc(32)
+		if n := p.Syscall(kernel.SysRead, fd, buf, 32); n <= 32 {
+			r.DevRandom = p.Read(buf, int(n))
+		}
+		p.Syscall(kernel.SysClose, fd)
+		p.Kernel().Console().Printf("drew %x", r.DevRandom)
+	}); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := k.SpawnProgram("/bin/ssh-keygen"); err != nil {
+		t.Fatal(err)
+	}
+	k.RunUntilIdle()
+	if len(r.Trusted) != 4 || len(r.DevRandom) != 32 {
+		t.Fatalf("workload drew %d trusted values and %d /dev/random bytes", len(r.Trusted), len(r.DevRandom))
+	}
+	r.Console = sys.Console()
+	r.Ledger = sys.Machine.Clock.Ledger()
+	r.Cycles = sys.Machine.Clock.Cycles()
+	names, err := k.FS.ReadDir("/")
+	if err != nil {
+		t.Fatal(err)
+	}
+	r.Files = make(map[string][]byte)
+	for _, name := range names {
+		data, ok := k.ReadKernelFile("/" + name)
+		if !ok {
+			t.Fatalf("reading /%s", name)
+		}
+		r.Files[name] = data
+	}
+	return r
+}
+
+// TestRestoreRepeatsRun: an image holds the RNG state along with the
+// rest of the machine, so a fresh system restored from a post-boot
+// image repeats the source's run: the same trusted-random draws,
+// /dev/random bytes, key files, console and ledger. Each fresh system
+// first draws from its own RNG, so only the restored state can make
+// the draws agree; a twin drawn the same way but not restored shows
+// that they would differ.
+func TestRestoreRepeatsRun(t *testing.T) {
+	cfgs := []struct {
+		name string
+		mode core.Mode
+		cpus int
+	}{
+		{"native", core.ModeNative, 1},
+		{"vghost", core.ModeVirtualGhost, 1},
+		{"shadow", core.ModeShadow, 1},
+		{"vghost-2cpu", core.ModeVirtualGhost, 2},
+	}
+	for _, c := range cfgs {
+		t.Run(c.name, func(t *testing.T) {
+			src := newSys(t, c.mode, c.cpus)
+			data := fingerprint(t, src)
+			want := drawWorkload(t, src)
+			if len(want.Files) < 2 {
+				t.Fatalf("keygen wrote %d files", len(want.Files))
+			}
+
+			img, err := Decode(data)
+			if err != nil {
+				t.Fatal(err)
+			}
+			dst, twin := newSys(t, c.mode, c.cpus), newSys(t, c.mode, c.cpus)
+			for i := 0; i < 3; i++ {
+				dst.Machine.RNG.Next()
+				twin.Machine.RNG.Next()
+			}
+			if err := Restore(dst, img); err != nil {
+				t.Fatal(err)
+			}
+			if got := drawWorkload(t, dst); !reflect.DeepEqual(got, want) {
+				t.Errorf("restored run differs from the source run:\n got %+v\nwant %+v", got, want)
+			}
+			if other := drawWorkload(t, twin); reflect.DeepEqual(other.Trusted, want.Trusted) {
+				t.Errorf("an unrestored system drew the source's values %v; the check cannot fail", other.Trusted)
+			}
+		})
 	}
 }
 
