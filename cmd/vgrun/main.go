@@ -29,11 +29,10 @@ func main() {
 	cpus := flag.Int("cpus", 1, "number of simulated CPUs")
 	breakdown := flag.Bool("breakdown", false, "print per-tag cycle attribution and the per-syscall profile")
 	traceOut := flag.String("trace", "", "write a Chrome trace_event JSON file of tagged charges")
-	snapshotFlag := flag.String("snapshot", "", "save=PATH records the run into a snapshot image (post-boot state + nondeterministic-input trailer); use=PATH restores one before the workload")
-	replayFlag := flag.Bool("replay", false, "serve the image's recorded nondeterministic inputs back to the workload (needs -snapshot use= of a recorded image)")
+	snapshotFlag := flag.String("snapshot", "", "save=PATH writes the post-boot state to a snapshot image; use=PATH restores one before the workload")
 	flag.Parse()
 
-	plan, err := checkFlags(*snapshotFlag, *replayFlag)
+	plan, err := checkFlags(*snapshotFlag)
 	if err != nil {
 		fmt.Fprintln(os.Stderr, err)
 		os.Exit(2)
@@ -60,33 +59,29 @@ func main() {
 	}
 	k := sys.Kernel
 
-	// -snapshot save= captures the post-boot state now and records the
-	// workload's nondeterministic inputs (RNG draws, external packets)
-	// into the image trailer, written at exit. -snapshot use= restores a
-	// previously saved image into this machine before the workload; with
-	// -replay the trailer's inputs are served back, re-enacting the
-	// recorded run draw for draw.
-	var (
-		recorder *snapshot.Recorder
-		replayer *snapshot.Replayer
-		saveImg  *snapshot.Image
-	)
+	// -snapshot save= writes the post-boot state before the workload;
+	// -snapshot use= restores a saved image into this machine before it.
+	// The image holds the RNG state with the rest of the machine, so a
+	// restored run repeats the saved one.
 	switch {
 	case plan.save != "":
 		img, err := snapshot.Capture(sys)
 		if err != nil {
 			fatal(err)
 		}
-		saveImg = img
-		recorder = snapshot.StartRecording(sys)
+		data, err := snapshot.Encode(img)
+		if err != nil {
+			fatal(err)
+		}
+		if err := os.WriteFile(plan.save, data, 0o644); err != nil {
+			fatal(err)
+		}
+		fmt.Printf("wrote snapshot %s (%d bytes)\n", plan.save, len(data))
 	case plan.image != nil:
 		if err := snapshot.Restore(sys, plan.image); err != nil {
 			fatal(err)
 		}
 		fmt.Printf("restored %s at %d cycles\n", plan.use, k.M.Clock.Cycles())
-		if plan.replay {
-			replayer = snapshot.StartReplay(sys, plan.image.Record)
-		}
 	}
 
 	// The tracer attaches after boot (and any restore), so the trace
@@ -140,28 +135,6 @@ func main() {
 		os.Exit(2)
 	}
 
-	if replayer != nil {
-		replayer.Pump()
-		rngLeft, netLeft := replayer.Remaining()
-		rec := plan.image.Record
-		fmt.Printf("replay: served %d/%d rng draws, %d/%d net events\n",
-			len(rec.RNGDraws)-rngLeft, len(rec.RNGDraws),
-			len(rec.NetEvents)-netLeft, len(rec.NetEvents))
-		replayer.Stop()
-	}
-	if recorder != nil {
-		saveImg.Record = recorder.Stop()
-		data, err := snapshot.Encode(saveImg)
-		if err != nil {
-			fatal(err)
-		}
-		if err := os.WriteFile(plan.save, data, 0o644); err != nil {
-			fatal(err)
-		}
-		fmt.Printf("wrote recorded snapshot %s (%d bytes; %d rng draws, %d net events)\n",
-			plan.save, len(data), len(saveImg.Record.RNGDraws), len(saveImg.Record.NetEvents))
-	}
-
 	fmt.Printf("mode=%v cpus=%d virtual time=%.3f ms syscalls=%d\n",
 		mode, k.NumCPUs(), hw.Seconds(k.M.Clock.Cycles()-start)*1e3, k.Stats().Syscalls)
 	if k.NumCPUs() > 1 {
@@ -208,43 +181,33 @@ func fatal(err error) {
 	os.Exit(1)
 }
 
-// runPlan is vgrun's validated -snapshot/-replay request.
+// runPlan is vgrun's validated -snapshot request.
 type runPlan struct {
-	save   string          // -snapshot save=PATH: record the run into PATH
-	use    string          // -snapshot use=PATH: restore PATH before the workload
-	image  *snapshot.Image // the use= image, loaded and verified
-	replay bool            // serve image.Record back to the workload
+	save  string          // -snapshot save=PATH: write the post-boot image to PATH
+	use   string          // -snapshot use=PATH: restore PATH before the workload
+	image *snapshot.Image // the use= image, loaded and verified
 }
 
-// checkFlags refuses a contradictory flag combination before anything
+// checkFlags refuses a malformed -snapshot value before anything
 // boots; main exits 2 on its error. A use= image is loaded here, once,
-// so a missing, corrupt or version-mismatched file fails at flag time
-// and -replay can check that the image carries a record trailer.
-func checkFlags(snap string, replay bool) (runPlan, error) {
+// so a missing, corrupt or version-mismatched file fails at flag time.
+func checkFlags(snap string) (runPlan, error) {
 	var plan runPlan
-	if snap != "" {
-		verb, path, ok := strings.Cut(snap, "=")
-		if !ok || path == "" || (verb != "save" && verb != "use") {
-			return plan, fmt.Errorf("vgrun: -snapshot wants save=PATH or use=PATH, got %q", snap)
-		}
-		if verb == "save" {
-			plan.save = path
-		} else {
-			img, err := snapshot.Load(path)
-			if err != nil {
-				return plan, fmt.Errorf("vgrun: -snapshot use=%s: unusable image: %v", path, err)
-			}
-			plan.use, plan.image = path, img
-		}
+	if snap == "" {
+		return plan, nil
 	}
-	if replay {
-		if plan.image == nil {
-			return plan, fmt.Errorf("vgrun: -replay needs an image to replay from; pass -snapshot use=PATH")
-		}
-		if plan.image.Record == nil {
-			return plan, fmt.Errorf("vgrun: -replay needs a recorded image, and %s carries no record trailer", plan.use)
-		}
-		plan.replay = true
+	verb, path, ok := strings.Cut(snap, "=")
+	if !ok || path == "" || (verb != "save" && verb != "use") {
+		return plan, fmt.Errorf("vgrun: -snapshot wants save=PATH or use=PATH, got %q", snap)
 	}
+	if verb == "save" {
+		plan.save = path
+		return plan, nil
+	}
+	img, err := snapshot.Load(path)
+	if err != nil {
+		return plan, fmt.Errorf("vgrun: -snapshot use=%s: unusable image: %v", path, err)
+	}
+	plan.use, plan.image = path, img
 	return plan, nil
 }

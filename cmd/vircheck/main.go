@@ -90,16 +90,8 @@ func checkFile(path string, cfg check.Config, instrument, app bool, mmapSyms []s
 		return check.CheckMmapMaskedModule(m, mmapSyms...), nil
 	}
 	if instrument {
-		m = m.Clone()
-		// Same trust posture as the translator: instrumentation flags
-		// on input are claims, not facts.
-		for _, f := range m.Funcs {
-			f.Sandboxed = false
-			f.Labeled = false
-			f.Translated = false
-		}
-		compiler.SandboxModule(m)
-		compiler.CFIModule(m)
+		// The translator's own passes, flags on input cleared first.
+		m = compiler.Instrument(m)
 	}
 	return check.CheckModule(m, cfg), nil
 }

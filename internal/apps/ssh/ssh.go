@@ -329,58 +329,65 @@ func ClientMain(ghosting bool, path string, out *TransferResult) func(p *kernel.
 			p.Exit(1)
 		}
 		out.AuthOK = true
-		// Request the file and stream it down.
-		cmd := p.PushString("CAT " + path)
-		p.Syscall(kernel.SysSendTo, fd, cmd, uint64(len("CAT "+path)))
-		start := p.Kernel().M.Clock.Cycles()
-		var ghostBuf libc.GPtr
-		if ghosting {
-			ghostBuf, err = l.Malloc(transferChunk)
-			if err != nil {
-				p.Exit(1)
-			}
-		}
-		var want, got uint64
-		headerDone := false
-		for {
-			n := p.Syscall(kernel.SysRecv, fd, buf, transferChunk)
-			if n == 0 || n > transferChunk {
-				break
-			}
-			data := p.Read(buf, int(n))
-			if !headerDone {
-				nl := strings.IndexByte(string(data), '\n')
-				if nl < 0 {
-					break
-				}
-				fields := strings.Fields(string(data[:nl]))
-				if len(fields) != 2 || fields[0] != "LEN" {
-					break
-				}
-				want, _ = strconv.ParseUint(fields[1], 10, 64)
-				data = data[nl+1:]
-				headerDone = true
-			}
-			cryptCost(p, len(data)) // transport decryption
-			if ghosting {
-				// The §6 port keeps received data in ghost memory:
-				// copy each chunk from the traditional receive buffer
-				// into the ghost heap.
-				l.WriteGhost(ghostBuf, data)
-			}
-			got += uint64(len(data))
-			if got >= want {
-				break
-			}
-		}
-		cycles := p.Kernel().M.Clock.Cycles() - start
-		out.Bytes = got
-		out.Seconds = float64(cycles) / 3.4e9
-		if out.Seconds > 0 {
-			out.KBPerSec = float64(got) / 1024 / out.Seconds
-		}
-		p.Syscall(kernel.SysClose, fd)
+		download(p, l, fd, buf, path, out)
 	}
+}
+
+// download requests path over the authenticated connection fd, streams
+// it down through the receive buffer buf, records the transfer in out
+// and closes fd. With a ghosting libc l (the §6 port) each chunk is
+// copied into the ghost heap; l is nil for a client that keeps
+// received data in traditional memory.
+func download(p *kernel.Proc, l *libc.Libc, fd, buf uint64, path string, out *TransferResult) {
+	cmd := p.PushString("CAT " + path)
+	p.Syscall(kernel.SysSendTo, fd, cmd, uint64(len("CAT "+path)))
+	start := p.Kernel().M.Clock.Cycles()
+	var ghostBuf libc.GPtr
+	if l != nil {
+		var err error
+		if ghostBuf, err = l.Malloc(transferChunk); err != nil {
+			p.Exit(1)
+		}
+	}
+	var want, got uint64
+	headerDone := false
+	for {
+		n := p.Syscall(kernel.SysRecv, fd, buf, transferChunk)
+		if n == 0 || n > transferChunk {
+			break
+		}
+		data := p.Read(buf, int(n))
+		if !headerDone {
+			nl := strings.IndexByte(string(data), '\n')
+			if nl < 0 {
+				break
+			}
+			fields := strings.Fields(string(data[:nl]))
+			if len(fields) != 2 || fields[0] != "LEN" {
+				break
+			}
+			want, _ = strconv.ParseUint(fields[1], 10, 64)
+			data = data[nl+1:]
+			headerDone = true
+		}
+		cryptCost(p, len(data)) // transport decryption
+		if l != nil {
+			// Copy each chunk from the traditional receive buffer into
+			// the ghost heap.
+			l.WriteGhost(ghostBuf, data)
+		}
+		got += uint64(len(data))
+		if got >= want {
+			break
+		}
+	}
+	cycles := p.Kernel().M.Clock.Cycles() - start
+	out.Bytes = got
+	out.Seconds = float64(cycles) / 3.4e9
+	if out.Seconds > 0 {
+		out.KBPerSec = float64(got) / 1024 / out.Seconds
+	}
+	p.Syscall(kernel.SysClose, fd)
 }
 
 // StopServer connects and QUITs sshd.
@@ -435,43 +442,6 @@ func ClientViaAgent(agentPort uint16, path string, out *TransferResult) func(p *
 			return
 		}
 		out.AuthOK = true
-		// Stream the file exactly as the direct client does.
-		cmd := p.PushString("CAT " + path)
-		p.Syscall(kernel.SysSendTo, fd, cmd, uint64(len("CAT "+path)))
-		start := p.Kernel().M.Clock.Cycles()
-		var want, got uint64
-		headerDone := false
-		for {
-			n := p.Syscall(kernel.SysRecv, fd, buf, transferChunk)
-			if n == 0 || n > transferChunk {
-				break
-			}
-			data := p.Read(buf, int(n))
-			if !headerDone {
-				nl := strings.IndexByte(string(data), '\n')
-				if nl < 0 {
-					break
-				}
-				fields := strings.Fields(string(data[:nl]))
-				if len(fields) != 2 || fields[0] != "LEN" {
-					break
-				}
-				want, _ = strconv.ParseUint(fields[1], 10, 64)
-				data = data[nl+1:]
-				headerDone = true
-			}
-			cryptCost(p, len(data))
-			got += uint64(len(data))
-			if got >= want {
-				break
-			}
-		}
-		cycles := p.Kernel().M.Clock.Cycles() - start
-		out.Bytes = got
-		out.Seconds = float64(cycles) / 3.4e9
-		if out.Seconds > 0 {
-			out.KBPerSec = float64(got) / 1024 / out.Seconds
-		}
-		p.Syscall(kernel.SysClose, fd)
+		download(p, nil, fd, buf, path, out)
 	}
 }

@@ -30,7 +30,7 @@ func buildPresetFlagModule() *vir.Module {
 
 func TestTranslateClearsPresetFlags(t *testing.T) {
 	m := buildPresetFlagModule()
-	tr, err := NewTranslator(VirtualGhostOptions()).Translate(m)
+	tr, err := NewTranslator(true).Translate(m)
 	if err != nil {
 		t.Fatalf("translate: %v", err)
 	}
@@ -61,7 +61,7 @@ func TestPresetFlagBypassCaughtByChecker(t *testing.T) {
 	code := buildPresetFlagModule().Clone()
 	SandboxModule(code)
 	CFIModule(code)
-	err := check.Verify(code, NewTranslator(VirtualGhostOptions()).AdmissionConfig())
+	err := check.Verify(code, NewTranslator(true).AdmissionConfig())
 	if err == nil {
 		t.Fatal("checker admitted flag-bypassed uninstrumented code")
 	}
@@ -81,7 +81,7 @@ func TestPresetFlagBypassCaughtByChecker(t *testing.T) {
 }
 
 func TestTranslateRefusesPlantedForeignCallTarget(t *testing.T) {
-	tr := NewTranslator(VirtualGhostOptions())
+	tr := NewTranslator(true)
 
 	// Plant a gadget outside kernel code space under a linkable name —
 	// the PlantForeign shape the attack suite uses for injected code.
@@ -137,7 +137,7 @@ func TestChargeVerifyCost(t *testing.T) {
 		t.Fatal(err)
 	}
 	clock := &hw.Clock{}
-	tr := NewTranslator(VirtualGhostOptions())
+	tr := NewTranslator(true)
 	tr.Clock = clock
 	out, err := tr.Translate(m)
 	if err != nil {
@@ -154,7 +154,7 @@ func TestChargeVerifyCost(t *testing.T) {
 			clock.Cycles(), want, n, hw.CostVerifyPerOp)
 	}
 	// Without a clock the translator still works (standalone use).
-	if _, err := NewTranslator(VirtualGhostOptions()).Translate(m); err != nil {
+	if _, err := NewTranslator(true).Translate(m); err != nil {
 		t.Errorf("clockless translate failed: %v", err)
 	}
 }
@@ -164,14 +164,14 @@ func TestAdmittedAcrossPipelines(t *testing.T) {
 	if err := m.AddFunc(buildKernelFunc("f")); err != nil {
 		t.Fatal(err)
 	}
-	vg, err := NewTranslator(VirtualGhostOptions()).Translate(m)
+	vg, err := NewTranslator(true).Translate(m)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if !vg.Admitted() {
 		t.Error("verified VG translation must be admitted")
 	}
-	nat, err := NewTranslator(NativeOptions()).Translate(m)
+	nat, err := NewTranslator(false).Translate(m)
 	if err != nil {
 		t.Fatal(err)
 	}

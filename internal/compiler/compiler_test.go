@@ -122,12 +122,12 @@ func TestTranslatorRejectsAsm(t *testing.T) {
 	b.Asm("cli")
 	b.Ret(vir.Imm(0))
 	_ = m.AddFunc(b.Fn())
-	tr := NewTranslator(VirtualGhostOptions())
+	tr := NewTranslator(true)
 	if _, err := tr.Translate(m); !errors.Is(err, ErrInlineAsm) {
 		t.Errorf("want ErrInlineAsm, got %v", err)
 	}
 	// Native accepts the same module.
-	nat := NewTranslator(NativeOptions())
+	nat := NewTranslator(false)
 	if _, err := nat.Translate(m); err != nil {
 		t.Errorf("native translator rejected asm: %v", err)
 	}
@@ -136,7 +136,7 @@ func TestTranslatorRejectsAsm(t *testing.T) {
 func TestTranslatorRejectsMalformed(t *testing.T) {
 	m := vir.NewModule("m")
 	_ = m.AddFunc(&vir.Function{Name: "bad", Blocks: []*vir.Block{{Name: "entry"}}})
-	tr := NewTranslator(VirtualGhostOptions())
+	tr := NewTranslator(true)
 	if _, err := tr.Translate(m); !errors.Is(err, ErrNotVerifiable) {
 		t.Errorf("want ErrNotVerifiable, got %v", err)
 	}
@@ -146,7 +146,7 @@ func TestTranslateLeavesInputPristine(t *testing.T) {
 	m := vir.NewModule("m")
 	_ = m.AddFunc(buildKernelFunc("f"))
 	before := vir.FormatModule(m)
-	tr := NewTranslator(VirtualGhostOptions())
+	tr := NewTranslator(true)
 	if _, err := tr.Translate(m); err != nil {
 		t.Fatal(err)
 	}
@@ -158,7 +158,7 @@ func TestTranslateLeavesInputPristine(t *testing.T) {
 func TestTranslationSignatureDetectsTampering(t *testing.T) {
 	m := vir.NewModule("m")
 	_ = m.AddFunc(buildKernelFunc("f"))
-	tr := NewTranslator(VirtualGhostOptions())
+	tr := NewTranslator(true)
 	out, err := tr.Translate(m)
 	if err != nil {
 		t.Fatal(err)
@@ -174,7 +174,7 @@ func TestTranslationSignatureDetectsTampering(t *testing.T) {
 }
 
 func TestCodeSpaceLayout(t *testing.T) {
-	tr := NewTranslator(VirtualGhostOptions())
+	tr := NewTranslator(true)
 	m := vir.NewModule("m")
 	_ = m.AddFunc(buildKernelFunc("a"))
 	_ = m.AddFunc(buildKernelFunc("b"))
@@ -203,7 +203,7 @@ func TestCodeSpaceLayout(t *testing.T) {
 }
 
 func TestCodeSpaceDuplicateSymbol(t *testing.T) {
-	tr := NewTranslator(NativeOptions())
+	tr := NewTranslator(false)
 	m1 := vir.NewModule("m1")
 	_ = m1.AddFunc(buildKernelFunc("dup"))
 	if _, err := tr.Translate(m1); err != nil {
@@ -232,8 +232,8 @@ func TestPlantForeignStaysOutsideKernel(t *testing.T) {
 func TestInstrumentedFlag(t *testing.T) {
 	m := vir.NewModule("m")
 	_ = m.AddFunc(buildKernelFunc("f"))
-	vg, _ := NewTranslator(VirtualGhostOptions()).Translate(m)
-	nat, _ := NewTranslator(NativeOptions()).Translate(m)
+	vg, _ := NewTranslator(true).Translate(m)
+	nat, _ := NewTranslator(false).Translate(m)
 	if !vg.Instrumented() || nat.Instrumented() {
 		t.Errorf("Instrumented flags wrong: vg=%v nat=%v", vg.Instrumented(), nat.Instrumented())
 	}

@@ -37,32 +37,6 @@ var ErrNotVerifiable = errors.New("compiler: module failed verification")
 // translations instead of silent security holes.
 var ErrNotAdmissible = errors.New("compiler: instrumented code failed admission verification")
 
-// Options selects which protections the compiler applies. The Virtual
-// Ghost configuration enables everything; the Native baseline compiles
-// with nothing enabled (a plain LLVM build of the kernel, as in the
-// paper's baseline).
-type Options struct {
-	// Sandbox enables the load/store/memcpy ghost-masking pass.
-	Sandbox bool
-	// CFI enables the control-flow-integrity pass.
-	CFI bool
-	// RejectAsm makes the translator refuse inline assembly.
-	RejectAsm bool
-	// VerifyAdmission runs the static admission checker
-	// (internal/compiler/check) on the instrumented output and refuses
-	// the translation unless the sandbox/CFI invariants are proved on
-	// the emitted code itself.
-	VerifyAdmission bool
-}
-
-// VirtualGhostOptions returns the full Virtual Ghost pipeline.
-func VirtualGhostOptions() Options {
-	return Options{Sandbox: true, CFI: true, RejectAsm: true, VerifyAdmission: true}
-}
-
-// NativeOptions returns the uninstrumented baseline pipeline.
-func NativeOptions() Options { return Options{} }
-
 // Translation is the result of compiling a module: the (possibly
 // instrumented) code, its layout in code space, and a signature over
 // the generated code. The SVA VM caches and verifies translations, so
@@ -74,8 +48,9 @@ type Translation struct {
 	entries   map[string]uint64
 	byAddr    map[uint64]*vir.Function
 	base, top uint64
-	opts      Options
-	admitted  bool
+	// instrumented marks code from the Virtual Ghost pipeline, which
+	// the admission checker proved before Translate returned it.
+	instrumented bool
 }
 
 // CodeSpace hands out entry addresses and resolves them back to
@@ -134,61 +109,74 @@ func (cs *CodeSpace) PlantForeign(addr uint64, f *vir.Function) {
 	cs.epoch++
 }
 
-// Translator compiles modules per its Options and lays them out in a
-// CodeSpace.
+// Translator compiles modules and lays them out in a CodeSpace.
 type Translator struct {
-	Opts  Options
-	Space *CodeSpace
+	// Instrument selects the Virtual Ghost pipeline: refuse inline
+	// assembly, sandbox, apply CFI and prove the result with the static
+	// admission checker (internal/compiler/check). Without it the
+	// translator is the native baseline's stock compiler (a plain LLVM
+	// build of the kernel, as in the paper's baseline).
+	Instrument bool
+	Space      *CodeSpace
 	// Clock, when set, is charged the admission-verification cost so
 	// that translation-time work stays on the virtual-cycle model.
 	Clock *hw.Clock
 }
 
 // NewTranslator builds a translator over a fresh code space.
-func NewTranslator(opts Options) *Translator {
-	return &Translator{Opts: opts, Space: NewCodeSpace()}
+func NewTranslator(instrument bool) *Translator {
+	return &Translator{Instrument: instrument, Space: NewCodeSpace()}
 }
 
-// Translate verifies the module, applies the configured instrumentation
-// passes to a private clone, assigns code addresses, and signs the
-// result. The input module is left untouched.
-func (t *Translator) Translate(m *vir.Module) (*Translation, error) {
-	if err := vir.VerifyModule(m); err != nil {
-		return nil, fmt.Errorf("%w: %v", ErrNotVerifiable, err)
-	}
-	if t.Opts.RejectAsm && vir.HasAsm(m) {
-		return nil, ErrInlineAsm
-	}
+// cleanClone copies m with its translation state cleared. The
+// instrumentation flags on submitted IR are attacker-controlled bits,
+// not facts: a hostile module author could pre-set Sandboxed/Labeled so
+// the passes skip their work.
+func cleanClone(m *vir.Module) *vir.Module {
 	code := m.Clone()
-	// The instrumentation flags on submitted IR are attacker-controlled
-	// bits, not facts: a hostile module author could pre-set Sandboxed/
-	// Labeled so the passes skip their work. Clear all translation state
-	// on the private clone and instrument from scratch.
 	for _, f := range code.Funcs {
 		f.Sandboxed = false
 		f.Labeled = false
 		f.Translated = false
 	}
-	if t.Opts.Sandbox {
-		SandboxModule(code)
+	return code
+}
+
+// Instrument returns a copy of m instrumented from scratch: its claimed
+// flags cleared, then the sandboxing and CFI passes applied. m is left
+// untouched.
+func Instrument(m *vir.Module) *vir.Module {
+	code := cleanClone(m)
+	SandboxModule(code)
+	CFIModule(code)
+	return code
+}
+
+// Translate verifies the module, compiles a private copy (instrumented
+// and admission-checked when t.Instrument is set), assigns code
+// addresses, and signs the result. The input module is left untouched.
+func (t *Translator) Translate(m *vir.Module) (*Translation, error) {
+	if err := vir.VerifyModule(m); err != nil {
+		return nil, fmt.Errorf("%w: %v", ErrNotVerifiable, err)
 	}
-	if t.Opts.CFI {
-		CFIModule(code)
-	}
-	admitted := false
-	if t.Opts.VerifyAdmission {
+	var code *vir.Module
+	if t.Instrument {
+		if vir.HasAsm(m) {
+			return nil, ErrInlineAsm
+		}
+		code = Instrument(m)
 		t.ChargeVerify(code)
 		if err := check.Verify(code, t.AdmissionConfig()); err != nil {
 			return nil, fmt.Errorf("%w: %v", ErrNotAdmissible, err)
 		}
-		admitted = true
+	} else {
+		code = cleanClone(m)
 	}
 	tr := &Translation{
-		Module:   code,
-		entries:  make(map[string]uint64),
-		byAddr:   make(map[uint64]*vir.Function),
-		opts:     t.Opts,
-		admitted: admitted,
+		Module:       code,
+		entries:      make(map[string]uint64),
+		byAddr:       make(map[uint64]*vir.Function),
+		instrumented: t.Instrument,
 	}
 	tr.base = t.Space.next
 	for _, f := range code.Funcs {
@@ -258,16 +246,13 @@ func (tr *Translation) Verify() bool {
 
 // Instrumented reports whether this translation carries the Virtual
 // Ghost protections.
-func (tr *Translation) Instrumented() bool {
-	return tr.opts.Sandbox && tr.opts.CFI
-}
+func (tr *Translation) Instrumented() bool { return tr.instrumented }
 
 // Admitted reports whether this translation may enter kernel code
-// space: either the static admission checker proved the sandbox/CFI
-// invariants on the emitted code, or the pipeline declares no
-// admission requirement (the native baseline). A translation claiming
-// a verifying pipeline without a checker pass is refused by the
-// kernel's module loader.
-func (tr *Translation) Admitted() bool {
-	return tr.admitted || !tr.opts.VerifyAdmission
-}
+// space. Every translation Translate returns may: instrumented code
+// reaches it only after the admission checker proved the sandbox/CFI
+// invariants on the emitted code, and the native baseline declares no
+// admission requirement. The kernel's module loader asks each
+// translation it is handed, so one built any other way answers for
+// itself.
+func (tr *Translation) Admitted() bool { return true }

@@ -90,8 +90,8 @@ type halCommon struct {
 	cur []ThreadID
 }
 
-func newHALCommon(m *hw.Machine, opts compiler.Options) halCommon {
-	xlator := compiler.NewTranslator(opts)
+func newHALCommon(m *hw.Machine, instrument bool) halCommon {
+	xlator := compiler.NewTranslator(instrument)
 	// Admission verification runs on this machine, so its cost lands on
 	// this machine's clock.
 	xlator.Clock = m.Clock

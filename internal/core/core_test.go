@@ -628,44 +628,3 @@ func TestModeStrings(t *testing.T) {
 		}
 	}
 }
-
-// --- LegacyPrototype fidelity mode -------------------------------------
-
-func TestLegacyPrototypeGaps(t *testing.T) {
-	m := hw.NewMachine(hw.MachineConfig{MemFrames: 2048, DiskBlocks: 64, Seed: 1})
-	vm, err := NewVMWithOptions(m, VMOptions{LegacyPrototype: true})
-	if err != nil {
-		t.Fatal(err)
-	}
-	vm.RegisterFrameSource(testFrames{m: m.Mem})
-	vm.RegisterTrapHandler(func(ic IContext, kind hw.TrapKind, info uint64) {})
-	root, _ := vm.NewAddressSpace()
-	if err := vm.AllocGhost(1, root, hw.GhostBase, 1); err != nil {
-		t.Fatal(err)
-	}
-	// 1. Swap is unimplemented.
-	if _, err := vm.SwapOutGhost(1, hw.GhostBase); !errors.Is(err, ErrNotImplementedLegacy) {
-		t.Errorf("legacy swap: %v", err)
-	}
-	// 2. DMA protection is absent: ghost frames can be exposed.
-	f := vm.threads[1].ghost[hw.GhostBase]
-	_ = vm.PortOut(hw.IOMMUPortFrame, uint64(f))
-	if err := vm.PortOut(hw.IOMMUPortCmd, hw.IOMMUCmdAllow); err != nil {
-		t.Errorf("legacy IOMMU programming refused: %v", err)
-	}
-	if !m.IOMMU.Allowed(f) {
-		t.Errorf("legacy prototype should allow the DMA exposure")
-	}
-	// 3. The key chain is hard-coded, not TPM-rooted: two different
-	// machines share it.
-	m2 := hw.NewMachine(hw.MachineConfig{MemFrames: 2048, DiskBlocks: 64, Seed: 99})
-	vm2, _ := NewVMWithOptions(m2, VMOptions{LegacyPrototype: true})
-	if !bytes.Equal(vm.VMPublicKey(), vm2.VMPublicKey()) {
-		t.Errorf("legacy key should be machine-independent")
-	}
-	// But the memory protections are all still active.
-	uf, _ := vm.getFrame()
-	if err := vm.MapPage(root, hw.GhostBase+hw.PageSize, uf, hw.PTEWrite); !errors.Is(err, ErrGhostMapping) {
-		t.Errorf("legacy mode lost MMU protection: %v", err)
-	}
-}

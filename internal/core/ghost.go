@@ -182,9 +182,6 @@ func swapHeader(va hw.Virt) []byte {
 // extension beyond the prototype, which left swap unimplemented — see
 // DESIGN.md §9).
 func (vm *VM) SwapOutGhost(t ThreadID, va hw.Virt) ([]byte, error) {
-	if vm.legacy {
-		return nil, ErrNotImplementedLegacy
-	}
 	ts, err := vm.lookup(t)
 	if err != nil {
 		return nil, err

@@ -26,7 +26,7 @@ type NativeHAL struct {
 // NewNativeHAL boots the baseline HAL on a machine.
 func NewNativeHAL(m *hw.Machine) (*NativeHAL, error) {
 	h := &NativeHAL{
-		halCommon: newHALCommon(m, compiler.NativeOptions()),
+		halCommon: newHALCommon(m, false),
 		appKeys:   make(map[ThreadID][]byte),
 	}
 	for _, c := range m.CPUs {

@@ -48,7 +48,6 @@ type HALSnap struct {
 	SwapCounter  uint64 `json:"swap_counter,omitempty"`
 	IOMMULatch   uint64 `json:"iommu_latch,omitempty"`
 	NonceCounter uint64 `json:"nonce_counter,omitempty"`
-	Legacy       bool   `json:"legacy,omitempty"`
 
 	// Native HAL state: per-thread raw key sections (the native kernel
 	// holds them in the clear — that exposure is the paper's point).
@@ -222,15 +221,11 @@ func (vm *VM) CaptureHALSnap() (*HALSnap, error) {
 	s.SwapCounter = vm.swapCounter
 	s.IOMMULatch = uint64(vm.iommuLatch)
 	s.NonceCounter = vm.keys.nonces.Counter()
-	s.Legacy = vm.legacy
 	return s, nil
 }
 
 // ApplyHALSnap overwrites the VM's state with a captured snapshot.
 func (vm *VM) ApplyHALSnap(s *HALSnap) error {
-	if s.Legacy != vm.legacy {
-		return fmt.Errorf("core: snapshot legacy-prototype mode %v, VM %v", s.Legacy, vm.legacy)
-	}
 	if err := vm.applyCommon(s); err != nil {
 		return err
 	}

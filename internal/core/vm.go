@@ -57,8 +57,6 @@ type VM struct {
 	iommuLatch hw.Frame
 	// translations caches signed translations by module name.
 	translations map[string]*compiler.Translation
-	// legacy enables the paper-section-5 prototype fidelity mode.
-	legacy bool
 }
 
 // NewVM boots a Virtual Ghost VM on the machine: it derives the key
@@ -66,41 +64,9 @@ type VM struct {
 // VM memory so trap state is saved out of the kernel's reach, and
 // installs the VM's first-level trap handler.
 func NewVM(m *hw.Machine) (*VM, error) {
-	return NewVMWithOptions(m, VMOptions{})
-}
-
-// VMOptions tunes VM construction.
-type VMOptions struct {
-	// LegacyPrototype reverts to the paper's section-5 prototype
-	// fidelity mode: no TPM-rooted key chain (a hard-coded
-	// 128-bit-AES-style application key stands in, as the prototype
-	// hard-coded one into SVA-OS), no ghost-memory swapping, and no
-	// DMA/IOMMU protections. The full implementation (the default)
-	// provides all three — see DESIGN.md section 9.
-	LegacyPrototype bool
-}
-
-// legacyHardCodedKey is the prototype's stand-in key material ("a
-// 128-bit AES application key is hard-coded into SVA-OS for our
-// experiments", paper section 5).
-var legacyHardCodedKey = [32]byte{
-	0x13, 0x37, 0xc0, 0xde, 0x13, 0x37, 0xc0, 0xde,
-	0x13, 0x37, 0xc0, 0xde, 0x13, 0x37, 0xc0, 0xde,
-}
-
-// ErrNotImplementedLegacy marks features absent from the prototype.
-var ErrNotImplementedLegacy = errors.New("core: not implemented in the legacy prototype configuration (paper section 5)")
-
-// NewVMWithOptions boots a VM with explicit options.
-func NewVMWithOptions(m *hw.Machine, opts VMOptions) (*VM, error) {
-	seed := m.TPM.StorageKey()
-	if opts.LegacyPrototype {
-		seed = legacyHardCodedKey
-	}
 	vm := &VM{
-		halCommon:    newHALCommon(m, compiler.VirtualGhostOptions()),
-		keys:         newKeyChain(seed),
-		legacy:       opts.LegacyPrototype,
+		halCommon:    newHALCommon(m, true),
+		keys:         newKeyChain(m.TPM.StorageKey()),
 		scratch:      newScratchMem(),
 		translations: make(map[string]*compiler.Translation),
 	}
@@ -437,13 +403,6 @@ func (vm *VM) PortIn(port uint16) (uint64, error) {
 // expose ghost, SVA, or page-table frames to device DMA.
 func (vm *VM) PortOut(port uint16, v uint64) error {
 	vm.m.Clock.Charge(hw.TagIO, hw.CostMemAccess)
-	if vm.legacy {
-		// The prototype had not yet implemented the DMA protections
-		// (paper section 5); IOMMU programming passes through
-		// unchecked.
-		vm.m.Ports.Out(port, v)
-		return nil
-	}
 	switch port {
 	case hw.IOMMUPortFrame:
 		vm.iommuLatch = hw.Frame(v)

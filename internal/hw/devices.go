@@ -88,14 +88,6 @@ func containsStr(haystack, needle string) bool {
 // than through an OS-controlled /dev/random.
 type RNG struct {
 	state uint64
-	// tap, when set, observes every value handed out (record-replay
-	// capture). Host-side bookkeeping: costs nothing, changes nothing.
-	tap func(uint64)
-	// source, when set, overrides the generator: each draw is served
-	// from it (modeling an external TRNG whose outputs were recorded)
-	// without advancing the internal state. When it reports ok=false the
-	// generator falls back to the seeded PRNG.
-	source func() (uint64, bool)
 }
 
 // NewRNG seeds the generator. A zero seed is remapped to a fixed
@@ -107,34 +99,14 @@ func NewRNG(seed uint64) *RNG {
 	return &RNG{state: seed}
 }
 
-// SetTap installs (or, with nil, removes) the draw observer used by the
-// record layer to capture entropy consumed during a recorded run.
-func (r *RNG) SetTap(fn func(uint64)) { r.tap = fn }
-
-// SetSource installs (or, with nil, removes) the replay override that
-// serves recorded draws back in order.
-func (r *RNG) SetSource(fn func() (uint64, bool)) { r.source = fn }
-
 // Next returns the next 64 random bits.
 func (r *RNG) Next() uint64 {
-	if r.source != nil {
-		if v, ok := r.source(); ok {
-			if r.tap != nil {
-				r.tap(v)
-			}
-			return v
-		}
-	}
 	x := r.state
 	x ^= x >> 12
 	x ^= x << 25
 	x ^= x >> 27
 	r.state = x
-	v := x * 0x2545f4914f6cdd1d
-	if r.tap != nil {
-		r.tap(v)
-	}
-	return v
+	return x * 0x2545f4914f6cdd1d
 }
 
 // Fill fills b with random bytes.

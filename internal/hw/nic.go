@@ -47,11 +47,6 @@ type NIC struct {
 	bytesSent      uint64
 	bytesReceived  uint64
 	packetsDropped uint64
-
-	// recvTap, when set, observes every packet accepted into rx — the
-	// record layer's view of external input arriving on the wire. Pure
-	// host bookkeeping, charges nothing.
-	recvTap func(Packet)
 }
 
 // rxPacket is a queued frame plus its global arrival sequence number.
@@ -199,20 +194,6 @@ func (n *NIC) deliver(p Packet) {
 	n.bytesReceived += uint64(len(p.Payload))
 	n.push(p.Port, s, rxPacket{pkt: p, seq: n.nextSeq})
 	n.nextSeq++
-	if n.recvTap != nil {
-		n.recvTap(p)
-	}
-}
-
-// SetRecvTap installs (or, with nil, removes) the ingress observer used
-// by the record layer.
-func (n *NIC) SetRecvTap(fn func(Packet)) { n.recvTap = fn }
-
-// Inject delivers a copy of a packet into the receive queue as if it
-// had arrived from the wire, charging nothing — the replay layer's
-// re-enactment of a recorded external arrival.
-func (n *NIC) Inject(p Packet) {
-	n.deliver(Packet{Port: p.Port, Payload: append([]byte(nil), p.Payload...)})
 }
 
 // Receive dequeues the next packet destined for port in arrival order.

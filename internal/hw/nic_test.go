@@ -139,7 +139,7 @@ func checkNIC(t *testing.T, step int, n *NIC, m *nicModel, universe []uint16) {
 
 // TestNICMatchesModel drives the port-indexed receive table with seeded
 // random deliveries (one port pushed past its 4,096-frame cap),
-// receives, injections and snapshot capture/apply round trips, on
+// receives and snapshot capture/apply round trips, on
 // ports spread over the table's pages and bitmap words, and compares
 // it with nicModel after every step.
 func TestNICMatchesModel(t *testing.T) {
@@ -175,14 +175,10 @@ func TestNICMatchesModel(t *testing.T) {
 						break
 					}
 				}
-			case op < 14:
+			case op < 18:
 				p := Packet{Port: port, Payload: payload()}
 				m.deliver(Packet{Port: port, Payload: append([]byte(nil), p.Payload...)})
 				peer.Send(p)
-			case op < 18:
-				p := Packet{Port: port, Payload: payload()}
-				m.deliver(p)
-				n.Inject(p)
 			case op < 32:
 				if len(m.pending) > 0 && rng.Intn(4) != 0 {
 					port = m.pending[rng.Intn(len(m.pending))]

@@ -48,10 +48,9 @@ const netHdrSize = 5
 const maxSegment = hw.MTU - netHdrSize
 
 // DefaultRecvWindow caps a connection's receive buffer (rx plus frames
-// still queued in the NIC). 4 MiB is far above any single legacy
-// transfer, so pre-window workloads never hit backpressure and their
-// charge sequences are unchanged; the C10K experiments shrink it to
-// get thousands of small windows instead.
+// still queued in the NIC). 4 MiB is far above any single transfer an
+// experiment makes, the C10K ones included, so none of them hits
+// backpressure.
 const DefaultRecvWindow = 4 << 20
 
 // Ephemeral port range defaults (allocPort).
@@ -275,7 +274,8 @@ func (ns *NetStack) NumConns() int { return ns.conns.n }
 func (ns *NetStack) TimersPending() int { return ns.timers.pendingCount() }
 
 // SetRecvWindow changes the receive window installed on connections
-// created after the call. Experiment configuration, host-side.
+// created after the call. Only tests call it, to drive flow control
+// under a small window.
 func (ns *NetStack) SetRecvWindow(n int) {
 	if n > 0 {
 		ns.defWindow = n

@@ -213,15 +213,12 @@ func TestBindReuseAfterTeardown(t *testing.T) {
 }
 
 // TestSegmentationAtMTUBoundary: a send of exactly maxSegment bytes is
-// one DATA frame; one more byte adds a second, 1-byte frame.
+// one DATA frame; one more byte adds a second, 1-byte frame. The
+// server waits until every byte is queued on its connection and reads
+// the segment lengths off the queue before it receives.
 func TestSegmentationAtMTUBoundary(t *testing.T) {
 	server, client, world := bootPair(t)
 	var segs []int
-	server.M.NIC.SetRecvTap(func(pkt hw.Packet) {
-		if len(pkt.Payload) > 0 && pkt.Payload[0] == pktDATA {
-			segs = append(segs, len(pkt.Payload)-netHdrSize)
-		}
-	})
 	total := maxSegment + (maxSegment + 1)
 	var received int
 	if _, err := server.Spawn("srv", func(p *Proc) {
@@ -229,6 +226,15 @@ func TestSegmentationAtMTUBoundary(t *testing.T) {
 		p.Syscall(SysBind, sfd, 7500)
 		p.Syscall(SysListen, sfd)
 		cfd := p.Syscall(SysAccept, sfd)
+		s, e := sockOf(p, int(cfd))
+		if e != 0 {
+			return
+		}
+		c := s.conn
+		p.block(func() bool { server.Net.Poll(); return c.rxLen >= total })
+		for _, seg := range c.rxq[c.rxHead:] {
+			segs = append(segs, len(seg))
+		}
 		buf := p.Alloc(64 * 1024)
 		for received < total {
 			n := p.Syscall(SysRecv, cfd, buf, 64*1024)

@@ -39,9 +39,9 @@ const (
 	// gained per-port drop counters.
 	imageVersion = 2
 	// headerSize is the fixed header length: magic | version | flags.
+	// No flag is defined: Encode writes 0 and Decode refuses any other
+	// word.
 	headerSize = 16
-	// flagRecorded marks an image carrying a record-replay trailer.
-	flagRecorded = 1 << 0
 
 	checksumSize = sha256.Size
 )
@@ -56,14 +56,9 @@ func Encode(img *Image) ([]byte, error) {
 	if err != nil {
 		return nil, fmt.Errorf("snapshot: encode: %w", err)
 	}
-	var flags uint32
-	if img.Record != nil {
-		flags |= flagRecorded
-	}
 	out := make([]byte, headerSize, headerSize+len(payload)+checksumSize)
 	copy(out, imageMagic)
 	binary.LittleEndian.PutUint32(out[8:12], imageVersion)
-	binary.LittleEndian.PutUint32(out[12:16], flags)
 	out = append(out, payload...)
 	sum := sha256.Sum256(out)
 	return append(out, sum[:]...), nil
@@ -80,32 +75,31 @@ func Decode(data []byte) (*Image, error) {
 	if sha256.Sum256(body) != [checksumSize]byte(sum) {
 		return nil, ErrCorruptImage
 	}
-	flags, err := parseHeader(body)
-	if err != nil {
+	if err := parseHeader(body); err != nil {
 		return nil, fmt.Errorf("snapshot: %w", err)
 	}
 	img := &Image{}
 	if err := json.Unmarshal(body[headerSize:], img); err != nil {
 		return nil, fmt.Errorf("snapshot: payload: %w", err)
 	}
-	if recorded := flags&flagRecorded != 0; recorded != (img.Record != nil) {
-		return nil, fmt.Errorf("snapshot: header recorded flag %v but trailer presence %v", recorded, img.Record != nil)
-	}
 	return img, nil
 }
 
 // parseHeader validates the fixed header at the front of b, which must
-// hold at least headerSize bytes — the magic must match and the version
+// hold at least headerSize bytes: the magic must match, the version
 // must be exactly imageVersion (there are no compatible older versions)
-// — and returns its flags word.
-func parseHeader(b []byte) (uint32, error) {
+// and the flags word must be 0.
+func parseHeader(b []byte) error {
 	if string(b[:8]) != imageMagic {
-		return 0, fmt.Errorf("bad magic %q: not a snapshot image", b[:8])
+		return fmt.Errorf("bad magic %q: not a snapshot image", b[:8])
 	}
 	if v := binary.LittleEndian.Uint32(b[8:12]); v != imageVersion {
-		return 0, fmt.Errorf("image version %d, this build reads version %d", v, imageVersion)
+		return fmt.Errorf("image version %d, this build reads version %d", v, imageVersion)
 	}
-	return binary.LittleEndian.Uint32(b[12:16]), nil
+	if f := binary.LittleEndian.Uint32(b[12:16]); f != 0 {
+		return fmt.Errorf("image flags %#x, this build reads only 0", f)
+	}
+	return nil
 }
 
 // Load reads and decodes an image file.

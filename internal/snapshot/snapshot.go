@@ -8,18 +8,17 @@
 // restored machine's subsequent execution is bit-identical to the
 // uninterrupted run — asserted against golden_cycles.json and the
 // differential suite — which is what makes fork-from-snapshot fan-out
-// and record-replay sound.
+// sound. The image holds the hardware RNG's state too, so a restored
+// machine draws the same random values the source would have: restore
+// alone repeats a run.
 //
-// Three operations:
+// Two operations:
 //
 //   - Capture/Restore: deep-copy the machine state into an Image /
 //     overwrite an equivalently booted machine with it.
 //   - Fork: boot a fresh machine and apply the image with copy-on-write
 //     page sharing, so N divergent schedules run from one image without
 //     copying memory.
-//   - Record/Replay (record.go): capture the nondeterministic inputs
-//     (RNG draws, external packet arrivals) into the image's trailer so
-//     a replay from the snapshot re-enacts an exact execution.
 //
 // Snapshots are taken at quiescent points only: processes are host
 // goroutines whose stacks cannot be serialized, so Capture refuses
@@ -56,7 +55,6 @@ type Image struct {
 	HAL         *core.HALSnap      `json:"hal"`
 	Kernel      *kernel.KernelSnap `json:"kernel"`
 	SealedPages map[uint64][]byte  `json:"sealed_pages,omitempty"`
-	Record      *Record            `json:"record,omitempty"`
 }
 
 // ErrUnsupportedHAL reports a HAL that does not implement snapshotting.

@@ -3,9 +3,11 @@ package snapshot
 import (
 	"bytes"
 	"crypto/sha256"
+	"encoding/binary"
 	"errors"
 	"fmt"
 	"reflect"
+	"strings"
 	"sync"
 	"testing"
 
@@ -428,6 +430,23 @@ func TestVersionMismatch(t *testing.T) {
 	}
 }
 
+// TestFlagsWordRefused: no header flag is defined, so a well-checksummed
+// image with a non-zero flags word is refused by the header check,
+// distinctly from corruption.
+func TestFlagsWordRefused(t *testing.T) {
+	data := fingerprint(t, newSys(t, core.ModeNative, 1))
+	if f := binary.LittleEndian.Uint32(data[12:16]); f != 0 {
+		t.Fatalf("Encode wrote flags %#x, want 0", f)
+	}
+	body := append([]byte(nil), data[:len(data)-checksumSize]...)
+	body[12] = 1 // flags field, LE
+	sum := sha256.Sum256(body)
+	_, err := Decode(append(body, sum[:]...))
+	if err == nil || errors.Is(err, ErrCorruptImage) || !strings.Contains(err.Error(), "flags") {
+		t.Fatalf("flagged image: got %v, want a flags error", err)
+	}
+}
+
 // drawRun is what one run of drawWorkload reads and leaves behind.
 type drawRun struct {
 	Trusted   []uint64          // the VM's trusted-random draws
@@ -535,110 +554,5 @@ func TestRestoreRepeatsRun(t *testing.T) {
 				t.Errorf("an unrestored system drew the source's values %v; the check cannot fail", other.Trusted)
 			}
 		})
-	}
-}
-
-// TestRecordReplay exercises the nondeterministic-input layer: taps
-// capture RNG draws and packet arrivals; a replayer serves them back
-// draw-for-draw without advancing the PRNG, falls back to the PRNG when
-// exhausted, and re-injects packets at their recorded virtual times.
-func TestRecordReplay(t *testing.T) {
-	sys := newSys(t, core.ModeNative, 1)
-	rec := StartRecording(sys)
-	var drawn []uint64
-	if _, err := sys.Kernel.Spawn("drawer", func(p *kernel.Proc) {
-		for i := 0; i < 3; i++ {
-			drawn = append(drawn, p.TrustedRandom())
-		}
-	}); err != nil {
-		t.Fatal(err)
-	}
-	sys.Kernel.RunUntilIdle()
-	sys.Machine.NIC.Inject(hw.Packet{Port: 7, Payload: []byte("external")})
-	r := rec.Stop()
-	if !reflect.DeepEqual(r.RNGDraws, drawn) {
-		t.Fatalf("recorded draws %v, want %v", r.RNGDraws, drawn)
-	}
-	if len(r.NetEvents) != 1 || r.NetEvents[0].Port != 7 || string(r.NetEvents[0].Payload) != "external" {
-		t.Fatalf("recorded events %+v", r.NetEvents)
-	}
-
-	// Replay synthetic draws into a fresh machine; a twin without the
-	// replay source shows where the untouched PRNG sequence resumes.
-	twin := newSys(t, core.ModeNative, 1)
-	t1 := twin.Machine.RNG.Next()
-
-	rp := StartReplay(newTestReplaySys(t), &Record{
-		RNGDraws: []uint64{11, 22},
-		NetEvents: []NetEvent{
-			{Cycles: 0, Port: 9, Payload: []byte("x")},
-			{Cycles: 1 << 60, Port: 9, Payload: []byte("y")},
-		},
-	})
-	m := rp.m
-	if got := m.RNG.Next(); got != 11 {
-		t.Fatalf("first replayed draw %d, want 11", got)
-	}
-	if got := m.RNG.Next(); got != 22 {
-		t.Fatalf("second replayed draw %d, want 22", got)
-	}
-	// Exhausted: the PRNG takes over exactly where it would have been
-	// without any replay (serving recorded draws advances no state).
-	if got := m.RNG.Next(); got != t1 {
-		t.Fatalf("post-record fallback draw %d, want PRNG's %d", got, t1)
-	}
-
-	if n := rp.Pump(); n != 1 {
-		t.Fatalf("Pump delivered %d events, want 1", n)
-	}
-	if m.NIC.Pending(9) != 1 {
-		t.Fatalf("pending packets %d, want 1", m.NIC.Pending(9))
-	}
-	if n := rp.PumpTo(1 << 60); n != 1 {
-		t.Fatalf("PumpTo delivered %d events, want 1", n)
-	}
-	rng, net := rp.Remaining()
-	if rng != 0 || net != 0 {
-		t.Fatalf("remaining rng=%d net=%d, want 0,0", rng, net)
-	}
-	rp.Stop()
-}
-
-func newTestReplaySys(t *testing.T) *repro.System {
-	t.Helper()
-	return newSys(t, core.ModeNative, 1)
-}
-
-// TestRecordedImageRoundTrip: the record trailer travels in the image
-// and sets the header's recorded flag.
-func TestRecordedImageRoundTrip(t *testing.T) {
-	sys := newSys(t, core.ModeNative, 1)
-	rec := StartRecording(sys)
-	runPhase(t, sys, 0)
-	img, err := Capture(sys)
-	if err != nil {
-		t.Fatal(err)
-	}
-	img.Record = rec.Stop()
-	if len(img.Record.RNGDraws) == 0 {
-		t.Fatal("workload drew no entropy; record is empty")
-	}
-	data, err := Encode(img)
-	if err != nil {
-		t.Fatal(err)
-	}
-	flags, err := parseHeader(data)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if flags&flagRecorded == 0 {
-		t.Fatal("recorded image missing header flag")
-	}
-	img2, err := Decode(data)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !reflect.DeepEqual(img2.Record, img.Record) {
-		t.Fatal("record trailer did not round-trip")
 	}
 }

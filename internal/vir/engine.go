@@ -32,11 +32,9 @@ type Engine struct {
 	cache map[*Function]*linkedFn
 	epoch uint64
 
-	// fuse enables the superinstruction fusion pass (fuse.go) and the
-	// polymorphic inline caches on indirect-call sites. Always on in
-	// production; SetFuse(false) exists for the differential tests and
-	// the fuse/no-fuse benchmark pairs.
-	fuse   bool
+	// fstats counts the superinstruction sites the fusion pass
+	// (fuse.go) fused and the indirect-call inline caches' hits and
+	// misses.
 	fstats FusionStats
 
 	// arena backs register frames and call argument vectors as a
@@ -59,13 +57,12 @@ type directPage struct {
 	pg   *[hw.PageSize]byte
 }
 
-// NewEngine creates an engine with the default step budget and
-// superinstruction fusion enabled.
+// NewEngine creates an engine with the default step budget. Fusion and
+// the inline caches are always on.
 func NewEngine() *Engine {
 	return &Engine{
 		MaxSteps: 50_000_000,
 		cache:    make(map[*Function]*linkedFn),
-		fuse:     true,
 	}
 }
 
@@ -76,17 +73,6 @@ func NewEngine() *Engine {
 func (e *Engine) ResetCaches() {
 	clear(e.cache)
 	e.pages = [2]directPage{}
-}
-
-// SetFuse switches superinstruction fusion and the indirect-call inline
-// caches on or off. Toggling flushes the linked-code cache so the
-// setting applies to everything executed afterwards.
-func (e *Engine) SetFuse(on bool) {
-	if e.fuse == on {
-		return
-	}
-	e.fuse = on
-	clear(e.cache)
 }
 
 // Fusion returns the cumulative fusion counters: superinstruction
@@ -537,10 +523,7 @@ func (e *Engine) run(env Env, clk *hw.Clock, lf *linkedFn, args []uint64, depth 
 
 		case OpCallInd, OpCFICallInd:
 			target := lval(regs, in.a)
-			var clf *linkedFn
-			if in.ic != nil {
-				clf = in.ic.lookup(target)
-			}
+			clf := in.ic.lookup(target)
 			if clf != nil {
 				// Inline-cache hit: the entry holds the resolution and,
 				// at a cfi.callind site, the passed CFI check, both made
@@ -557,10 +540,8 @@ func (e *Engine) run(env Env, clk *hw.Clock, lf *linkedFn, args []uint64, depth 
 					return 0, fmt.Errorf("vir: indirect call in %s to non-code address %#x", lf.fn.Name, target)
 				}
 				clf = e.linked(env, callee)
-				if in.ic != nil {
-					in.ic.fill(target, clf)
-					e.fstats.ICMisses++
-				}
+				in.ic.fill(target, clf)
+				e.fstats.ICMisses++
 			}
 			asp := e.sp
 			argv := e.carve(len(in.args))

@@ -108,14 +108,9 @@ done:
 }
 `
 
-// BenchmarkEngineLoopFuse / NoFuse: the linked engine on the fusable
-// loop with the superinstruction pass on vs off. Virtual cycles are
-// identical in both (fused charges are the concatenation of the
-// constituents'); only dispatch count differs.
-func BenchmarkEngineLoopFuse(b *testing.B)   { benchFuseLoop(b, true) }
-func BenchmarkEngineLoopNoFuse(b *testing.B) { benchFuseLoop(b, false) }
-
-func benchFuseLoop(b *testing.B, fuse bool) {
+// BenchmarkEngineLoopFuse: the linked engine on the fusable loop,
+// whose idioms the superinstruction pass fuses.
+func BenchmarkEngineLoopFuse(b *testing.B) {
 	m, err := ParseModule(benchFuseSource)
 	if err != nil {
 		b.Fatal(err)
@@ -124,12 +119,11 @@ func benchFuseLoop(b *testing.B, fuse bool) {
 	fn := m.Funcs[0]
 	env.addFunc(fn)
 	eng := NewEngine()
-	eng.SetFuse(fuse)
 	if _, err := eng.Call(env, fn, 0x2000, 1000); err != nil {
 		b.Fatal(err)
 	}
-	if st := eng.Fusion(); fuse && st.SitesFused == 0 {
-		b.Fatal("fusion enabled but nothing fused")
+	if st := eng.Fusion(); st.SitesFused == 0 {
+		b.Fatal("nothing fused")
 	}
 	b.ReportAllocs()
 	b.ResetTimer()
@@ -141,8 +135,8 @@ func benchFuseLoop(b *testing.B, fuse bool) {
 }
 
 // benchICSource hammers indirect-call sites that each see one target:
-// with fusion on, every iteration after the first hits the
-// inline cache and skips the address resolution and linked-code lookup.
+// every iteration after the first hits the inline cache and skips the
+// address resolution and linked-code lookup.
 const benchICSource = `module bi
 func leaf(1 params) {
 entry:
@@ -169,12 +163,9 @@ done:
 }
 `
 
-// BenchmarkEngineICLoopFuse / NoFuse: the indirect-call loop with the
-// inline caches on vs off.
-func BenchmarkEngineICLoopFuse(b *testing.B)   { benchICLoop(b, true) }
-func BenchmarkEngineICLoopNoFuse(b *testing.B) { benchICLoop(b, false) }
-
-func benchICLoop(b *testing.B, fuse bool) {
+// BenchmarkEngineICLoopFuse: the indirect-call loop, served by the
+// inline caches.
+func BenchmarkEngineICLoopFuse(b *testing.B) {
 	m, err := ParseModule(benchICSource)
 	if err != nil {
 		b.Fatal(err)
@@ -188,12 +179,11 @@ func benchICLoop(b *testing.B, fuse bool) {
 		}
 	}
 	eng := NewEngine()
-	eng.SetFuse(fuse)
 	if _, err := eng.Call(env, fn, 1000); err != nil {
 		b.Fatal(err)
 	}
-	if st := eng.Fusion(); fuse && st.ICHits == 0 {
-		b.Fatal("fusion enabled but the inline cache never hit")
+	if st := eng.Fusion(); st.ICHits == 0 {
+		b.Fatal("the inline cache never hit")
 	}
 	b.ReportAllocs()
 	b.ResetTimer()

@@ -80,45 +80,41 @@ func runDiffEnv(t *testing.T, maxSteps int, epochs bool, setup func(env *epochMe
 	rv, rerr := ip.Call(fn, args...)
 	ref := outcome(rv, rerr, refEnv)
 
-	for _, fuse := range []bool{true, false} {
-		wrapped := &epochMemEnv{memEnv: newMemEnv(), epoch: 1}
-		engEnv := wrapped.memEnv
-		fn2, args2 := setup(wrapped)
-		var env Env = engEnv
-		if epochs {
-			env = wrapped
-		}
-		eng := NewEngine()
-		eng.SetFuse(fuse)
-		if maxSteps > 0 {
-			eng.MaxSteps = maxSteps
-		}
-		ev, eerr := eng.Call(env, fn2, args2...)
-		got := outcome(ev, eerr, engEnv)
-		tag := map[bool]string{true: "engine(fuse)", false: "engine(nofuse)"}[fuse]
+	wrapped := &epochMemEnv{memEnv: newMemEnv(), epoch: 1}
+	engEnv := wrapped.memEnv
+	fn2, args2 := setup(wrapped)
+	var env Env = engEnv
+	if epochs {
+		env = wrapped
+	}
+	eng := NewEngine()
+	if maxSteps > 0 {
+		eng.MaxSteps = maxSteps
+	}
+	ev, eerr := eng.Call(env, fn2, args2...)
+	got := outcome(ev, eerr, engEnv)
 
-		if got.ret != ref.ret {
-			t.Errorf("%s return mismatch: %#x, reference %#x", tag, got.ret, ref.ret)
-		}
-		if got.errStr != ref.errStr {
-			t.Errorf("%s error mismatch:\n  engine:    %q\n  reference: %q", tag, got.errStr, ref.errStr)
-		}
-		if got.cycles != ref.cycles {
-			t.Errorf("%s clock mismatch: %d cycles, reference %d", tag, got.cycles, ref.cycles)
-		}
-		if got.ledger != ref.ledger {
-			t.Errorf("%s ledger mismatch:\n  engine:    %v\n  reference: %v", tag, got.ledger, ref.ledger)
-		}
-		if !reflect.DeepEqual(got.mem, ref.mem) {
-			t.Errorf("%s memory state mismatch: %v, reference %v", tag, got.mem, ref.mem)
-		}
-		if !reflect.DeepEqual(got.ports, ref.ports) {
-			t.Errorf("%s port state mismatch: %v, reference %v", tag, got.ports, ref.ports)
-		}
-		// The step-limit error must keep its identity, not just its text.
-		if errors.Is(rerr, ErrStepLimit) != errors.Is(eerr, ErrStepLimit) {
-			t.Errorf("%s ErrStepLimit identity mismatch: %v, reference %v", tag, eerr, rerr)
-		}
+	if got.ret != ref.ret {
+		t.Errorf("engine return mismatch: %#x, reference %#x", got.ret, ref.ret)
+	}
+	if got.errStr != ref.errStr {
+		t.Errorf("engine error mismatch:\n  engine:    %q\n  reference: %q", got.errStr, ref.errStr)
+	}
+	if got.cycles != ref.cycles {
+		t.Errorf("engine clock mismatch: %d cycles, reference %d", got.cycles, ref.cycles)
+	}
+	if got.ledger != ref.ledger {
+		t.Errorf("engine ledger mismatch:\n  engine:    %v\n  reference: %v", got.ledger, ref.ledger)
+	}
+	if !reflect.DeepEqual(got.mem, ref.mem) {
+		t.Errorf("engine memory state mismatch: %v, reference %v", got.mem, ref.mem)
+	}
+	if !reflect.DeepEqual(got.ports, ref.ports) {
+		t.Errorf("engine port state mismatch: %v, reference %v", got.ports, ref.ports)
+	}
+	// The step-limit error must keep its identity, not just its text.
+	if errors.Is(rerr, ErrStepLimit) != errors.Is(eerr, ErrStepLimit) {
+		t.Errorf("engine ErrStepLimit identity mismatch: %v, reference %v", eerr, rerr)
 	}
 	return ref
 }
@@ -625,8 +621,8 @@ entry:
 }
 
 // TestEngineDiffRebindIndirectCall calls through one indirect-call site
-// twice in a loop, rebinding the target's function in between. With
-// fusion on, the first call fills the site's inline cache; the second
+// twice in a loop, rebinding the target's function in between. The
+// first call fills the site's inline cache; the second
 // must not be served from it. Through cfi.callind, the rebound function
 // carries no CFI label, so the second call is a violation: a reused
 // verdict would let it through.
@@ -964,7 +960,7 @@ func fuzzEngineDiff(t *testing.T, m *Module, text string, labeled bool) {
 		fn := fn
 		args := []uint64{0x2000, 5}[:fn.NParams]
 
-		runFuzz := func(engine string) (diffOutcome, error) {
+		runFuzz := func(reference bool) (diffOutcome, error) {
 			env := newMemEnv()
 			mc := m.Clone()
 			for _, g := range mc.Funcs {
@@ -979,31 +975,28 @@ func fuzzEngineDiff(t *testing.T, m *Module, text string, labeled bool) {
 				ret  uint64
 				rerr error
 			)
-			if engine == "reference" {
+			if reference {
 				ip := NewInterp(env)
 				ip.MaxSteps = 20_000
 				ret, rerr = ip.Call(target, args...)
 			} else {
 				eng := NewEngine()
-				eng.SetFuse(engine != "linked-nofuse")
 				eng.MaxSteps = 20_000
 				ret, rerr = eng.Call(env, target, args...)
 			}
 			return outcome(ret, rerr, env), rerr
 		}
-		ref, rerr := runFuzz("reference")
-		for _, engine := range []string{"linked", "linked-nofuse"} {
-			got, eerr := runFuzz(engine)
-			if got.ret != ref.ret || got.errStr != ref.errStr || got.cycles != ref.cycles || got.ledger != ref.ledger {
-				t.Fatalf("engines diverge on %s (%s, labeled=%v):\n  reference: ret=%#x err=%q cycles=%d ledger=%v\n  linked:    ret=%#x err=%q cycles=%d ledger=%v\nmodule:\n%s",
-					fn.Name, engine, labeled, ref.ret, ref.errStr, ref.cycles, ref.ledger, got.ret, got.errStr, got.cycles, got.ledger, text)
-			}
-			if !reflect.DeepEqual(got.mem, ref.mem) || !reflect.DeepEqual(got.ports, ref.ports) {
-				t.Fatalf("engines diverge on %s (%s, labeled=%v) state\nmodule:\n%s", fn.Name, engine, labeled, text)
-			}
-			if errors.Is(rerr, ErrStepLimit) != errors.Is(eerr, ErrStepLimit) {
-				t.Fatalf("ErrStepLimit identity diverges on %s (%s, labeled=%v)\nmodule:\n%s", fn.Name, engine, labeled, text)
-			}
+		ref, rerr := runFuzz(true)
+		got, eerr := runFuzz(false)
+		if got.ret != ref.ret || got.errStr != ref.errStr || got.cycles != ref.cycles || got.ledger != ref.ledger {
+			t.Fatalf("engines diverge on %s (labeled=%v):\n  reference: ret=%#x err=%q cycles=%d ledger=%v\n  linked:    ret=%#x err=%q cycles=%d ledger=%v\nmodule:\n%s",
+				fn.Name, labeled, ref.ret, ref.errStr, ref.cycles, ref.ledger, got.ret, got.errStr, got.cycles, got.ledger, text)
+		}
+		if !reflect.DeepEqual(got.mem, ref.mem) || !reflect.DeepEqual(got.ports, ref.ports) {
+			t.Fatalf("engines diverge on %s (labeled=%v) state\nmodule:\n%s", fn.Name, labeled, text)
+		}
+		if errors.Is(rerr, ErrStepLimit) != errors.Is(eerr, ErrStepLimit) {
+			t.Fatalf("ErrStepLimit identity diverges on %s (labeled=%v)\nmodule:\n%s", fn.Name, labeled, text)
 		}
 	}
 }

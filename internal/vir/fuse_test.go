@@ -10,7 +10,7 @@ import (
 
 // Tests for the superinstruction fusion pass and the polymorphic inline
 // caches (fuse.go). The differential harness (runDiff) already runs
-// every diff test with fusion on AND off against the reference
+// every diff test on the fusing engine against the reference
 // interpreter; this file pins the pass's mechanics: which idioms fuse,
 // exact cycle counts when the step budget lands mid-idiom, and
 // inline-cache hit/miss/invalidation behavior.
@@ -175,7 +175,7 @@ func TestFusionStepLimitExactCycles(t *testing.T) {
 		ip.MaxSteps = m
 		rv, rerr := ip.Call(refFn)
 
-		// Engine, fusion on.
+		// Engine.
 		engEnv := newMemEnv()
 		engFn := build()
 		engEnv.addFunc(engFn)
@@ -213,7 +213,7 @@ func TestFusionStepLimitExactCycles(t *testing.T) {
 // TestFusionStepLimitSweep sweeps the step budget across a loop built
 // entirely of fusable idioms (including mask+store/load pairs that end
 // segments), forcing expiry at every offset within fused segments. The
-// runDiff harness checks reference vs engine with fusion on and off.
+// runDiff harness checks reference vs engine.
 func TestFusionStepLimitSweep(t *testing.T) {
 	for maxSteps := 1; maxSteps <= 60; maxSteps++ {
 		o := runDiff(t, maxSteps, func(env *memEnv) (*Function, []uint64) {
@@ -227,8 +227,8 @@ func TestFusionStepLimitSweep(t *testing.T) {
 
 // TestInlineCacheStats pins the inline-cache protocol on a site with
 // one target: one miss on first resolution, hits for every repeat of
-// the same target, a fresh miss after an epoch bump flushes the
-// lowering, and no cache activity at all with fusion off.
+// the same target, and a fresh miss after an epoch bump flushes the
+// lowering.
 func TestInlineCacheStats(t *testing.T) {
 	build := func(env *memEnv) *Function {
 		leaf := NewFunction("leaf", 1)
@@ -272,15 +272,6 @@ func TestInlineCacheStats(t *testing.T) {
 	}
 	if st := eng.Fusion(); st.ICMisses != 2 || st.ICHits != 98 {
 		t.Errorf("after epoch bump: misses=%d hits=%d, want 2 and 98", st.ICMisses, st.ICHits)
-	}
-
-	// With fusion off the cache is bypassed entirely.
-	eng.SetFuse(false)
-	if _, err := eng.Call(env, fn, 50); err != nil {
-		t.Fatal(err)
-	}
-	if st := eng.Fusion(); st.ICMisses != 2 || st.ICHits != 98 {
-		t.Errorf("fuse off still drives the cache: misses=%d hits=%d", st.ICMisses, st.ICHits)
 	}
 }
 
@@ -430,7 +421,7 @@ func TestInlineCacheReplacement(t *testing.T) {
 // TestFusionCallRetErrorPaths covers the fused call+ret determinism
 // corners: the callee erroring, the budget expiring inside the callee,
 // and the budget expiring exactly on the ret — all against the
-// reference via runDiff (fusion on and off).
+// reference via runDiff.
 func TestFusionCallRetErrorPaths(t *testing.T) {
 	// A hot caller whose tail is call+ret; the callee divides its work
 	// by looping n times, so step budgets can land anywhere inside it.

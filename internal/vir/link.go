@@ -113,9 +113,9 @@ type linkedInstr struct {
 	t1, t2 int       // lowered Blk1/Blk2 (indices into linkedFn.code)
 	callee *linkedFn // pre-resolved direct-call target
 	// ic is an indirect-call site's polymorphic inline cache (fuse.go),
-	// allocated at link time only for call sites and only with fusion
-	// on. It lives inside this lowering, so it can never outlive the
-	// code-space bindings it captured.
+	// allocated at link time for every indirect call site. It lives
+	// inside this lowering, so it can never outlive the code-space
+	// bindings it captured.
 	ic   *icSite
 	args []Value
 	c    Value
@@ -251,7 +251,7 @@ func (e *Engine) link(env Env, fn *Function) *linkedFn {
 	for _, b := range fn.Blocks {
 		isStart[starts[b.Name]] = true
 	}
-	if e.fuse && hasBackEdge(fn) {
+	if hasBackEdge(fn) {
 		e.fusePass(lf, isStart)
 	}
 
@@ -353,9 +353,7 @@ func (e *Engine) lower(env Env, fn *Function, b *Block, idx int, starts map[stri
 			li.imm = addr
 		}
 	case OpCallInd, OpCFICallInd:
-		if e.fuse {
-			li.ic = new(icSite)
-		}
+		li.ic = new(icSite)
 	case OpConst, OpMov, OpAdd, OpSub, OpMul, OpAnd, OpOr, OpXor,
 		OpShl, OpShr, OpCmpEQ, OpCmpNE, OpCmpLT, OpCmpGE, OpSelect,
 		OpLoad, OpStore, OpMemcpy, OpMaskGhost,
