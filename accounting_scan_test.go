@@ -9,11 +9,9 @@ import (
 
 // TestLintClean runs the determinism analyzer suite (internal/lint,
 // also exposed as cmd/vglint) over the whole module, so `go test
-// ./...` enforces a vglint-clean tree. This subsumes the regex scan
-// that used to live here: rawadvance is the AST-level version of the
-// old raw Clock.Advance/AdvanceBytes check, and the suite adds the
-// no-host-time/no-host-randomness and no-map-order-output rules for
-// the simulation core.
+// ./...` enforces a vglint-clean tree: no host time or host
+// randomness in the simulation core, no map-order output, and no
+// writes to package state outside init.
 func TestLintClean(t *testing.T) {
 	findings, err := lint.Run(".", lint.Analyzers())
 	if err != nil {

@@ -6,10 +6,10 @@
 //	vglint -root path # lint another module tree
 //
 // The suite enforces the source-level discipline behind the
-// bit-identical-numbers contract: tagged cycle accounting only
-// (rawadvance), no host time or host randomness in the simulation core
-// (nodeterm), no map-order-dependent output (maprange), and no writes
-// to package-level variables outside init (globalwrite).
+// bit-identical-numbers contract: no host time or host randomness in
+// the simulation core (nodeterm), no map-order-dependent output
+// (maprange), and no writes to package-level variables outside init
+// (globalwrite).
 package main
 
 import (

@@ -32,27 +32,15 @@ func main() {
 	snapshotFlag := flag.String("snapshot", "", "save=PATH writes the post-boot state to a snapshot image; use=PATH restores one before the workload")
 	flag.Parse()
 
-	plan, err := checkFlags(*snapshotFlag)
+	plan, err := checkFlags(*modeFlag, *cpus, *snapshotFlag)
 	if err != nil {
 		fmt.Fprintln(os.Stderr, err)
 		os.Exit(2)
 	}
 
-	var mode repro.Mode
-	switch *modeFlag {
-	case "native":
-		mode = repro.Native
-	case "vghost":
-		mode = repro.VirtualGhost
-	case "shadow":
-		mode = repro.Shadow
-	default:
-		fmt.Fprintf(os.Stderr, "unknown mode %q\n", *modeFlag)
-		os.Exit(2)
-	}
 	cfg := hw.DefaultConfig()
 	cfg.NumCPUs = *cpus
-	sys, err := repro.NewSystemWithOptions(mode, repro.Options{Machine: cfg})
+	sys, err := repro.NewSystemWithOptions(plan.mode, repro.Options{Machine: cfg})
 	if err != nil {
 		fmt.Fprintln(os.Stderr, err)
 		os.Exit(1)
@@ -136,7 +124,7 @@ func main() {
 	}
 
 	fmt.Printf("mode=%v cpus=%d virtual time=%.3f ms syscalls=%d\n",
-		mode, k.NumCPUs(), hw.Seconds(k.M.Clock.Cycles()-start)*1e3, k.Stats().Syscalls)
+		plan.mode, k.NumCPUs(), hw.Seconds(k.M.Clock.Cycles()-start)*1e3, k.Stats().Syscalls)
 	if k.NumCPUs() > 1 {
 		for i, b := range k.CPUBusy() {
 			fmt.Printf("cpu%d busy=%.3f ms\n", i, hw.Seconds(b)*1e3)
@@ -181,18 +169,33 @@ func fatal(err error) {
 	os.Exit(1)
 }
 
-// runPlan is vgrun's validated -snapshot request.
+// runPlan is vgrun's validated -mode and -snapshot request.
 type runPlan struct {
+	mode  repro.Mode
 	save  string          // -snapshot save=PATH: write the post-boot image to PATH
 	use   string          // -snapshot use=PATH: restore PATH before the workload
 	image *snapshot.Image // the use= image, loaded and verified
 }
 
-// checkFlags refuses a malformed -snapshot value before anything
-// boots; main exits 2 on its error. A use= image is loaded here, once,
-// so a missing, corrupt or version-mismatched file fails at flag time.
-func checkFlags(snap string) (runPlan, error) {
+// checkFlags refuses a bad -mode, -cpus or -snapshot value before
+// anything boots; main exits 2 on its error. A use= image is loaded
+// here, once, so a missing, corrupt or version-mismatched file, or one
+// saved in another mode or at another CPU count, fails at flag time.
+func checkFlags(modeName string, cpus int, snap string) (runPlan, error) {
 	var plan runPlan
+	switch modeName {
+	case "native":
+		plan.mode = repro.Native
+	case "vghost":
+		plan.mode = repro.VirtualGhost
+	case "shadow":
+		plan.mode = repro.Shadow
+	default:
+		return plan, fmt.Errorf("vgrun: unknown -mode %q (want native, vghost or shadow)", modeName)
+	}
+	if cpus < 1 {
+		return plan, fmt.Errorf("vgrun: -cpus must be at least 1, got %d", cpus)
+	}
 	if snap == "" {
 		return plan, nil
 	}
@@ -207,6 +210,13 @@ func checkFlags(snap string) (runPlan, error) {
 	img, err := snapshot.Load(path)
 	if err != nil {
 		return plan, fmt.Errorf("vgrun: -snapshot use=%s: unusable image: %v", path, err)
+	}
+	if img.Machine == nil {
+		return plan, fmt.Errorf("vgrun: -snapshot use=%s: unusable image: no machine state", path)
+	}
+	if img.Mode != plan.mode || img.Machine.NumCPUs != cpus {
+		return plan, fmt.Errorf("vgrun: -snapshot use=%s: image is mode=%v cpus=%d, this run is mode=%v cpus=%d",
+			path, img.Mode, img.Machine.NumCPUs, plan.mode, cpus)
 	}
 	plan.use, plan.image = path, img
 	return plan, nil

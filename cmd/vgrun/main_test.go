@@ -11,10 +11,11 @@ import (
 	"repro/internal/snapshot"
 )
 
-// writeImages encodes a booted machine's image into dir three ways: as
-// is, cut in half, and with its version field bumped under a recomputed
-// checksum (so only the version check can refuse it).
-func writeImages(t *testing.T, dir string) (plain, truncated, otherVersion string) {
+// writeImages encodes a booted native one-CPU machine's image into dir
+// four ways: as is, cut in half, with its version field bumped under a
+// recomputed checksum (so only the version check can refuse it), and
+// with the machine state left out.
+func writeImages(t *testing.T, dir string) (plain, truncated, otherVersion, noMachine string) {
 	t.Helper()
 	sys, err := repro.NewSystem(repro.Native)
 	if err != nil {
@@ -43,19 +44,29 @@ func writeImages(t *testing.T, dir string) (plain, truncated, otherVersion strin
 	bumped[8]++
 	sum := sha256.Sum256(bumped)
 	otherVersion = write("bumped.vgsnap", append(bumped, sum[:]...))
-	return plain, truncated, otherVersion
+
+	empty, err := snapshot.Encode(&snapshot.Image{Mode: repro.Native})
+	if err != nil {
+		t.Fatal(err)
+	}
+	noMachine = write("nomachine.vgsnap", empty)
+	return plain, truncated, otherVersion, noMachine
 }
 
 // TestCheckFlagsSnapshot drives the -snapshot validation against real
 // image files: a valid image, a missing, a truncated and a
-// version-mismatched one, and every malformed flag shape.
+// version-mismatched one, one without machine state, the valid image
+// under another -mode or -cpus, and every malformed flag shape. Cases
+// run with -mode native -cpus 1 unless they say otherwise.
 func TestCheckFlagsSnapshot(t *testing.T) {
 	dir := t.TempDir()
-	plain, truncated, otherVersion := writeImages(t, dir)
+	plain, truncated, otherVersion, noMachine := writeImages(t, dir)
 	missing := filepath.Join(dir, "nonexistent.vgsnap")
 
 	cases := []struct {
 		name     string
+		mode     string
+		cpus     int
 		snap     string
 		wantSave string
 		wantUse  string
@@ -67,13 +78,25 @@ func TestCheckFlagsSnapshot(t *testing.T) {
 		{name: "use mode with a missing image", snap: "use=" + missing, wantErr: "-snapshot use=" + missing + ": unusable image"},
 		{name: "use mode with a truncated image", snap: "use=" + truncated, wantErr: "-snapshot use=" + truncated + ": unusable image"},
 		{name: "use mode with a version-mismatched image", snap: "use=" + otherVersion, wantErr: "unusable image: snapshot: image version"},
+		{name: "use mode with an image without machine state", snap: "use=" + noMachine, wantErr: "unusable image: no machine state"},
+		{name: "use mode with an image of another mode", mode: "vghost", snap: "use=" + plain,
+			wantErr: "-snapshot use=" + plain + ": image is mode=native cpus=1, this run is mode=virtualghost cpus=1"},
+		{name: "use mode with an image of another CPU count", cpus: 2, snap: "use=" + plain,
+			wantErr: "-snapshot use=" + plain + ": image is mode=native cpus=1, this run is mode=native cpus=2"},
 		{name: "unknown snapshot verb", snap: "load=" + plain, wantErr: "-snapshot wants save=PATH or use=PATH"},
 		{name: "missing path", snap: "use=", wantErr: "-snapshot wants save=PATH or use=PATH"},
 		{name: "bare path without verb", snap: plain, wantErr: "-snapshot wants save=PATH or use=PATH"},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
-			plan, err := checkFlags(tc.snap)
+			mode, cpus := tc.mode, tc.cpus
+			if mode == "" {
+				mode = "native"
+			}
+			if cpus == 0 {
+				cpus = 1
+			}
+			plan, err := checkFlags(mode, cpus, tc.snap)
 			if tc.wantErr != "" {
 				if err == nil || !strings.Contains(err.Error(), tc.wantErr) {
 					t.Fatalf("want error containing %q, got %v", tc.wantErr, err)
@@ -91,5 +114,34 @@ func TestCheckFlagsSnapshot(t *testing.T) {
 				t.Errorf("image loaded=%v, want %v", plan.image != nil, tc.wantUse != "")
 			}
 		})
+	}
+}
+
+// TestCheckFlagsModeAndCPUs: every -mode name maps to its mode at one
+// and two CPUs; an unknown mode and a CPU count below 1 are refused.
+func TestCheckFlagsModeAndCPUs(t *testing.T) {
+	for _, tc := range []struct {
+		mode    string
+		cpus    int
+		want    repro.Mode
+		wantErr string
+	}{
+		{mode: "native", cpus: 1, want: repro.Native},
+		{mode: "vghost", cpus: 2, want: repro.VirtualGhost},
+		{mode: "shadow", cpus: 1, want: repro.Shadow},
+		{mode: "bogus", cpus: 1, wantErr: `vgrun: unknown -mode "bogus"`},
+		{mode: "vghost", cpus: 0, wantErr: "vgrun: -cpus must be at least 1, got 0"},
+		{mode: "vghost", cpus: -3, wantErr: "vgrun: -cpus must be at least 1, got -3"},
+	} {
+		plan, err := checkFlags(tc.mode, tc.cpus, "")
+		if tc.wantErr != "" {
+			if err == nil || !strings.Contains(err.Error(), tc.wantErr) {
+				t.Errorf("-mode %s -cpus %d: want error containing %q, got %v", tc.mode, tc.cpus, tc.wantErr, err)
+			}
+			continue
+		}
+		if err != nil || plan.mode != tc.want {
+			t.Errorf("-mode %s -cpus %d: got mode %v, err %v; want %v", tc.mode, tc.cpus, plan.mode, err, tc.want)
+		}
 	}
 }

@@ -9,7 +9,6 @@ import (
 
 	"repro"
 	"repro/internal/apps/httpd"
-	"repro/internal/hw"
 	"repro/internal/kernel"
 )
 
@@ -23,13 +22,10 @@ func main() {
 }
 
 func run(serverMode repro.Mode, size, requests int) float64 {
-	server := repro.MustNewSystem(serverMode)
-	client, err := repro.NewSystemWithOptions(repro.Native,
-		repro.Options{SharedClock: server.Machine.Clock})
+	server, client, world, err := repro.NewNetworkedPair(serverMode, repro.Native)
 	if err != nil {
 		panic(err)
 	}
-	hw.Connect(server.Machine.NIC, client.Machine.NIC)
 
 	// Publish a file on the server.
 	payload := make([]byte, size)
@@ -48,7 +44,6 @@ func run(serverMode repro.Mode, size, requests int) float64 {
 	}); err != nil {
 		panic(err)
 	}
-	world := &kernel.World{Kernels: []*kernel.Kernel{server.Kernel, client.Kernel}}
 	if !world.Run(func() bool { return done }) {
 		panic("transfer stalled")
 	}

@@ -4,23 +4,16 @@ import (
 	"testing"
 
 	"repro"
-	"repro/internal/hw"
 	"repro/internal/kernel"
 )
 
 func pairUp(t *testing.T, serverMode repro.Mode) (*repro.System, *repro.System, *kernel.World) {
 	t.Helper()
-	server, err := repro.NewSystem(serverMode)
+	server, client, world, err := repro.NewNetworkedPair(serverMode, repro.Native)
 	if err != nil {
 		t.Fatal(err)
 	}
-	client, err := repro.NewSystemWithOptions(repro.Native,
-		repro.Options{SharedClock: server.Machine.Clock})
-	if err != nil {
-		t.Fatal(err)
-	}
-	hw.Connect(server.Machine.NIC, client.Machine.NIC)
-	return server, client, &kernel.World{Kernels: []*kernel.Kernel{server.Kernel, client.Kernel}}
+	return server, client, world
 }
 
 func TestServeAndMeasure(t *testing.T) {

@@ -5,7 +5,6 @@ import (
 	"testing"
 
 	"repro"
-	"repro/internal/hw"
 	"repro/internal/kernel"
 	"repro/internal/vgcrypt"
 )
@@ -31,17 +30,11 @@ func provision(t *testing.T, server, client *repro.System) []byte {
 
 func pairUp(t *testing.T, serverMode, clientMode repro.Mode) (*repro.System, *repro.System, *kernel.World) {
 	t.Helper()
-	server, err := repro.NewSystem(serverMode)
+	server, client, world, err := repro.NewNetworkedPair(serverMode, clientMode)
 	if err != nil {
 		t.Fatal(err)
 	}
-	client, err := repro.NewSystemWithOptions(clientMode,
-		repro.Options{SharedClock: server.Machine.Clock})
-	if err != nil {
-		t.Fatal(err)
-	}
-	hw.Connect(server.Machine.NIC, client.Machine.NIC)
-	return server, client, &kernel.World{Kernels: []*kernel.Kernel{server.Kernel, client.Kernel}}
+	return server, client, world
 }
 
 func TestKeygenProducesSealedKeys(t *testing.T) {

@@ -4,7 +4,6 @@ import (
 	"testing"
 
 	"repro"
-	"repro/internal/hw"
 	"repro/internal/kernel"
 	"repro/internal/vgcrypt"
 )
@@ -23,17 +22,7 @@ import (
 //  4. nothing the OS can see (disk files, wire traffic) contains the
 //     private key.
 func TestSection6Suite(t *testing.T) {
-	server, err := repro.NewSystem(repro.Native)
-	if err != nil {
-		t.Fatal(err)
-	}
-	client, err := repro.NewSystemWithOptions(repro.VirtualGhost,
-		repro.Options{SharedClock: server.Machine.Clock})
-	if err != nil {
-		t.Fatal(err)
-	}
-	hw.Connect(server.Machine.NIC, client.Machine.NIC)
-	world := &kernel.World{Kernels: []*kernel.Kernel{server.Kernel, client.Kernel}}
+	server, client, world := pairUp(t, repro.Native, repro.VirtualGhost)
 
 	// One application key shared by the whole suite (installed into
 	// each signed binary by the trusted installer).
@@ -131,17 +120,7 @@ func containsSub(haystack, needle []byte) bool {
 // produced by the local ssh-agent; the private key never leaves the
 // agent's ghost heap.
 func TestClientAuthViaAgent(t *testing.T) {
-	server, err := repro.NewSystem(repro.Native)
-	if err != nil {
-		t.Fatal(err)
-	}
-	client, err := repro.NewSystemWithOptions(repro.VirtualGhost,
-		repro.Options{SharedClock: server.Machine.Clock})
-	if err != nil {
-		t.Fatal(err)
-	}
-	hw.Connect(server.Machine.NIC, client.Machine.NIC)
-	world := &kernel.World{Kernels: []*kernel.Kernel{server.Kernel, client.Kernel}}
+	server, client, world := pairUp(t, repro.Native, repro.VirtualGhost)
 
 	appKey := make([]byte, 32)
 	client.Machine.RNG.Fill(appKey)

@@ -124,16 +124,10 @@ func c10kRun(serverMode repro.Mode, sc Scale) C10KResult {
 	if nConns == 0 || nReqs == 0 {
 		panic("experiments: C10K scale not set")
 	}
-	server, err := repro.NewSystem(serverMode)
+	server, client, world, err := repro.NewNetworkedPair(serverMode, repro.Native)
 	if err != nil {
 		panic(err)
 	}
-	client, err := repro.NewSystemWithOptions(repro.Native,
-		repro.Options{SharedClock: server.Machine.Clock})
-	if err != nil {
-		panic(err)
-	}
-	connect(server, client)
 	for _, f := range c10kFiles {
 		seedFile(server.Kernel, f.path, f.size)
 	}
@@ -426,7 +420,6 @@ func c10kRun(serverMode repro.Mode, sc Scale) C10KResult {
 		panic(err)
 	}
 
-	world := &kernel.World{Kernels: []*kernel.Kernel{server.Kernel, client.Kernel}}
 	if !world.Run(func() bool { return done }) {
 		panic("experiments: c10k deadlocked")
 	}

@@ -7,7 +7,6 @@ import (
 	"repro"
 	"repro/internal/apps/httpd"
 	"repro/internal/apps/ssh"
-	"repro/internal/hw"
 	"repro/internal/kernel"
 	"repro/internal/vgcrypt"
 )
@@ -68,16 +67,10 @@ func Figure2(sc Scale) []BandwidthPoint {
 }
 
 func httpBandwidth(serverMode repro.Mode, size, requests int) float64 {
-	server, err := repro.NewSystem(serverMode)
+	server, client, world, err := repro.NewNetworkedPair(serverMode, repro.Native)
 	if err != nil {
 		panic(err)
 	}
-	client, err := repro.NewSystemWithOptions(repro.Native,
-		repro.Options{SharedClock: server.Machine.Clock})
-	if err != nil {
-		panic(err)
-	}
-	connect(server, client)
 	seedFile(server.Kernel, "/pub.bin", size)
 	if _, err := server.Kernel.Spawn("thttpd", httpd.ServerMain); err != nil {
 		panic(err)
@@ -92,7 +85,6 @@ func httpBandwidth(serverMode repro.Mode, size, requests int) float64 {
 	}); err != nil {
 		panic(err)
 	}
-	world := &kernel.World{Kernels: []*kernel.Kernel{server.Kernel, client.Kernel}}
 	if !world.Run(func() bool { return done }) {
 		panic("experiments: figure 2 deadlocked")
 	}
@@ -100,10 +92,6 @@ func httpBandwidth(serverMode repro.Mode, size, requests int) float64 {
 		panic(fmt.Sprintf("experiments: %d failed requests", res.Failures))
 	}
 	return res.KBPerSec
-}
-
-func connect(a, b *repro.System) {
-	hw.Connect(a.Machine.NIC, b.Machine.NIC)
 }
 
 // --- Figures 3 & 4: OpenSSH transfers --------------------------------------------
@@ -144,16 +132,10 @@ func Figure4(sc Scale) []BandwidthPoint {
 // sshBandwidth runs one server/client pair and returns the mean client
 // bandwidth over `runs` transfers.
 func sshBandwidth(serverMode, clientMode repro.Mode, ghosting bool, size, runs int) float64 {
-	server, err := repro.NewSystem(serverMode)
+	server, client, world, err := repro.NewNetworkedPair(serverMode, clientMode)
 	if err != nil {
 		panic(err)
 	}
-	client, err := repro.NewSystemWithOptions(clientMode,
-		repro.Options{SharedClock: server.Machine.Clock})
-	if err != nil {
-		panic(err)
-	}
-	connect(server, client)
 	seedFile(server.Kernel, "/big.bin", size)
 
 	// Provision authentication: one key pair, private half on the
@@ -176,7 +158,6 @@ func sshBandwidth(serverMode, clientMode repro.Mode, ghosting bool, size, runs i
 	if _, err := server.Kernel.Spawn("sshd", ssh.ServerMain); err != nil {
 		panic(err)
 	}
-	world := &kernel.World{Kernels: []*kernel.Kernel{server.Kernel, client.Kernel}}
 	var total float64
 	for i := 0; i < runs; i++ {
 		var res ssh.TransferResult

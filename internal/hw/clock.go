@@ -325,18 +325,6 @@ func (c *Clock) ChargeBytes(tag Tag, n int, costPer8 uint64) {
 	c.Charge(tag, words*costPer8)
 }
 
-// Advance charges n unattributed cycles (TagOther). Retained for tests
-// that simulate the passage of time; production charge paths use Charge
-// with a real tag — vglint's rawadvance analyzer (enforced by
-// TestLintClean) keeps raw Advance calls out of non-test code.
-func (c *Clock) Advance(n uint64) { c.Charge(TagOther, n) }
-
-// AdvanceBytes charges the per-byte cost for an n-byte block operation
-// at the given per-8-byte cost, unattributed (TagOther). See Advance.
-func (c *Clock) AdvanceBytes(n int, costPer8 uint64) {
-	c.ChargeBytes(TagOther, n, costPer8)
-}
-
 // Ledger returns a snapshot of the machine-wide per-tag cycle account:
 // base plus every CPU's ledger, summed on each call. Only measurement
 // points read it; the charge path never does.

@@ -186,7 +186,7 @@ func TestTimerFires(t *testing.T) {
 	if tm.Fired() {
 		t.Errorf("fired immediately")
 	}
-	clk.Advance(101)
+	clk.Charge(TagOther, 101)
 	if !tm.Fired() {
 		t.Errorf("did not fire after interval")
 	}
@@ -254,9 +254,9 @@ func TestClockConversions(t *testing.T) {
 		t.Errorf("3.4M cycles should be 1000us, got %v", Micros(3_400_000))
 	}
 	c := &Clock{}
-	c.AdvanceBytes(16, 2)
+	c.ChargeBytes(TagOther, 16, 2)
 	if c.Cycles() != 4 { // 2 words * 2
-		t.Errorf("AdvanceBytes = %d", c.Cycles())
+		t.Errorf("ChargeBytes = %d", c.Cycles())
 	}
 }
 

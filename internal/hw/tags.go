@@ -68,11 +68,9 @@ const (
 	// TagCompute is pure user computation declared by applications
 	// through Proc.Compute.
 	TagCompute
-	// TagOther is the unattributed bucket: charges made through the
-	// legacy Clock.Advance/AdvanceBytes entry points (tests simulating
-	// the passage of time). Production charge paths never use it —
-	// vglint's rawadvance analyzer (enforced by TestLintClean) keeps raw
-	// Advance calls out of non-test code.
+	// TagOther is the unattributed bucket, charged only by tests that
+	// simulate the passage of time. It keeps its place because tag
+	// order is part of serialized ledgers and snapshot images.
 	TagOther
 	// TagNet is network-path work split out of TagIO: NIC serialization
 	// and latency, loopback delivery, and idle-time skips while every

@@ -60,10 +60,10 @@ func TestPerCPULedgersPartitionTotal(t *testing.T) {
 	}
 }
 
-// TestAdvanceBytesRounding pins the words-not-bytes rule: AdvanceBytes
-// charges per started 8-byte word, so 1..8 bytes cost one word and 9
-// bytes cost two. The boundary cases are the ones a per-byte rewrite
-// would silently change.
+// TestAdvanceBytesRounding pins the words-not-bytes rule of
+// ChargeBytes: it charges per started 8-byte word, so 1..8 bytes cost
+// one word and 9 bytes cost two, identically under every tag. The
+// boundary cases are the ones a per-byte rewrite would silently change.
 func TestAdvanceBytesRounding(t *testing.T) {
 	const costPer8 = 4
 	cases := []struct {
@@ -77,23 +77,17 @@ func TestAdvanceBytesRounding(t *testing.T) {
 		{9, 2 * costPer8},
 	}
 	for _, tc := range cases {
-		var c Clock
-		c.AdvanceBytes(tc.bytes, costPer8)
-		if got := c.Cycles(); got != tc.want {
-			t.Errorf("AdvanceBytes(%d, %d) advanced %d cycles, want %d",
-				tc.bytes, costPer8, got, tc.want)
-		}
-		// The legacy entry point books under TagOther, and ChargeBytes
-		// must round identically under any tag.
-		if l := c.Ledger(); l[TagOther] != tc.want {
-			t.Errorf("AdvanceBytes(%d) booked %d under other, want %d",
-				tc.bytes, l[TagOther], tc.want)
-		}
-		var c2 Clock
-		c2.ChargeBytes(TagMemAccess, tc.bytes, costPer8)
-		if got := c2.Cycles(); got != tc.want {
-			t.Errorf("ChargeBytes(mem-access, %d, %d) advanced %d cycles, want %d",
-				tc.bytes, costPer8, got, tc.want)
+		for _, tag := range []Tag{TagOther, TagMemAccess} {
+			var c Clock
+			c.ChargeBytes(tag, tc.bytes, costPer8)
+			if got := c.Cycles(); got != tc.want {
+				t.Errorf("ChargeBytes(%v, %d, %d) advanced %d cycles, want %d",
+					tag, tc.bytes, costPer8, got, tc.want)
+			}
+			if l := c.Ledger(); l[tag] != tc.want {
+				t.Errorf("ChargeBytes(%v, %d) booked %d under its tag, want %d",
+					tag, tc.bytes, l[tag], tc.want)
+			}
 		}
 	}
 }

@@ -4,7 +4,6 @@ import (
 	"go/ast"
 	"go/token"
 	"go/types"
-	"path/filepath"
 	"strings"
 
 	"repro/internal/lint/analysis"
@@ -15,8 +14,6 @@ import (
 // analyzers enforce the source-level discipline that keeps the
 // contract checkable:
 //
-//   - rawadvance: all cycle charges go through the tagged accounting
-//     entry points, so per-tag breakdowns stay complete.
 //   - nodeterm: the simulation core never reads host time or host
 //     randomness, so identical inputs give identical numbers.
 //   - maprange: printed/formatted output never iterates a map
@@ -42,44 +39,7 @@ func deterministicCore(pkgPath string) bool {
 // Analyzers returns the repository's analyzer suite in reporting
 // order.
 func Analyzers() []*analysis.Analyzer {
-	return []*analysis.Analyzer{RawAdvance, NoDeterm, MapRange, GlobalWrite}
-}
-
-// RawAdvance forbids calls to the untagged clock entry points
-// Advance/AdvanceBytes outside internal/hw/clock.go (which defines
-// them, for tests that simulate the passage of time). Production code
-// must charge through Clock.Charge/ChargeBytes with a real cost tag;
-// an untagged charge books cycles under TagOther and silently degrades
-// every per-tag breakdown. This is the AST-level promotion of the
-// regex scan that previously lived in accounting_scan_test.go.
-var RawAdvance = &analysis.Analyzer{
-	Name: "rawadvance",
-	Doc:  "forbid untagged Clock.Advance/AdvanceBytes calls outside the accounting layer",
-	Run: func(pass *analysis.Pass) error {
-		for _, file := range pass.Files {
-			name := filepath.ToSlash(pass.Filename(file.Pos()))
-			if strings.HasSuffix(name, "internal/hw/clock.go") {
-				continue // defines the wrappers
-			}
-			ast.Inspect(file, func(n ast.Node) bool {
-				call, ok := n.(*ast.CallExpr)
-				if !ok {
-					return true
-				}
-				sel, ok := call.Fun.(*ast.SelectorExpr)
-				if !ok {
-					return true
-				}
-				if sel.Sel.Name == "Advance" || sel.Sel.Name == "AdvanceBytes" {
-					pass.Reportf(sel.Sel.Pos(),
-						"raw %s call in non-test code (use Clock.Charge/ChargeBytes with a cost tag)",
-						sel.Sel.Name)
-				}
-				return true
-			})
-		}
-		return nil
-	},
+	return []*analysis.Analyzer{NoDeterm, MapRange, GlobalWrite}
 }
 
 // NoDeterm forbids host-nondeterminism sources — time.Now and the

@@ -12,9 +12,9 @@ import (
 )
 
 // TestAnalyzersOnFixture runs the suite over the fixture module, which
-// plants one violation per rule plus the three deliberate
-// non-violations (the clock.go exemption, the panic-inside-map-range
-// exclusion, and the write to package state in init).
+// plants one violation per rule plus the two deliberate non-violations
+// (the panic-inside-map-range exclusion and the write to package state
+// in init).
 func TestAnalyzersOnFixture(t *testing.T) {
 	findings, err := lint.Run(filepath.Join("testdata", "modroot"), lint.Analyzers())
 	if err != nil {
@@ -25,11 +25,9 @@ func TestAnalyzersOnFixture(t *testing.T) {
 		line     int
 	}{
 		{"nodeterm", 5},     // math/rand import
-		{"rawadvance", 12},  // c.Advance
-		{"rawadvance", 13},  // c.AdvanceBytes
-		{"nodeterm", 14},    // time.Now
-		{"maprange", 17},    // fmt.Println inside map range
-		{"globalwrite", 31}, // sink = n outside init
+		{"nodeterm", 12},    // time.Now
+		{"maprange", 15},    // fmt.Println inside map range
+		{"globalwrite", 29}, // sink = n outside init
 	}
 	if len(findings) != len(want) {
 		t.Fatalf("got %d findings, want %d:\n%v", len(findings), len(want), findings)

@@ -1,6 +1,7 @@
 // The cmd tree is outside the simulation core: host time and map-order
 // output are legitimate here (commands measure host cost), so only the
-// whole-repo rawadvance analyzer applies.
+// whole-repo globalwrite analyzer applies, and this file writes no
+// package state.
 package main
 
 import (

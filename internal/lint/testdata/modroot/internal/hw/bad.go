@@ -8,9 +8,7 @@ import (
 
 // Bad trips every analyzer in one function. The panic line must NOT be
 // flagged: a panic fires at most once, so it cannot expose map order.
-func Bad(c *Clock, m map[string]int) int {
-	c.Advance(5)
-	c.AdvanceBytes(9)
+func Bad(m map[string]int) int {
 	t := time.Now()
 	n := 0
 	for k, v := range m {

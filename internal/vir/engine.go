@@ -321,75 +321,11 @@ func (e *Engine) run(env Env, clk *hw.Clock, lf *linkedFn, args []uint64, depth 
 			// Charge batched at the segment head; a label has no
 			// data effect.
 
-		// --- Superinstructions (fuse.go). Charges and step weights
+		// --- Superinstructions (fuse.go; a cmp+condbr pair runs as
+		// one of the opCmpBr forms above). Charges and step weights
 		// were batched at the segment head exactly as the constituents'
 		// would have been; the handlers execute the idiom sequentially
 		// and step over the consumed gap slot. ---
-		case opFusedConstALU:
-			regs[in.dst] = in.imm
-			av, bv := lval(regs, in.a), lval(regs, in.b)
-			var v uint64
-			switch in.op2 {
-			case OpAdd:
-				v = av + bv
-			case OpSub:
-				v = av - bv
-			case OpMul:
-				v = av * bv
-			case OpAnd:
-				v = av & bv
-			case OpOr:
-				v = av | bv
-			case OpXor:
-				v = av ^ bv
-			case OpShl:
-				v = av << (bv & 63)
-			case OpShr:
-				v = av >> (bv & 63)
-			case OpCmpEQ:
-				v = b2u(av == bv)
-			case OpCmpNE:
-				v = b2u(av != bv)
-			case OpCmpLT:
-				v = b2u(av < bv)
-			case OpCmpGE:
-				v = b2u(av >= bv)
-			}
-			regs[in.t1] = v
-			pc++ // skip the gap
-
-		case opFusedCmpBr:
-			av, bv := lval(regs, in.a), lval(regs, in.b)
-			var c bool
-			switch in.op2 {
-			case OpCmpEQ:
-				c = av == bv
-			case OpCmpNE:
-				c = av != bv
-			case OpCmpLT:
-				c = av < bv
-			case OpCmpGE:
-				c = av >= bv
-			}
-			// The comparison result may be live past the branch.
-			regs[in.dst] = b2u(c)
-			if c {
-				pc = in.t1
-			} else {
-				pc = in.t2
-			}
-			continue
-
-		case opFusedAddBr:
-			regs[in.dst] = lval(regs, in.a) + lval(regs, in.b)
-			pc = in.t1
-			continue
-
-		case opFusedSubBr:
-			regs[in.dst] = lval(regs, in.a) - lval(regs, in.b)
-			pc = in.t1
-			continue
-
 		case opFusedMaskLoad:
 			m := hw.Virt(MaskAddress(lval(regs, in.a)))
 			regs[in.dst] = uint64(m)
@@ -415,22 +351,6 @@ func (e *Engine) run(env Env, clk *hw.Clock, lf *linkedFn, args []uint64, depth 
 				return 0, err
 			}
 			pc++ // skip the gap
-
-		case opFusedCallRet:
-			asp := e.sp
-			argv := e.carve(len(in.args))
-			for i, a := range in.args {
-				argv[i] = lval(regs, a)
-			}
-			ret, err := e.exec(env, clk, in.callee, argv, depth+1)
-			e.sp = asp
-			if err != nil {
-				return 0, err
-			}
-			regs[in.dst] = ret
-			// The ret half leaves this frame, so a lowering the callee
-			// made stale is never consulted again.
-			return e.fusedRet(env, clk, regs, in.a, overridden, retOverride, depth)
 
 		case opFusedGap:
 			// Unreachable by construction: gaps are never branch
@@ -486,8 +406,7 @@ func (e *Engine) run(env Env, clk *hw.Clock, lf *linkedFn, args []uint64, depth 
 			}
 			regs[in.dst] = ret
 			if e.epoch != ep {
-				// The call resolved before, so whether it fuses with
-				// the slot after it cannot change: that slot is no gap.
+				// A call never fuses, so the next slot is never a gap.
 				lf, code, ep = e.relink(env, lf)
 			}
 
@@ -506,11 +425,9 @@ func (e *Engine) run(env Env, clk *hw.Clock, lf *linkedFn, args []uint64, depth 
 			}
 			regs[in.dst] = ret
 			if e.syncEpoch(env); e.epoch != ep {
-				// The symbol may resolve now, and fuse with a ret
-				// after it: that ret is all that is left to run.
-				if lf, code, ep = e.relink(env, lf); code[pc+1].op == opFusedGap {
-					return e.fusedRet(env, clk, regs, code[pc].a, overridden, retOverride, depth)
-				}
+				// The symbol may resolve now; the relinked slot is a
+				// call, which never fuses, so the next slot is no gap.
+				lf, code, ep = e.relink(env, lf)
 			}
 
 		case opCorruptReturn:
@@ -555,8 +472,7 @@ func (e *Engine) run(env Env, clk *hw.Clock, lf *linkedFn, args []uint64, depth 
 			}
 			regs[in.dst] = ret
 			if e.epoch != ep {
-				// An indirect call never fuses, so the next slot is
-				// never a gap.
+				// A call never fuses, so the next slot is never a gap.
 				lf, code, ep = e.relink(env, lf)
 			}
 
@@ -700,30 +616,12 @@ func storeLE(pg *[hw.PageSize]byte, va hw.Virt, size int, v uint64) {
 
 // relink replaces a running frame's lowering after a call-out moved
 // the code epoch: the frame goes on at the same pc in a lowering of
-// the same function linked against the bindings now current. Block
-// offsets do not depend on bindings, so every pc keeps its meaning;
-// fusion choices do, which the callers handle (a call that now
-// resolves may have fused with the ret after it).
+// the same function linked against the bindings now current. Neither
+// block offsets nor fusion choices depend on bindings, so every pc
+// keeps its meaning.
 func (e *Engine) relink(env Env, lf *linkedFn) (*linkedFn, []linkedInstr, uint64) {
 	lf = e.linked(env, lf.fn)
 	return lf, lf.code, e.epoch
-}
-
-// fusedRet is the ret half of a fused call+ret, run after the callee
-// has returned: its step and charge come after the callee, exactly
-// where the reference interpreter puts them (so a budget expiring
-// inside the callee, or on the ret itself, lands on the same
-// instruction with the same cycles).
-func (e *Engine) fusedRet(env Env, clk *hw.Clock, regs []uint64, a Value, overridden bool, retOverride uint64, depth int) (uint64, error) {
-	e.steps++
-	if e.steps > e.MaxSteps {
-		return 0, ErrStepLimit
-	}
-	clk.Charge(hw.TagEngine, hw.CostCall)
-	if overridden {
-		return e.pivot(env, clk, retOverride, depth)
-	}
-	return lval(regs, a), nil
 }
 
 // pivot transfers control to a smashed return address (the ROP case):
@@ -746,9 +644,9 @@ func (e *Engine) pivot(env Env, clk *hw.Clock, target uint64, depth int) (uint64
 // segment can be involved, and those are pure by construction — fused
 // sites expand back into their constituents through the fusion table
 // (linkedInstr.fused), gap slots weigh nothing and are skipped, and a
-// segment-final impure constituent (a fused pair's load/store/branch
-// half, or a call+ret's call) is past the replayable range because
-// nExec is strictly below the segment's step weight.
+// segment-final impure constituent (a fused pair's load, store or
+// branch half) is past the replayable range because nExec is strictly
+// below the segment's step weight.
 func (e *Engine) stepLimit(clk *hw.Clock, regs []uint64, code []linkedInstr, pc, segLen int) error {
 	nExec := e.MaxSteps - (e.steps - segLen)
 	for i := pc; nExec > 0; i++ {

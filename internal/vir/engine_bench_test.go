@@ -79,11 +79,10 @@ func TestEngineTracingDisabledZeroAlloc(t *testing.T) {
 	}
 }
 
-// benchFuseSource is a checksum-style loop built entirely of fusable
-// idioms: per iteration a cmp+condbr head, four const+ALU pairs, and an
-// add+br back-edge — every dispatch collapses into a superinstruction
-// when fusion is on (the BenchmarkEngineKChecksum-class shape; the
-// inline-cache win rides the ICLoop pair below).
+// benchFuseSource is a checksum-style loop (the
+// BenchmarkEngineKChecksum-class shape; the inline-cache win rides the
+// ICLoop pair below): per iteration a fused cmp+condbr head, then four
+// const+ALU pairs and an add+br back-edge, which lower unfused.
 const benchFuseSource = `module bf
 func hot(2 params) {
 entry:
@@ -108,8 +107,8 @@ done:
 }
 `
 
-// BenchmarkEngineLoopFuse: the linked engine on the fusable loop,
-// whose idioms the superinstruction pass fuses.
+// BenchmarkEngineLoopFuse: the linked engine on benchFuseSource, whose
+// loop head the superinstruction pass fuses.
 func BenchmarkEngineLoopFuse(b *testing.B) {
 	m, err := ParseModule(benchFuseSource)
 	if err != nil {

@@ -667,13 +667,11 @@ done:
 	}
 }
 
-// TestEngineDiffRebindFusesCallRet binds a symbol from inside the
-// intrinsic it named. After the call returns, the relinked function
-// resolves the call and, hot and ending in call+ret, fuses the two:
-// the slot the frame resumes at is the fused pair's gap, and the ret
-// still runs with the reference's step and charge, budget expiry on the
-// ret included.
-func TestEngineDiffRebindFusesCallRet(t *testing.T) {
+// TestEngineDiffRebindResolvesCallRet binds a symbol from inside the
+// intrinsic it named, in a call+ret tail. After the call returns, the
+// frame relinks and resumes at the ret, which still runs with the
+// reference's step and charge, budget expiry on the ret included.
+func TestEngineDiffRebindResolvesCallRet(t *testing.T) {
 	const src = `module m
 func hot(1 params) {
 entry:
@@ -711,6 +709,105 @@ done:
 	for budget := steps - 2; budget <= steps; budget++ {
 		runDiffEpochs(t, budget, setup)
 	}
+}
+
+// TestEngineDiffCallRetErrorPaths covers the determinism corners of a
+// call+ret tail, whose ret is stepped and charged after the callee
+// runs: the callee erroring, the budget expiring inside the callee, and
+// the budget expiring exactly on the ret — all against the reference
+// via runDiff.
+func TestEngineDiffCallRetErrorPaths(t *testing.T) {
+	// A looping caller whose tail is call+ret; the callee divides its
+	// work by looping n times, so step budgets can land anywhere inside
+	// it.
+	const src = `module cr
+func spin(1 params) {
+entry:
+  %r1 = const 0x0
+  br head
+head:
+  %r2 = cmplt %r1, %r0
+  condbr %r2, body, done
+body:
+  %r1 = add %r1, 0x1
+  br head
+done:
+  ret %r1
+}
+func hot(1 params) {
+entry:
+  %r1 = const 0x0
+  br head
+head:
+  %r2 = cmplt %r1, 0x2
+  condbr %r2, body, done
+body:
+  %r1 = add %r1, 0x1
+  br head
+done:
+  %r3 = call spin(%r0)
+  ret %r3
+}
+`
+	for maxSteps := 1; maxSteps <= 50; maxSteps++ {
+		runDiff(t, maxSteps, func(env *memEnv) (*Function, []uint64) {
+			return addParsedModule(t, env, src, "hot"), []uint64{6}
+		})
+	}
+	// Callee errors: the ret must not run.
+	runDiff(t, 0, func(env *memEnv) (*Function, []uint64) {
+		const errSrc = `module cre
+func boom(1 params) {
+entry:
+  %r1 = callind %r0()
+  ret %r1
+}
+func hot(1 params) {
+entry:
+  %r1 = const 0x0
+  br head
+head:
+  %r2 = cmplt %r1, 0x2
+  condbr %r2, body, done
+body:
+  %r1 = add %r1, 0x1
+  br head
+done:
+  %r3 = call boom(%r0)
+  ret %r3
+}
+`
+		return addParsedModule(t, env, errSrc, "hot"), []uint64{0x41414141}
+	})
+	// Corrupt-return pivot through a call+ret tail.
+	runDiff(t, 0, func(env *memEnv) (*Function, []uint64) {
+		env.intrinsics["mark"] = func([]uint64) (uint64, error) { return 0, nil }
+		gadget := NewFunction("gadget", 0)
+		gadget.Call("mark")
+		gadget.Ret(Imm(7))
+		gAddr := env.addFunc(gadget.Fn())
+
+		leaf := NewFunction("leaf", 1)
+		leaf.Ret(leaf.Param(0))
+		env.addFunc(leaf.Fn())
+
+		// A looping function that ends in corrupt_return, then a
+		// call+ret pair.
+		vuln := NewFunction("vuln", 1)
+		i := vuln.Mov(Imm(0))
+		vuln.Br("loop")
+		vuln.NewBlock("loop")
+		c := vuln.CmpLT(i, Imm(2))
+		vuln.CondBr(c, "body", "done")
+		vuln.NewBlock("body")
+		vuln.Assign(i, vuln.Add(i, Imm(1)))
+		vuln.Br("loop")
+		vuln.NewBlock("done")
+		vuln.Call(corruptReturnIntrinsic, vuln.Param(0))
+		vuln.Ret(vuln.Call("leaf", i))
+		env.addFunc(vuln.Fn())
+		return vuln.Fn(), []uint64{gAddr}
+	})
 }
 
 // TestEngineEpochInvalidation exercises the linked-code cache rule: a
@@ -903,9 +1000,9 @@ func FuzzEngineDifferential(f *testing.F) {
 		// Redundant re-masks and a repeated indirect call through one
 		// unchanged target register.
 		"module r\nfunc h(1 params) {\nentry:\n  cfi.label 0xcf1\n  %r1 = maskghost %r0\n  store8 [%r1], 0x1\n  %r2 = maskghost %r0\n  %r3 = load8 [%r2]\n  %r4 = funcaddr h2\n  %r5 = cfi.callind %r4(%r3)\n  %r6 = cfi.callind %r4(%r5)\n  cfi.ret %r6\n}\nfunc h2(1 params) {\nentry:\n  cfi.label 0xcf1\n  cfi.ret %r0\n}\n",
-		// Fusable idioms in a hot (back-edged) function: cmp+condbr,
-		// add+br back-edge, const+ALU, and the call+ret pair — the
-		// shapes the superinstruction pass collapses (fuse.go).
+		// A loop with cmp+condbr, the one fused idiom here (fuse.go),
+		// beside const+ALU, add+br and call+ret pairs, which stay
+		// unfused.
 		"module fu\nfunc leaf(1 params) {\nentry:\n  %r1 = add %r0, 0x1\n  ret %r1\n}\nfunc hot(1 params) {\nentry:\n  %r1 = const 0x0\n  br head\nhead:\n  %r2 = cmplt %r1, %r0\n  condbr %r2, body, done\nbody:\n  %r3 = const 0x3\n  %r4 = mul %r1, %r3\n  %r1 = add %r1, 0x1\n  br head\ndone:\n  %r5 = call leaf(%r1)\n  ret %r5\n}\n",
 		// Every operand form (opspec.go): register–register and
 		// register–immediate ALU ops and compares, an immediate A on

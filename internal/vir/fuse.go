@@ -6,16 +6,13 @@ package vir
 // bit-identical to the reference interpreter.
 //
 // The pass runs between lowering (link pass 2) and segment accounting
-// (link pass 3). It recognizes hot two-instruction idioms in the flat
+// (link pass 3). It recognizes three two-instruction idioms in the flat
 // code array and collapses each into a single pseudo-opcode whose
 // handler executes the whole idiom in one dispatch:
 //
-//	cmp   + condbr     -> opFusedCmpBr     (loop heads)
-//	add/sub + br       -> opFusedAddBr/SubBr (loop back-edges)
-//	const + binary ALU -> opFusedConstALU  (immediate-forming pairs)
+//	cmp   + condbr     -> opFusedCmpBr     (the compare's A is a register)
 //	maskghost + load   -> opFusedMaskLoad  (the sandbox hot path)
 //	maskghost + store  -> opFusedMaskStore
-//	call  + ret        -> opFusedCallRet   (tail bookkeeping pair)
 //
 // A fused instruction keeps the slots of its constituents: the first
 // slot holds the superinstruction, the second becomes an opFusedGap the
@@ -30,16 +27,12 @@ package vir
 //     step budget expires at the same reference instruction;
 //   - the constituents themselves ride along in linkedInstr.fused (the
 //     per-segment fusion table), so the step-limit slow path can replay
-//     per-instruction charges when the budget lands mid-idiom;
-//   - call+ret is special: the ret's step and charge happen *after* the
-//     callee runs in the reference, so only the call half is batched at
-//     the segment head and the handler performs the ret's step check
-//     and charge on the way out (engine.go).
+//     per-instruction charges when the budget lands mid-idiom.
 //
-// Only functions with a loop get the pass: a branch back to the same or
-// an earlier block (loop depth >= 1) marks a function hot. Cold
-// functions pay one dispatch per instruction, keeping link time and
-// code shape simple where fusion cannot pay off.
+// Every function gets the pass. Each idiom ends its segment with its
+// second half (a branch, a load or a store), and none involves a call
+// or a symbol, so what fuses depends on the opcodes alone, never on
+// the code-space bindings a lowering was linked against.
 
 // Fused pseudo-opcodes. They continue the linker's internal range
 // (link.go) and never appear in IR.
@@ -48,29 +41,16 @@ const (
 	// unreachable: branch targets are block starts, fusion never spans
 	// a block boundary, and fused handlers step over it.
 	opFusedGap Opcode = 0xA0 + iota
-	// opFusedCmpBr: Cmp*(dst,a,b) ; CondBr(R(dst), t1, t2). op2 holds
-	// the comparison opcode; the comparison result is still written to
-	// dst (it may be live past the branch).
+	// opFusedCmpBr: Cmp*(dst,R(a),b) ; CondBr(R(dst), t1, t2). op2
+	// holds the comparison opcode; the comparison result is still
+	// written to dst (it may be live past the branch). The operand-form
+	// pass (opspec.go) rewrites every one to an opCmpBr form.
 	opFusedCmpBr
-	// opFusedAddBr: Add(dst,a,b) ; Br(t1) — the classic counted-loop
-	// back-edge.
-	opFusedAddBr
-	// opFusedSubBr: Sub(dst,a,b) ; Br(t1).
-	opFusedSubBr
-	// opFusedConstALU: Const(dst, imm) ; ALU(op2, t1, a, b). The ALU
-	// operands may read dst (the constant is written first, exactly as
-	// sequential execution would).
-	opFusedConstALU
 	// opFusedMaskLoad: MaskGhost(dst, a) ; Load(t1, [R(dst)], size).
 	// The masked address is still written to dst.
 	opFusedMaskLoad
 	// opFusedMaskStore: MaskGhost(dst, a) ; Store([R(dst)], b, size).
 	opFusedMaskStore
-	// opFusedCallRet: Call(dst, callee, args) ; Ret(a). Only direct
-	// calls with a link-time-resolved callee and a plain (non-CFI) ret
-	// fuse; the handler performs the ret's bookkeeping after the callee
-	// returns.
-	opFusedCallRet
 )
 
 // FusionStats counts the fusion tier's work: superinstruction sites the
@@ -120,48 +100,10 @@ func (ic *icSite) fill(target uint64, fn *linkedFn) {
 	ic.next = (ic.next + 1) % icWays
 }
 
-// fusableALU reports whether op is a binary ALU/compare opcode eligible
-// to be the second half of a const+ALU pair (and the first half of a
-// cmp+br pair for the comparison subset).
-func fusableALU(op Opcode) bool {
-	switch op {
-	case OpAdd, OpSub, OpMul, OpAnd, OpOr, OpXor, OpShl, OpShr,
-		OpCmpEQ, OpCmpNE, OpCmpLT, OpCmpGE:
-		return true
-	}
-	return false
-}
-
 func isCmp(op Opcode) bool {
 	switch op {
 	case OpCmpEQ, OpCmpNE, OpCmpLT, OpCmpGE:
 		return true
-	}
-	return false
-}
-
-// hasBackEdge is the fusion policy's hotness test: a branch from a
-// block to itself or an earlier block means a loop, and loops are where
-// saved dispatches multiply.
-func hasBackEdge(fn *Function) bool {
-	index := make(map[string]int, len(fn.Blocks))
-	for i, b := range fn.Blocks {
-		index[b.Name] = i
-	}
-	for i, b := range fn.Blocks {
-		for _, in := range b.Instrs {
-			switch in.Op {
-			case OpBr, OpCondBr:
-				if t, ok := index[in.Blk1]; ok && t <= i {
-					return true
-				}
-				if in.Op == OpCondBr {
-					if t, ok := index[in.Blk2]; ok && t <= i {
-						return true
-					}
-				}
-			}
-		}
 	}
 	return false
 }
@@ -173,23 +115,12 @@ func hasBackEdge(fn *Function) bool {
 func fusePair(a, b *linkedInstr) (linkedInstr, bool) {
 	var fi linkedInstr
 	switch {
-	case isCmp(a.op) && b.op == OpCondBr && !b.a.IsImm && b.a.Reg == a.dst:
+	case isCmp(a.op) && !a.a.IsImm && b.op == OpCondBr && !b.a.IsImm && b.a.Reg == a.dst:
 		fi = linkedInstr{op: opFusedCmpBr, op2: a.op, dst: a.dst, a: a.a, b: a.b, t1: b.t1, t2: b.t2}
-	case a.op == OpAdd && b.op == OpBr:
-		fi = linkedInstr{op: opFusedAddBr, dst: a.dst, a: a.a, b: a.b, t1: b.t1}
-	case a.op == OpSub && b.op == OpBr:
-		fi = linkedInstr{op: opFusedSubBr, dst: a.dst, a: a.a, b: a.b, t1: b.t1}
-	case a.op == OpConst && fusableALU(b.op):
-		fi = linkedInstr{op: opFusedConstALU, op2: b.op, dst: a.dst, imm: a.imm, t1: b.dst, a: b.a, b: b.b}
 	case a.op == OpMaskGhost && b.op == OpLoad && !b.a.IsImm && b.a.Reg == a.dst:
 		fi = linkedInstr{op: opFusedMaskLoad, dst: a.dst, a: a.a, t1: b.dst, size: b.size}
 	case a.op == OpMaskGhost && b.op == OpStore && !b.a.IsImm && b.a.Reg == a.dst:
 		fi = linkedInstr{op: opFusedMaskStore, dst: a.dst, a: a.a, b: b.b, size: b.size}
-	case a.op == OpCall && a.callee != nil && b.op == OpRet:
-		// Only the call half is batched at the segment head: the
-		// reference charges (and step-counts) the ret after the callee
-		// has run, and the handler reproduces that ordering.
-		fi = linkedInstr{op: opFusedCallRet, dst: a.dst, callee: a.callee, args: a.args, a: b.a}
 	default:
 		return linkedInstr{}, false
 	}
@@ -200,14 +131,10 @@ func fusePair(a, b *linkedInstr) (linkedInstr, bool) {
 	fi.fused = []linkedInstr{*a, *b}
 	fi.base = fi.op
 
-	if fi.op == opFusedCallRet {
-		fi.charges = a.charges
-	} else {
-		// Head charges: the exact concatenation of the constituents'
-		// charge lists (pass 3 merges per tag, so totals and tags are
-		// identical to the unfused segment batch).
-		fi.charges = concatCharges(a.charges, b.charges)
-	}
+	// Head charges: the exact concatenation of the constituents' charge
+	// lists (pass 3 merges per tag, so totals and tags are identical to
+	// the unfused segment batch).
+	fi.charges = concatCharges(a.charges, b.charges)
 	return fi, true
 }
 
@@ -250,15 +177,10 @@ func (e *Engine) fusePass(lf *linkedFn, isStart []bool) {
 // headSteps is an instruction's weight in its segment's step batch: the
 // number of reference-interpreter steps that are certain to execute
 // once the segment is entered. Gaps weigh nothing; a fused pair weighs
-// its constituents — except call+ret, whose ret step is counted by the
-// handler after the callee returns, exactly where the reference counts
-// it.
+// its constituents.
 func (li *linkedInstr) headSteps() int {
-	switch li.op {
-	case opFusedGap:
+	if li.op == opFusedGap {
 		return 0
-	case opFusedCallRet:
-		return 1
 	}
 	if len(li.fused) > 0 {
 		return len(li.fused)

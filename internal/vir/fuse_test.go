@@ -3,6 +3,7 @@ package vir
 import (
 	"errors"
 	"fmt"
+	"slices"
 	"testing"
 
 	"repro/internal/hw"
@@ -15,11 +16,12 @@ import (
 // exact cycle counts when the step budget lands mid-idiom, and
 // inline-cache hit/miss/invalidation behavior.
 
-// fuseAllIdiomsSource contains every fusable idiom exactly once per
-// location: cmp+condbr (head), const+ALU, mask+store, mask+load,
-// add+br back-edge (body), and call+ret (done). The back-edge makes
-// "hot" hot under the static heuristic; "leaf" stays cold.
-const fuseAllIdiomsSource = `module fuseall
+// fuseIdiomsSource plants the three fused idioms — cmp+condbr,
+// mask+store and mask+load — in a function with a loop ("hot") and in
+// a loop-free one ("flat"). Beside them, each function plants the pairs
+// that must lower unfused (unfusedPairs): const+ALU, add+br, sub+br,
+// call+ret and a compare+condbr whose compare has an immediate A.
+const fuseIdiomsSource = `module fuseall
 func leaf(1 params) {
 entry:
   %r1 = add %r0, 0x1
@@ -39,13 +41,69 @@ body:
   store8 [%r5], %r4
   %r6 = maskghost %r0
   %r7 = load8 [%r6]
+  %r8 = cmplt 0x2, %r1
+  condbr %r8, up, down
+up:
   %r1 = add %r1, 0x1
   br head
+down:
+  %r1 = add %r1, 0x2
+  %r9 = sub %r1, 0x1
+  br head
 done:
-  %r8 = call leaf(%r1)
-  ret %r8
+  %r10 = call leaf(%r1)
+  ret %r10
+}
+func flat(1 params) {
+entry:
+  %r1 = maskghost %r0
+  store8 [%r1], 0x7
+  %r2 = maskghost %r0
+  %r3 = load8 [%r2]
+  %r4 = const 0x2
+  %r5 = mul %r3, %r4
+  %r6 = cmplt %r5, %r0
+  condbr %r6, a, b
+a:
+  %r7 = cmplt 0x1, %r5
+  condbr %r7, b, c
+b:
+  %r8 = add %r5, 0x1
+  br c
+c:
+  %r9 = sub %r5, 0x1
+  br d
+d:
+  %r10 = call leaf(%r9)
+  ret %r10
 }
 `
+
+// fuseIdiomsFuncs are the fusing functions of fuseIdiomsSource, each
+// with an argument under which every block runs and the
+// superinstructions it must lower to, in code order.
+var fuseIdiomsFuncs = []struct {
+	name  string
+	arg   uint64
+	fused []Opcode
+}{
+	{"hot", 5, []Opcode{opFusedCmpBr, opFusedMaskStore, opFusedMaskLoad}},
+	{"flat", 0x2000, []Opcode{opFusedMaskStore, opFusedMaskLoad, opFusedCmpBr}},
+}
+
+// unfusedPairs are the adjacent pairs both fusing functions of
+// fuseIdiomsSource hold that the pass must leave as two instructions.
+var unfusedPairs = []struct {
+	name string
+	a, b Opcode
+	immA bool // the first instruction's A operand is an immediate
+}{
+	{"const+ALU", OpConst, OpMul, false},
+	{"add+br", OpAdd, OpBr, false},
+	{"sub+br", OpSub, OpBr, false},
+	{"call+ret", OpCall, OpRet, false},
+	{"immediate-A cmp+condbr", OpCmpLT, OpCondBr, true},
+}
 
 func addParsedModule(t testing.TB, env *memEnv, source, main string) *Function {
 	t.Helper()
@@ -66,128 +124,156 @@ func addParsedModule(t testing.TB, env *memEnv, source, main string) *Function {
 	return fn
 }
 
-// TestFusionPatterns pins which sites fuse: all six idioms in "hot"
-// (and none in the cold, back-edge-free "leaf"), with the observables
-// still identical to the reference in both fusion modes.
-func TestFusionPatterns(t *testing.T) {
-	o := runDiff(t, 0, func(env *memEnv) (*Function, []uint64) {
-		return addParsedModule(t, env, fuseAllIdiomsSource, "hot"), []uint64{5}
-	})
-	if o.errStr != "" {
-		t.Fatalf("unexpected error: %q", o.errStr)
-	}
-
-	env := newMemEnv()
-	fn := addParsedModule(t, env, fuseAllIdiomsSource, "hot")
-	eng := NewEngine()
-	if _, err := eng.Call(env, fn, 5); err != nil {
+// linkFuseIdioms runs "hot" and "flat" on one engine and returns it
+// with both lowerings.
+func linkFuseIdioms(t *testing.T) (*Engine, map[string]*linkedFn) {
+	t.Helper()
+	m, err := ParseModule(fuseIdiomsSource)
+	if err != nil {
 		t.Fatal(err)
 	}
-	sites := make(map[string]int)
-	for f, lf := range eng.cache {
-		for i := range lf.code {
-			if len(lf.code[i].fused) > 0 {
-				sites[f.Name]++
+	env := newMemEnv()
+	for _, g := range m.Funcs {
+		env.addFunc(g)
+	}
+	eng := NewEngine()
+	lowered := make(map[string]*linkedFn)
+	for _, f := range fuseIdiomsFuncs {
+		fn := m.Func(f.name)
+		if _, err := eng.Call(env, fn, f.arg); err != nil {
+			t.Fatalf("%s: %v", f.name, err)
+		}
+		lowered[f.name] = eng.cache[fn]
+	}
+	return eng, lowered
+}
+
+// TestFusionPatterns pins which sites fuse: the three idioms, in the
+// function with a loop and in the loop-free one alike, and none of the
+// pairs in unfusedPairs. The observables stay identical to the
+// reference.
+func TestFusionPatterns(t *testing.T) {
+	for _, f := range fuseIdiomsFuncs {
+		o := runDiff(t, 0, func(env *memEnv) (*Function, []uint64) {
+			return addParsedModule(t, env, fuseIdiomsSource, f.name), []uint64{f.arg}
+		})
+		if o.errStr != "" {
+			t.Fatalf("%s: unexpected error: %q", f.name, o.errStr)
+		}
+	}
+
+	eng, lowered := linkFuseIdioms(t)
+	total := 0
+	for _, f := range fuseIdiomsFuncs {
+		code := lowered[f.name].code
+		var got []Opcode
+		for i := range code {
+			if len(code[i].fused) > 0 {
+				got = append(got, code[i].base)
+			}
+		}
+		if !slices.Equal(got, f.fused) {
+			t.Errorf("%s fused %v, want %v", f.name, got, f.fused)
+		}
+		total += len(got)
+		for _, p := range unfusedPairs {
+			found := false
+			for i := 0; i+1 < len(code); i++ {
+				if code[i].base == p.a && code[i].a.IsImm == p.immA && code[i+1].base == p.b {
+					found = true
+				}
+			}
+			if !found {
+				t.Errorf("%s: %s does not lower as two instructions", f.name, p.name)
 			}
 		}
 	}
-	if sites["hot"] != 6 {
-		t.Errorf("hot fused %d sites, want 6 (cmp+br, const+mul, mask+store, mask+load, add+br, call+ret)", sites["hot"])
-	}
-	if sites["leaf"] != 0 {
-		t.Errorf("cold leaf fused %d sites, want 0", sites["leaf"])
-	}
-	if st := eng.Fusion(); st.SitesFused != 6 {
-		t.Errorf("Fusion().SitesFused = %d, want 6", st.SitesFused)
+	if st := eng.Fusion(); st.SitesFused != uint64(total) || total != 6 {
+		t.Errorf("Fusion().SitesFused = %d over %d fused sites, want 6", st.SitesFused, total)
 	}
 }
 
-// TestFusedGapSegmentInvariants checks the lowered shape directly: gap
-// slots carry no charges and never head a segment, and the hot function
-// actually contains superinstructions.
+// TestFusedGapSegmentInvariants checks the lowered shape directly, in
+// the function with a loop and in the loop-free one: every gap follows
+// a superinstruction, carries no charges and never heads a segment, and
+// each superinstruction holds its two constituents.
 func TestFusedGapSegmentInvariants(t *testing.T) {
-	env := newMemEnv()
-	fn := addParsedModule(t, env, fuseAllIdiomsSource, "hot")
-	eng := NewEngine()
-	if _, err := eng.Call(env, fn, 3); err != nil {
-		t.Fatal(err)
-	}
-	lf := eng.cache[fn]
-	if lf == nil {
-		t.Fatal("hot not in linked cache")
-	}
-	gaps, fused := 0, 0
-	for i := range lf.code {
-		in := &lf.code[i]
-		switch {
-		case in.op == opFusedGap:
-			gaps++
-			if in.segLen != 0 || in.n1 != 0 || in.n2 != 0 || in.more != nil || in.charges != nil {
-				t.Errorf("gap at %d carries accounting: segLen=%d n1=%d n2=%d more=%v charges=%v",
-					i, in.segLen, in.n1, in.n2, in.more, in.charges)
-			}
-		case len(in.fused) > 0:
-			fused++
-			if len(in.fused) != 2 {
-				t.Errorf("superinstruction at %d has %d constituents, want 2", i, len(in.fused))
+	_, lowered := linkFuseIdioms(t)
+	for name, lf := range lowered {
+		gaps, fused := 0, 0
+		for i := range lf.code {
+			in := &lf.code[i]
+			switch {
+			case in.op == opFusedGap:
+				gaps++
+				if in.segLen != 0 || in.n1 != 0 || in.n2 != 0 || in.more != nil || in.charges != nil {
+					t.Errorf("%s: gap at %d carries accounting: segLen=%d n1=%d n2=%d more=%v charges=%v",
+						name, i, in.segLen, in.n1, in.n2, in.more, in.charges)
+				}
+				if i == 0 || len(lf.code[i-1].fused) == 0 {
+					t.Errorf("%s: gap at %d does not follow a superinstruction", name, i)
+				}
+			case len(in.fused) > 0:
+				fused++
+				if len(in.fused) != 2 {
+					t.Errorf("%s: superinstruction at %d has %d constituents, want 2", name, i, len(in.fused))
+				}
 			}
 		}
-	}
-	if fused != 6 || gaps != 6 {
-		t.Errorf("lowered hot has %d superinstructions and %d gaps, want 6 and 6", fused, gaps)
+		if fused != 3 || gaps != 3 {
+			t.Errorf("lowered %s has %d superinstructions and %d gaps, want 3 and 3", name, fused, gaps)
+		}
 	}
 }
 
 // TestFusionStepLimitExactCycles is the exact-cycle check for the
-// step-limit slow path at fused sites: a function of five 1-cycle ALU
-// steps (two of them fused const+ALU pairs) and a 4-cycle ret. For
-// every budget m that expires mid-code — including budgets landing
-// exactly in the middle of a fused idiom — both engines and the
-// reference must charge exactly m cycles; with the budget sufficient,
-// exactly the full 5*CostALU + CostCall. An unreachable self-loop block
-// gives the function the back edge that makes the linker fuse it; it
-// never runs, so the cycle arithmetic is that of the straight-line
-// entry block.
+// step-limit slow path at fused sites, in a loop-free function: a const,
+// a mask+load pair, a cmp+condbr pair and a ret. For every budget m
+// that expires mid-code — between the halves of each pair included —
+// both engines and the reference must charge exactly the first m
+// instructions' cycles; with the budget sufficient, exactly all six.
+// The test env's loads charge nothing, so the load adds no cycles.
 func TestFusionStepLimitExactCycles(t *testing.T) {
-	build := func() *Function {
-		return &Function{Name: "sl", NParams: 0, NRegs: 5, Blocks: []*Block{
+	build := func(env *memEnv) *Function {
+		env.Store(0x2000, 8, 3)
+		fn := &Function{Name: "sl", NParams: 0, NRegs: 4, Blocks: []*Block{
 			{Name: "entry", Instrs: []Instr{
-				{Op: OpConst, Dst: 0, Imm: 1},
-				{Op: OpConst, Dst: 1, Imm: 2}, // fuses with the add
-				{Op: OpAdd, Dst: 2, A: R(0), B: R(1)},
-				{Op: OpConst, Dst: 3, Imm: 4}, // fuses with the mul
-				{Op: OpMul, Dst: 4, A: R(2), B: R(3)},
-				{Op: OpRet, A: R(4)},
+				{Op: OpConst, Dst: 0, Imm: 0x2000},
+				{Op: OpMaskGhost, Dst: 1, A: R(0)}, // fuses with the load
+				{Op: OpLoad, Dst: 2, A: R(1), Size: 8},
+				{Op: OpCmpLT, Dst: 3, A: R(2), B: Imm(5)}, // fuses with the condbr
+				{Op: OpCondBr, A: R(3), Blk1: "yes", Blk2: "no"},
 			}},
-			{Name: "spin", Instrs: []Instr{
-				{Op: OpBr, Blk1: "spin"},
-			}},
+			{Name: "yes", Instrs: []Instr{{Op: OpRet, A: Imm(12)}}},
+			{Name: "no", Instrs: []Instr{{Op: OpRet, A: Imm(13)}}},
 		}}
+		env.addFunc(fn)
+		return fn
 	}
-	const fullCycles = 5*hw.CostALU + hw.CostCall
+	// cum[m] is the cycles of the first m instructions.
+	cum := []uint64{0, hw.CostALU}
+	for _, c := range []uint64{hw.CostMaskCheck, 0, hw.CostALU, hw.CostBranch, hw.CostCall} {
+		cum = append(cum, cum[len(cum)-1]+c)
+	}
 
 	for m := 1; m <= 8; m++ {
 		// Reference.
 		refEnv := newMemEnv()
-		refFn := build()
-		refEnv.addFunc(refFn)
 		ip := NewInterp(refEnv)
 		ip.MaxSteps = m
-		rv, rerr := ip.Call(refFn)
+		rv, rerr := ip.Call(build(refEnv))
 
 		// Engine.
 		engEnv := newMemEnv()
-		engFn := build()
-		engEnv.addFunc(engFn)
 		eng := NewEngine()
 		eng.MaxSteps = m
-		ev, eerr := eng.Call(engEnv, engFn)
+		ev, eerr := eng.Call(engEnv, build(engEnv))
 
 		if eng.Fusion().SitesFused != 2 {
 			t.Fatalf("m=%d: fused %d sites, want 2", m, eng.Fusion().SitesFused)
 		}
 		if m < 6 {
-			want := uint64(m) * hw.CostALU
+			want := cum[m]
 			if !errors.Is(rerr, ErrStepLimit) || !errors.Is(eerr, ErrStepLimit) {
 				t.Fatalf("m=%d: want ErrStepLimit from both, got ref=%v eng=%v", m, rerr, eerr)
 			}
@@ -202,22 +288,22 @@ func TestFusionStepLimitExactCycles(t *testing.T) {
 			if rv != 12 || ev != 12 {
 				t.Errorf("m=%d: ret ref=%d eng=%d, want 12", m, rv, ev)
 			}
-			if refEnv.clock.Cycles() != fullCycles || engEnv.clock.Cycles() != fullCycles {
+			if refEnv.clock.Cycles() != cum[6] || engEnv.clock.Cycles() != cum[6] {
 				t.Errorf("m=%d: cycles ref=%d eng=%d, want exactly %d",
-					m, refEnv.clock.Cycles(), engEnv.clock.Cycles(), fullCycles)
+					m, refEnv.clock.Cycles(), engEnv.clock.Cycles(), cum[6])
 			}
 		}
 	}
 }
 
-// TestFusionStepLimitSweep sweeps the step budget across a loop built
-// entirely of fusable idioms (including mask+store/load pairs that end
-// segments), forcing expiry at every offset within fused segments. The
-// runDiff harness checks reference vs engine.
+// TestFusionStepLimitSweep sweeps the step budget across a loop holding
+// all three idioms (the mask+store/load pairs end segments), forcing
+// expiry at every offset within fused segments. The runDiff harness
+// checks reference vs engine.
 func TestFusionStepLimitSweep(t *testing.T) {
 	for maxSteps := 1; maxSteps <= 60; maxSteps++ {
 		o := runDiff(t, maxSteps, func(env *memEnv) (*Function, []uint64) {
-			return addParsedModule(t, env, fuseAllIdiomsSource, "hot"), []uint64{1 << 40}
+			return addParsedModule(t, env, fuseIdiomsSource, "hot"), []uint64{1 << 40}
 		})
 		if o.errStr != ErrStepLimit.Error() {
 			t.Fatalf("MaxSteps=%d: want step limit, got %q", maxSteps, o.errStr)
@@ -416,100 +502,4 @@ func TestInlineCacheReplacement(t *testing.T) {
 	if st := eng.Fusion(); st.ICMisses != 6 || st.ICHits != 4 {
 		t.Errorf("five targets through four entries: misses=%d hits=%d, want 6 and 4", st.ICMisses, st.ICHits)
 	}
-}
-
-// TestFusionCallRetErrorPaths covers the fused call+ret determinism
-// corners: the callee erroring, the budget expiring inside the callee,
-// and the budget expiring exactly on the ret — all against the
-// reference via runDiff.
-func TestFusionCallRetErrorPaths(t *testing.T) {
-	// A hot caller whose tail is call+ret; the callee divides its work
-	// by looping n times, so step budgets can land anywhere inside it.
-	const src = `module cr
-func spin(1 params) {
-entry:
-  %r1 = const 0x0
-  br head
-head:
-  %r2 = cmplt %r1, %r0
-  condbr %r2, body, done
-body:
-  %r1 = add %r1, 0x1
-  br head
-done:
-  ret %r1
-}
-func hot(1 params) {
-entry:
-  %r1 = const 0x0
-  br head
-head:
-  %r2 = cmplt %r1, 0x2
-  condbr %r2, body, done
-body:
-  %r1 = add %r1, 0x1
-  br head
-done:
-  %r3 = call spin(%r0)
-  ret %r3
-}
-`
-	for maxSteps := 1; maxSteps <= 50; maxSteps++ {
-		runDiff(t, maxSteps, func(env *memEnv) (*Function, []uint64) {
-			return addParsedModule(t, env, src, "hot"), []uint64{6}
-		})
-	}
-	// Callee errors: the fused ret half must not run.
-	runDiff(t, 0, func(env *memEnv) (*Function, []uint64) {
-		const errSrc = `module cre
-func boom(1 params) {
-entry:
-  %r1 = callind %r0()
-  ret %r1
-}
-func hot(1 params) {
-entry:
-  %r1 = const 0x0
-  br head
-head:
-  %r2 = cmplt %r1, 0x2
-  condbr %r2, body, done
-body:
-  %r1 = add %r1, 0x1
-  br head
-done:
-  %r3 = call boom(%r0)
-  ret %r3
-}
-`
-		return addParsedModule(t, env, errSrc, "hot"), []uint64{0x41414141}
-	})
-	// Corrupt-return pivot through a fused call+ret tail.
-	runDiff(t, 0, func(env *memEnv) (*Function, []uint64) {
-		env.intrinsics["mark"] = func([]uint64) (uint64, error) { return 0, nil }
-		gadget := NewFunction("gadget", 0)
-		gadget.Call("mark")
-		gadget.Ret(Imm(7))
-		gAddr := env.addFunc(gadget.Fn())
-
-		leaf := NewFunction("leaf", 1)
-		leaf.Ret(leaf.Param(0))
-		env.addFunc(leaf.Fn())
-
-		// Hot function ending in corrupt_return; then call+ret pair.
-		vuln := NewFunction("vuln", 1)
-		i := vuln.Mov(Imm(0))
-		vuln.Br("loop")
-		vuln.NewBlock("loop")
-		c := vuln.CmpLT(i, Imm(2))
-		vuln.CondBr(c, "body", "done")
-		vuln.NewBlock("body")
-		vuln.Assign(i, vuln.Add(i, Imm(1)))
-		vuln.Br("loop")
-		vuln.NewBlock("done")
-		vuln.Call(corruptReturnIntrinsic, vuln.Param(0))
-		vuln.Ret(vuln.Call("leaf", i))
-		env.addFunc(vuln.Fn())
-		return vuln.Fn(), []uint64{gAddr}
-	})
 }

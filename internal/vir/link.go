@@ -90,8 +90,7 @@ type linkedInstr struct {
 	// slot as it can; keep the struct from growing, since every fetch
 	// multiplies pc by its size.
 	op Opcode
-	// op2 is the secondary opcode of a fused superinstruction (the
-	// comparison of a cmp+br pair, the ALU op of a const+ALU pair).
+	// op2 is the comparison opcode of a fused cmp+condbr pair.
 	op2 Opcode
 	// base is the opcode op was specialized from (opspec.go); pureEval
 	// and the step-limit replay dispatch on it.
@@ -198,8 +197,7 @@ func endsSegment(op Opcode) bool {
 	switch op {
 	case OpConst, OpMov, OpAdd, OpSub, OpMul, OpAnd, OpOr, OpXor,
 		OpShl, OpShr, OpCmpEQ, OpCmpNE, OpCmpLT, OpCmpGE, OpSelect,
-		OpMaskGhost, OpCFILabel, opFuncAddrImm,
-		opFusedConstALU:
+		OpMaskGhost, OpCFILabel, opFuncAddrImm:
 		return false
 	}
 	return true
@@ -244,16 +242,14 @@ func (e *Engine) link(env Env, fn *Function) *linkedFn {
 		}
 	}
 
-	// Pass 2.5: superinstruction fusion of functions with a loop.
-	// Runs before segment accounting so fused charge lists and step
-	// weights batch exactly like their constituents would have.
+	// Pass 2.5: superinstruction fusion (fuse.go). Runs before segment
+	// accounting so fused charge lists and step weights batch exactly
+	// like their constituents would have.
 	isStart := make([]bool, len(lf.code))
 	for _, b := range fn.Blocks {
 		isStart[starts[b.Name]] = true
 	}
-	if hasBackEdge(fn) {
-		e.fusePass(lf, isStart)
-	}
+	e.fusePass(lf, isStart)
 
 	// Pass 3: segment accounting. Segments begin at block starts (all
 	// branch targets are block starts) and after any instruction that

@@ -9,17 +9,18 @@ package vir
 //
 //	mov   R            -> opMovR
 //	alu   R, R / R, I  -> op<ALU>RR / op<ALU>RI   (add .. shr, the compares)
-//	cmp+condbr R, R/I  -> opCmpBr<cmp>RR / RI     (fused loop heads)
+//	cmp+condbr R, R/I  -> opCmpBr<cmp>RR / RI     (fused compare-branches)
 //
-// An immediate A keeps the generic opcode. Only op changes: charges,
-// step weights, segment boundaries and the fusion table are computed
-// before the pass from the generic opcode, and base keeps it for
-// pureEval and the step-limit replay. Virtual time is therefore
+// An immediate A keeps the generic opcode; a fused cmp+condbr never
+// has one (fuse.go), so every such pair gets a form. Only op changes:
+// charges, step weights, segment boundaries and the fusion table are
+// computed before the pass from the generic opcode, and base keeps it
+// for pureEval and the step-limit replay. Virtual time is therefore
 // untouched by construction.
 //
 // The new opcodes sit between the public range and the linker's
 // internal one. Keep every opcode the engine switches on within
-// 0x00–0xA7: the Go compiler lowers Engine.run's switch to one jump
+// 0x00–0xA3: the Go compiler lowers Engine.run's switch to one jump
 // table only while the opcode range stays within four times the number
 // of cases.
 

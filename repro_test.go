@@ -40,7 +40,7 @@ func TestNewSystemUnknownMode(t *testing.T) {
 }
 
 func TestNetworkedPairSharesClock(t *testing.T) {
-	server, client, world, err := repro.NewNetworkedPair(repro.Native)
+	server, client, world, err := repro.NewNetworkedPair(repro.Native, repro.Native)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -110,7 +110,7 @@ func TestREADMEQuickstart(t *testing.T) {
 func TestElapsedAndConsole(t *testing.T) {
 	sys := repro.MustNewSystem(repro.Native)
 	start := sys.Machine.Clock.Cycles()
-	sys.Machine.Clock.Advance(3_400_000) // 1 ms
+	sys.Machine.Clock.Charge(hw.TagOther, 3_400_000) // 1 ms
 	if e := sys.Elapsed(start); e < 0.0009 || e > 0.0011 {
 		t.Errorf("Elapsed = %v", e)
 	}

@@ -113,16 +113,16 @@ func NewSystemWithOptions(mode Mode, opts Options) (*System, error) {
 	return &System{Mode: mode, Machine: m, HAL: hal, Kernel: k}, nil
 }
 
-// NewNetworkedPair boots two systems in the same mode, connects their
-// NICs with a dedicated link, and puts both kernels on one shared clock
-// and one World co-scheduler — the two-machine setup of the paper's
-// network experiments.
-func NewNetworkedPair(mode Mode) (server, client *System, world *kernel.World, err error) {
-	server, err = NewSystem(mode)
+// NewNetworkedPair boots a server system in serverMode, then a client
+// system in clientMode on the server's clock, connects their NICs with
+// a dedicated link, and puts both kernels on one World co-scheduler —
+// the two-machine setup of the paper's network experiments.
+func NewNetworkedPair(serverMode, clientMode Mode) (server, client *System, world *kernel.World, err error) {
+	server, err = NewSystem(serverMode)
 	if err != nil {
 		return nil, nil, nil, err
 	}
-	client, err = NewSystemWithOptions(mode, Options{SharedClock: server.Machine.Clock})
+	client, err = NewSystemWithOptions(clientMode, Options{SharedClock: server.Machine.Clock})
 	if err != nil {
 		return nil, nil, nil, err
 	}
