@@ -66,8 +66,9 @@ func main() {
 		}
 		fmt.Printf("wrote snapshot %s (%d bytes)\n", plan.save, len(data))
 	case plan.image != nil:
-		if err := snapshot.Restore(sys, plan.image); err != nil {
-			fatal(err)
+		if err := restore(sys, plan); err != nil {
+			fmt.Fprintln(os.Stderr, err)
+			os.Exit(2)
 		}
 		fmt.Printf("restored %s at %d cycles\n", plan.use, k.M.Clock.Cycles())
 	}
@@ -179,8 +180,8 @@ type runPlan struct {
 
 // checkFlags refuses a bad -mode, -cpus or -snapshot value before
 // anything boots; main exits 2 on its error. A use= image is loaded
-// here, once, so a missing, corrupt or version-mismatched file, or one
-// saved in another mode or at another CPU count, fails at flag time.
+// here, once, so a missing, corrupt or version-mismatched file fails
+// at flag time.
 func checkFlags(modeName string, cpus int, snap string) (runPlan, error) {
 	var plan runPlan
 	switch modeName {
@@ -211,13 +212,15 @@ func checkFlags(modeName string, cpus int, snap string) (runPlan, error) {
 	if err != nil {
 		return plan, fmt.Errorf("vgrun: -snapshot use=%s: unusable image: %v", path, err)
 	}
-	if img.Machine == nil {
-		return plan, fmt.Errorf("vgrun: -snapshot use=%s: unusable image: no machine state", path)
-	}
-	if img.Mode != plan.mode || img.Machine.NumCPUs != cpus {
-		return plan, fmt.Errorf("vgrun: -snapshot use=%s: image is mode=%v cpus=%d, this run is mode=%v cpus=%d",
-			path, img.Mode, img.Machine.NumCPUs, plan.mode, cpus)
-	}
 	plan.use, plan.image = path, img
 	return plan, nil
+}
+
+// restore applies the use= image to the booted sys. Restore refuses an
+// unusable image before it changes anything; main exits 2 on the error.
+func restore(sys *repro.System, plan runPlan) error {
+	if err := snapshot.Restore(sys, plan.image); err != nil {
+		return fmt.Errorf("vgrun: -snapshot use=%s: unusable image: %v", plan.use, err)
+	}
+	return nil
 }

@@ -8,6 +8,7 @@ import (
 	"testing"
 
 	"repro"
+	"repro/internal/hw"
 	"repro/internal/snapshot"
 )
 
@@ -56,8 +57,11 @@ func writeImages(t *testing.T, dir string) (plain, truncated, otherVersion, noMa
 // TestCheckFlagsSnapshot drives the -snapshot validation against real
 // image files: a valid image, a missing, a truncated and a
 // version-mismatched one, one without machine state, the valid image
-// under another -mode or -cpus, and every malformed flag shape. Cases
-// run with -mode native -cpus 1 unless they say otherwise.
+// under another -mode or -cpus, and every malformed flag shape. An
+// image checkFlags loads is then restored onto a machine booted as
+// main boots it, so the cases that only Restore can refuse (no machine
+// state, another mode, another CPU count) go through vgrun's restore
+// step. Cases run with -mode native -cpus 1 unless they say otherwise.
 func TestCheckFlagsSnapshot(t *testing.T) {
 	dir := t.TempDir()
 	plain, truncated, otherVersion, noMachine := writeImages(t, dir)
@@ -78,11 +82,12 @@ func TestCheckFlagsSnapshot(t *testing.T) {
 		{name: "use mode with a missing image", snap: "use=" + missing, wantErr: "-snapshot use=" + missing + ": unusable image"},
 		{name: "use mode with a truncated image", snap: "use=" + truncated, wantErr: "-snapshot use=" + truncated + ": unusable image"},
 		{name: "use mode with a version-mismatched image", snap: "use=" + otherVersion, wantErr: "unusable image: snapshot: image version"},
-		{name: "use mode with an image without machine state", snap: "use=" + noMachine, wantErr: "unusable image: no machine state"},
+		{name: "use mode with an image without machine state", snap: "use=" + noMachine,
+			wantErr: "-snapshot use=" + noMachine + ": unusable image: snapshot: image lacks a section (has machine false"},
 		{name: "use mode with an image of another mode", mode: "vghost", snap: "use=" + plain,
-			wantErr: "-snapshot use=" + plain + ": image is mode=native cpus=1, this run is mode=virtualghost cpus=1"},
+			wantErr: "-snapshot use=" + plain + ": unusable image: snapshot: image is a native machine, target is virtualghost"},
 		{name: "use mode with an image of another CPU count", cpus: 2, snap: "use=" + plain,
-			wantErr: "-snapshot use=" + plain + ": image is mode=native cpus=1, this run is mode=native cpus=2"},
+			wantErr: "-snapshot use=" + plain + ": unusable image: hw: snapshot geometry mismatch: image 1 cpus"},
 		{name: "unknown snapshot verb", snap: "load=" + plain, wantErr: "-snapshot wants save=PATH or use=PATH"},
 		{name: "missing path", snap: "use=", wantErr: "-snapshot wants save=PATH or use=PATH"},
 		{name: "bare path without verb", snap: plain, wantErr: "-snapshot wants save=PATH or use=PATH"},
@@ -97,6 +102,15 @@ func TestCheckFlagsSnapshot(t *testing.T) {
 				cpus = 1
 			}
 			plan, err := checkFlags(mode, cpus, tc.snap)
+			if err == nil && plan.image != nil {
+				cfg := hw.DefaultConfig()
+				cfg.NumCPUs = cpus
+				sys, bootErr := repro.NewSystemWithOptions(plan.mode, repro.Options{Machine: cfg})
+				if bootErr != nil {
+					t.Fatal(bootErr)
+				}
+				err = restore(sys, plan)
+			}
 			if tc.wantErr != "" {
 				if err == nil || !strings.Contains(err.Error(), tc.wantErr) {
 					t.Fatalf("want error containing %q, got %v", tc.wantErr, err)

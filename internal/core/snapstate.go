@@ -1,7 +1,9 @@
 package core
 
 import (
+	"bytes"
 	"fmt"
+	"slices"
 	"sort"
 
 	"repro/internal/hw"
@@ -18,10 +20,12 @@ import (
 
 // SnapshotStateful is implemented by every HAL that supports
 // snapshot/restore. The shadow HAL inherits the native implementation:
-// its hypervisor costs are stateless constants.
+// its hypervisor costs are stateless constants. ApplyHALSnap loads only
+// a snapshot that CheckHALSnap accepted.
 type SnapshotStateful interface {
 	CaptureHALSnap() (*HALSnap, error)
-	ApplyHALSnap(*HALSnap) error
+	CheckHALSnap(*HALSnap) error
+	ApplyHALSnap(*HALSnap)
 }
 
 // SnapshotSealer is the Virtual Ghost VM's image-sealing service: a
@@ -139,10 +143,28 @@ func (h *halCommon) captureCommon() *HALSnap {
 	return s
 }
 
-func (h *halCommon) applyCommon(s *HALSnap) error {
+// CheckHALSnap reports whether ApplyHALSnap can load s: it refuses a
+// scheduled-thread list of another length than the machine's CPUs, a
+// nil interrupt-context stack entry, and a scratch page that is not one
+// page long. It changes nothing.
+func (h *halCommon) CheckHALSnap(s *HALSnap) error {
 	if len(s.Cur) != len(h.cur) {
 		return fmt.Errorf("core: snapshot has %d CPUs of scheduled-thread state, machine has %d", len(s.Cur), len(h.cur))
 	}
+	for _, t := range s.Threads {
+		if slices.Contains(t.ICStack, nil) {
+			return fmt.Errorf("core: snapshot thread %d has a nil interrupt context on its stack", t.ID)
+		}
+	}
+	for _, b := range s.Scratch {
+		if len(b) != hw.PageSize {
+			return fmt.Errorf("core: snapshot holds a scratch page that is not %d bytes", hw.PageSize)
+		}
+	}
+	return nil
+}
+
+func (h *halCommon) applyCommon(s *HALSnap) {
 	for i, t := range s.Cur {
 		h.cur[i] = ThreadID(t)
 	}
@@ -179,7 +201,6 @@ func (h *halCommon) applyCommon(s *HALSnap) error {
 		}
 		h.threads[ts.id] = ts
 	}
-	return nil
 }
 
 func (s *scratchMem) captureSnap() ScratchSnap {
@@ -202,12 +223,7 @@ func (s *scratchMem) applySnap(snap ScratchSnap) {
 	}
 	clear(s.pages)
 	for va, b := range snap {
-		if len(b) != hw.PageSize {
-			continue
-		}
-		pg := new([hw.PageSize]byte)
-		copy(pg[:], b)
-		s.pages[hw.Virt(va)] = pg
+		s.pages[hw.Virt(va)] = (*[hw.PageSize]byte)(bytes.Clone(b))
 	}
 }
 
@@ -225,15 +241,12 @@ func (vm *VM) CaptureHALSnap() (*HALSnap, error) {
 }
 
 // ApplyHALSnap overwrites the VM's state with a captured snapshot.
-func (vm *VM) ApplyHALSnap(s *HALSnap) error {
-	if err := vm.applyCommon(s); err != nil {
-		return err
-	}
+func (vm *VM) ApplyHALSnap(s *HALSnap) {
+	vm.applyCommon(s)
 	vm.scratch.applySnap(s.Scratch)
 	vm.swapCounter = s.SwapCounter
 	vm.iommuLatch = hw.Frame(s.IOMMULatch)
 	vm.keys.nonces.SetCounter(s.NonceCounter)
-	return nil
 }
 
 // snapshotPageKey derives the symmetric key sealing protected frames in
@@ -281,10 +294,8 @@ func (h *NativeHAL) CaptureHALSnap() (*HALSnap, error) {
 
 // ApplyHALSnap overwrites the native HAL's state with a captured
 // snapshot.
-func (h *NativeHAL) ApplyHALSnap(s *HALSnap) error {
-	if err := h.applyCommon(s); err != nil {
-		return err
-	}
+func (h *NativeHAL) ApplyHALSnap(s *HALSnap) {
+	h.applyCommon(s)
 	if h.scratch == nil && len(s.Scratch) > 0 {
 		h.scratch = newScratchMem()
 	}
@@ -293,5 +304,4 @@ func (h *NativeHAL) ApplyHALSnap(s *HALSnap) error {
 	for _, ak := range s.AppKeys {
 		h.appKeys[ThreadID(ak.ID)] = append([]byte(nil), ak.Key...)
 	}
-	return nil
 }

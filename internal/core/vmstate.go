@@ -47,9 +47,10 @@ func (vm *VM) ReinitIContext(ic IContext, entry uint64, stackTop uint64) error {
 		return ErrNoBinary
 	}
 	vm.m.Clock.Charge(hw.TagICSave, hw.CostICSave)
-	// Drop the previous image's ghost memory.
-	for va, f := range ts.ghost {
-		if err := vm.releaseGhostPage(ts, ts.root, va, f); err != nil {
+	// Drop the previous image's ghost memory, in address order: the
+	// frames return to the free list in the order released.
+	for _, va := range sortedGhostVAs(ts.ghost) {
+		if err := vm.releaseGhostPage(ts, ts.root, va, ts.ghost[va]); err != nil {
 			return err
 		}
 	}

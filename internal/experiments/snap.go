@@ -27,7 +27,7 @@ type SnapRow struct {
 	ColdCycles uint64
 	WarmCycles uint64
 	// ImageCycles is the virtual clock frozen into the image — the work
-	// a fork does not redo.
+	// a restored run does not redo.
 	ImageCycles uint64
 	ImageBytes  int
 	SealedPages int
@@ -74,9 +74,9 @@ func SnapDifferential() []SnapRow {
 		if err != nil {
 			panic(fmt.Sprintf("experiments: snap encode %s: %v", m.name, err))
 		}
-		warm, err := snapshot.Fork(img, repro.Options{})
-		if err != nil {
-			panic(fmt.Sprintf("experiments: snap fork %s: %v", m.name, err))
+		warm := newSystem(m.mode)
+		if err := snapshot.Restore(warm, img); err != nil {
+			panic(fmt.Sprintf("experiments: snap restore %s: %v", m.name, err))
 		}
 		snapWorkload(warm.Kernel)
 		warmState := mustEncode(warm)

@@ -9,9 +9,10 @@ import (
 )
 
 // TestGoldenForkEquivalence runs the golden suite with every system
-// forked from a post-boot image of its mode instead of booted: each
-// pinned measurement — value AND cumulative cycle counter, boot
-// included — must equal the checked-in golden file bit for bit.
+// booted and then restored from a post-boot image of its mode, one
+// image per mode for all of them: each pinned measurement — value AND
+// cumulative cycle counter, boot included — must equal the checked-in
+// golden file bit for bit.
 func TestGoldenForkEquivalence(t *testing.T) {
 	images := make(map[repro.Mode]*snapshot.Image)
 	for _, mode := range []repro.Mode{repro.Native, repro.VirtualGhost, repro.Shadow} {
@@ -21,17 +22,17 @@ func TestGoldenForkEquivalence(t *testing.T) {
 		}
 		images[mode] = img
 	}
-	forks := 0
+	restores := 0
 	got := collectGolden(func(mode repro.Mode) *repro.System {
-		sys, err := snapshot.Fork(images[mode], repro.Options{})
-		if err != nil {
-			t.Fatalf("fork %v: %v", mode, err)
+		sys := newSystem(mode)
+		if err := snapshot.Restore(sys, images[mode]); err != nil {
+			t.Fatalf("restore %v: %v", mode, err)
 		}
-		forks++
+		restores++
 		return sys
 	})
-	if forks == 0 {
-		t.Fatal("no system was forked from an image")
+	if restores == 0 {
+		t.Fatal("no system was restored from an image")
 	}
 	compareGolden(t, got)
 }

@@ -102,12 +102,6 @@ type Memory struct {
 	free    []Frame  // free list (LIFO)
 	nframes int
 	clock   *Clock
-	// shared marks frames whose backing page is aliased into an
-	// immutable snapshot image (fork-from-snapshot). The first write to
-	// a shared frame copies the page (copy-on-write) so the image — and
-	// every sibling machine forked from it — never observes the store.
-	// nil on machines that were not restored with page sharing.
-	shared []bool
 	// ptGen is the page-table generation. It advances whenever a
 	// page-table byte may have changed: a physical write to a
 	// FramePageTable frame (stores, ZeroFrame, a FrameBytes hand-out), a
@@ -167,21 +161,12 @@ func (m *Memory) checkStale(f Frame, types ...FrameType) error {
 func (m *Memory) page(f Frame) *[PageSize]byte { return m.pages[f] }
 
 // ensurePage returns the backing storage of frame f, allocating it on
-// first write and breaking copy-on-write sharing: the returned page is
-// always private to this machine, so every write path may store through
-// it directly.
+// first write.
 func (m *Memory) ensurePage(f Frame) *[PageSize]byte {
 	pg := m.pages[f]
 	if pg == nil {
 		pg = new([PageSize]byte)
 		m.pages[f] = pg
-		return pg
-	}
-	if m.shared != nil && m.shared[f] {
-		cp := *pg
-		pg = &cp
-		m.pages[f] = pg
-		m.shared[f] = false
 	}
 	return pg
 }
@@ -399,14 +384,7 @@ func (m *Memory) ZeroFrame(f Frame) error {
 		return err
 	}
 	if pg := m.page(f); pg != nil {
-		if m.shared != nil && m.shared[f] {
-			// Shared with a snapshot image: dropping the alias zeroes
-			// this machine's view without touching the image's page.
-			m.pages[f] = nil
-			m.shared[f] = false
-		} else {
-			clear(pg[:])
-		}
+		clear(pg[:])
 	}
 	if m.ftype[f] == FramePageTable {
 		m.ptGen++

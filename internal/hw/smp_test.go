@@ -220,7 +220,7 @@ func TestTLBCoherenceKnobDisablesProtocolAndGuard(t *testing.T) {
 // segments of an open user phase have charged their CPUs' ledgers but
 // not yet joined the clock, so an image captured then would break the
 // ledger-sums-to-total invariant, and a restore would be undone by the
-// phase's end; capture and restore run only between phases.
+// phase's end; capture and restore (CheckSnap) run only between phases.
 func TestSnapshotRefusedDuringUserPhase(t *testing.T) {
 	m, _ := smpMachine(t, 2)
 	snap, err := m.CaptureSnap()
@@ -233,8 +233,8 @@ func TestSnapshotRefusedDuringUserPhase(t *testing.T) {
 	if _, err := m.CaptureSnap(); err == nil {
 		t.Error("CaptureSnap succeeded inside a user phase")
 	}
-	if err := m.ApplySnap(snap, false); err == nil {
-		t.Error("ApplySnap succeeded inside a user phase")
+	if err := m.CheckSnap(snap); err == nil {
+		t.Error("CheckSnap accepted a snapshot inside a user phase")
 	}
 	m.Clock.EndSegment()
 	m.Clock.EndUserPhase()
@@ -244,7 +244,7 @@ func TestSnapshotRefusedDuringUserPhase(t *testing.T) {
 	if _, err := m.CaptureSnap(); err != nil {
 		t.Errorf("CaptureSnap between phases: %v", err)
 	}
-	if err := m.ApplySnap(snap, false); err != nil {
-		t.Errorf("ApplySnap between phases: %v", err)
+	if err := m.CheckSnap(snap); err != nil {
+		t.Errorf("CheckSnap between phases: %v", err)
 	}
 }

@@ -1,6 +1,7 @@
 package hw
 
 import (
+	"bytes"
 	"fmt"
 	"sort"
 )
@@ -148,13 +149,13 @@ func (m *Machine) CaptureSnap() (*MachineSnap, error) {
 	return s, nil
 }
 
-// ApplySnap overwrites the machine's architectural state with the
-// snap's. The machine must have the same geometry (frames, blocks,
-// CPUs) — restore targets are booted from the same configuration. With
-// sharePages, frame and disk contents alias the snap's buffers
-// copy-on-write, so N machines can be forked from one decoded image
-// without copying memory; the snap must then stay immutable.
-func (m *Machine) ApplySnap(s *MachineSnap, sharePages bool) error {
+// CheckSnap reports whether ApplySnap can load s onto this machine.
+// It refuses an open user phase, another geometry (frames, blocks,
+// CPUs), a CPU list, frame table or per-CPU ledger list of another
+// length, a current or clock CPU outside the machine, a free frame
+// outside memory, and a page or disk block that is out of range or not
+// one page or block long. It changes nothing.
+func (m *Machine) CheckSnap(s *MachineSnap) error {
 	if m.Clock.phase {
 		return fmt.Errorf("hw: snapshot apply during an open user phase")
 	}
@@ -162,12 +163,32 @@ func (m *Machine) ApplySnap(s *MachineSnap, sharePages bool) error {
 		return fmt.Errorf("hw: snapshot geometry mismatch: image %d cpus/%d frames/%d blocks, machine %d/%d/%d",
 			s.NumCPUs, s.MemFrames, s.DiskBlocks, len(m.CPUs), m.Mem.nframes, len(m.Disk.blocks))
 	}
+	if n := len(m.Clock.perCPU); len(s.CPUs) != s.NumCPUs || len(s.Clock.PerCPU) != n ||
+		s.CurCPU < 0 || s.CurCPU >= s.NumCPUs || s.Clock.CPU < 0 || s.Clock.CPU >= n {
+		return fmt.Errorf("hw: snapshot holds %d CPUs and %d per-CPU ledgers and selects CPU %d and clock CPU %d, machine has %d CPUs",
+			len(s.CPUs), len(s.Clock.PerCPU), s.CurCPU, s.Clock.CPU, s.NumCPUs)
+	}
+	if err := m.Mem.checkSnap(&s.Mem); err != nil {
+		return err
+	}
+	for i, b := range s.Disk.Blocks {
+		if i < 0 || i >= len(m.Disk.blocks) || len(b) != BlockSize {
+			return fmt.Errorf("hw: snapshot holds a disk block outside the %d-block disk or not %d bytes", len(m.Disk.blocks), BlockSize)
+		}
+	}
+	return nil
+}
+
+// ApplySnap overwrites the machine's architectural state with the
+// snap's, which CheckSnap must have accepted. The machine copies every
+// buffer it keeps, so s is never aliased or changed.
+func (m *Machine) ApplySnap(s *MachineSnap) {
 	m.Clock.applySnap(&s.Clock)
-	m.Mem.applySnap(&s.Mem, sharePages)
+	m.Mem.applySnap(&s.Mem)
 	for i, c := range m.CPUs {
 		c.applySnap(&s.CPUs[i])
 	}
-	m.Disk.applySnap(&s.Disk, sharePages)
+	m.Disk.applySnap(&s.Disk)
 	m.NIC.applySnap(&s.NIC)
 	m.IOMMU.applySnap(&s.IOMMU)
 	m.Console.lines = append([]string(nil), s.Console...)
@@ -178,7 +199,6 @@ func (m *Machine) ApplySnap(s *MachineSnap, sharePages bool) error {
 	m.shootdowns = s.Shootdowns
 	m.tlbIncoherent = s.TLBIncoherent
 	m.SetCurrentCPU(s.CurCPU)
-	return nil
 }
 
 func (c *Clock) captureSnap() ClockSnap {
@@ -193,13 +213,9 @@ func (c *Clock) applySnap(s *ClockSnap) {
 	c.cycles = s.Cycles
 	c.base = s.Ledger
 	c.EnsureCPUs(len(s.PerCPU))
-	for i := range c.perCPU {
-		if i < len(s.PerCPU) {
-			c.perCPU[i] = s.PerCPU[i]
-			c.base = c.base.Sub(s.PerCPU[i])
-		} else {
-			c.perCPU[i] = Ledger{}
-		}
+	copy(c.perCPU, s.PerCPU)
+	for _, l := range s.PerCPU {
+		c.base = c.base.Sub(l)
 	}
 	c.SetCPU(s.CPU)
 }
@@ -236,7 +252,26 @@ func (m *Memory) captureSnap() MemSnap {
 	return s
 }
 
-func (m *Memory) applySnap(s *MemSnap, sharePages bool) {
+// checkSnap is CheckSnap's part for physical memory. Frame 0 is never
+// allocated, so a free list naming it is refused too.
+func (m *Memory) checkSnap(s *MemSnap) error {
+	if len(s.FType) != m.nframes || len(s.Refs) != m.nframes {
+		return fmt.Errorf("hw: snapshot has %d frame types and %d reference counts for %d frames", len(s.FType), len(s.Refs), m.nframes)
+	}
+	for _, f := range s.Free {
+		if f == 0 || f >= uint64(m.nframes) {
+			return fmt.Errorf("hw: snapshot frees frame %d, outside the %d-frame memory", f, m.nframes)
+		}
+	}
+	for f, b := range s.Pages {
+		if f >= uint64(m.nframes) || len(b) != PageSize {
+			return fmt.Errorf("hw: snapshot holds a page outside the %d-frame memory or not %d bytes", m.nframes, PageSize)
+		}
+	}
+	return nil
+}
+
+func (m *Memory) applySnap(s *MemSnap) {
 	m.ptGen++ // every page, page tables included, is replaced
 	for i := range m.ftype {
 		m.ftype[i] = FrameType(s.FType[i])
@@ -247,27 +282,8 @@ func (m *Memory) applySnap(s *MemSnap, sharePages bool) {
 		m.free = append(m.free, Frame(f))
 	}
 	clear(m.pages)
-	if sharePages {
-		if m.shared == nil {
-			m.shared = make([]bool, m.nframes)
-		} else {
-			clear(m.shared)
-		}
-	} else if m.shared != nil {
-		clear(m.shared)
-	}
 	for f, b := range s.Pages {
-		if len(b) != PageSize {
-			continue
-		}
-		if sharePages {
-			m.pages[f] = (*[PageSize]byte)(b)
-			m.shared[f] = true
-		} else {
-			pg := new([PageSize]byte)
-			copy(pg[:], b)
-			m.pages[f] = pg
-		}
+		m.pages[f] = (*[PageSize]byte)(bytes.Clone(b))
 	}
 }
 
@@ -306,20 +322,10 @@ func (d *Disk) captureSnap() DiskSnap {
 	return s
 }
 
-func (d *Disk) applySnap(s *DiskSnap, shareBlocks bool) {
+func (d *Disk) applySnap(s *DiskSnap) {
 	clear(d.blocks)
 	for i, b := range s.Blocks {
-		if i < 0 || i >= len(d.blocks) {
-			continue
-		}
-		if shareBlocks {
-			// WriteBlock/PokeBlock replace the block slice wholesale and
-			// ReadBlock/PeekBlock copy out, so aliasing the image's block
-			// is safe: the image bytes are never mutated in place.
-			d.blocks[i] = b
-		} else {
-			d.blocks[i] = append([]byte(nil), b...)
-		}
+		d.blocks[i] = bytes.Clone(b)
 	}
 	d.reads = s.Reads
 	d.writes = s.Writes

@@ -628,9 +628,9 @@ func (w *walkModel) snapshot(ops []walkOp, step int) {
 		op.fn()
 		w.check(fmt.Sprintf("step %d (%s after a capture)", step, op.name))
 	}
-	share := w.rng.Intn(2) == 0
-	w.must(w.m.ApplySnap(snap, share))
-	w.check(fmt.Sprintf("step %d (restore, sharing pages %v)", step, share))
+	w.must(w.m.CheckSnap(snap))
+	w.m.ApplySnap(snap)
+	w.check(fmt.Sprintf("step %d (restore)", step))
 }
 
 // check compares every (root, page) of interest on every CPU, twice so

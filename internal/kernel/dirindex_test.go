@@ -192,10 +192,11 @@ func TestDirIndexMatchesScan(t *testing.T) {
 			}
 			restore := func() {
 				run("restore", func(s *dirIndexSide) string {
-					if err := s.k.M.ApplySnap(s.ms, false); err != nil {
+					if err := s.k.M.CheckSnap(s.ms); err != nil {
 						t.Fatal(err)
 					}
-					if err := s.k.ApplyKernelSnap(s.ks); err != nil {
+					s.k.M.ApplySnap(s.ms)
+					if err := restoreKernel(s.k, s.ks); err != nil {
 						t.Fatal(err)
 					}
 					return ""

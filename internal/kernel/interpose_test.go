@@ -155,7 +155,7 @@ func TestSnapshotProfileOutsideTable(t *testing.T) {
 		t.Fatal(err)
 	}
 	dst := bootKernel(t, core.ModeNative)
-	if err := dst.ApplyKernelSnap(snap); err != nil {
+	if err := restoreKernel(dst, snap); err != nil {
 		t.Fatal(err)
 	}
 	if got, want := dst.SyscallProfile(), src.SyscallProfile(); !reflect.DeepEqual(got, want) {
@@ -164,7 +164,7 @@ func TestSnapshotProfileOutsideTable(t *testing.T) {
 
 	snap.SysProf = append(snap.SysProf, SyscallCycles{Num: 1 << 40, Name: "bogus", Count: 1})
 	fresh := bootKernel(t, core.ModeNative)
-	if err := fresh.ApplyKernelSnap(snap); err == nil {
+	if err := restoreKernel(fresh, snap); err == nil {
 		t.Fatal("snapshot profiling syscall 2^40 was accepted")
 	}
 	if fresh.nextPID != 1 || len(fresh.SyscallProfile()) != 0 {

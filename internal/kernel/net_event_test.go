@@ -685,7 +685,7 @@ func TestNetSnapshotRoundTrip(t *testing.T) {
 	k.Net.defWindow = 7
 	k.Net.stats = NetStats{}
 	k.Net.timers = newTimerQueue()
-	if err := k.ApplyKernelSnap(snap); err != nil {
+	if err := restoreKernel(k, snap); err != nil {
 		t.Fatal(err)
 	}
 	if k.Net.nextPort != 45000 || k.Net.defWindow != 8192 || k.Net.stats.LateDataDrops != 1 {

@@ -3,6 +3,7 @@ package kernel
 import (
 	"bytes"
 	"fmt"
+	"slices"
 	"testing"
 
 	"repro/internal/core"
@@ -233,6 +234,42 @@ func TestZombieReaping(t *testing.T) {
 	k.RunUntilIdle()
 	if n := k.NumLive(); n != 0 {
 		t.Errorf("%d processes leaked", n)
+	}
+}
+
+// TestWait4ReapsLowestPID: a parent whose four children have all
+// exited gets their pids back from four waits in ascending order, on
+// every run. Reaping whichever zombie map iteration reaches first would
+// change the order from run to run.
+func TestWait4ReapsLowestPID(t *testing.T) {
+	for run := 0; run < 20; run++ {
+		k := bootKernel(t, core.ModeNative)
+		var forked, reaped []int
+		exited := 0
+		if _, err := k.Spawn("parent", func(p *Proc) {
+			for i := 0; i < 4; i++ {
+				forked = append(forked, p.Fork(func(c *Proc) { exited++ }))
+			}
+			for i := 0; exited < 4 && i < 100; i++ {
+				p.Syscall(SysYield)
+			}
+			if exited < 4 {
+				return
+			}
+			for range forked {
+				pid, _ := p.Wait()
+				reaped = append(reaped, pid)
+			}
+		}); err != nil {
+			t.Fatal(err)
+		}
+		k.RunUntilIdle()
+		if len(reaped) != 4 {
+			t.Fatalf("run %d: %d of 4 children exited before the first wait", run, exited)
+		}
+		if !slices.IsSorted(forked) || !slices.Equal(reaped, forked) {
+			t.Fatalf("run %d: forked %v, reaped %v; want the forked pids in ascending order", run, forked, reaped)
+		}
 	}
 }
 

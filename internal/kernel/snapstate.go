@@ -127,13 +127,10 @@ type KernelSnap struct {
 
 // CheckQuiescent reports (as an ErrNotQuiescent-wrapped error) whether
 // the kernel is at a snapshot-safe point: no processes, no scheduler
-// work, no open connections or listeners. The snapshot subsystem
-// pre-flights restore targets with it so a refused restore leaves the
-// target untouched.
-func (k *Kernel) CheckQuiescent() error { return k.checkQuiescent() }
-
-// checkQuiescent verifies the kernel is at a snapshot-safe point.
-func (k *Kernel) checkQuiescent() error {
+// work, no open connections or listeners, no armed network timers.
+// Capture requires it, and the snapshot subsystem checks restore
+// targets with it so a refused restore leaves the target untouched.
+func (k *Kernel) CheckQuiescent() error {
 	if n := len(k.procs); n > 0 {
 		return fmt.Errorf("%w: %d processes still exist (run to completion and reap them)", ErrNotQuiescent, n)
 	}
@@ -192,7 +189,7 @@ func (k *Kernel) checkModuleIdentity(want []ModuleID) error {
 // ErrNotQuiescent unless all processes have finished and been reaped
 // and the network stack is idle.
 func (k *Kernel) CaptureKernelSnap() (*KernelSnap, error) {
-	if err := k.checkQuiescent(); err != nil {
+	if err := k.CheckQuiescent(); err != nil {
 		return nil, err
 	}
 	s := &KernelSnap{
@@ -241,11 +238,11 @@ func (k *Kernel) CaptureKernelSnap() (*KernelSnap, error) {
 	return s, nil
 }
 
-// CheckKernelSnap reports whether ApplyKernelSnap would accept the
-// image on this kernel: the same CPU count and module set
-// (ErrSnapshotStale otherwise), a syscall profile inside the dispatch
-// table, directory slots a directory can have, and a buffer cache
-// inside the disk. The snapshot subsystem runs it before it changes
+// CheckKernelSnap reports whether ApplyKernelSnap can load the image
+// on this kernel: the same CPU count and module set (ErrSnapshotStale
+// otherwise), a syscall profile inside the dispatch table, directory
+// slots a directory can have, and a buffer cache inside the disk. The
+// snapshot subsystem runs it, with CheckQuiescent, before it changes
 // the machine, so a refused image leaves the whole target untouched.
 func (k *Kernel) CheckKernelSnap(s *KernelSnap) error {
 	if len(s.CPUs) != len(k.cpus) {
@@ -266,16 +263,9 @@ func (k *Kernel) CheckKernelSnap(s *KernelSnap) error {
 }
 
 // ApplyKernelSnap overwrites the kernel's state with a captured
-// snapshot. The target kernel must itself be quiescent (freshly booted
-// or drained) and must accept the image (CheckKernelSnap); a refused
-// image changes nothing.
-func (k *Kernel) ApplyKernelSnap(s *KernelSnap) error {
-	if err := k.checkQuiescent(); err != nil {
-		return fmt.Errorf("restore target: %w", err)
-	}
-	if err := k.CheckKernelSnap(s); err != nil {
-		return err
-	}
+// snapshot. The kernel must be quiescent (CheckQuiescent) and must have
+// accepted the image (CheckKernelSnap).
+func (k *Kernel) ApplyKernelSnap(s *KernelSnap) {
 	k.nextPID = s.NextPID
 	k.lastCPU = s.LastCPU
 	k.cur = nil
@@ -326,7 +316,6 @@ func (k *Kernel) ApplyKernelSnap(s *KernelSnap) error {
 	clear(k.modEnvs)
 	clear(k.refInterps)
 	k.engine.ResetCaches()
-	return nil
 }
 
 func (fs *FS) captureSnap() FSSnap {

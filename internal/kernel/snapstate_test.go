@@ -8,6 +8,19 @@ import (
 	"repro/internal/core"
 )
 
+// restoreKernel is the kernel half of snapshot.Restore: it checks that
+// k is quiescent and accepts s, and only then applies s.
+func restoreKernel(k *Kernel, s *KernelSnap) error {
+	if err := k.CheckQuiescent(); err != nil {
+		return err
+	}
+	if err := k.CheckKernelSnap(s); err != nil {
+		return err
+	}
+	k.ApplyKernelSnap(s)
+	return nil
+}
+
 // TestSnapshotBadBufCache: an image whose buffer cache names a block
 // outside the disk, holds a short or long buffer, or names one block
 // twice is refused before the target kernel changes. Applied, the
@@ -49,7 +62,7 @@ func TestSnapshotBadBufCache(t *testing.T) {
 			mutate(&img.BufCache)
 			dst := bootKernel(t, core.ModeNative)
 			before := dst.FS.cache.captureSnap()
-			if err := dst.ApplyKernelSnap(&img); err == nil {
+			if err := restoreKernel(dst, &img); err == nil {
 				t.Fatal("image accepted")
 			}
 			if after := dst.FS.cache.captureSnap(); !slices.EqualFunc(after.Bufs, before.Bufs, func(a, b BufSnap) bool {
@@ -101,7 +114,7 @@ func TestSnapshotBadDirSlots(t *testing.T) {
 			img.FS.SlotHints = slices.Clone(snap.FS.SlotHints)
 			mutate(&img.FS)
 			dst := bootKernel(t, core.ModeNative)
-			if err := dst.ApplyKernelSnap(&img); err == nil {
+			if err := restoreKernel(dst, &img); err == nil {
 				t.Fatal("image accepted")
 			}
 			if len(dst.FS.namecache) != 0 || len(dst.FS.freeSlotHint) != 0 {
@@ -112,7 +125,7 @@ func TestSnapshotBadDirSlots(t *testing.T) {
 	full := *snap
 	full.FS.SlotHints = slices.Clone(snap.FS.SlotHints)
 	full.FS.SlotHints[0].Slot = maxSlots
-	if err := bootKernel(t, core.ModeNative).ApplyKernelSnap(&full); err != nil {
+	if err := restoreKernel(bootKernel(t, core.ModeNative), &full); err != nil {
 		t.Errorf("a full directory's hint was refused: %v", err)
 	}
 }

@@ -97,7 +97,9 @@ func sysFork(k *Kernel, p *Proc, ic core.IContext) uint64 {
 }
 
 // sysWait4 implements wait4(status*): blocks for any child zombie,
-// writes its exit code, reaps it, and returns its pid.
+// writes its exit code, reaps it, and returns its pid. With several
+// zombies it reaps the lowest pid, so the order a parent gets its
+// children back does not depend on map iteration.
 func sysWait4(k *Kernel, p *Proc, ic core.IContext) uint64 {
 	if len(p.children) == 0 {
 		return errno(EINVAL)
@@ -105,12 +107,11 @@ func sysWait4(k *Kernel, p *Proc, ic core.IContext) uint64 {
 	var zombie *Proc
 	p.block(func() bool {
 		for _, c := range p.children {
-			if c.state == procZombie {
+			if c.state == procZombie && (zombie == nil || c.PID < zombie.PID) {
 				zombie = c
-				return true
 			}
 		}
-		return false
+		return zombie != nil
 	})
 	k.HAL.KAccess(workWait)
 	out := make([]byte, 8)

@@ -24,11 +24,14 @@ import (
 //     options say, never a default some earlier caller left behind.
 
 // deterministicCore is the Match set for the determinism analyzers:
-// the hardware model, the kernel, and the IR executors. Experiments
-// and commands may read host time (they measure host cost); the
-// simulation core may not.
+// the hardware model, the HALs (core and the shadow monitor), the
+// kernel, the IR executors and the snapshot subsystem, whose images
+// must encode equal machines as equal bytes. Experiments and commands
+// may read host time (they measure host cost); the simulation core may
+// not.
 func deterministicCore(pkgPath string) bool {
-	for _, p := range []string{"repro/internal/hw", "repro/internal/kernel", "repro/internal/vir"} {
+	for _, p := range []string{"repro/internal/hw", "repro/internal/core", "repro/internal/shadow",
+		"repro/internal/kernel", "repro/internal/vir", "repro/internal/snapshot"} {
 		if pkgPath == p || strings.HasPrefix(pkgPath, p+"/") {
 			return true
 		}
@@ -49,7 +52,7 @@ func Analyzers() []*analysis.Analyzer {
 // bit-identical-numbers contract between runs.
 var NoDeterm = &analysis.Analyzer{
 	Name:  "nodeterm",
-	Doc:   "forbid time.Now and math/rand in the simulation core (hw, kernel, vir)",
+	Doc:   "forbid time.Now and math/rand in the simulation core (hw, core, shadow, kernel, vir, snapshot)",
 	Match: deterministicCore,
 	Run: func(pass *analysis.Pass) error {
 		for _, file := range pass.Files {

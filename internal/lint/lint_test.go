@@ -14,20 +14,25 @@ import (
 // TestAnalyzersOnFixture runs the suite over the fixture module, which
 // plants one violation per rule plus the two deliberate non-violations
 // (the panic-inside-map-range exclusion and the write to package state
-// in init).
+// in init) in internal/hw, and host time and map-order printing in
+// internal/core, which the determinism analyzers cover too.
 func TestAnalyzersOnFixture(t *testing.T) {
 	findings, err := lint.Run(filepath.Join("testdata", "modroot"), lint.Analyzers())
 	if err != nil {
 		t.Fatalf("lint.Run: %v", err)
 	}
 	want := []struct {
+		pkg      string
 		analyzer string
 		line     int
 	}{
-		{"nodeterm", 5},     // math/rand import
-		{"nodeterm", 12},    // time.Now
-		{"maprange", 15},    // fmt.Println inside map range
-		{"globalwrite", 29}, // sink = n outside init
+		{"core", "nodeterm", 11},  // time.Now
+		{"core", "maprange", 13},  // fmt.Printf inside map range
+		{"core", "nodeterm", 15},  // time.Since
+		{"hw", "nodeterm", 5},     // math/rand import
+		{"hw", "nodeterm", 12},    // time.Now
+		{"hw", "maprange", 15},    // fmt.Println inside map range
+		{"hw", "globalwrite", 29}, // sink = n outside init
 	}
 	if len(findings) != len(want) {
 		t.Fatalf("got %d findings, want %d:\n%v", len(findings), len(want), findings)
@@ -38,15 +43,16 @@ func TestAnalyzersOnFixture(t *testing.T) {
 			t.Errorf("finding %d: got %s at line %d, want %s at line %d (%s)",
 				i, f.Analyzer, f.Pos.Line, w.analyzer, w.line, f)
 		}
-		if base := filepath.Base(f.Pos.Filename); base != "bad.go" {
-			t.Errorf("finding %d: in %s, want bad.go", i, base)
+		if got, want := filepath.ToSlash(f.Pos.Filename), "internal/"+w.pkg+"/bad.go"; !strings.HasSuffix(got, want) {
+			t.Errorf("finding %d: in %s, want %s", i, got, want)
 		}
 	}
 }
 
 // TestDeterministicCoreScope: the cmd tree of the fixture uses
 // time.Now and map-range printing, which the scoped analyzers must
-// ignore — the previous test's findings all came from internal/hw.
+// ignore — the previous test's findings all came from internal/core
+// and internal/hw.
 // This guards the Match predicates themselves.
 func TestDeterministicCoreScope(t *testing.T) {
 	findings, err := lint.Run(filepath.Join("testdata", "modroot"), lint.Analyzers())

@@ -7,18 +7,15 @@
 // structure is plain data, so the machine is a serializable value. A
 // restored machine's subsequent execution is bit-identical to the
 // uninterrupted run — asserted against golden_cycles.json and the
-// differential suite — which is what makes fork-from-snapshot fan-out
+// differential suite — which is what makes many runs from one image
 // sound. The image holds the hardware RNG's state too, so a restored
 // machine draws the same random values the source would have: restore
 // alone repeats a run.
 //
-// Two operations:
-//
-//   - Capture/Restore: deep-copy the machine state into an Image /
-//     overwrite an equivalently booted machine with it.
-//   - Fork: boot a fresh machine and apply the image with copy-on-write
-//     page sharing, so N divergent schedules run from one image without
-//     copying memory.
+// Capture deep-copies the machine state into an Image; Restore
+// overwrites an equivalently booted machine with it. An image is data
+// the OS stores and can rewrite, so Restore checks all of it before it
+// changes anything, then applies it with code that cannot fail.
 //
 // Snapshots are taken at quiescent points only: processes are host
 // goroutines whose stacks cannot be serialized, so Capture refuses
@@ -31,6 +28,8 @@ package snapshot
 import (
 	"errors"
 	"fmt"
+	"maps"
+	"slices"
 
 	"repro"
 	"repro/internal/core"
@@ -112,81 +111,73 @@ func sealProtectedPages(img *Image, sealer core.SnapshotSealer) error {
 
 // Restore overwrites sys's state with the image's. The target must be
 // an equivalently booted machine: same mode, same geometry, same module
-// load history (kernel.ErrSnapshotStale otherwise), and quiescent. All
-// refusals happen before any state is touched; after the pre-flight the
-// apply is infallible barring a sealed page that fails authentication,
-// which is also checked up front. On success, sys's subsequent
-// execution is bit-identical to the run the image was captured from.
+// load history (kernel.ErrSnapshotStale otherwise), and quiescent.
+// Restore runs in two phases. The first checks the whole image — its
+// sections, mode and sealed pages, then what the machine, the HAL and
+// the kernel would index or size by — and returns any refusal before
+// the target changes. The second applies the image and cannot fail. img
+// is never changed, so one decoded image can restore many systems. On
+// success, sys's subsequent execution is bit-identical to the run the
+// image was captured from.
 func Restore(sys *repro.System, img *Image) error {
-	return apply(sys, img, false)
-}
-
-// Fork boots a fresh system and restores the image into it with
-// copy-on-write page sharing: physical frames and disk blocks alias the
-// image's buffers until first write, so N forks of one image cost one
-// machine's worth of page copies only where they diverge. The image
-// must stay immutable while forks of it are alive. opts must describe
-// the same machine configuration the image was captured on (geometry is
-// checked; for Virtual Ghost the TPM seed must match too, or the sealed
-// pages refuse to open).
-func Fork(img *Image, opts repro.Options) (*repro.System, error) {
-	sys, err := repro.NewSystemWithOptions(img.Mode, opts)
+	ms, err := check(sys, img)
 	if err != nil {
-		return nil, err
+		return err
 	}
-	if err := apply(sys, img, true); err != nil {
-		return nil, err
-	}
-	return sys, nil
+	sys.Machine.ApplySnap(ms)
+	sys.HAL.(core.SnapshotStateful).ApplyHALSnap(img.HAL)
+	sys.Kernel.ApplyKernelSnap(img.Kernel)
+	return nil
 }
 
-// apply is the shared restore path. It never mutates img, so one
-// decoded image can be applied to many systems, concurrently.
-func apply(sys *repro.System, img *Image, share bool) error {
-	if sys.Mode != img.Mode {
-		return fmt.Errorf("snapshot: image is a %v machine, target is %v", img.Mode, sys.Mode)
+// check is Restore's first phase. It returns the machine state to
+// apply: the image's own, or, when the image carries sealed pages, a
+// copy whose page map also holds their opened plaintext.
+func check(sys *repro.System, img *Image) (*hw.MachineSnap, error) {
+	switch {
+	case img.Machine == nil || img.HAL == nil || img.Kernel == nil:
+		return nil, fmt.Errorf("snapshot: image lacks a section (has machine %t, HAL %t, kernel %t)", img.Machine != nil, img.HAL != nil, img.Kernel != nil)
+	case sys.Mode != img.Mode:
+		return nil, fmt.Errorf("snapshot: image is a %v machine, target is %v", img.Mode, sys.Mode)
 	}
 	if err := sys.Kernel.CheckQuiescent(); err != nil {
-		return fmt.Errorf("snapshot: restore target: %w", err)
-	}
-	if err := sys.Kernel.CheckKernelSnap(img.Kernel); err != nil {
-		return err
+		return nil, fmt.Errorf("snapshot: restore target: %w", err)
 	}
 	ss, ok := sys.HAL.(core.SnapshotStateful)
 	if !ok {
-		return fmt.Errorf("%w: %T", ErrUnsupportedHAL, sys.HAL)
+		return nil, fmt.Errorf("%w: %T", ErrUnsupportedHAL, sys.HAL)
 	}
 	ms := img.Machine
 	if len(img.SealedPages) > 0 {
 		sealer, ok := sys.HAL.(core.SnapshotSealer)
 		if !ok {
-			return fmt.Errorf("snapshot: image carries sealed pages but a %v HAL cannot open them", sys.Mode)
+			return nil, fmt.Errorf("snapshot: image carries sealed pages but a %v HAL cannot open them", sys.Mode)
 		}
-		// Build a private overlay of the page map: the unsealed
-		// plaintext pages are fresh buffers, the rest alias the image.
 		cp := *img.Machine
-		pages := make(map[uint64][]byte, len(img.Machine.Mem.Pages)+len(img.SealedPages))
-		for f, b := range img.Machine.Mem.Pages {
-			pages[f] = b
+		cp.Mem.Pages = make(map[uint64][]byte, len(img.Machine.Mem.Pages)+len(img.SealedPages))
+		maps.Copy(cp.Mem.Pages, img.Machine.Mem.Pages)
+		frames := make([]uint64, 0, len(img.SealedPages))
+		for f := range img.SealedPages {
+			frames = append(frames, f)
 		}
-		for f, blob := range img.SealedPages {
-			plain, err := sealer.OpenSnapshotPage(f, blob)
+		slices.Sort(frames) // a refusal names the lowest frame that fails
+		for _, f := range frames {
+			plain, err := sealer.OpenSnapshotPage(f, img.SealedPages[f])
 			if err != nil {
-				return fmt.Errorf("snapshot: sealed frame %d refused: %w", f, err)
+				return nil, fmt.Errorf("snapshot: sealed frame %d refused: %w", f, err)
 			}
-			if len(plain) != hw.PageSize {
-				return fmt.Errorf("snapshot: sealed frame %d opens to %d bytes, want %d", f, len(plain), hw.PageSize)
-			}
-			pages[f] = plain
+			cp.Mem.Pages[f] = plain
 		}
-		cp.Mem.Pages = pages
 		ms = &cp
 	}
-	if err := sys.Machine.ApplySnap(ms, share); err != nil {
-		return err
+	if err := sys.Machine.CheckSnap(ms); err != nil {
+		return nil, err
 	}
-	if err := ss.ApplyHALSnap(img.HAL); err != nil {
-		return err
+	if err := ss.CheckHALSnap(img.HAL); err != nil {
+		return nil, err
 	}
-	return sys.Kernel.ApplyKernelSnap(img.Kernel)
+	if err := sys.Kernel.CheckKernelSnap(img.Kernel); err != nil {
+		return nil, err
+	}
+	return ms, nil
 }
