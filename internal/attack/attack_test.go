@@ -2,6 +2,7 @@ package attack
 
 import (
 	"bytes"
+	"errors"
 	"strings"
 	"testing"
 
@@ -428,6 +429,64 @@ func TestBinaryTamperRefused(t *testing.T) {
 	k.RunUntilIdle()
 	if ran {
 		t.Errorf("tampered binary executed")
+	}
+}
+
+// TestBinaryTamperAfterExec: the hostile OS lets /bin/true exec twice,
+// so its signature sits in the VM's verified-binary table, then flips
+// one byte of the installed image in place. The next execve must fail
+// with EPERM, and the changed image must not run, whether it is exec'd
+// or spawned.
+func TestBinaryTamperAfterExec(t *testing.T) {
+	k := boot(t, core.ModeVirtualGhost)
+	runs := 0
+	if _, err := k.InstallTrustedProgram("/bin/true", nil, func(p *kernel.Proc) {
+		runs++
+		p.Exit(0)
+	}); err != nil {
+		t.Fatalf("install: %v", err)
+	}
+	var execRet []uint64
+	var execErr []error
+	shell := func(raw bool) {
+		t.Helper()
+		if _, err := k.Spawn("sh", func(p *kernel.Proc) {
+			p.Fork(func(c *kernel.Proc) {
+				if raw {
+					execRet = append(execRet, c.Syscall(kernel.SysExecve, c.PushString("/bin/true")))
+				} else {
+					execErr = append(execErr, c.Exec("/bin/true"))
+				}
+				c.Exit(1)
+			})
+			p.Wait()
+		}); err != nil {
+			t.Fatal(err)
+		}
+		k.RunUntilIdle()
+	}
+	shell(false)
+	shell(false)
+	if runs != 2 || len(execErr) != 0 {
+		t.Fatalf("genuine /bin/true: %d runs, exec errors %v", runs, execErr)
+	}
+
+	prog, _ := k.Program("/bin/true")
+	prog.Bin.Image[0] ^= 1
+	shell(true)
+	if e, bad := kernel.IsErr(execRet[0]); !bad || e != kernel.EPERM {
+		t.Errorf("execve of the tampered image returned %#x, want EPERM", execRet[0])
+	}
+	shell(false)
+	if len(execErr) != 1 || execErr[0] == nil {
+		t.Errorf("exec of the tampered image: %v", execErr)
+	}
+	if _, err := k.SpawnProgram("/bin/true"); !errors.Is(err, core.ErrBadBinary) {
+		t.Errorf("spawn of the tampered image: %v", err)
+	}
+	k.RunUntilIdle()
+	if runs != 2 {
+		t.Errorf("tampered image ran: %d runs, want 2", runs)
 	}
 }
 

@@ -348,26 +348,52 @@ func TestBinaryLifecycle(t *testing.T) {
 	}
 }
 
+// TestBinaryTamperDetection: the genuine binary loads first, so its
+// signature sits in the verified-binary table; the hostile OS then
+// edits that same *Binary in place, one field at a time. Every edit
+// must be refused, and the genuine bytes must load again once restored.
 func TestBinaryTamperDetection(t *testing.T) {
 	vm, _ := newVM(t)
 	key := make([]byte, 32)
 	bin, _ := vm.Installer().Install("/bin/app", []byte("code"), key)
-
-	tampered := *bin
-	tampered.Image = []byte("evil")
-	if err := vm.LoadBinary(5, &tampered); !errors.Is(err, ErrBadBinary) {
-		t.Errorf("image tamper accepted: %v", err)
+	if err := vm.LoadBinary(5, bin); err != nil {
+		t.Fatalf("genuine binary refused: %v", err)
 	}
-	tampered = *bin
-	tampered.KeySection = append([]byte(nil), bin.KeySection...)
-	tampered.KeySection[0] ^= 1
-	if err := vm.LoadBinary(5, &tampered); !errors.Is(err, ErrBadBinary) {
-		t.Errorf("key-section tamper accepted: %v", err)
-	}
-	tampered = *bin
-	tampered.Name = "/bin/other"
-	if err := vm.LoadBinary(5, &tampered); !errors.Is(err, ErrBadBinary) {
-		t.Errorf("renamed binary accepted: %v", err)
+	for _, tc := range []struct {
+		name   string
+		tamper func(b *Binary) (restore func())
+	}{
+		{"image", func(b *Binary) func() {
+			b.Image[0] ^= 1
+			return func() { b.Image[0] ^= 1 }
+		}},
+		{"key section", func(b *Binary) func() {
+			b.KeySection[0] ^= 1
+			return func() { b.KeySection[0] ^= 1 }
+		}},
+		{"name", func(b *Binary) func() {
+			name := b.Name
+			b.Name = "/bin/other"
+			return func() { b.Name = name }
+		}},
+		{"signature", func(b *Binary) func() {
+			b.Signature[0] ^= 1
+			return func() { b.Signature[0] ^= 1 }
+		}},
+		{"truncated signature", func(b *Binary) func() {
+			sig := b.Signature
+			b.Signature = sig[:len(sig)-1]
+			return func() { b.Signature = sig }
+		}},
+	} {
+		restore := tc.tamper(bin)
+		if err := vm.LoadBinary(5, bin); !errors.Is(err, ErrBadBinary) {
+			t.Errorf("%s tamper accepted: %v", tc.name, err)
+		}
+		restore()
+		if err := vm.LoadBinary(5, bin); err != nil {
+			t.Errorf("genuine binary refused after the %s tamper was undone: %v", tc.name, err)
+		}
 	}
 }
 
@@ -591,6 +617,93 @@ func TestVMRefusesIOMMUExposure(t *testing.T) {
 	_ = vm.PortOut(hw.IOMMUPortFrame, uint64(uf))
 	if err := vm.PortOut(hw.IOMMUPortCmd, hw.IOMMUCmdAllow); err != nil {
 		t.Errorf("legitimate DMA setup refused: %v", err)
+	}
+}
+
+// allowDMA programs the IOMMU through the VM's checked port I/O, as the
+// OS does for a device, and requires the VM to accept it.
+func allowDMA(t *testing.T, vm *VM, f hw.Frame) {
+	t.Helper()
+	if err := vm.PortOut(hw.IOMMUPortFrame, uint64(f)); err != nil {
+		t.Fatal(err)
+	}
+	if err := vm.PortOut(hw.IOMMUPortCmd, hw.IOMMUCmdAllow); err != nil {
+		t.Fatalf("DMA on user-data frame %d refused: %v", f, err)
+	}
+}
+
+// handOut is a FrameSource through which the OS hands the VM one chosen
+// frame next, then allocates as usual.
+type handOut struct {
+	testFrames
+	next hw.Frame
+}
+
+func (h *handOut) GetFrame() (hw.Frame, error) {
+	if f := h.next; f != 0 {
+		h.next = 0
+		return f, nil
+	}
+	return h.testFrames.GetFrame()
+}
+
+// TestDMARetypeToPageTable: DMA allowed on a user-data frame must end
+// when the frame becomes a page-table page, or a device could forge
+// mappings.
+func TestDMARetypeToPageTable(t *testing.T) {
+	vm, m := newVM(t)
+	f, err := vm.getFrame()
+	if err != nil {
+		t.Fatal(err)
+	}
+	allowDMA(t, vm, f)
+	if err := vm.DeclarePTP(f); err != nil {
+		t.Fatal(err)
+	}
+	if m.IOMMU.Allowed(f) {
+		t.Errorf("page-table frame %d still DMA-allowed", f)
+	}
+	if err := m.DMA.CopyToFrame(f, bytes.Repeat([]byte{0xff}, hw.PageSize)); err == nil {
+		t.Errorf("device DMA wrote into page-table frame %d", f)
+	}
+	got, err := m.Mem.ReadPhys(f.Addr(), hw.PageSize)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(got, make([]byte, hw.PageSize)) {
+		t.Errorf("page-table frame %d changed by DMA", f)
+	}
+}
+
+// TestDMARetypeToGhost: DMA allowed on a user-data frame must end when
+// allocgm takes the frame, or a device reads the ghost page's secret.
+func TestDMARetypeToGhost(t *testing.T) {
+	vm, m := newVM(t)
+	root, err := vm.NewAddressSpace()
+	if err != nil {
+		t.Fatal(err)
+	}
+	f, err := vm.getFrame()
+	if err != nil {
+		t.Fatal(err)
+	}
+	allowDMA(t, vm, f)
+	vm.RegisterFrameSource(&handOut{testFrames: testFrames{m: m.Mem}, next: f})
+	if err := vm.AllocGhost(1, root, hw.GhostBase, 1); err != nil {
+		t.Fatal(err)
+	}
+	if got := vm.threads[1].ghost[hw.GhostBase]; got != f {
+		t.Fatalf("allocgm took frame %d, want the DMA-allowed frame %d", got, f)
+	}
+	secret := []byte("ghost secret")
+	if err := m.Mem.WritePhys(f.Addr(), secret); err != nil {
+		t.Fatal(err)
+	}
+	if m.IOMMU.Allowed(f) {
+		t.Errorf("ghost frame %d still DMA-allowed", f)
+	}
+	if out, err := m.DMA.CopyFromFrame(f); err == nil {
+		t.Errorf("device DMA read ghost frame %d: %q", f, out[:len(secret)])
 	}
 }
 

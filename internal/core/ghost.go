@@ -61,6 +61,10 @@ func (vm *VM) AllocGhost(t ThreadID, root hw.Frame, va hw.Virt, npages int) erro
 		// remote translation into a ghost frame would hand the OS the
 		// application's secrets (the stale-remote-TLB attack).
 		vm.m.ShootdownFrame(f)
+		// Likewise a DMA allowance the OS set on the frame while it
+		// held user data: no device may reach ghost memory (paper
+		// §4.3.3).
+		vm.m.IOMMU.Revoke(f)
 		if err := vm.m.Mem.SetType(f, hw.FrameGhost); err != nil {
 			return err
 		}

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"bytes"
 	"crypto/sha256"
 	"errors"
 
@@ -27,13 +28,14 @@ type Binary struct {
 }
 
 // digest computes the signing payload for a binary.
-func (b *Binary) digest() []byte {
+func (b *Binary) digest() [sha256.Size]byte {
 	h := sha256.New()
 	h.Write([]byte(b.Name))
 	h.Write([]byte{0})
 	h.Write(b.Image)
 	h.Write(b.KeySection)
-	sum := h.Sum(nil)
+	var sum [sha256.Size]byte
+	h.Sum(sum[:0])
 	return sum
 }
 
@@ -49,6 +51,19 @@ type keyChain struct {
 	pair    vgcrypt.KeyPair
 	sealKey []byte // symmetric key for key sections and swap
 	nonces  *vgcrypt.NonceSource
+	// verified is the verified-binary table (DESIGN.md §8): host-only
+	// memory of the last signature that passed under pair. It holds no
+	// virtual state, and no image carries it.
+	verified verifiedBinary
+}
+
+// verifiedBinary is the verified-binary table's one entry: a binary
+// digest and the signature that verified over it. The empty entry
+// matches nothing: a binary whose digest is all zeros would take a
+// SHA-256 preimage.
+type verifiedBinary struct {
+	digest [sha256.Size]byte
+	sig    [vgcrypt.SigSize]byte
 }
 
 func newKeyChain(tpmStorage [32]byte) *keyChain {
@@ -77,12 +92,27 @@ func (kc *keyChain) openAppKey(section []byte) ([]byte, error) {
 
 // signBinary signs a binary in place (the trusted-installer path).
 func (kc *keyChain) signBinary(b *Binary) {
-	b.Signature = kc.pair.Sign(b.digest())
+	d := b.digest()
+	b.Signature = kc.pair.Sign(d[:])
 }
 
-// verifyBinary checks a binary's installer signature.
+// verifyBinary checks a binary's installer signature. The digest is
+// recomputed from the binary's current bytes on every call; the ed25519
+// check is skipped only when that digest and the signature bytes equal
+// the last pair that passed under this key chain. Verification is a
+// pure function of (key, digest, signature), so a hit returns exactly
+// what a fresh check would. Only passing pairs enter the table.
 func (kc *keyChain) verifyBinary(b *Binary) bool {
-	return vgcrypt.VerifySig(kc.pair.Public, b.digest(), b.Signature)
+	d := b.digest()
+	if kc.verified.digest == d && bytes.Equal(kc.verified.sig[:], b.Signature) {
+		return true
+	}
+	if !vgcrypt.VerifySig(kc.pair.Public, d[:], b.Signature) {
+		return false
+	}
+	// A signature that verified is SigSize bytes long.
+	kc.verified = verifiedBinary{digest: d, sig: [vgcrypt.SigSize]byte(b.Signature)}
+	return true
 }
 
 // swapKey derives the key used to seal swapped-out ghost pages.

@@ -178,6 +178,9 @@ func (vm *VM) DeclarePTP(f hw.Frame) error {
 	// translation to it from every remote TLB (SVA-OS shootdown
 	// protocol); the Memory layer refuses the retype otherwise.
 	vm.m.ShootdownFrame(f)
+	// A DMA allowance the OS set while the frame held user data ends
+	// here: no device may write a page-table page (paper §4.3.3).
+	vm.m.IOMMU.Revoke(f)
 	return vm.m.Mem.SetType(f, hw.FramePageTable)
 }
 

@@ -24,6 +24,9 @@ const KeySize = 32
 // NonceSize is the AES-GCM nonce size.
 const NonceSize = 12
 
+// SigSize is the length of a KeyPair signature (Ed25519).
+const SigSize = ed25519.SignatureSize
+
 // ErrBadKey reports a key of the wrong length.
 var ErrBadKey = errors.New("vgcrypt: key must be 32 bytes")
 
