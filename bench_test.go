@@ -113,9 +113,10 @@ func BenchmarkCopyinCopyout(b *testing.B) {
 
 // BenchmarkEngineKChecksum isolates the host cost of IR execution
 // itself: the kernel's IR checksum over 4 KiB of kernel scratch, run
-// through RunModuleFunc on the pre-linked engine. The engine-vs-
-// interpreter comparison lives in internal/vir (BenchmarkEngineCallLoop
-// vs BenchmarkInterpCallLoop).
+// through RunModuleFunc on the pre-linked engine. The comparison with
+// the reference interpreter (virref.Interp) lives in internal/vir's
+// engine_bench_test.go (BenchmarkEngineCallLoop vs
+// BenchmarkInterpCallLoop).
 func BenchmarkEngineKChecksum(b *testing.B) {
 	sys := repro.MustNewSystem(repro.VirtualGhost)
 	k := sys.Kernel

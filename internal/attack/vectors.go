@@ -385,7 +385,7 @@ func BuildROPModuleIR() *vir.Module {
 	m := vir.NewModule("ropmod")
 	b := vir.NewFunction("vulnerable", 1)
 	// The "overflow": corrupt the return address with param 0.
-	b.Call("__corrupt_return", b.Param(0))
+	b.Call(vir.CorruptReturnIntrinsic, b.Param(0))
 	b.Ret(vir.Imm(0))
 	if err := m.AddFunc(b.Fn()); err != nil {
 		panic(err)

@@ -8,6 +8,7 @@ import (
 
 	"repro/internal/hw"
 	"repro/internal/vir"
+	"repro/internal/vir/virref"
 )
 
 // buildKernelFunc makes a small function with one load, one store, one
@@ -264,8 +265,8 @@ func TestPassesPreserveSemantics(t *testing.T) {
 	_ = envAddr1
 	_ = envAddr2
 	fn := func(x, y uint64) bool {
-		a, err1 := vir.NewInterp(env).Call(plain, x, y)
-		b, err2 := vir.NewInterp(env).Call(instr, x, y)
+		a, err1 := virref.NewInterp(env).Call(plain, x, y)
+		b, err2 := virref.NewInterp(env).Call(instr, x, y)
 		return err1 == nil && err2 == nil && a == b
 	}
 	if err := quick.Check(fn, &quick.Config{MaxCount: 500}); err != nil {

@@ -5,6 +5,7 @@ import (
 
 	"repro/internal/hw"
 	"repro/internal/vir"
+	"repro/internal/vir/virref"
 )
 
 // buildPoker builds a module function that stores then loads at an
@@ -35,7 +36,7 @@ func TestModuleEnvKernelScratchCoherentWithKLoad(t *testing.T) {
 	addr, _ := tr.Entry("poke8")
 	f, _ := vm.CodeSpace().FuncByAddr(addr)
 	env := vm.ModuleEnv(0, nil)
-	ip := vir.NewInterp(env)
+	ip := virref.NewInterp(env)
 	const kva = 0xffffff8000200000
 	got, err := ip.Call(f, kva, 0xfeedface)
 	if err != nil {
@@ -125,7 +126,7 @@ func TestModuleEnvPortIOCheckedUnderVG(t *testing.T) {
 	addr, _ := vm.CodeSpace().FuncAddr("ioprobe")
 	f, _ := vm.CodeSpace().FuncByAddr(addr)
 	env := vm.ModuleEnv(root, nil)
-	ip := vir.NewInterp(env)
+	ip := virref.NewInterp(env)
 	// Latch the ghost frame, then try to allow it: the checked port
 	// write must fail mid-execution.
 	if _, err := ip.Call(f, uint64(hw.IOMMUPortFrame), uint64(ghostFrame)); err != nil {

@@ -3,9 +3,13 @@ package experiments
 import (
 	"bufio"
 	"fmt"
+	"go/parser"
+	"go/token"
+	"io/fs"
 	"os"
 	"path/filepath"
 	"runtime"
+	"strconv"
 	"strings"
 	"testing"
 )
@@ -21,6 +25,12 @@ import (
 // consumes (internal/vir), and the crypto the VM trusts
 // (internal/vgcrypt). The kernel, libc, apps, and attacks are all
 // *untrusted* and excluded — that is the point of the design.
+//
+// The reference interpreter (internal/vir/virref) is left out: it is
+// the oracle the differential tests check the engine against, and no
+// production configuration runs it. The test fails if a non-test file
+// outside that package imports it, so it cannot become trusted code
+// uncounted.
 //
 // The test enforces a budget and requires EXPERIMENTS.md's
 // <!-- tcb --> block to hold this count, so TCB growth is a reviewed
@@ -80,6 +90,51 @@ func TestTCBSize(t *testing.T) {
 	if total == 0 {
 		t.Errorf("TCB accounting found no code")
 	}
+	importers, err := virrefImporters(repoRoot)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(importers) > 0 {
+		t.Errorf("non-test code imports %s, which the TCB count leaves out: %s",
+			virrefPath, strings.Join(importers, ", "))
+	}
+}
+
+// virrefPath is the reference interpreter's import path.
+const virrefPath = "repro/internal/vir/virref"
+
+// virrefImporters lists the non-test .go files under root, outside
+// virref itself, that import virref. Directories whose names start
+// with "." (build output among them) or are "testdata" are skipped.
+func virrefImporters(root string) ([]string, error) {
+	own := filepath.Join(root, "internal", "vir", "virref")
+	var importers []string
+	err := filepath.WalkDir(root, func(path string, d fs.DirEntry, err error) error {
+		if err != nil {
+			return err
+		}
+		if d.IsDir() {
+			if path != root && (strings.HasPrefix(d.Name(), ".") || d.Name() == "testdata" || path == own) {
+				return filepath.SkipDir
+			}
+			return nil
+		}
+		if !strings.HasSuffix(path, ".go") || strings.HasSuffix(path, "_test.go") {
+			return nil
+		}
+		f, err := parser.ParseFile(token.NewFileSet(), path, nil, parser.ImportsOnly)
+		if err != nil {
+			return err
+		}
+		for _, imp := range f.Imports {
+			if p, _ := strconv.Unquote(imp.Path.Value); p == virrefPath {
+				rel, _ := filepath.Rel(root, path)
+				importers = append(importers, filepath.ToSlash(rel))
+			}
+		}
+		return nil
+	})
+	return importers, err
 }
 
 // countSLOC counts non-blank, non-comment-only lines (the paper's

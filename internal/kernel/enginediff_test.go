@@ -5,23 +5,45 @@ import (
 	"testing"
 
 	"repro/internal/core"
+	"repro/internal/hw"
 	"repro/internal/vir"
+	"repro/internal/vir/virref"
 )
 
 // These tests run module code through the full kernel pipeline
-// (translator → code space → RunModuleFunc) on two identically booted
-// systems, one per execution engine, and assert the engines are
-// indistinguishable: same results, same errors, and the same
-// virtual-clock advance for every call.
+// (translator → code space → module Env) on two identically booted
+// systems, the first through RunModuleFunc on the kernel's engine and
+// the second on the reference interpreter (runReference), and assert
+// the two are indistinguishable: same results, same errors, and the
+// same virtual-clock advance for every call.
 
-// bootEnginePair boots two kernels in the given mode, the first on the
-// pre-linked engine and the second on the reference interpreter.
+// bootEnginePair boots two kernels in the given mode: runOnBoth runs
+// the first's module calls on its engine and the second's on the
+// reference interpreter.
 func bootEnginePair(t *testing.T, mode core.Mode) (*Kernel, *Kernel) {
 	t.Helper()
-	kL := bootKernel(t, mode)
-	kR := bootKernel(t, mode)
-	kR.reference = true
-	return kL, kR
+	return bootKernel(t, mode), bootKernel(t, mode)
+}
+
+// runReference runs a module function on the reference interpreter,
+// resolved as RunModuleFunc resolves it and in the same module Env.
+// No kernel intrinsic re-enters module code, so a fresh Interp per
+// call gives the engine's step budget per top-level run.
+func runReference(t *testing.T, k *Kernel, mod *Module, fn string, args ...uint64) (uint64, error) {
+	t.Helper()
+	addr, ok := mod.Translation.Entry(fn)
+	if !ok {
+		t.Fatalf("module %q has no function %q", mod.Name, fn)
+	}
+	f, ok := k.HAL.CodeSpace().FuncByAddr(addr)
+	if !ok {
+		t.Fatalf("module function %q not in code space", fn)
+	}
+	root := hw.Frame(0)
+	if k.cur != nil {
+		root = k.cur.root
+	}
+	return virref.NewInterp(k.moduleEnv(root)).Call(f, args...)
 }
 
 // runOnBoth invokes the same module function on both kernels and
@@ -34,7 +56,7 @@ func runOnBoth(t *testing.T, kL, kR *Kernel, modOf func(*Kernel) *Module, fn str
 	dL, lL := kL.M.Clock.Cycles()-c0, kL.M.Clock.Ledger().Sub(l0)
 
 	c0, l0 = kR.M.Clock.Cycles(), kR.M.Clock.Ledger()
-	vR, errR := kR.RunModuleFunc(modOf(kR), fn, args...)
+	vR, errR := runReference(t, kR, modOf(kR), fn, args...)
 	dR, lR := kR.M.Clock.Cycles()-c0, kR.M.Clock.Ledger().Sub(l0)
 
 	errs := func(err error) string {
@@ -178,7 +200,7 @@ entry:
 	_, errL := kL.RunModuleFunc(mods[kL], "go_down", 7)
 	dL := kL.M.Clock.Cycles() - c0
 	c0 = kR.M.Clock.Cycles()
-	_, errR := kR.RunModuleFunc(mods[kR], "go_down", 7)
+	_, errR := runReference(t, kR, mods[kR], "go_down", 7)
 	dR := kR.M.Clock.Cycles() - c0
 	if errL == nil || errR == nil || errL.Error() != errR.Error() {
 		t.Fatalf("panic errors differ: %v vs %v", errL, errR)

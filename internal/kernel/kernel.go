@@ -91,6 +91,7 @@ const (
 	// ECONNREFUSED: the destination port answered a SYN with an RST
 	// (nobody listening there).
 	ECONNREFUSED = 61
+	ENOTEMPTY    = 66
 	ENOSYS       = 78
 )
 
@@ -159,15 +160,11 @@ type Kernel struct {
 	modLogBuf []byte
 
 	// Module execution: the pre-linked engine, per kernel so step
-	// budgets and code caches follow the kernel's lifetime. reference
-	// routes module calls through the tree-walking reference
-	// interpreter instead; only the engine differential tests set it.
-	// modEnvs caches the module Env per address-space root so
-	// steady-state module calls allocate nothing on the host.
-	engine     *vir.Engine
-	reference  bool
-	refInterps map[vir.Env]*vir.Interp
-	modEnvs    map[hw.Frame]vir.Env
+	// budgets and code caches follow the kernel's lifetime. modEnvs
+	// caches the module Env per address-space root so steady-state
+	// module calls allocate nothing on the host.
+	engine  *vir.Engine
+	modEnvs map[hw.Frame]vir.Env
 
 	// intrinsics is the kernel-service linkage table for module code,
 	// built once at boot (see modintr.go).
@@ -243,7 +240,6 @@ func Boot(hal core.HAL) (*Kernel, error) {
 		planted:      make(map[uint64]PlantedFunc),
 		swappedGhost: make(map[int]map[hw.Virt][]byte),
 		engine:       vir.NewEngine(),
-		refInterps:   make(map[vir.Env]*vir.Interp),
 		modEnvs:      make(map[hw.Frame]vir.Env),
 	}
 	k.cpus = make([]*cpuRun, k.M.NumCPUs())
@@ -421,8 +417,8 @@ func (k *Kernel) Console() *hw.Console { return k.M.Console }
 // Stats returns a copy of the kernel counters.
 func (k *Kernel) Stats() Stats { return k.stats }
 
-// Module is a loaded kernel module: its translation plus the
-// interpreter environment it executes in.
+// Module is a loaded kernel module: its translation, whose functions
+// RunModuleFunc runs on the kernel's engine.
 type Module struct {
 	Name        string
 	Translation moduleTranslation
@@ -493,11 +489,7 @@ func (k *Kernel) RunModuleFunc(mod *Module, fn string, args ...uint64) (uint64, 
 	if k.cur != nil {
 		root = k.cur.root
 	}
-	env := k.moduleEnv(root)
-	if k.reference {
-		return k.refInterp(env).Call(f, args...)
-	}
-	return k.engine.Call(env, f, args...)
+	return k.engine.Call(k.moduleEnv(root), f, args...)
 }
 
 // moduleEnv returns the (cached) execution environment for module code
@@ -510,16 +502,4 @@ func (k *Kernel) moduleEnv(root hw.Frame) vir.Env {
 	env := k.HAL.ModuleEnv(root, k.moduleIntrinsics)
 	k.modEnvs[root] = env
 	return env
-}
-
-// refInterp returns the (cached) reference interpreter for an Env.
-// Caching keeps the step budget per top-level run even when a host
-// intrinsic re-enters module code through RunModuleFunc.
-func (k *Kernel) refInterp(env vir.Env) *vir.Interp {
-	if ip, ok := k.refInterps[env]; ok {
-		return ip
-	}
-	ip := vir.NewInterp(env)
-	k.refInterps[env] = ip
-	return ip
 }

@@ -107,8 +107,10 @@ func errnoOf(err error) uint64 {
 		return EEXIST
 	case ErrIsDir:
 		return EISDIR
-	case ErrNotDir, ErrNotEmpty:
+	case ErrNotDir:
 		return ENOTDIR
+	case ErrNotEmpty:
+		return ENOTEMPTY
 	case ErrNoSpace, ErrTooBig:
 		return ENOSPC
 	case ErrBadName:

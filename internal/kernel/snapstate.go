@@ -314,7 +314,6 @@ func (k *Kernel) ApplyKernelSnap(s *KernelSnap) {
 	// and env construction are host-only work — by the engine's own
 	// contract the virtual clock never sees a cache flush.
 	clear(k.modEnvs)
-	clear(k.refInterps)
 	k.engine.ResetCaches()
 }
 

@@ -138,6 +138,15 @@ func TestSyscallErrorPaths(t *testing.T) {
 		}
 		check("create under a file", p.Syscall(SysOpen, p.PushString("/afile/x"), OCreat|ORdWr), ENOTDIR)
 		check("mkdir under a file", p.Syscall(SysMkdir, p.PushString("/afile/d")), ENOTDIR)
+		// rmdir removes only an empty directory.
+		check("rmdir missing", p.Syscall(SysRmdir, p.PushString("/missing")), ENOENT)
+		check("rmdir of a file", p.Syscall(SysRmdir, p.PushString("/afile")), ENOTDIR)
+		check("rmdir of a non-empty directory", p.Syscall(SysRmdir, p.PushString("/adir")), ENOTEMPTY)
+		p.Syscall(SysMkdir, p.PushString("/empty"))
+		if ret := p.Syscall(SysRmdir, p.PushString("/empty")); ret != 0 {
+			t.Errorf("rmdir of an empty directory = %d, want 0", int64(ret))
+		}
+		check("rmdir of a removed directory", p.Syscall(SysRmdir, p.PushString("/empty")), ENOENT)
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -160,6 +169,39 @@ func TestSyscallErrorPaths(t *testing.T) {
 	}
 	if got, _ := k.ReadKernelFile("/afile"); string(got) != "file bytes" {
 		t.Errorf("/afile = %q after the refused calls", got)
+	}
+}
+
+// TestFsyncWritesBack drives fsync through the syscall ABI: after a
+// write it returns 0 and writes dirty blocks back, and a second fsync,
+// with nothing dirty, writes nothing.
+func TestFsyncWritesBack(t *testing.T) {
+	k := bootKernel(t, core.ModeNative)
+	var wb0, wb1, wb2 uint64
+	_, err := k.Spawn("fsync", func(p *Proc) {
+		fd := p.Syscall(SysOpen, p.PushString("/synced"), OCreat|ORdWr)
+		if n := p.Syscall(SysWrite, fd, p.PushString("durable bytes"), 13); n != 13 {
+			t.Errorf("write = %d, want 13", int64(n))
+		}
+		_, _, wb0 = k.FS.cache.Stats()
+		if ret := p.Syscall(SysFsync, fd); ret != 0 {
+			t.Errorf("fsync = %d, want 0", int64(ret))
+		}
+		_, _, wb1 = k.FS.cache.Stats()
+		if ret := p.Syscall(SysFsync, fd); ret != 0 {
+			t.Errorf("second fsync = %d, want 0", int64(ret))
+		}
+		_, _, wb2 = k.FS.cache.Stats()
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	k.RunUntilIdle()
+	if wb1 <= wb0 {
+		t.Errorf("fsync after a write wrote back %d blocks, want at least 1", wb1-wb0)
+	}
+	if wb2 != wb1 {
+		t.Errorf("fsync with nothing dirty wrote back %d blocks, want 0", wb2-wb1)
 	}
 }
 

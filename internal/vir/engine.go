@@ -7,7 +7,8 @@ import (
 )
 
 // Engine executes IR functions through the pre-linked form produced by
-// link.go. It is observably identical to Interp — same return values,
+// link.go. It is observably identical to the reference interpreter
+// (package virref, which only tests import) — same return values,
 // same errors, bit-identical virtual clock — but re-resolves nothing
 // per step: branches are integer jumps, direct calls go through
 // pre-resolved callees, deterministic clock charges are batched per
@@ -22,11 +23,11 @@ import (
 // simulated machine it is not safe for concurrent use — the kernel's
 // cooperative scheduler runs one thread at a time.
 //
-// Interp remains the reference engine; the differential tests execute
-// both over the same inputs and assert identical observables.
+// The differential tests run the engine and virref.Interp over the
+// same inputs and assert identical observables.
 type Engine struct {
 	// MaxSteps is the per-top-level-run step budget (runaway loop
-	// guard), counted exactly like the reference interpreter's.
+	// guard), counted exactly like virref.Interp's.
 	MaxSteps int
 
 	cache map[*Function]*linkedFn
@@ -432,7 +433,7 @@ func (e *Engine) run(env Env, clk *hw.Clock, lf *linkedFn, args []uint64, depth 
 
 		case opCorruptReturn:
 			if len(in.args) != 1 {
-				return 0, fmt.Errorf("vir: %s wants 1 arg", corruptReturnIntrinsic)
+				return 0, fmt.Errorf("vir: %s wants 1 arg", CorruptReturnIntrinsic)
 			}
 			retOverride = lval(regs, in.args[0])
 			overridden = true
@@ -448,7 +449,7 @@ func (e *Engine) run(env Env, clk *hw.Clock, lf *linkedFn, args []uint64, depth 
 				e.fstats.ICHits++
 			} else {
 				if in.op == OpCFICallInd {
-					if err := cfiCheck(env, lf.fn.Name, target); err != nil {
+					if err := CFICheck(env, lf.fn.Name, target); err != nil {
 						return 0, err
 					}
 				}
@@ -480,7 +481,7 @@ func (e *Engine) run(env Env, clk *hw.Clock, lf *linkedFn, args []uint64, depth 
 			if overridden {
 				target := retOverride
 				if in.op == OpCFIRet {
-					if err := cfiCheck(env, lf.fn.Name, target); err != nil {
+					if err := CFICheck(env, lf.fn.Name, target); err != nil {
 						return 0, err
 					}
 				}
@@ -638,9 +639,9 @@ func (e *Engine) pivot(env Env, clk *hw.Clock, target uint64, depth int) (uint64
 }
 
 // stepLimit is the exact slow path for a budget expiring inside a
-// segment: the reference interpreter executes (and charges) each
-// instruction until the step counter crosses MaxSteps, so replay the
-// remaining budget per instruction. Only non-final logical steps of a
+// segment: virref.Interp executes (and charges) each instruction
+// until the step counter crosses MaxSteps, so replay the remaining
+// budget per instruction. Only non-final logical steps of a
 // segment can be involved, and those are pure by construction — fused
 // sites expand back into their constituents through the fusion table
 // (linkedInstr.fused), gap slots weigh nothing and are skipped, and a
@@ -724,4 +725,11 @@ func pureEval(regs []uint64, in *linkedInstr) {
 	case OpCFILabel:
 		// no data effect
 	}
+}
+
+func b2u(b bool) uint64 {
+	if b {
+		return 1
+	}
+	return 0
 }

@@ -1,6 +1,11 @@
-package vir
+package vir_test
 
-import "testing"
+import (
+	"testing"
+
+	. "repro/internal/vir"
+	"repro/internal/vir/virref"
+)
 
 // benchWorkload builds a call-heavy loop: the shape dominated by the
 // costs the pre-linked engine removes (FindBlock per branch, string
@@ -198,7 +203,7 @@ func BenchmarkEngineICLoopFuse(b *testing.B) {
 func BenchmarkInterpCallLoop(b *testing.B) {
 	env := newMemEnv()
 	fn := benchWorkload(env)
-	ip := NewInterp(env)
+	ip := virref.NewInterp(env)
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {

@@ -1,4 +1,4 @@
-package vir
+package vir_test
 
 import (
 	"errors"
@@ -10,14 +10,18 @@ import (
 	"testing"
 
 	"repro/internal/hw"
+	. "repro/internal/vir"
+	"repro/internal/vir/virref"
 )
 
 // This file is the differential harness between the reference
-// interpreter (interp.go) and the pre-linked engine (engine.go). The
-// engine's contract is observational equivalence: identical return
-// values, identical errors (strings included), and a bit-identical
-// virtual clock at every observation point. Every test here runs both
-// engines over independently constructed environments and asserts the
+// interpreter (package virref) and the pre-linked engine (engine.go).
+// virref imports vir, so the tests that run it are package vir_test;
+// export_test.go exports the internals they check. The engine's
+// contract is observational equivalence: identical return values,
+// identical errors (strings included), and a bit-identical virtual
+// clock at every observation point. Every test here runs both engines
+// over independently constructed environments and asserts the
 // observables match.
 
 // epochMemEnv extends memEnv with the CodeEpochs capability so the
@@ -73,7 +77,7 @@ func runDiffEnv(t *testing.T, maxSteps int, epochs bool, setup func(env *epochMe
 
 	refEnv := newMemEnv()
 	fn, args := setup(&epochMemEnv{memEnv: refEnv, epoch: 1})
-	ip := NewInterp(refEnv)
+	ip := virref.NewInterp(refEnv)
 	if maxSteps > 0 {
 		ip.MaxSteps = maxSteps
 	}
@@ -339,7 +343,7 @@ func TestEngineDiffCorruptReturn(t *testing.T) {
 		gadget.Ret(Imm(0))
 		gAddr := env.addFunc(gadget.Fn())
 		vuln := NewFunction("vuln", 1)
-		vuln.Call(corruptReturnIntrinsic, vuln.Param(0))
+		vuln.Call(CorruptReturnIntrinsic, vuln.Param(0))
 		vuln.Ret(Imm(0))
 		env.addFunc(vuln.Fn())
 		return vuln.Fn(), []uint64{gAddr}
@@ -351,7 +355,7 @@ func TestEngineDiffCorruptReturn(t *testing.T) {
 		env.funcs[gadget.Fn().Name] = gadget.Fn()
 		env.addrs[0x41410000] = gadget.Fn()
 		vuln := NewFunction("vuln", 1)
-		vuln.Call(corruptReturnIntrinsic, vuln.Param(0))
+		vuln.Call(CorruptReturnIntrinsic, vuln.Param(0))
 		vuln.Fn().Entry().Instrs = append(vuln.Fn().Entry().Instrs,
 			Instr{Op: OpCFIRet, A: Imm(0)})
 		env.addFunc(vuln.Fn())
@@ -363,7 +367,7 @@ func TestEngineDiffCorruptReturn(t *testing.T) {
 		gadget.Ret(Imm(0))
 		gAddr := env.addFunc(gadget.Fn())
 		vuln := NewFunction("vuln", 1)
-		vuln.Call(corruptReturnIntrinsic, vuln.Param(0))
+		vuln.Call(CorruptReturnIntrinsic, vuln.Param(0))
 		vuln.Ret(Imm(0))
 		env.addFunc(vuln.Fn())
 		return vuln.Fn(), []uint64{gAddr}
@@ -480,9 +484,10 @@ func TestEngineDiffStepLimitAcrossEnvOps(t *testing.T) {
 	}
 }
 
-// TestStepBudgetPerTopLevelRun covers the Interp.Call fix: a re-entrant
-// call (host intrinsic invoking module code through the same engine)
-// must share the outer run's step budget instead of refreshing it.
+// TestStepBudgetPerTopLevelRun covers the Interp.Call fix: a
+// re-entrant call (host intrinsic invoking module code through the
+// same engine) must share the outer run's step budget instead of
+// refreshing it, on virref.Interp and on the engine alike.
 func TestStepBudgetPerTopLevelRun(t *testing.T) {
 	// inner burns ~40 steps per invocation; outer loops forever calling
 	// the re-entrant intrinsic. With the old per-Call reset, the budget
@@ -513,7 +518,7 @@ func TestStepBudgetPerTopLevelRun(t *testing.T) {
 	t.Run("reference", func(t *testing.T) {
 		env := newMemEnv()
 		innerFn, outerFn := build(env)
-		ip := NewInterp(env)
+		ip := virref.NewInterp(env)
 		ip.MaxSteps = 5000
 		env.intrinsics["reenter"] = func([]uint64) (uint64, error) {
 			return ip.Call(innerFn)
@@ -803,7 +808,7 @@ done:
 		vuln.Assign(i, vuln.Add(i, Imm(1)))
 		vuln.Br("loop")
 		vuln.NewBlock("done")
-		vuln.Call(corruptReturnIntrinsic, vuln.Param(0))
+		vuln.Call(CorruptReturnIntrinsic, vuln.Param(0))
 		vuln.Ret(vuln.Call("leaf", i))
 		env.addFunc(vuln.Fn())
 		return vuln.Fn(), []uint64{gAddr}
@@ -843,7 +848,7 @@ func TestEngineEpochInvalidation(t *testing.T) {
 	}
 
 	// And the reference interpreter agrees with the post-bump result.
-	if got, err := NewInterp(env).Call(caller.Fn()); err != nil || got != 2 {
+	if got, err := virref.NewInterp(env).Call(caller.Fn()); err != nil || got != 2 {
 		t.Fatalf("reference: got %d, %v", got, err)
 	}
 }
@@ -862,7 +867,7 @@ func TestEngineZeroAllocSteadyState(t *testing.T) {
 
 	// Four indirect-call targets, their addresses in a table at 0x5000.
 	const table = 0x5000
-	for k := uint64(0); k < icWays; k++ {
+	for k := uint64(0); k < ICWays; k++ {
 		f := NewFunction(fmt.Sprintf("ind%d", k), 1)
 		f.Ret(f.Add(f.Param(0), Imm(k+1)))
 		env.Store(hw.Virt(table+8*k), 8, env.addFunc(f.Fn()))
@@ -879,7 +884,7 @@ func TestEngineZeroAllocSteadyState(t *testing.T) {
 	b.NewBlock("body")
 	b.Assign(acc, b.Call("leaf", acc, i))
 	b.Assign(acc, b.Call("sink", acc))
-	fp := b.Load(b.Add(Imm(table), b.Shl(b.And(i, Imm(icWays-1)), Imm(3))), 8)
+	fp := b.Load(b.Add(Imm(table), b.Shl(b.And(i, Imm(ICWays-1)), Imm(3))), 8)
 	b.Assign(acc, b.CallInd(fp, acc))
 	b.Assign(i, b.Add(i, Imm(1)))
 	b.Br("loop")
@@ -892,8 +897,8 @@ func TestEngineZeroAllocSteadyState(t *testing.T) {
 	if _, err := eng.Call(env, b.Fn(), 64); err != nil {
 		t.Fatal(err)
 	}
-	if st := eng.Fusion(); st.ICMisses != icWays {
-		t.Fatalf("warm-up filled %d inline-cache entries, want %d", st.ICMisses, icWays)
+	if st := eng.Fusion(); st.ICMisses != ICWays {
+		t.Fatalf("warm-up filled %d inline-cache entries, want %d", st.ICMisses, ICWays)
 	}
 	allocs := testing.AllocsPerRun(50, func() {
 		if _, err := eng.Call(env, b.Fn(), 64); err != nil {
@@ -903,8 +908,8 @@ func TestEngineZeroAllocSteadyState(t *testing.T) {
 	if allocs != 0 {
 		t.Errorf("steady-state Call allocates %v objects/run, want 0", allocs)
 	}
-	if st := eng.Fusion(); st.ICMisses != icWays {
-		t.Errorf("steady state missed the inline cache: %d misses, want %d", st.ICMisses, icWays)
+	if st := eng.Fusion(); st.ICMisses != ICWays {
+		t.Errorf("steady state missed the inline cache: %d misses, want %d", st.ICMisses, ICWays)
 	}
 }
 
@@ -1073,7 +1078,7 @@ func fuzzEngineDiff(t *testing.T, m *Module, text string, labeled bool) {
 				rerr error
 			)
 			if reference {
-				ip := NewInterp(env)
+				ip := virref.NewInterp(env)
 				ip.MaxSteps = 20_000
 				ret, rerr = ip.Call(target, args...)
 			} else {

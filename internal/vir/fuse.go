@@ -3,7 +3,7 @@ package vir
 // This file is the superinstruction fusion pass of the pre-linked
 // engine. Its contract is the linker's (link.go): host work may shrink,
 // but the virtual clock and every other observable must stay
-// bit-identical to the reference interpreter.
+// bit-identical to the reference interpreter (virref.Interp).
 //
 // The pass runs between lowering (link pass 2) and segment accounting
 // (link pass 3). It recognizes three two-instruction idioms in the flat

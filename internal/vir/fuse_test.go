@@ -1,4 +1,4 @@
-package vir
+package vir_test
 
 import (
 	"errors"
@@ -7,6 +7,8 @@ import (
 	"testing"
 
 	"repro/internal/hw"
+	. "repro/internal/vir"
+	"repro/internal/vir/virref"
 )
 
 // Tests for the superinstruction fusion pass and the polymorphic inline
@@ -87,8 +89,8 @@ var fuseIdiomsFuncs = []struct {
 	arg   uint64
 	fused []Opcode
 }{
-	{"hot", 5, []Opcode{opFusedCmpBr, opFusedMaskStore, opFusedMaskLoad}},
-	{"flat", 0x2000, []Opcode{opFusedMaskStore, opFusedMaskLoad, opFusedCmpBr}},
+	{"hot", 5, []Opcode{OpFusedCmpBr, OpFusedMaskStore, OpFusedMaskLoad}},
+	{"flat", 0x2000, []Opcode{OpFusedMaskStore, OpFusedMaskLoad, OpFusedCmpBr}},
 }
 
 // unfusedPairs are the adjacent pairs both fusing functions of
@@ -126,7 +128,7 @@ func addParsedModule(t testing.TB, env *memEnv, source, main string) *Function {
 
 // linkFuseIdioms runs "hot" and "flat" on one engine and returns it
 // with both lowerings.
-func linkFuseIdioms(t *testing.T) (*Engine, map[string]*linkedFn) {
+func linkFuseIdioms(t *testing.T) (*Engine, map[string][]LoweredInstr) {
 	t.Helper()
 	m, err := ParseModule(fuseIdiomsSource)
 	if err != nil {
@@ -137,13 +139,13 @@ func linkFuseIdioms(t *testing.T) (*Engine, map[string]*linkedFn) {
 		env.addFunc(g)
 	}
 	eng := NewEngine()
-	lowered := make(map[string]*linkedFn)
+	lowered := make(map[string][]LoweredInstr)
 	for _, f := range fuseIdiomsFuncs {
 		fn := m.Func(f.name)
 		if _, err := eng.Call(env, fn, f.arg); err != nil {
 			t.Fatalf("%s: %v", f.name, err)
 		}
-		lowered[f.name] = eng.cache[fn]
+		lowered[f.name] = eng.Lowered(fn)
 	}
 	return eng, lowered
 }
@@ -165,11 +167,11 @@ func TestFusionPatterns(t *testing.T) {
 	eng, lowered := linkFuseIdioms(t)
 	total := 0
 	for _, f := range fuseIdiomsFuncs {
-		code := lowered[f.name].code
+		code := lowered[f.name]
 		var got []Opcode
-		for i := range code {
-			if len(code[i].fused) > 0 {
-				got = append(got, code[i].base)
+		for _, in := range code {
+			if in.Fused > 0 {
+				got = append(got, in.Base)
 			}
 		}
 		if !slices.Equal(got, f.fused) {
@@ -179,7 +181,7 @@ func TestFusionPatterns(t *testing.T) {
 		for _, p := range unfusedPairs {
 			found := false
 			for i := 0; i+1 < len(code); i++ {
-				if code[i].base == p.a && code[i].a.IsImm == p.immA && code[i+1].base == p.b {
+				if code[i].Base == p.a && code[i].ImmA == p.immA && code[i+1].Base == p.b {
 					found = true
 				}
 			}
@@ -199,24 +201,22 @@ func TestFusionPatterns(t *testing.T) {
 // each superinstruction holds its two constituents.
 func TestFusedGapSegmentInvariants(t *testing.T) {
 	_, lowered := linkFuseIdioms(t)
-	for name, lf := range lowered {
+	for name, code := range lowered {
 		gaps, fused := 0, 0
-		for i := range lf.code {
-			in := &lf.code[i]
+		for i, in := range code {
 			switch {
-			case in.op == opFusedGap:
+			case in.Gap:
 				gaps++
-				if in.segLen != 0 || in.n1 != 0 || in.n2 != 0 || in.more != nil || in.charges != nil {
-					t.Errorf("%s: gap at %d carries accounting: segLen=%d n1=%d n2=%d more=%v charges=%v",
-						name, i, in.segLen, in.n1, in.n2, in.more, in.charges)
+				if in.Accounting {
+					t.Errorf("%s: gap at %d heads a segment or carries charges", name, i)
 				}
-				if i == 0 || len(lf.code[i-1].fused) == 0 {
+				if i == 0 || code[i-1].Fused == 0 {
 					t.Errorf("%s: gap at %d does not follow a superinstruction", name, i)
 				}
-			case len(in.fused) > 0:
+			case in.Fused > 0:
 				fused++
-				if len(in.fused) != 2 {
-					t.Errorf("%s: superinstruction at %d has %d constituents, want 2", name, i, len(in.fused))
+				if in.Fused != 2 {
+					t.Errorf("%s: superinstruction at %d has %d constituents, want 2", name, i, in.Fused)
 				}
 			}
 		}
@@ -259,7 +259,7 @@ func TestFusionStepLimitExactCycles(t *testing.T) {
 	for m := 1; m <= 8; m++ {
 		// Reference.
 		refEnv := newMemEnv()
-		ip := NewInterp(refEnv)
+		ip := virref.NewInterp(refEnv)
 		ip.MaxSteps = m
 		rv, rerr := ip.Call(build(refEnv))
 

@@ -7,10 +7,11 @@
 // The instrumenting compiler (internal/compiler) rewrites modules of
 // this IR: the sandboxing pass wraps every memory operand in ghost-
 // partition masking, and the CFI pass adds labels and checks to returns
-// and indirect calls. The interpreter in this package then executes the
-// instrumented stream against the simulated CPU and MMU, so the
-// security property "compiled kernel code cannot address ghost memory"
-// is demonstrated on real instruction sequences rather than asserted.
+// and indirect calls. The engine in this package (engine.go) then
+// executes the instrumented stream against the simulated CPU and MMU,
+// so the security property "compiled kernel code cannot address ghost
+// memory" is demonstrated on real instruction sequences rather than
+// asserted.
 package vir
 
 import "fmt"

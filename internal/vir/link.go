@@ -24,11 +24,12 @@ import (
 //     fixed way: register–register or register–immediate (opspec.go).
 //
 // Lowered code must stay *observably identical* to the reference
-// interpreter: same return values, same errors (strings included), and
-// a bit-identical virtual clock at every observation point. The clock
-// is observable wherever the Env is entered (loads, stores, memcpy,
-// port I/O, intrinsics) and wherever execution can stop (errors). The
-// linker therefore batches charges per SEGMENT, not per block: a
+// interpreter (virref.Interp): same return values, same errors
+// (strings included), and a bit-identical virtual clock at every
+// observation point. The clock is observable wherever the Env is
+// entered (loads, stores, memcpy, port I/O, intrinsics) and wherever
+// execution can stop (errors). The linker therefore batches charges
+// per SEGMENT, not per block: a
 // segment is a maximal instruction run in which only the final
 // instruction may fault, call out, or transfer control, so by the time
 // a segment is entered every instruction in it is certain to execute
@@ -128,8 +129,8 @@ type linkedInstr struct {
 	// ordinary instructions.
 	fused []linkedInstr
 	// charges is this instruction's own deterministic pre-charge (the
-	// cycles the reference interpreter advances unconditionally before
-	// the instruction can fail or call out), broken down by cost tag.
+	// cycles virref.Interp advances unconditionally before the
+	// instruction can fail or call out), broken down by cost tag.
 	// It aliases a shared per-opcode slice (instrCharges) — never
 	// mutate it — except on superinstructions, where it is the
 	// link-time concatenation of the constituents' shared slices.
@@ -162,13 +163,13 @@ var (
 )
 
 // instrCharges returns the deterministic pre-charge of a lowered
-// instruction: the cycles the reference interpreter advances before
-// the instruction can observably fail or enter the Env, per cost tag.
+// instruction: the cycles virref.Interp advances before the
+// instruction can observably fail or enter the Env, per cost tag.
 // Instructions whose charges are conditional (funcaddr resolved at run
 // time) or internal to the Env (loads, stores, port I/O) charge zero
 // here. Composite charges (CFI call/return: base call + label check)
-// list one component per tag, in the order the reference interpreter
-// charges them.
+// list one component per tag, in the order virref.Interp charges
+// them.
 func instrCharges(op Opcode) []tagCharge {
 	switch op {
 	case OpConst, OpMov, OpAdd, OpSub, OpMul, OpAnd, OpOr, OpXor,
@@ -208,9 +209,9 @@ func endsSegment(op Opcode) bool {
 // interpreter performs per step; with epoch invalidation (CodeEpochs)
 // the bindings cannot go stale between linking and execution.
 //
-// Branches to unknown blocks panic: the reference interpreter crashes
-// on them too (FindBlock returns nil), and every translator-admitted
-// function has verified branch targets.
+// Branches to unknown blocks panic: virref.Interp crashes on them too
+// (FindBlock returns nil), and every translator-admitted function has
+// verified branch targets.
 func (e *Engine) link(env Env, fn *Function) *linkedFn {
 	lf := &linkedFn{fn: fn}
 	// Memoize before lowering so recursive and mutually recursive
@@ -328,7 +329,7 @@ func (e *Engine) lower(env Env, fn *Function, b *Block, idx int, starts map[stri
 		li.t2 = blockStart(fn, b, in.Blk2, starts)
 	case OpCall:
 		switch {
-		case in.Sym == corruptReturnIntrinsic:
+		case in.Sym == CorruptReturnIntrinsic:
 			li.op = opCorruptReturn
 		default:
 			if addr, ok := env.FuncAddr(in.Sym); ok {

@@ -1,9 +1,12 @@
-package vir
+package vir_test
 
 import (
 	"math/rand"
 	"strings"
 	"testing"
+
+	. "repro/internal/vir"
+	"repro/internal/vir/virref"
 )
 
 // fullCoverageFunc exercises every printable opcode.
@@ -133,7 +136,7 @@ rec:
 	}
 	env := newMemEnv()
 	env.addFunc(m.Func("fib"))
-	got, err := NewInterp(env).Call(m.Func("fib"), 10)
+	got, err := virref.NewInterp(env).Call(m.Func("fib"), 10)
 	if err != nil {
 		t.Fatal(err)
 	}

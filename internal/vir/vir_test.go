@@ -1,4 +1,4 @@
-package vir
+package vir_test
 
 import (
 	"errors"
@@ -7,6 +7,8 @@ import (
 	"testing/quick"
 
 	"repro/internal/hw"
+	. "repro/internal/vir"
+	"repro/internal/vir/virref"
 )
 
 // memEnv is a minimal Env over a sparse byte map.
@@ -104,7 +106,7 @@ func run(t *testing.T, f *Function, args ...uint64) uint64 {
 	t.Helper()
 	env := newMemEnv()
 	env.addFunc(f)
-	v, err := NewInterp(env).Call(f, args...)
+	v, err := virref.NewInterp(env).Call(f, args...)
 	if err != nil {
 		t.Fatalf("run %s: %v", f.Name, err)
 	}
@@ -186,7 +188,7 @@ func TestLoadStoreMemcpy(t *testing.T) {
 	env := newMemEnv()
 	env.addFunc(b.Fn())
 	_ = env.Store(0x1000, 8, 0x1122334455667788)
-	got, err := NewInterp(env).Call(b.Fn(), 0x1000, 0x2000)
+	got, err := virref.NewInterp(env).Call(b.Fn(), 0x1000, 0x2000)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -211,7 +213,7 @@ func TestDirectCallAndIntrinsic(t *testing.T) {
 	env := newMemEnv()
 	env.addFunc(callee.Fn())
 	env.addFunc(caller.Fn())
-	got, err := NewInterp(env).Call(caller.Fn())
+	got, err := virref.NewInterp(env).Call(caller.Fn())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -229,7 +231,7 @@ func TestDirectCallAndIntrinsic(t *testing.T) {
 	b := NewFunction("m", 0)
 	b.Ret(b.Call("probe", Imm(5)))
 	ienv.addFunc(b.Fn())
-	got, err = NewInterp(ienv).Call(b.Fn())
+	got, err = virref.NewInterp(ienv).Call(b.Fn())
 	if err != nil || got != 7 || hit != 5 {
 		t.Errorf("intrinsic: got=%d hit=%d err=%v", got, hit, err)
 	}
@@ -244,7 +246,7 @@ func TestIndirectCallViaFuncAddr(t *testing.T) {
 	env := newMemEnv()
 	env.addFunc(callee.Fn())
 	env.addFunc(caller.Fn())
-	got, err := NewInterp(env).Call(caller.Fn())
+	got, err := virref.NewInterp(env).Call(caller.Fn())
 	if err != nil || got != 21 {
 		t.Errorf("indirect call = %d, %v", got, err)
 	}
@@ -261,7 +263,7 @@ func TestCFIRejectsUnlabeledTarget(t *testing.T) {
 	env := newMemEnv()
 	addr := env.addFunc(gadget.Fn()) // not Labeled
 	env.addFunc(caller.Fn())
-	_, err := NewInterp(env).Call(caller.Fn(), addr)
+	_, err := virref.NewInterp(env).Call(caller.Fn(), addr)
 	var viol *CFIViolation
 	if !errors.As(err, &viol) {
 		t.Fatalf("want CFIViolation, got %v", err)
@@ -286,7 +288,7 @@ func TestCFIAllowsLabeledKernelTarget(t *testing.T) {
 	env := newMemEnv()
 	addr := env.addFunc(callee.Fn())
 	env.addFunc(caller.Fn())
-	got, err := NewInterp(env).Call(caller.Fn(), addr)
+	got, err := virref.NewInterp(env).Call(caller.Fn(), addr)
 	if err != nil || got != 9 {
 		t.Errorf("labeled call failed: %d %v", got, err)
 	}
@@ -301,10 +303,10 @@ func TestCorruptReturnPivotsPlainRet(t *testing.T) {
 	gadget.Ret(Imm(0))
 	gAddr := env.addFunc(gadget.Fn())
 	vuln := NewFunction("vuln", 1)
-	vuln.Call(corruptReturnIntrinsic, vuln.Param(0))
+	vuln.Call(CorruptReturnIntrinsic, vuln.Param(0))
 	vuln.Ret(Imm(0))
 	env.addFunc(vuln.Fn())
-	if _, err := NewInterp(env).Call(vuln.Fn(), gAddr); err != nil {
+	if _, err := virref.NewInterp(env).Call(vuln.Fn(), gAddr); err != nil {
 		t.Fatal(err)
 	}
 	if !ran {
@@ -320,11 +322,11 @@ func TestCorruptReturnBlockedByCFIRet(t *testing.T) {
 	env.funcs[gadget.Fn().Name] = gadget.Fn()
 	env.addrs[0x41410000] = gadget.Fn()
 	vuln := NewFunction("vuln", 1)
-	vuln.Call(corruptReturnIntrinsic, vuln.Param(0))
+	vuln.Call(CorruptReturnIntrinsic, vuln.Param(0))
 	vuln.Fn().Entry().Instrs = append(vuln.Fn().Entry().Instrs,
 		Instr{Op: OpCFIRet, A: Imm(0)})
 	env.addFunc(vuln.Fn())
-	_, err := NewInterp(env).Call(vuln.Fn(), 0x41410000)
+	_, err := virref.NewInterp(env).Call(vuln.Fn(), 0x41410000)
 	var viol *CFIViolation
 	if !errors.As(err, &viol) {
 		t.Fatalf("want CFIViolation, got %v", err)
@@ -338,7 +340,7 @@ func TestStepLimit(t *testing.T) {
 	b.Br("loop")
 	env := newMemEnv()
 	env.addFunc(b.Fn())
-	ip := NewInterp(env)
+	ip := virref.NewInterp(env)
 	ip.MaxSteps = 1000
 	if _, err := ip.Call(b.Fn()); !errors.Is(err, ErrStepLimit) {
 		t.Errorf("want step limit, got %v", err)

@@ -1,86 +1,40 @@
-package vir
+// Package virref is the reference interpreter for the virtual
+// instruction set: a tree-walking Interp that re-resolves every block,
+// symbol and charge per step. It is the oracle the differential tests
+// hold vir.Engine to (same return values, errors, virtual clock and
+// per-tag ledger). No production code runs it, so it sits outside the
+// trusted computing base; TestTCBSize fails if a non-test file outside
+// this package imports it.
+package virref
 
 import (
-	"errors"
 	"fmt"
 
 	"repro/internal/hw"
+	"repro/internal/vir"
 )
 
-// Env is the world an executing IR function sees: memory (through the
-// simulated CPU/MMU at supervisor privilege), host intrinsics (kernel
-// services exposed to modules), the code space (function-pointer
-// resolution), and the clock. The kernel provides the Env when it runs
-// module code.
-type Env interface {
-	// Load/Store/Memcpy access simulated virtual memory at the
-	// privilege of the executing context.
-	Load(addr hw.Virt, size int) (uint64, error)
-	Store(addr hw.Virt, size int, v uint64) error
-	Memcpy(dst, src hw.Virt, n int) error
-	// Intrinsic invokes a named host service (console printing,
-	// kernel helpers the module links against).
-	Intrinsic(name string, args []uint64) (uint64, error)
-	// FuncByAddr resolves a code address to a function, if the address
-	// is the entry point of one.
-	FuncByAddr(addr uint64) (*Function, bool)
-	// FuncAddr returns the code address of a named function.
-	FuncAddr(name string) (uint64, bool)
-	// InKernelCode reports whether addr lies inside kernel code space
-	// (the CFI pass also masks targets to this range).
-	InKernelCode(addr uint64) bool
-	// PortIn/PortOut access the I/O port bus. Under Virtual Ghost the
-	// kernel's Env routes these through the SVA VM's checked I/O
-	// instructions; natively they hit the bus directly.
-	PortIn(port uint16) (uint64, error)
-	PortOut(port uint16, v uint64) error
-	Clock() *hw.Clock
-}
-
-// CFIViolation is raised when an instrumented return or indirect call
-// detects an illegal target. The kernel terminates the offending thread
-// (paper §4.5: "the CFI instrumentation would detect that and terminate
-// the execution of the kernel thread").
-type CFIViolation struct {
-	Fn     string
-	Target uint64
-	Reason string
-}
-
-func (e *CFIViolation) Error() string {
-	return fmt.Sprintf("vir: CFI violation in %s: target %#x: %s", e.Fn, e.Target, e.Reason)
-}
-
-// ErrStepLimit is returned when execution exceeds the interpreter's
-// step budget (runaway loop guard).
-var ErrStepLimit = errors.New("vir: step limit exceeded")
-
-// corruptReturnIntrinsic is the interpreter-level model of a stack-smash
-// that overwrites a return address: calling it stores an override that
-// the enclosing function's return will use as its control target.
-const corruptReturnIntrinsic = "__corrupt_return"
-
-// Interp executes IR functions against an Env.
+// Interp executes IR functions against a vir.Env.
 type Interp struct {
-	Env      Env
+	Env      vir.Env
 	MaxSteps int
 	steps    int
 	active   bool
 }
 
 // NewInterp creates an interpreter with the default step budget.
-func NewInterp(env Env) *Interp {
+func NewInterp(env vir.Env) *Interp {
 	return &Interp{Env: env, MaxSteps: 50_000_000}
 }
 
 type frame struct {
-	fn          *Function
+	fn          *vir.Function
 	regs        []uint64
-	retOverride uint64 // code address forced by __corrupt_return; 0 = none
+	retOverride uint64 // code address forced by vir.CorruptReturnIntrinsic; 0 = none
 	overridden  bool
 }
 
-func (fr *frame) val(v Value) uint64 {
+func (fr *frame) val(v vir.Value) uint64 {
 	if v.IsImm {
 		return v.Imm
 	}
@@ -92,7 +46,7 @@ func (fr *frame) val(v Value) uint64 {
 // intrinsic invoking module code again) shares the outer run's budget
 // instead of refreshing it, so an intrinsic-assisted loop cannot dodge
 // the runaway guard.
-func (ip *Interp) Call(fn *Function, args ...uint64) (uint64, error) {
+func (ip *Interp) Call(fn *vir.Function, args ...uint64) (uint64, error) {
 	if ip.active {
 		return ip.exec(fn, args, 0)
 	}
@@ -102,7 +56,7 @@ func (ip *Interp) Call(fn *Function, args ...uint64) (uint64, error) {
 	return ip.exec(fn, args, 0)
 }
 
-func (ip *Interp) exec(fn *Function, args []uint64, depth int) (uint64, error) {
+func (ip *Interp) exec(fn *vir.Function, args []uint64, depth int) (uint64, error) {
 	if depth > 256 {
 		return 0, fmt.Errorf("vir: call depth exceeded in %s", fn.Name)
 	}
@@ -118,56 +72,56 @@ func (ip *Interp) exec(fn *Function, args []uint64, depth int) (uint64, error) {
 	for {
 		ip.steps++
 		if ip.steps > ip.MaxSteps {
-			return 0, ErrStepLimit
+			return 0, vir.ErrStepLimit
 		}
 		if pc >= len(blk.Instrs) {
 			return 0, fmt.Errorf("vir: fell off block %s/%s", fn.Name, blk.Name)
 		}
 		in := blk.Instrs[pc]
 		switch in.Op {
-		case OpConst:
+		case vir.OpConst:
 			fr.regs[in.Dst] = in.Imm
 			clk.Charge(hw.TagEngine, hw.CostALU)
-		case OpMov:
+		case vir.OpMov:
 			fr.regs[in.Dst] = fr.val(in.A)
 			clk.Charge(hw.TagEngine, hw.CostALU)
-		case OpAdd:
+		case vir.OpAdd:
 			fr.regs[in.Dst] = fr.val(in.A) + fr.val(in.B)
 			clk.Charge(hw.TagEngine, hw.CostALU)
-		case OpSub:
+		case vir.OpSub:
 			fr.regs[in.Dst] = fr.val(in.A) - fr.val(in.B)
 			clk.Charge(hw.TagEngine, hw.CostALU)
-		case OpMul:
+		case vir.OpMul:
 			fr.regs[in.Dst] = fr.val(in.A) * fr.val(in.B)
 			clk.Charge(hw.TagEngine, hw.CostALU)
-		case OpAnd:
+		case vir.OpAnd:
 			fr.regs[in.Dst] = fr.val(in.A) & fr.val(in.B)
 			clk.Charge(hw.TagEngine, hw.CostALU)
-		case OpOr:
+		case vir.OpOr:
 			fr.regs[in.Dst] = fr.val(in.A) | fr.val(in.B)
 			clk.Charge(hw.TagEngine, hw.CostALU)
-		case OpXor:
+		case vir.OpXor:
 			fr.regs[in.Dst] = fr.val(in.A) ^ fr.val(in.B)
 			clk.Charge(hw.TagEngine, hw.CostALU)
-		case OpShl:
+		case vir.OpShl:
 			fr.regs[in.Dst] = fr.val(in.A) << (fr.val(in.B) & 63)
 			clk.Charge(hw.TagEngine, hw.CostALU)
-		case OpShr:
+		case vir.OpShr:
 			fr.regs[in.Dst] = fr.val(in.A) >> (fr.val(in.B) & 63)
 			clk.Charge(hw.TagEngine, hw.CostALU)
-		case OpCmpEQ:
+		case vir.OpCmpEQ:
 			fr.regs[in.Dst] = b2u(fr.val(in.A) == fr.val(in.B))
 			clk.Charge(hw.TagEngine, hw.CostALU)
-		case OpCmpNE:
+		case vir.OpCmpNE:
 			fr.regs[in.Dst] = b2u(fr.val(in.A) != fr.val(in.B))
 			clk.Charge(hw.TagEngine, hw.CostALU)
-		case OpCmpLT:
+		case vir.OpCmpLT:
 			fr.regs[in.Dst] = b2u(fr.val(in.A) < fr.val(in.B))
 			clk.Charge(hw.TagEngine, hw.CostALU)
-		case OpCmpGE:
+		case vir.OpCmpGE:
 			fr.regs[in.Dst] = b2u(fr.val(in.A) >= fr.val(in.B))
 			clk.Charge(hw.TagEngine, hw.CostALU)
-		case OpSelect:
+		case vir.OpSelect:
 			if fr.val(in.A) != 0 {
 				fr.regs[in.Dst] = fr.val(in.B)
 			} else {
@@ -175,34 +129,34 @@ func (ip *Interp) exec(fn *Function, args []uint64, depth int) (uint64, error) {
 			}
 			clk.Charge(hw.TagEngine, hw.CostALU)
 
-		case OpMaskGhost:
+		case vir.OpMaskGhost:
 			// The sandbox sequence the compiler inserted: compare
 			// against the partition bases, OR in the escape bit /
 			// zero SVA-internal addresses.
 			clk.Charge(hw.TagSandbox, hw.CostMaskCheck)
-			fr.regs[in.Dst] = MaskAddress(fr.val(in.A))
+			fr.regs[in.Dst] = vir.MaskAddress(fr.val(in.A))
 
-		case OpLoad:
+		case vir.OpLoad:
 			v, err := ip.Env.Load(hw.Virt(fr.val(in.A)), in.Size)
 			if err != nil {
 				return 0, err
 			}
 			fr.regs[in.Dst] = v
-		case OpStore:
+		case vir.OpStore:
 			if err := ip.Env.Store(hw.Virt(fr.val(in.A)), in.Size, fr.val(in.B)); err != nil {
 				return 0, err
 			}
-		case OpMemcpy:
+		case vir.OpMemcpy:
 			if err := ip.Env.Memcpy(hw.Virt(fr.val(in.A)), hw.Virt(fr.val(in.B)), int(fr.val(in.C))); err != nil {
 				return 0, err
 			}
 
-		case OpBr:
+		case vir.OpBr:
 			clk.Charge(hw.TagEngine, hw.CostBranch)
 			blk = fn.FindBlock(in.Blk1)
 			pc = 0
 			continue
-		case OpCondBr:
+		case vir.OpCondBr:
 			clk.Charge(hw.TagEngine, hw.CostBranch)
 			if fr.val(in.A) != 0 {
 				blk = fn.FindBlock(in.Blk1)
@@ -212,16 +166,16 @@ func (ip *Interp) exec(fn *Function, args []uint64, depth int) (uint64, error) {
 			pc = 0
 			continue
 
-		case OpCall:
+		case vir.OpCall:
 			clk.Charge(hw.TagEngine, hw.CostCall)
 			argv := make([]uint64, len(in.Args))
 			for i, a := range in.Args {
 				argv[i] = fr.val(a)
 			}
-			if in.Sym == corruptReturnIntrinsic {
+			if in.Sym == vir.CorruptReturnIntrinsic {
 				// Stack smash: overwrite this frame's return target.
 				if len(argv) != 1 {
-					return 0, fmt.Errorf("vir: %s wants 1 arg", corruptReturnIntrinsic)
+					return 0, fmt.Errorf("vir: %s wants 1 arg", vir.CorruptReturnIntrinsic)
 				}
 				fr.retOverride = argv[0]
 				fr.overridden = true
@@ -234,12 +188,12 @@ func (ip *Interp) exec(fn *Function, args []uint64, depth int) (uint64, error) {
 			}
 			fr.regs[in.Dst] = ret
 
-		case OpCallInd, OpCFICallInd:
+		case vir.OpCallInd, vir.OpCFICallInd:
 			clk.Charge(hw.TagEngine, hw.CostCall)
 			target := fr.val(in.A)
-			if in.Op == OpCFICallInd {
+			if in.Op == vir.OpCFICallInd {
 				clk.Charge(hw.TagCFI, hw.CostCFICheck)
-				if err := ip.cfiCheckTarget(fn.Name, target); err != nil {
+				if err := vir.CFICheck(ip.Env, fn.Name, target); err != nil {
 					return 0, err
 				}
 			}
@@ -257,9 +211,9 @@ func (ip *Interp) exec(fn *Function, args []uint64, depth int) (uint64, error) {
 			}
 			fr.regs[in.Dst] = ret
 
-		case OpRet, OpCFIRet:
+		case vir.OpRet, vir.OpCFIRet:
 			clk.Charge(hw.TagEngine, hw.CostCall)
-			if in.Op == OpCFIRet {
+			if in.Op == vir.OpCFIRet {
 				clk.Charge(hw.TagCFI, hw.CostCFICheck)
 			}
 			if fr.overridden {
@@ -267,8 +221,8 @@ func (ip *Interp) exec(fn *Function, args []uint64, depth int) (uint64, error) {
 				// return checks the target; a plain return pivots
 				// control to it (the ROP case).
 				target := fr.retOverride
-				if in.Op == OpCFIRet {
-					if err := ip.cfiCheckTarget(fn.Name, target); err != nil {
+				if in.Op == vir.OpCFIRet {
+					if err := vir.CFICheck(ip.Env, fn.Name, target); err != nil {
 						return 0, err
 					}
 				}
@@ -283,18 +237,18 @@ func (ip *Interp) exec(fn *Function, args []uint64, depth int) (uint64, error) {
 			}
 			return fr.val(in.A), nil
 
-		case OpPortIn:
+		case vir.OpPortIn:
 			v, err := ip.Env.PortIn(uint16(fr.val(in.A)))
 			if err != nil {
 				return 0, err
 			}
 			fr.regs[in.Dst] = v
-		case OpPortOut:
+		case vir.OpPortOut:
 			if err := ip.Env.PortOut(uint16(fr.val(in.A)), fr.val(in.B)); err != nil {
 				return 0, err
 			}
 
-		case OpAsm:
+		case vir.OpAsm:
 			// Inline assembly executes only in code the trusted
 			// translator never saw (Native configuration); its effect
 			// is whatever host intrinsic the text names.
@@ -302,7 +256,7 @@ func (ip *Interp) exec(fn *Function, args []uint64, depth int) (uint64, error) {
 				return 0, err
 			}
 
-		case OpFuncAddr:
+		case vir.OpFuncAddr:
 			addr, ok := ip.Env.FuncAddr(in.Sym)
 			if !ok {
 				return 0, fmt.Errorf("vir: funcaddr of unknown symbol %q", in.Sym)
@@ -310,7 +264,7 @@ func (ip *Interp) exec(fn *Function, args []uint64, depth int) (uint64, error) {
 			fr.regs[in.Dst] = addr
 			clk.Charge(hw.TagEngine, hw.CostALU)
 
-		case OpCFILabel:
+		case vir.OpCFILabel:
 			clk.Charge(hw.TagCFI, hw.CostCFILabel)
 
 		default:
@@ -330,53 +284,6 @@ func (ip *Interp) dispatchCall(sym string, args []uint64, depth int) (uint64, er
 	}
 	return ip.Env.Intrinsic(sym, args)
 }
-
-// cfiCheckTarget implements the instrumented control-transfer check:
-// the target must be in kernel code space and must be the entry of a
-// function that carries a CFI label.
-func (ip *Interp) cfiCheckTarget(from string, target uint64) error {
-	return cfiCheck(ip.Env, from, target)
-}
-
-// cfiCheck is the engine-independent CFI target check shared by the
-// reference interpreter and the pre-linked engine, so both construct
-// identical violations.
-func cfiCheck(env Env, from string, target uint64) error {
-	if !env.InKernelCode(target) {
-		return &CFIViolation{Fn: from, Target: target, Reason: "target outside kernel code space"}
-	}
-	callee, ok := env.FuncByAddr(target)
-	if !ok {
-		return &CFIViolation{Fn: from, Target: target, Reason: "target is not a function entry"}
-	}
-	if !callee.Labeled {
-		return &CFIViolation{Fn: from, Target: target, Reason: "target has no CFI label"}
-	}
-	return nil
-}
-
-// MaskAddress is the semantic of the sandbox masking sequence: ghost-
-// partition addresses get the escape bit OR-ed in (pushing them into
-// kernel space), and SVA-internal addresses are redirected to 0 (the
-// prototype zeroed them; frame 0 is reserved so such accesses fault).
-func MaskAddress(a uint64) uint64 {
-	if a >= uint64(hw.GhostBase) {
-		a |= uint64(hw.GhostEscapeBit)
-	}
-	if a >= uint64(SVAInternalBase) && a < uint64(SVAInternalTop) {
-		a = 0
-	}
-	return a
-}
-
-// SVA internal memory occupies a carve-out of the kernel data segment,
-// as in the prototype ("we opted to leave the SVA internal memory
-// within the kernel's data segment"). The load/store instrumentation
-// zeroes addresses in this window.
-const (
-	SVAInternalBase hw.Virt = 0xffffff9000000000
-	SVAInternalTop  hw.Virt = 0xffffff9040000000 // 1 GiB window
-)
 
 func b2u(b bool) uint64 {
 	if b {
